@@ -3,10 +3,12 @@ rank-3 Drinfeld modules over a finite A-field.
 
 The pipeline: validate the class descriptor, compute the standard form and
 the maximal-order data (field discriminant, index, integral basis), build
-the multiplication table, enumerate the suborders passing the closure,
-Frobenius-containment and v-maximality tests, and optionally identify the
+the multiplication table, enumerate the suborders passing the v-maximality,
+Frobenius-containment and closure tests, and optionally identify the
 endomorphism ring of concrete modules given by phi_T through skew
-right-division.
+right-division.  When pv divides a2, v-maximality filters the divisors
+before any closure test; the candidate count and bound stay the size of the
+full sandwich A[pi] <= O <= O_max.
 """
 
 from .cubic import (
@@ -59,7 +61,6 @@ from .orders import (
     closure_check,
     contains_frobenius,
     enumerate_candidates,
-    enumerate_endo_rings,
     frobenius_order_hnf,
     mult_table,
     order_disc,

@@ -334,7 +334,7 @@ def build_report(cfg: ProblemConfig, analysis: ClassAnalysis, identifications) -
         "alpha2_str": mo.alpha2.to_str(),
         "beta2": _poly_json(mo.beta2),
         "beta2_str": mo.beta2.to_str(),
-        "candidate_count": len(analysis.candidates),
+        "candidate_count": analysis.candidate_count,
         "orders": orders,
         "identifications": ident_json,
     }

@@ -9,19 +9,22 @@ and deg b < deg a, standing for the lattice
 over the integral basis (1, omega1, omega2) of the maximal order.  The
 lattice is a ring exactly when M1*M2*H^-1 has entries in A, where M2 is
 the multiplication table of the basis and M1, H are the structure matrices
-of the triple.  An order is an endomorphism ring exactly when it is a ring,
-contains the Frobenius, and (when pv divides a2) stays maximal above v,
-which amounts to gcd(pv, a*c) = 1.
+of the triple.  An order is an endomorphism ring exactly when it stays
+maximal above v (when pv divides a2, gcd(pv, a*c) = 1), contains the
+Frobenius, and is a ring; the tests run in that order, cheapest first.
 
-Candidates are drawn from the full sandwich between A[pi] and the maximal
-order: c runs over divisors of g, a over divisors of g^2*I (the a-entry of
-A[pi] itself), and b over the multiples of a/gcd(a, g/c) below deg a.
+The full sandwich between A[pi] and the maximal order has c running over
+divisors of g, a over divisors of g^2*I (the a-entry of A[pi] itself), and
+b over the multiples of a/gcd(a, g/c) below deg a.  Its size is the
+candidate count checked against the candidate bound, however few triples
+are closure-tested: when pv divides a2, v-maximality acts on the divisors
+(pv is irreducible), so only a and c that pv does not divide are built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Optional, Tuple
 
 from .cubic import (
     LocalData,
@@ -176,8 +179,8 @@ class ClassAnalysis:
     sf: StandardForm
     mo: MaximalOrderData
     m2: MultTable
-    candidates: tuple  # every OrderReport, canonical order
-    orders: tuple  # the accepted sublist
+    candidate_count: int  # size of the full sandwich A[pi] <= O <= O_max
+    orders: tuple  # OrderReport of each accepted order, canonical order
 
     @property
     def maximal_order(self) -> OrderHNF:
@@ -187,44 +190,37 @@ class ClassAnalysis:
         return frobenius_order_hnf(self.sf, self.mo)
 
 
-def _candidate_count(field, cs, as_, g) -> int:
-    total = 0
-    for c in cs:
-        t = g.exact_div(c)
-        for a in as_:
-            shared = poly_gcd(a, t) if a.degree > 0 else Poly.one(field)
-            total += field.q**shared.degree
-    return total
+def _sandwich_divisors(sf: StandardForm, mo: MaximalOrderData):
+    return divisors(sf.g), divisors(frobenius_order_hnf(sf, mo).a)
+
+
+def _candidate_count(sf: StandardForm, mo: MaximalOrderData) -> int:
+    """Size of the full sandwich: q^deg gcd(a, g/c) triples for each (a, c)."""
+    q, g = sf.c1.field.q, sf.g
+    cs, as_ = _sandwich_divisors(sf, mo)
+    return sum(q ** poly_gcd(a, g.exact_div(c)).degree for c in cs for a in as_)
 
 
 def enumerate_candidates(
-    sf: StandardForm,
-    mo: MaximalOrderData,
-    candidate_bound: int = DEFAULT_CANDIDATE_BOUND,
-):
-    """Yield every admissible (a, b, c) triple, canonically ordered.
+    sf: StandardForm, mo: MaximalOrderData, prime_to: Optional[Poly] = None
+) -> list:
+    """Every admissible (a, b, c) triple, canonically ordered.
 
     c | g and a | g^2*I cover the whole sandwich A[pi] <= O <= O_max; b is
     constrained by deg b < deg a together with a | b*(g/c), which is the
-    Frobenius-containment shape.
+    Frobenius-containment shape.  With an irreducible ``prime_to``, only
+    a and c it does not divide are taken.
     """
     F = sf.c1.field
     g = sf.g
-    a_modulus = g * g * mo.index
-    cs = divisors(g)
-    as_ = divisors(a_modulus)
-    total = _candidate_count(F, cs, as_, g)
-    if total > candidate_bound:
-        raise CandidateBoundExceededError(
-            f"candidate space has {total} triples, above the bound {candidate_bound}"
-        )
+    cs, as_ = _sandwich_divisors(sf, mo)
+    if prime_to is not None:
+        cs = [c for c in cs if not prime_to.divides(c)]
+        as_ = [a for a in as_ if not prime_to.divides(a)]
     triples = []
     for c in cs:
         t = g.exact_div(c)
         for a in as_:
-            if a.degree == 0:
-                triples.append(OrderHNF(a=a, b=Poly.zero(F), c=c))
-                continue
             base = a.exact_div(poly_gcd(a, t))
             free = a.degree - base.degree
             for u in polys_below_degree(F, free):
@@ -240,19 +236,23 @@ def assess_order(
     sf: StandardForm,
     mo: MaximalOrderData,
     m2: MultTable,
-) -> OrderReport:
-    closed = closure_check(order, m2)
-    contains = contains_frobenius(order, sf.g)
-    vmax = v_maximality(order, W, local)
+) -> Optional[OrderReport]:
+    """The report of an accepted order; None at the first failed test."""
+    if not (
+        v_maximality(order, W, local)
+        and contains_frobenius(order, sf.g)
+        and closure_check(order, m2)
+    ):
+        return None
     disc, conductor_norm = order_disc(order, mo.delta)
     return OrderReport(
         order=order,
-        is_closed=closed,
-        contains_pi=contains,
-        v_maximal=vmax,
+        is_closed=True,
+        contains_pi=True,
+        v_maximal=True,
         disc=disc,
         conductor_norm=conductor_norm,
-        is_endo_ring=closed and contains and vmax,
+        is_endo_ring=True,
     )
 
 
@@ -266,11 +266,17 @@ def analyze_weil_class(
     sf = standard_form(W)
     mo = maximal_order_data(sf)
     m2 = mult_table(sf, mo)
-    reports = tuple(
+    total = _candidate_count(sf, mo)
+    if total > candidate_bound:
+        raise CandidateBoundExceededError(
+            f"candidate space has {total} triples, above the bound {candidate_bound}"
+        )
+    prime_to = W.pv if local.pv_divides_a2 else None
+    reports = (
         assess_order(o, W, local, sf, mo, m2)
-        for o in enumerate_candidates(sf, mo, candidate_bound)
+        for o in enumerate_candidates(sf, mo, prime_to)
     )
-    accepted = tuple(r for r in reports if r.is_endo_ring)
+    accepted = tuple(r for r in reports if r is not None)
     if not accepted or accepted[0].order != OrderHNF(
         a=Poly.one(W.field), b=Poly.zero(W.field), c=Poly.one(W.field)
     ):
@@ -281,13 +287,6 @@ def analyze_weil_class(
         sf=sf,
         mo=mo,
         m2=m2,
-        candidates=reports,
+        candidate_count=total,
         orders=accepted,
     )
-
-
-def enumerate_endo_rings(
-    W: WeilCubic, candidate_bound: int = DEFAULT_CANDIDATE_BOUND
-) -> List[OrderReport]:
-    """The orders occurring as endomorphism rings in the class of W."""
-    return list(analyze_weil_class(W, candidate_bound).orders)

@@ -5,10 +5,12 @@ import pytest
 from drinfeld_orders import (
     OrderHNF,
     Poly,
+    PrimeField,
     WeilCubic,
     analyze_weil_class,
     closure_check,
     contains_frobenius,
+    enumerate_candidates,
     frobenius_order_hnf,
     mult_table,
     order_disc,
@@ -100,8 +102,6 @@ def test_closure_violator_detected(example_analysis):
 
 
 def test_closure_agrees_with_companion_oracle(instance_pool):
-    from drinfeld_orders import enumerate_candidates
-
     total = 0
     for analysis in instance_pool:
         for order in enumerate_candidates(analysis.sf, analysis.mo):
@@ -159,8 +159,6 @@ def test_contains_frobenius_cases(f5):
 
 
 def test_contains_frobenius_matches_lattice_membership(instance_pool):
-    from drinfeld_orders import enumerate_candidates
-
     for analysis in instance_pool[:10]:
         W, sf, mo = analysis.weil, analysis.sf, analysis.mo
         pi, _ = frobenius_coords(W, sf)
@@ -175,8 +173,8 @@ def test_v_maximality_cases(f5, example_analysis):
     T = Poly.x(f5)
     one, zero = Poly.one(f5), Poly.zero(f5)
     # example: pv does not divide a2, every order passes
-    for rep in example_analysis.candidates:
-        assert v_maximality(rep.order, example_analysis.weil, example_analysis.local)
+    for order in enumerate_candidates(example_analysis.sf, example_analysis.mo):
+        assert v_maximality(order, example_analysis.weil, example_analysis.local)
     # pv | a2: gcd(pv, ac) = 1 required
     W = WeilCubic(field=f5, a1=Poly.one(f5), a2=T, mu=f5.element(2), pv=T, m=1)
     from drinfeld_orders import validate_weil_necessary
@@ -200,9 +198,9 @@ def test_order_disc_worked_example(example_analysis):
 
 def test_order_disc_degree_law(instance_pool):
     for analysis in instance_pool:
-        for rep in analysis.candidates:
-            d = rep.order.a.degree + rep.order.c.degree
-            disc, norm = order_disc(rep.order, analysis.mo.delta)
+        for order in enumerate_candidates(analysis.sf, analysis.mo):
+            d = order.a.degree + order.c.degree
+            disc, norm = order_disc(order, analysis.mo.delta)
             assert norm.degree == 2 * d
             assert disc.degree == 2 * d + analysis.mo.delta.degree
             assert disc == norm * analysis.mo.delta
@@ -222,8 +220,73 @@ def test_enumerate_single_order_when_trivial(f5):
     W = WeilCubic(field=f5, a1=Poly.zero(f5), a2=Poly.one(f5), mu=f5.element(1), pv=T, m=1)
     analysis = analyze_weil_class(W)
     assert analysis.sf.g.is_one and analysis.mo.index.is_one
-    assert len(analysis.candidates) == 1
+    assert len(enumerate_candidates(analysis.sf, analysis.mo)) == 1
+    assert analysis.candidate_count == 1
     assert len(analysis.orders) == 1
+
+
+def test_candidate_count_is_full_sandwich(instance_pool):
+    for analysis in instance_pool:
+        assert analysis.candidate_count == len(
+            enumerate_candidates(analysis.sf, analysis.mo)
+        )
+
+
+def test_divisor_filter_is_v_maximality(instance_pool):
+    # pv irreducible: gcd(pv, a*c) = 1 iff pv divides neither a nor c
+    split = [a for a in instance_pool if a.local.pv_divides_a2]
+    assert split
+    for analysis in split:
+        W, sf, mo = analysis.weil, analysis.sf, analysis.mo
+        want = [
+            o for o in enumerate_candidates(sf, mo) if v_maximality(o, W, analysis.local)
+        ]
+        assert enumerate_candidates(sf, mo, W.pv) == want
+
+
+def _content_family(p, u, e, mu, m):
+    """x^3 + u*T^e*x + mu*T^m over F_p, with pv = T."""
+    F = PrimeField(p)
+    return WeilCubic(
+        field=F,
+        a1=Poly.zero(F),
+        a2=Poly.from_ints(F, [0] * e + [u]),
+        mu=F.element(mu),
+        pv=Poly.x(F),
+        m=m,
+    )
+
+
+def _maximal(F):
+    return OrderHNF(a=Poly.one(F), b=Poly.zero(F), c=Poly.one(F))
+
+
+def test_v_maximality_filters_divisors_before_closure(monkeypatch):
+    # x^3 + 3T^4 x + 2T^6 over F_11: pv = T divides a2 and every proper
+    # candidate has T | a*c, so only O_max reaches the closure test
+    import drinfeld_orders.orders as orders_module
+
+    W = _content_family(11, 3, 4, 2, 6)
+    calls = []
+
+    def counting_closure(order, m2):
+        calls.append(order)
+        return closure_check(order, m2)
+
+    monkeypatch.setattr(orders_module, "closure_check", counting_closure)
+    analysis = analyze_weil_class(W)
+    assert analysis.local.pv_divides_a2
+    assert analysis.candidate_count == 425
+    assert [r.order for r in analysis.orders] == [_maximal(W.field)]
+    assert len(calls) == 1
+
+
+def test_large_sandwich_single_order():
+    # x^3 + T^8 x + T^12 over F_7 (m = 12): 14,937 candidates, only O_max
+    W = _content_family(7, 1, 8, 1, 12)
+    analysis = analyze_weil_class(W)
+    assert analysis.candidate_count == 14937
+    assert [r.order for r in analysis.orders] == [_maximal(W.field)]
 
 
 def test_enumerate_matches_sandwich_oracle(instance_pool):

@@ -10,7 +10,6 @@ from drinfeld_orders import (
     SkewRing,
     WeilCubic,
     analyze_weil_class,
-    enumerate_endo_rings,
     identify_endo_ring,
     make_extension_field,
     verify_weil_action,
@@ -138,12 +137,6 @@ def test_extension_base_field_end_to_end():
         module, [r.order for r in analysis.orders], W, analysis.sf, analysis.mo
     )
     assert end == analysis.orders[0].order
-
-
-def test_enumerate_endo_rings_wrapper(example_weil):
-    reports = enumerate_endo_rings(example_weil)
-    assert len(reports) == 2
-    assert all(r.is_endo_ring for r in reports)
 
 
 def test_systematic_sweep_never_internally_inconsistent():
