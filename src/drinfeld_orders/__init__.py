@@ -41,14 +41,12 @@ from .errors import (
 from .factor import (
     Factorization,
     SquarefreeDecomp,
-    SqrtResult,
     divisors,
     exact_sqrt,
     factor,
     is_irreducible,
     make_extension_field,
     residue_factor,
-    residue_field,
     squarefree_decompose,
 )
 from .gf import ExtensionField, FiniteField, PrimeField
@@ -66,7 +64,7 @@ from .orders import (
     order_disc,
     v_maximality,
 )
-from .poly import Poly, RatFunc, poly_gcd, poly_gcdext, valuation
+from .poly import Poly, poly_gcd, poly_gcdext, valuation
 from .skew import (
     DrinfeldModule,
     KElem,
@@ -79,5 +77,3 @@ from .skew import (
     survey_candidates,
     verify_weil_action,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -5,6 +5,9 @@ Two commands over a JSON problem description:
     analyze CONFIG [--format json|text] [--candidate-bound N]
     check-module CONFIG --name NAME
 
+``check-module`` runs the same per-module work as ``analyze`` and prints
+that module's ``analyze`` line without the name prefix.
+
 Exit codes: 0 success, 2 config error, 3 validation of the isogeny-class
 data failed, 4 internal inconsistency, 5 candidate bound exceeded.
 
@@ -88,6 +91,11 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _is_int(obj) -> bool:
+    """An integer that is not a boolean (JSON true/false load as bool)."""
+    return isinstance(obj, int) and not isinstance(obj, bool)
+
+
 def _parse_elem(F: FiniteField, obj, where: str):
     if isinstance(obj, bool):
         raise ConfigError(f"{where}: booleans are not field elements")
@@ -123,9 +131,9 @@ def load_config(path: str) -> ProblemConfig:
     fld = raw.get("field")
     _require(isinstance(fld, dict), "'field' object is required")
     p = fld.get("p")
-    _require(isinstance(p, int) and p >= 2, "'field.p' must be a prime integer")
+    _require(_is_int(p) and p >= 2, "'field.p' must be a prime integer")
     e = fld.get("e", 1)
-    _require(isinstance(e, int) and e >= 1, "'field.e' must be a positive integer")
+    _require(_is_int(e) and e >= 1, "'field.e' must be a positive integer")
     try:
         base = PrimeField(p)
     except DomainError as exc:
@@ -145,7 +153,7 @@ def load_config(path: str) -> ProblemConfig:
 
     pv = _parse_poly(F, raw.get("pv"), "pv")
     m = raw.get("m")
-    _require(isinstance(m, int) and m >= 1, "'m' must be a positive integer")
+    _require(_is_int(m) and m >= 1, "'m' must be a positive integer")
 
     weil = raw.get("weil")
     _require(isinstance(weil, dict), "'weil' object is required")
@@ -183,7 +191,7 @@ def load_config(path: str) -> ProblemConfig:
     _require(isinstance(options, dict), "'options' must be an object")
     bound = options.get("candidate_bound")
     _require(
-        bound is None or (isinstance(bound, int) and bound >= 1),
+        bound is None or (_is_int(bound) and bound >= 1),
         "'options.candidate_bound' must be a positive integer",
     )
     fmt = options.get("output_format")
@@ -215,6 +223,32 @@ def build_drinfeld_module(cfg: ProblemConfig, spec: ModuleSpec) -> DrinfeldModul
         _parse_elem(ext, c, f"module '{spec.name}' phi_T") for c in spec.phi_t_coeffs
     ]
     return DrinfeldModule(ring, ring.poly(coeffs))
+
+
+def identify_module(
+    cfg: ProblemConfig, spec: ModuleSpec, analysis: ClassAnalysis
+) -> dict:
+    """Build one module, check it lies in the class, survey the accepted
+    orders and read End(phi) off the survey."""
+    try:
+        module = build_drinfeld_module(cfg, spec)
+    except DomainError:
+        return {"module": spec.name, "in_class": False, "rank_mismatch": True}
+    if not verify_weil_action(module, analysis.weil):
+        return {"module": spec.name, "in_class": False}
+    survey = survey_candidates(
+        module,
+        [rep.order for rep in analysis.orders],
+        analysis.weil,
+        analysis.sf,
+        analysis.mo,
+    )
+    return {
+        "module": spec.name,
+        "in_class": True,
+        "order": identify_endo_ring(survey),
+        "survey": survey,
+    }
 
 
 # -- report assembly ---------------------------------------------------------
@@ -263,6 +297,20 @@ def _label_fn(analysis: ClassAnalysis):
     return labels
 
 
+def _ident_json(ident: dict, labels) -> dict:
+    entry = {"module": ident["module"], "in_class": ident["in_class"]}
+    if ident["in_class"]:
+        entry["order"] = _order_json(ident["order"], labels)
+        entry["survey"] = [
+            {
+                "order": _order_json(row.order, labels),
+                "generators": list(row.generator_verdicts),
+            }
+            for row in ident["survey"]
+        ]
+    return entry
+
+
 def build_report(cfg: ProblemConfig, analysis: ClassAnalysis, identifications) -> dict:
     labels = _label_fn(analysis)
     sf, mo = analysis.sf, analysis.mo
@@ -281,19 +329,6 @@ def build_report(cfg: ProblemConfig, analysis: ClassAnalysis, identifications) -
             }
         )
         orders.append(entry)
-    ident_json = []
-    for ident in identifications:
-        entry = {"module": ident["module"], "in_class": ident["in_class"]}
-        if ident["in_class"]:
-            entry["order"] = _order_json(ident["order"], labels)
-            entry["survey"] = [
-                {
-                    "order": _order_json(row.order, labels),
-                    "generators": list(row.generator_verdicts),
-                }
-                for row in ident["survey"]
-            ]
-        ident_json.append(entry)
     return {
         "inputs": {
             "p": cfg.field.p,
@@ -336,14 +371,18 @@ def build_report(cfg: ProblemConfig, analysis: ClassAnalysis, identifications) -
         "beta2_str": mo.beta2.to_str(),
         "candidate_count": analysis.candidate_count,
         "orders": orders,
-        "identifications": ident_json,
+        "identifications": [_ident_json(i, labels) for i in identifications],
     }
 
 
-def _order_brief(order: OrderHNF, labels) -> str:
-    tag = labels(order)
-    triple = f"({order.a.to_str()},{order.b.to_str()},{order.c.to_str()})"
-    return f"{tag}{triple}" if tag else triple
+def _ident_line(entry: dict) -> str:
+    """The verdict of one report identification entry, as ``analyze`` prints
+    it after the module name."""
+    if not entry["in_class"]:
+        return "in class: no"
+    order = entry["order"]
+    brief = f"{order['label']}({order['a_str']},{order['b_str']},{order['c_str']})"
+    return f"in class: yes; End = {brief}"
 
 
 def render_text(report: dict, analysis: ClassAnalysis) -> str:
@@ -395,16 +434,7 @@ def render_text(report: dict, analysis: ClassAnalysis) -> str:
         lines.append("")
         lines.append("== module identifications ==")
         for ident in report["identifications"]:
-            if not ident["in_class"]:
-                lines.append(f"{ident['module']}: in class: no")
-                continue
-            order = ident["order"]
-            brief = (
-                f"{order['label']}({order['a_str']},{order['b_str']},{order['c_str']})"
-                if order["label"]
-                else f"({order['a_str']},{order['b_str']},{order['c_str']})"
-            )
-            lines.append(f"{ident['module']}: in class: yes; End = {brief}")
+            lines.append(f"{ident['module']}: {_ident_line(ident)}")
     return "\n".join(lines) + "\n"
 
 
@@ -429,31 +459,7 @@ def cmd_analyze(args) -> int:
     cfg = load_config(args.config)
     bound = resolve_candidate_bound(cfg, args.candidate_bound)
     analysis = analyze_weil_class(cfg.weil(), candidate_bound=bound)
-    identifications = []
-    for spec in cfg.modules:
-        try:
-            module = build_drinfeld_module(cfg, spec)
-        except DomainError:
-            identifications.append({"module": spec.name, "in_class": False})
-            continue
-        if not verify_weil_action(module, analysis.weil):
-            identifications.append({"module": spec.name, "in_class": False})
-            continue
-        candidates = [rep.order for rep in analysis.orders]
-        end_order = identify_endo_ring(
-            module, candidates, analysis.weil, analysis.sf, analysis.mo
-        )
-        survey = survey_candidates(
-            module, candidates, analysis.weil, analysis.sf, analysis.mo
-        )
-        identifications.append(
-            {
-                "module": spec.name,
-                "in_class": True,
-                "order": end_order,
-                "survey": survey,
-            }
-        )
+    identifications = [identify_module(cfg, spec, analysis) for spec in cfg.modules]
     report = build_report(cfg, analysis, identifications)
     fmt = args.format or cfg.output_format or "text"
     if fmt == "json":
@@ -470,20 +476,9 @@ def cmd_check_module(args) -> int:
         raise ConfigError(f"module '{args.name}' not found in config")
     bound = resolve_candidate_bound(cfg, None)
     analysis = analyze_weil_class(cfg.weil(), candidate_bound=bound)
-    try:
-        module = build_drinfeld_module(cfg, spec)
-    except DomainError:
-        print("in class: no (rank mismatch)")
-        return 0
-    if not verify_weil_action(module, analysis.weil):
-        print("in class: no")
-        return 0
-    candidates = [rep.order for rep in analysis.orders]
-    end_order = identify_endo_ring(
-        module, candidates, analysis.weil, analysis.sf, analysis.mo
-    )
-    labels = _label_fn(analysis)
-    print(f"in class: yes; End = {_order_brief(end_order, labels)}")
+    ident = identify_module(cfg, spec, analysis)
+    line = _ident_line(_ident_json(ident, _label_fn(analysis)))
+    print(line + (" (rank mismatch)" if ident.get("rank_mismatch") else ""))
     return 0
 
 

@@ -44,9 +44,9 @@ from .factor import (
     exact_sqrt,
     factor,
     is_irreducible,
+    make_extension_field,
     reduce_mod,
     residue_factor,
-    residue_field,
     squarefree_decompose,
 )
 from .gf import FiniteField
@@ -152,10 +152,6 @@ def _check_irreducible_over_k(W: WeilCubic) -> None:
                 )
 
 
-def _unit_is_square(R, u) -> bool:
-    return R.sqrt(u) is not None
-
-
 def _newton_segments(points):
     """Lower convex hull of (i, v) points; returns the list of vertices."""
     pts = sorted(points)
@@ -189,7 +185,7 @@ def _check_unique_local_zero(W: WeilCubic, h: int) -> None:
     F = W.field
     pv = W.pv
     m = W.m
-    R = residue_field(F, pv)
+    R = make_extension_field(F, pv)
     v_a2 = None if W.a2.is_zero else valuation(W.a2, pv)
     v_a1 = None if W.a1.is_zero else valuation(W.a1, pv)
 
@@ -199,7 +195,7 @@ def _check_unique_local_zero(W: WeilCubic, h: int) -> None:
         if v % 2:
             return
         u = reduce_mod(d.exact_div(pv**v), R)
-        if _unit_is_square(R, u):
+        if R.is_square(u):
             raise NotWeilAtVError(
                 "the quadratic v-adic factor above the zero of the "
                 "Frobenius splits"
@@ -230,14 +226,10 @@ def _check_unique_local_zero(W: WeilCubic, h: int) -> None:
     )
     mubar = reduce_mod(W.a0.exact_div(pv**m), R)
     residual = Poly(R, (mubar, r1, r2, R.one))
-    fac = factor(residual)
-    if len(fac.factors) > 1:
+    if len(factor(residual).factors) > 1:
         raise NotWeilAtVError("the supersingular residual polynomial splits")
-    prime, mult = fac.factors[0]
-    if mult == 1:
-        return  # irreducible residual: M is irreducible over k_v
-    # perfect cube residual: undecided at first level, accepted
-    return
+    # an irreducible residual makes M irreducible over k_v; a perfect-cube
+    # residual is undecided at this level and accepted
 
 
 def validate_weil_necessary(W: WeilCubic) -> LocalData:
@@ -370,13 +362,10 @@ def index(sf: StandardForm, delta: Poly) -> Poly:
         raise InternalInconsistencyError(
             "field discriminant does not divide disc_m0"
         ) from exc
-    result = exact_sqrt(quotient)
-    if result is None:
+    root = exact_sqrt(quotient)
+    if root is None:
         raise InternalInconsistencyError("disc_m0 / delta is not a perfect square")
-    return result.root
-
-
-_EXHAUSTIVE_LIMIT = 10**6
+    return root
 
 
 def _beta_candidates_mod_prime_power(sf: StandardForm, prime: Poly, k: int):
@@ -415,36 +404,33 @@ def integral_basis(sf: StandardForm, I: Poly) -> Tuple[Poly, Poly]:
         beta2^3 + c1 beta2 + c2 = 0 mod I^2
         alpha2 = -2 beta2^2       mod I
 
-    with deg beta2 < deg I^2 and deg alpha2 < deg I.  Among all solutions
-    the canonically smallest beta2 is returned.
+    with deg beta2 < deg I^2 and deg alpha2 < deg I.  For each prime power
+    P^k exactly dividing I, the solutions mod P^(2k) are found by lifting
+    digit by digit in base P, keeping every residue whose truncations are
+    roots; the solutions mod I^2 are their CRT combinations.  Among all of
+    them the canonically smallest beta2 is returned.
     """
     F = sf.c1.field
     if I.degree == 0:
         return Poly.zero(F), Poly.zero(F)
     I2 = I * I
     c1, c2 = sf.c1, sf.c2
+    per_prime = []
+    for prime, k in factor(I).factors:
+        cands = _beta_candidates_mod_prime_power(sf, prime, k)
+        if not cands:
+            raise NoSolutionError(
+                "no integral-basis parameter exists locally; the index "
+                "is inconsistent with the standard form"
+            )
+        per_prime.append([(b, prime ** (2 * k)) for b in cands])
     solutions = []
-    if F.q ** (2 * I.degree) <= _EXHAUSTIVE_LIMIT:
-        for beta in polys_below_degree(F, I2.degree):
-            if not ((beta * beta).scale_int(3) + c1) % I:
-                if not (beta**3 + c1 * beta + c2) % I2:
-                    solutions.append(beta)
-    else:
-        per_prime = []
-        for prime, k in factor(I).factors:
-            cands = _beta_candidates_mod_prime_power(sf, prime, k)
-            if not cands:
-                raise NoSolutionError(
-                    "no integral-basis parameter exists locally; the index "
-                    "is inconsistent with the standard form"
-                )
-            per_prime.append([(b, prime ** (2 * k)) for b in cands])
-        for combo in _iterproduct(*per_prime):
-            beta, _ = poly_crt(list(combo))
-            if not ((beta * beta).scale_int(3) + c1) % I and not (
-                beta**3 + c1 * beta + c2
-            ) % I2:
-                solutions.append(beta % I2)
+    for combo in _iterproduct(*per_prime):
+        beta, _ = poly_crt(list(combo))
+        if not ((beta * beta).scale_int(3) + c1) % I and not (
+            beta**3 + c1 * beta + c2
+        ) % I2:
+            solutions.append(beta % I2)
     if not solutions:
         raise NoSolutionError(
             "the integral-basis congruences have no solution; upstream data "

@@ -61,15 +61,6 @@ class Factorization:
         return out
 
 
-@dataclass(frozen=True)
-class SqrtResult:
-    """Monic square root of the monic part; unit_root is a square root of
-    the leading coefficient when one exists in the field, else None."""
-
-    root: Poly
-    unit_root: Optional[object]
-
-
 def _pth_root(f: Poly) -> Poly:
     """Exact p-th root of a polynomial with vanishing derivative."""
     F = f.field
@@ -234,15 +225,14 @@ def is_irreducible(f: Poly) -> bool:
     return True
 
 
-def exact_sqrt(f: Poly) -> Optional[SqrtResult]:
-    """Square root data for f, or None when monic(f) is not a square."""
+def exact_sqrt(f: Poly) -> Optional[Poly]:
+    """The monic square root of monic(f), or None when monic(f) is not a
+    square.  The leading coefficient is ignored."""
     if f.is_zero:
         raise DomainError("square root of zero")
     F = f.field
-    unit = f.lc
-    unit_root = F.sqrt(unit)
     if f.degree == 0:
-        return SqrtResult(Poly.one(F), unit_root)
+        return Poly.one(F)
     if f.degree % 2:
         return None
     decomp = squarefree_decompose(f)
@@ -251,7 +241,7 @@ def exact_sqrt(f: Poly) -> Optional[SqrtResult]:
         if mult % 2:
             return None
         root = root * part ** (mult // 2)
-    return SqrtResult(root, unit_root)
+    return root
 
 
 def divisors(f: Poly) -> list:
@@ -279,11 +269,6 @@ def make_extension_field(base: FiniteField, modulus: Poly) -> ExtensionField:
     return ExtensionField(base, modulus.coeffs)
 
 
-def residue_field(base: FiniteField, p: Poly) -> ExtensionField:
-    """The field F_q[T]/(p) for monic irreducible p."""
-    return make_extension_field(base, p)
-
-
 def reduce_mod(c: Poly, R: ExtensionField):
     """Image of c in the residue field R = F_q[T]/(p)."""
     p = Poly(R.base, R.modulus)
@@ -298,7 +283,7 @@ def residue_factor(coeffs: Sequence[Poly], p: Poly):
     coeffs are ascending in x.  Returns (residue field, Factorization of the
     reduced polynomial over it).
     """
-    R = residue_field(coeffs[0].field, p)
+    R = make_extension_field(coeffs[0].field, p)
     reduced = Poly(R, (reduce_mod(c, R) for c in coeffs))
     if reduced.is_zero:
         raise DomainError("polynomial vanishes modulo p")

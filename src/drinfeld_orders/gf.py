@@ -98,24 +98,12 @@ class FiniteField:
         """Inverse of the absolute Frobenius x -> x^p (always bijective)."""
         return self.pow(a, self.p ** (self.degree - 1))
 
-    def sqrt(self, a):
-        """A square root of a, or None if a is not a square.
-
-        Deterministic: in odd characteristic the root with the smaller
-        canonical index is returned.  Fields here are desk-scale, so the
-        odd-characteristic search is a plain scan.
-        """
-        if a == self.zero:
-            return self.zero
-        if self.p == 2:
-            return self.pow(a, self.q // 2)
-        if self.pow(a, (self.q - 1) // 2) != self.one:
-            return None
-        for i in range(self.q):
-            r = self.element(i)
-            if self.mul(r, r) == a:
-                return r
-        return None
+    def is_square(self, a) -> bool:
+        """Whether a is a square: always in characteristic 2, else by
+        Euler's criterion a^((q-1)/2) = 1 for a nonzero."""
+        if a == self.zero or self.p == 2:
+            return True
+        return self.pow(a, (self.q - 1) // 2) == self.one
 
 
 class PrimeField(FiniteField):

@@ -182,10 +182,6 @@ class ClassAnalysis:
     candidate_count: int  # size of the full sandwich A[pi] <= O <= O_max
     orders: tuple  # OrderReport of each accepted order, canonical order
 
-    @property
-    def maximal_order(self) -> OrderHNF:
-        return self.orders[0].order
-
     def frobenius_order(self) -> OrderHNF:
         return frobenius_order_hnf(self.sf, self.mo)
 

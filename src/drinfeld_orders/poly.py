@@ -1,4 +1,4 @@
-"""Dense univariate polynomials over a finite field, and rational functions.
+"""Dense univariate polynomials over a finite field.
 
 Coefficients are stored ascending with trailing zeros stripped, so the
 empty tuple is the zero polynomial and its degree is the sentinel -1.
@@ -223,9 +223,6 @@ class Poly:
             (F.mul(F.from_int(i), c) for i, c in enumerate(self.coeffs) if i),
         )
 
-    def map_coeffs(self, new_field: FiniteField, fn) -> "Poly":
-        return Poly(new_field, (fn(c) for c in self.coeffs))
-
     # -- ordering, formatting ----------------------------------------------
 
     def sort_key(self):
@@ -333,68 +330,3 @@ def valuation(f: Poly, p: Poly) -> int:
             return v
         f = q
         v += 1
-
-
-class RatFunc:
-    """A rational function num/den in lowest terms with monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly):
-        if den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            den = Poly.one(num.field)
-        else:
-            g = poly_gcd(num, den)
-            if not g.is_one:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            u = num.field.inv(den.lc)
-            num = num.scale(u)
-            den = den.scale(u)
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def from_poly(cls, f: Poly) -> "RatFunc":
-        return cls(f, Poly.one(f.field))
-
-    @property
-    def is_poly(self) -> bool:
-        return self.den.is_one
-
-    def as_poly(self) -> Poly:
-        if not self.is_poly:
-            raise DomainError("rational function is not a polynomial")
-        return self.num
-
-    def __add__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
-
-    def __mul__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RatFunc)
-            and other.num == self.num
-            and other.den == self.den
-        )
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self):
-        if self.is_poly:
-            return f"RatFunc({self.num.to_str()})"
-        return f"RatFunc(({self.num.to_str()})/({self.den.to_str()}))"

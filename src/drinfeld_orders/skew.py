@@ -13,6 +13,10 @@ N = phi_n0 + phi_n1*pi + phi_n2*pi^2 by phi_d leaves remainder zero; the
 quotient w then satisfies w*phi_d = N and commutes with phi_T because
 (w*phi_T - phi_T*w)*phi_d = N*phi_T - phi_T*N = 0 and L{tau} has no zero
 divisors.
+
+``survey_candidates`` is the one membership loop: it tests both generators
+of every accepted order, and ``identify_endo_ring`` reads End(phi) off its
+rows.  The CLI's ``check-module`` shows the ``analyze`` line for one module.
 """
 
 from __future__ import annotations
@@ -354,6 +358,7 @@ def survey_candidates(
     sf: StandardForm,
     mo: MaximalOrderData,
 ) -> List[MembershipSurvey]:
+    """Both generator verdicts of every candidate, in the given order."""
     out = []
     for order in candidates:
         gen1, gen2 = order_generator_kelems(order, W, sf, mo)
@@ -365,27 +370,18 @@ def survey_candidates(
     return out
 
 
-def identify_endo_ring(
-    D: DrinfeldModule,
-    candidates: Sequence[OrderHNF],
-    W: WeilCubic,
-    sf: StandardForm,
-    mo: MaximalOrderData,
-) -> OrderHNF:
-    """The largest candidate whose generators all act as endomorphisms.
+def identify_endo_ring(survey: Sequence[MembershipSurvey]) -> OrderHNF:
+    """End(phi) read off a membership survey: the largest surveyed order
+    (smallest ``sort_key``) whose generators all act as endomorphisms.
 
-    Candidates are scanned from smallest conductor upward; membership is
-    monotone under inclusion, so the first full pass is End(phi).
+    Every all-member row is an order inside End(phi), End(phi) is itself a
+    row, and a proper suborder has an index in O_max of larger degree
+    (deg a + deg c, the key's first entry), so the smallest key is End(phi).
     """
-    ordered = sorted(candidates, key=lambda o: o.sort_key())
-    for order in ordered:
-        gen1, gen2 = order_generator_kelems(order, W, sf, mo)
-        if element_membership(D, gen1) is None:
-            continue
-        if element_membership(D, gen2) is None:
-            continue
-        return order
-    raise NoCandidateError(
-        "no candidate order, not even A[pi], realises the module's "
-        "endomorphisms; inputs are inconsistent"
-    )
+    members = [row.order for row in survey if row.all_members]
+    if not members:
+        raise NoCandidateError(
+            "no candidate order, not even A[pi], realises the module's "
+            "endomorphisms; inputs are inconsistent"
+        )
+    return min(members, key=lambda o: o.sort_key())

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the code paths it is used to check:
 ring closure is decided by multiplying companion-matrix representations of
 the generators and testing lattice membership coordinate-wise, the field
-discriminant is recomputed from the trace form, and the endomorphism-ring
+discriminant is recomputed from the trace form, the integral basis is found
+by scanning every residue mod I^2, and the endomorphism-ring
 enumeration is cross-checked against a brute-force sweep over every HNF
 lattice between A[pi] and the maximal order.
 """
@@ -16,11 +17,11 @@ from drinfeld_orders import (
     BadConstantTermError,
     CandidateBoundExceededError,
     ClassAnalysis,
+    DomainError,
     NotWeilAtVError,
     OrderHNF,
     Poly,
     PrimeField,
-    RatFunc,
     ReducibleError,
     WeilCubic,
     analyze_weil_class,
@@ -37,6 +38,91 @@ EXPECTED_REJECTIONS = (
     NotWeilAtVError,
     CandidateBoundExceededError,
 )
+
+# -- rational functions and the integral-basis reference ---------------------
+
+
+class RatFunc:
+    """A rational function num/den in lowest terms with monic denominator."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: Poly, den: Poly):
+        if den.is_zero:
+            raise ZeroDivisionError("rational function with zero denominator")
+        if num.is_zero:
+            den = Poly.one(num.field)
+        else:
+            g = poly_gcd(num, den)
+            if not g.is_one:
+                num = num.exact_div(g)
+                den = den.exact_div(g)
+            u = num.field.inv(den.lc)
+            num = num.scale(u)
+            den = den.scale(u)
+        self.num = num
+        self.den = den
+
+    @classmethod
+    def from_poly(cls, f: Poly) -> "RatFunc":
+        return cls(f, Poly.one(f.field))
+
+    @property
+    def is_poly(self) -> bool:
+        return self.den.is_one
+
+    def as_poly(self) -> Poly:
+        if not self.is_poly:
+            raise DomainError("rational function is not a polynomial")
+        return self.num
+
+    def __add__(self, other: "RatFunc") -> "RatFunc":
+        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    def __sub__(self, other: "RatFunc") -> "RatFunc":
+        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
+
+    def __neg__(self) -> "RatFunc":
+        return RatFunc(-self.num, self.den)
+
+    def __mul__(self, other: "RatFunc") -> "RatFunc":
+        return RatFunc(self.num * other.num, self.den * other.den)
+
+    def __truediv__(self, other: "RatFunc") -> "RatFunc":
+        return RatFunc(self.num * other.den, self.den * other.num)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, RatFunc)
+            and other.num == self.num
+            and other.den == self.den
+        )
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __repr__(self):
+        if self.is_poly:
+            return f"RatFunc({self.num.to_str()})"
+        return f"RatFunc(({self.num.to_str()})/({self.den.to_str()}))"
+
+
+def integral_basis_oracle(sf, I: Poly):
+    """(alpha2, beta2) by scanning every beta of degree < deg I^2: the
+    canonically smallest beta with 3 beta^2 + c1 = 0 mod I and
+    beta^3 + c1 beta + c2 = 0 mod I^2, and alpha2 = -2 beta^2 mod I."""
+    F = sf.c1.field
+    I2 = I * I
+    c1, c2 = sf.c1, sf.c2
+    solutions = (
+        beta
+        for beta in polys_below_degree(F, I2.degree)
+        if not ((beta * beta).scale_int(3) + c1) % I
+        and not (beta**3 + c1 * beta + c2) % I2
+    )
+    beta = min(solutions, key=lambda b: b.sort_key())
+    return (beta * beta).scale_int(-2) % I, beta
+
 
 # -- 3x3 polynomial matrices -------------------------------------------------
 

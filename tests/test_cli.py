@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import drinfeld_orders.skew as skew
 from drinfeld_orders.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -130,6 +131,47 @@ def test_exit_code_config_error(tmp_path):
     assert "config:" in proc.stderr
     proc = run_cli(["check-module", str(GOLDEN), "--name", "nope"])
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "path",
+    [("field", "p"), ("field", "e"), ("m",), ("options", "candidate_bound")],
+    ids=lambda path: ".".join(path),
+)
+def test_boolean_integers_rejected(tmp_path, capsys, path):
+    # JSON true loads as a Python bool, which is an int; it must not pass as 1
+    cfg = json.loads(GOLDEN.read_text())
+    target = cfg
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = True
+    bad = tmp_path / "bool.json"
+    bad.write_text(json.dumps(cfg))
+    assert main(["analyze", str(bad)]) == 2
+    assert f"'{'.'.join(path)}'" in capsys.readouterr().err
+
+
+def test_analyze_runs_each_membership_once(monkeypatch, capsys):
+    # End is read off the survey: 2 in-class modules x 2 orders x 2 generators
+    calls = []
+    real = skew.element_membership
+
+    def counted(D, e):
+        calls.append(e)
+        return real(D, e)
+
+    monkeypatch.setattr(skew, "element_membership", counted)
+    monkeypatch.delenv("DRINFELD_ORDERS_CANDIDATE_BOUND", raising=False)
+    assert main(["analyze", str(GOLDEN)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 8
+
+
+def test_no_all_member_order_exits_4(monkeypatch, capsys):
+    monkeypatch.setattr(skew, "element_membership", lambda D, e: None)
+    monkeypatch.delenv("DRINFELD_ORDERS_CANDIDATE_BOUND", raising=False)
+    assert main(["check-module", str(GOLDEN), "--name", "phi"]) == 4
+    assert "no candidate order" in capsys.readouterr().err
 
 
 def test_exit_code_weil_validation(tmp_path):

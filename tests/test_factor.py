@@ -183,21 +183,17 @@ def test_factor_deterministic():
 def test_exact_sqrt_worked_examples():
     F = PrimeField(5)
     T = Poly.x(F)
-    res = exact_sqrt(T * T)
-    assert res is not None and res.root == T and res.unit_root == F.one
-    res = exact_sqrt(Poly.one(F))
-    assert res is not None and res.root.is_one
+    assert exact_sqrt(T * T) == T
+    assert exact_sqrt(Poly.one(F)).is_one
     assert exact_sqrt(T) is None
 
 
 def test_exact_sqrt_unit_part():
     F = PrimeField(5)
     T = Poly.x(F)
-    # 2 is not a square mod 5; 4 is
-    res = exact_sqrt((T * T).scale(F.element(4)))
-    assert res is not None and res.root == T and F.mul(res.unit_root, res.unit_root) == F.element(4)
-    res = exact_sqrt((T * T).scale(F.element(2)))
-    assert res is not None and res.root == T and res.unit_root is None
+    # the leading coefficient is ignored: 4 is a square mod 5, 2 is not
+    assert exact_sqrt((T * T).scale(F.element(4))) == T
+    assert exact_sqrt((T * T).scale(F.element(2))) == T
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=lambda F: f"q{F.q}")
@@ -205,8 +201,7 @@ def test_exact_sqrt_left_inverse_of_squaring(F):
     rng = random.Random(F.q * 107)
     for _ in range(40):
         s = rand_poly(F, 6, rng, monic=True)
-        res = exact_sqrt(s * s)
-        assert res is not None and res.root == s
+        assert exact_sqrt(s * s) == s
     # s^2 * T has odd multiplicity at T, never a square
     for _ in range(20):
         s = rand_poly(F, 3, rng, monic=True)

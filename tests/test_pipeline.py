@@ -13,6 +13,7 @@ from drinfeld_orders import (
     identify_endo_ring,
     make_extension_field,
     verify_weil_action,
+    survey_candidates,
 )
 
 
@@ -41,7 +42,9 @@ def test_supersingular_pure_cubic_end_to_end():
     )
     assert verify_weil_action(module, W)
     end = identify_endo_ring(
-        module, [r.order for r in analysis.orders], W, analysis.sf, analysis.mo
+        survey_candidates(
+            module, [r.order for r in analysis.orders], W, analysis.sf, analysis.mo
+        )
     )
     assert end == analysis.orders[0].order
 
@@ -68,7 +71,9 @@ def test_module_as_printed_in_its_own_class():
     module = DrinfeldModule(ring, ring.poly([L.zero, L.one, L.one, L.one]))
     assert verify_weil_action(module, W)
     end = identify_endo_ring(
-        module, [r.order for r in analysis.orders], W, analysis.sf, analysis.mo
+        survey_candidates(
+            module, [r.order for r in analysis.orders], W, analysis.sf, analysis.mo
+        )
     )
     assert end == OrderHNF(a=Poly.one(F), b=Poly.zero(F), c=Poly.one(F))
 
@@ -103,7 +108,9 @@ def test_supersingular_constant_standard_form_end_to_end():
     assert verify_weil_action(module, W)
     # identification runs the g != 1 rewriting: omega2 = pi^2 / T^2
     end = identify_endo_ring(
-        module, [r.order for r in analysis.orders], W, analysis.sf, analysis.mo
+        survey_candidates(
+            module, [r.order for r in analysis.orders], W, analysis.sf, analysis.mo
+        )
     )
     assert end == analysis.orders[0].order
 
@@ -134,7 +141,9 @@ def test_extension_base_field_end_to_end():
     )
     assert verify_weil_action(module, W)
     end = identify_endo_ring(
-        module, [r.order for r in analysis.orders], W, analysis.sf, analysis.mo
+        survey_candidates(
+            module, [r.order for r in analysis.orders], W, analysis.sf, analysis.mo
+        )
     )
     assert end == analysis.orders[0].order
 

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from drinfeld_orders import DomainError, Poly, PrimeField, RatFunc, poly_gcd, poly_gcdext
+from drinfeld_orders import DomainError, Poly, PrimeField, poly_gcd, poly_gcdext
 from drinfeld_orders.poly import poly_crt, polys_below_degree, valuation
 
+from oracles import RatFunc
 from test_gf import FIELDS
 
 

@@ -8,6 +8,7 @@ from drinfeld_orders import (
     DomainError,
     DrinfeldModule,
     KElem,
+    NoCandidateError,
     Poly,
     basis_kelems,
     element_membership,
@@ -17,6 +18,7 @@ from drinfeld_orders import (
     verify_weil_action,
 )
 from drinfeld_orders.orders import OrderHNF
+from drinfeld_orders.skew import MembershipSurvey
 
 
 def rand_skew(ring, max_deg, rng):
@@ -270,7 +272,23 @@ def test_identify_single_candidate(module_phi, example_analysis):
     # with only the Frobenius order offered, any valid module maps to it
     W, sf, mo = example_analysis.weil, example_analysis.sf, example_analysis.mo
     frob = example_analysis.orders[1].order
-    assert identify_endo_ring(module_phi, [frob], W, sf, mo) == frob
+    assert identify_endo_ring(survey_candidates(module_phi, [frob], W, sf, mo)) == frob
+
+
+def test_identify_without_all_member_row_raises(example_analysis):
+    orders = [r.order for r in example_analysis.orders]
+    survey = [
+        MembershipSurvey(order=orders[0], generator_verdicts=(True, False)),
+        MembershipSurvey(order=orders[1], generator_verdicts=(False, True)),
+    ]
+    with pytest.raises(NoCandidateError):
+        identify_endo_ring(survey)
+    with pytest.raises(NoCandidateError):
+        identify_endo_ring([])
+    # the smallest sort key wins, whatever the row order
+    survey.append(MembershipSurvey(order=orders[1], generator_verdicts=(True, True)))
+    survey.append(MembershipSurvey(order=orders[0], generator_verdicts=(True, True)))
+    assert identify_endo_ring(survey) == orders[0]
 
 
 def test_membership_frobenius_always(module_phi, module_psi_star, f5):
@@ -288,12 +306,12 @@ def test_identify_worked_example(module_phi, module_psi_star, example_analysis):
     T = Poly.x(F)
     one, zero = Poly.one(F), Poly.zero(F)
     candidates = [r.order for r in example_analysis.orders]
-    assert identify_endo_ring(module_phi, candidates, W, sf, mo) == OrderHNF(
-        a=one, b=zero, c=one
-    )
-    assert identify_endo_ring(module_psi_star, candidates, W, sf, mo) == OrderHNF(
-        a=T, b=zero, c=one
-    )
+    assert identify_endo_ring(
+        survey_candidates(module_phi, candidates, W, sf, mo)
+    ) == OrderHNF(a=one, b=zero, c=one)
+    assert identify_endo_ring(
+        survey_candidates(module_psi_star, candidates, W, sf, mo)
+    ) == OrderHNF(a=T, b=zero, c=one)
 
 
 def test_membership_monotone_over_candidates(
