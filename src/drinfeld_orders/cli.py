@@ -213,25 +213,27 @@ def load_config(path: str) -> ProblemConfig:
     )
 
 
-def build_drinfeld_module(cfg: ProblemConfig, spec: ModuleSpec) -> DrinfeldModule:
+def build_skew_ring(cfg: ProblemConfig) -> SkewRing:
+    """L{tau} for the config's L; its modulus is checked here, once for all
+    the config's modules."""
     try:
-        ext = make_extension_field(cfg.field, cfg.l_modulus)
+        return SkewRing(make_extension_field(cfg.field, cfg.l_modulus))
     except DomainError as exc:
         raise ConfigError(f"L: {exc}") from exc
-    ring = SkewRing(ext)
+
+
+def build_drinfeld_module(ring: SkewRing, spec: ModuleSpec) -> DrinfeldModule:
     coeffs = [
-        _parse_elem(ext, c, f"module '{spec.name}' phi_T") for c in spec.phi_t_coeffs
+        _parse_elem(ring.L, c, f"module '{spec.name}' phi_T") for c in spec.phi_t_coeffs
     ]
     return DrinfeldModule(ring, ring.poly(coeffs))
 
 
-def identify_module(
-    cfg: ProblemConfig, spec: ModuleSpec, analysis: ClassAnalysis
-) -> dict:
+def identify_module(ring: SkewRing, spec: ModuleSpec, analysis: ClassAnalysis) -> dict:
     """Build one module, check it lies in the class, survey the accepted
     orders and read End(phi) off the survey."""
     try:
-        module = build_drinfeld_module(cfg, spec)
+        module = build_drinfeld_module(ring, spec)
     except DomainError:
         return {"module": spec.name, "in_class": False, "rank_mismatch": True}
     if not verify_weil_action(module, analysis.weil):
@@ -459,7 +461,8 @@ def cmd_analyze(args) -> int:
     cfg = load_config(args.config)
     bound = resolve_candidate_bound(cfg, args.candidate_bound)
     analysis = analyze_weil_class(cfg.weil(), candidate_bound=bound)
-    identifications = [identify_module(cfg, spec, analysis) for spec in cfg.modules]
+    ring = build_skew_ring(cfg) if cfg.modules else None
+    identifications = [identify_module(ring, spec, analysis) for spec in cfg.modules]
     report = build_report(cfg, analysis, identifications)
     fmt = args.format or cfg.output_format or "text"
     if fmt == "json":
@@ -476,7 +479,7 @@ def cmd_check_module(args) -> int:
         raise ConfigError(f"module '{args.name}' not found in config")
     bound = resolve_candidate_bound(cfg, None)
     analysis = analyze_weil_class(cfg.weil(), candidate_bound=bound)
-    ident = identify_module(cfg, spec, analysis)
+    ident = identify_module(build_skew_ring(cfg), spec, analysis)
     line = _ident_line(_ident_json(ident, _label_fn(analysis)))
     print(line + (" (rank mismatch)" if ident.get("rank_mismatch") else ""))
     return 0

@@ -14,6 +14,14 @@ quotient w then satisfies w*phi_d = N and commutes with phi_T because
 (w*phi_T - phi_T*w)*phi_d = N*phi_T - phi_T*N = 0 and L{tau} has no zero
 divisors.
 
+The arithmetic never recomputes a Frobenius power.  Each ``SkewRing``
+(one per config's L) keeps the orbit lam, lam^q, ..., lam^(q^(n-1)) of
+every element it has twisted, so a twist is a list lookup after n-1 q-th
+powers.  A product s*pi^k only prepends n*k zero coefficients
+(``SkewPoly.mul_pi``).  Each ``DrinfeldModule`` keeps phi_{T^k} for the
+k used so far, and phi_a = sum_k a_k*phi_{T^k} scales their coefficients
+by the a_k in F_q.
+
 ``survey_candidates`` is the one membership loop: it tests both generators
 of every accepted order, and ``identify_endo_ring`` reads End(phi) off its
 rows.  The CLI's ``check-module`` shows the ``analyze`` line for one module.
@@ -39,13 +47,20 @@ class SkewRing:
         self.base = L.base
         self.q = L.base.q
         self.n = L.e  # [L : F_q]
+        self._orbits = {}  # lam -> [lam, lam^q, ..., lam^(q^(n-1))]
 
     def twist(self, lam, k: int):
         """lam^(q^k); the k-th power of the relative Frobenius."""
         k %= self.n
         if k == 0:
             return lam
-        return self.L.pow(lam, self.q**k)
+        orbit = self._orbits.get(lam)
+        if orbit is None:
+            orbit = [lam]
+            for _ in range(self.n - 1):
+                orbit.append(self.L.pow(orbit[-1], self.q))
+            self._orbits[lam] = orbit
+        return orbit[k]
 
     def poly(self, coeffs: Sequence) -> "SkewPoly":
         return SkewPoly(self, coeffs)
@@ -61,10 +76,6 @@ class SkewRing:
 
     def constant(self, lam) -> "SkewPoly":
         return SkewPoly(self, (lam,))
-
-    def scalar(self, c) -> "SkewPoly":
-        """Constant skew polynomial from a base-field element."""
-        return SkewPoly(self, (self.L.embed(c),))
 
     def __eq__(self, other):
         return isinstance(other, SkewRing) and other.L == self.L
@@ -107,19 +118,6 @@ class SkewPoly:
             self.ring, (L.add(self.coeff(i), other.coeff(i)) for i in range(n))
         )
 
-    def __sub__(self, other: "SkewPoly") -> "SkewPoly":
-        if not isinstance(other, SkewPoly):
-            return NotImplemented
-        L = self.ring.L
-        n = max(len(self.coeffs), len(other.coeffs))
-        return SkewPoly(
-            self.ring, (L.sub(self.coeff(i), other.coeff(i)) for i in range(n))
-        )
-
-    def __neg__(self) -> "SkewPoly":
-        L = self.ring.L
-        return SkewPoly(self.ring, (L.neg(c) for c in self.coeffs))
-
     def __mul__(self, other: "SkewPoly") -> "SkewPoly":
         if not isinstance(other, SkewPoly):
             return NotImplemented
@@ -138,17 +136,13 @@ class SkewPoly:
                 out[i + j] = L.add(out[i + j], L.mul(ui, ring.twist(vj, i)))
         return SkewPoly(ring, out)
 
-    def __pow__(self, n: int) -> "SkewPoly":
-        if n < 0:
-            raise DomainError("negative skew power")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+    def mul_pi(self, k: int) -> "SkewPoly":
+        """self * pi^k: pi = tau^n is central and fixes L, so this only
+        shifts the coefficients up by n*k."""
+        if not self.coeffs:
+            return self
+        ring = self.ring
+        return SkewPoly(ring, (ring.L.zero,) * (ring.n * k) + self.coeffs)
 
     def right_divmod(self, d: "SkewPoly") -> Tuple["SkewPoly", "SkewPoly"]:
         """(w, r) with self = w*d + r and deg_tau r < deg_tau d."""
@@ -158,23 +152,21 @@ class SkewPoly:
         L = ring.L
         rem = list(self.coeffs)
         dn = d.degree
-        dlc = d.coeffs[-1]
         if len(rem) - 1 < dn:
             return ring.zero(), self
+        # 1/lc(d)^(q^k) = (1/lc(d))^(q^k): one inversion, then twists
+        inv_lc = L.inv(d.coeffs[-1])
         qcoeffs = [L.zero] * (len(rem) - dn)
         for i in range(len(rem) - 1, dn - 1, -1):
             c = rem[i]
             if c == L.zero:
                 continue
             k = i - dn
-            qk = L.div(c, ring.twist(dlc, k))
+            qk = L.mul(c, ring.twist(inv_lc, k))
             qcoeffs[k] = qk
             for j, dj in enumerate(d.coeffs):
                 rem[k + j] = L.sub(rem[k + j], L.mul(qk, ring.twist(dj, k)))
         return SkewPoly(ring, qcoeffs), SkewPoly(ring, rem[:dn])
-
-    def commutes_with(self, other: "SkewPoly") -> bool:
-        return (self * other - other * self).is_zero
 
     def sort_key(self):
         idx = self.ring.L.index
@@ -224,6 +216,7 @@ class DrinfeldModule:
         self.ring = ring
         self.phi_t = phi_t
         self.gamma_t = phi_t.coeff(0)
+        self._powers = [ring.one(), phi_t]  # phi_{T^k}, grown on demand
 
     def gamma(self, a: Poly):
         """Image of a under the structure map A -> L (evaluate at gamma_t)."""
@@ -234,28 +227,31 @@ class DrinfeldModule:
         return acc
 
     def phi(self, a: Poly) -> SkewPoly:
-        """The unique ring-homomorphism image of a with T -> phi_T."""
-        ring = self.ring
-        result = ring.zero()
-        for c in reversed(a.coeffs):
-            result = result * self.phi_t + ring.scalar(c)
-        return result
-
-    def frobenius(self) -> SkewPoly:
-        """pi = tau^n, central in L{tau}."""
-        ring = self.ring
-        return SkewPoly(
-            ring, (ring.L.zero,) * ring.n + (ring.L.one,)
-        )
+        """The unique ring-homomorphism image of a with T -> phi_T, as
+        sum_k a_k * phi_{T^k}; the a_k lie in F_q, so each term scales the
+        coefficients of phi_{T^k} (tuples over F_q) and needs no twist."""
+        powers = self._powers
+        while len(powers) < len(a.coeffs):
+            powers.append(powers[-1] * self.phi_t)
+        L, base = self.ring.L, self.ring.base
+        zero, one = base.zero, base.one
+        out = [L.zero] * (3 * len(a.coeffs))
+        for c, power in zip(a.coeffs, powers):
+            if c == zero:
+                continue
+            for i, lam in enumerate(power.coeffs):
+                if c != one:
+                    lam = tuple(base.mul(c, x) for x in lam)
+                out[i] = L.add(out[i], lam)
+        return SkewPoly(self.ring, out)
 
 
 def verify_weil_action(D: DrinfeldModule, W: WeilCubic) -> bool:
     """True iff pi^3 + phi_a1*pi^2 + phi_a2*pi + phi_a0 = 0 in L{tau},
     i.e. D lies in the isogeny class described by W."""
-    pi = D.frobenius()
-    acc = pi**3
-    acc = acc + D.phi(W.a1) * pi**2
-    acc = acc + D.phi(W.a2) * pi
+    acc = D.ring.one().mul_pi(3)
+    acc = acc + D.phi(W.a1).mul_pi(2)
+    acc = acc + D.phi(W.a2).mul_pi(1)
     acc = acc + D.phi(W.a0)
     return acc.is_zero
 
@@ -303,8 +299,7 @@ def element_membership(D: DrinfeldModule, e: KElem) -> Optional[SkewPoly]:
     phi_d; a zero remainder certifies membership and the quotient is the
     endomorphism.
     """
-    pi = D.frobenius()
-    n = D.phi(e.n0) + D.phi(e.n1) * pi + D.phi(e.n2) * (pi * pi)
+    n = D.phi(e.n0) + D.phi(e.n1).mul_pi(1) + D.phi(e.n2).mul_pi(2)
     w, r = n.right_divmod(D.phi(e.d))
     if r.is_zero:
         return w

@@ -4,7 +4,8 @@ Everything here deliberately avoids the code paths it is used to check:
 ring closure is decided by multiplying companion-matrix representations of
 the generators and testing lattice membership coordinate-wise, the field
 discriminant is recomputed from the trace form, the integral basis is found
-by scanning every residue mod I^2, and the endomorphism-ring
+by scanning every residue mod I^2, skew products are taken in full from
+the twist rule with Frobenius powers from ``L.pow``, and the endomorphism-ring
 enumeration is cross-checked against a brute-force sweep over every HNF
 lattice between A[pi] and the maximal order.
 """
@@ -346,6 +347,80 @@ def kelem_matches_element(elem, coeff_omega1, coeff_omega2, analysis) -> bool:
         one / d,
     )
     return all(got[i][j] == want[i][j] for i in range(3) for j in range(3))
+
+
+# -- skew arithmetic by the definition -------------------------------------
+#
+# Skew polynomials are plain coefficient lists over L here; every product
+# is the full double sum with tau^i * lam = lam^(q^i) * tau^i, the power
+# taken by L.pow, so nothing below reaches a SkewRing cache.
+
+
+def frobenius(D):
+    """pi = tau^n as a skew polynomial of D's ring; central in L{tau}."""
+    ring = D.ring
+    return ring.poly((ring.L.zero,) * ring.n + (ring.L.one,))
+
+
+def commutes_with(u, v) -> bool:
+    return u * v == v * u
+
+
+def frobenius_power(L, lam, k: int):
+    """lam^(q^k) with q the order of L's base field."""
+    return L.pow(lam, L.base.q**k)
+
+
+def _strip(L, coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == L.zero:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def skew_add_oracle(L, u, v):
+    n = max(len(u), len(v))
+    pad_u = list(u) + [L.zero] * (n - len(u))
+    pad_v = list(v) + [L.zero] * (n - len(v))
+    return _strip(L, (L.add(x, y) for x, y in zip(pad_u, pad_v)))
+
+
+def skew_mul_oracle(L, u, v):
+    """Coefficients of u*v; the twist exponent q^i is reduced to q^(i mod n)
+    because q^n fixes L."""
+    if not u or not v:
+        return ()
+    out = [L.zero] * (len(u) + len(v) - 1)
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(v):
+            twisted = frobenius_power(L, vj, i % L.e)
+            out[i + j] = L.add(out[i + j], L.mul(ui, twisted))
+    return _strip(L, out)
+
+
+def phi_horner_oracle(D, a: Poly):
+    """Coefficients of phi_a by Horner's rule with full skew products."""
+    L = D.ring.L
+    acc = ()
+    for c in reversed(a.coeffs):
+        acc = skew_mul_oracle(L, acc, D.phi_t.coeffs)
+        acc = skew_add_oracle(L, acc, (L.embed(c),))
+    return acc
+
+
+def weil_relation_oracle(D, W: WeilCubic) -> bool:
+    """pi^3 + phi_a1*pi^2 + phi_a2*pi + phi_a0 = 0 with every product taken
+    in full."""
+    L, n = D.ring.L, D.ring.n
+
+    def pi_power(k):
+        return (L.zero,) * (n * k) + (L.one,)
+
+    acc = pi_power(3)
+    for a, k in ((W.a1, 2), (W.a2, 1), (W.a0, 0)):
+        term = skew_mul_oracle(L, phi_horner_oracle(D, a), pi_power(k))
+        acc = skew_add_oracle(L, acc, term)
+    return not acc
 
 
 # -- instance generation -----------------------------------------------------

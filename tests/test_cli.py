@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+import drinfeld_orders.cli as cli
 import drinfeld_orders.skew as skew
 from drinfeld_orders.cli import main
+from drinfeld_orders.gf import ExtensionField, FiniteField
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = REPO / "configs" / "example_f5.json"
@@ -165,6 +167,54 @@ def test_analyze_runs_each_membership_once(monkeypatch, capsys):
     assert main(["analyze", str(GOLDEN)]) == 0
     capsys.readouterr()
     assert len(calls) == 8
+
+
+def test_analyze_builds_l_once(monkeypatch, capsys):
+    # three modules share one L; its irreducibility test runs once
+    calls = []
+    real = cli.make_extension_field
+
+    def counted(base, modulus):
+        calls.append(modulus)
+        return real(base, modulus)
+
+    monkeypatch.setattr(cli, "make_extension_field", counted)
+    monkeypatch.delenv("DRINFELD_ORDERS_CANDIDATE_BOUND", raising=False)
+    assert main(["analyze", str(GOLDEN)]) == 0
+    capsys.readouterr()
+    assert [m.degree for m in calls] == [3]
+
+
+def test_twist_raises_each_element_at_most_n_minus_1_times(monkeypatch, capsys):
+    # the Frobenius orbit of an element of L is computed once per ring
+    raised = {}
+
+    def counted(field, a, n):
+        if n == field.base.q:
+            key = (id(field), a)
+            raised[key] = raised.get(key, 0) + 1
+        return FiniteField.pow(field, a, n)
+
+    monkeypatch.setattr(ExtensionField, "pow", counted)
+    monkeypatch.delenv("DRINFELD_ORDERS_CANDIDATE_BOUND", raising=False)
+    assert main(["check-module", str(GOLDEN), "--name", "phi"]) == 0
+    assert capsys.readouterr().out == "in class: yes; End = O_max(1,0,1)\n"
+    assert raised and max(raised.values()) <= 3 - 1
+
+
+def test_reducible_l_checked_after_class(tmp_path):
+    cfg = json.loads(GOLDEN.read_text())
+    cfg["L"] = [0, 0, 0, 1]  # x^3, reducible
+    path = tmp_path / "reducible_l.json"
+    path.write_text(json.dumps(cfg))
+    for args in (["analyze", str(path)], ["check-module", str(path), "--name", "phi"]):
+        proc = run_cli(args)
+        assert proc.returncode == 2 and "config: L:" in proc.stderr
+    # a bad class is reported first (exit 3), as before L is looked at
+    cfg["weil"] = {"a1": [], "a2": [], "mu": 4}  # x^3 - T^3 has root T
+    path.write_text(json.dumps(cfg))
+    proc = run_cli(["analyze", str(path)])
+    assert proc.returncode == 3 and "weil-validation:" in proc.stderr
 
 
 def test_no_all_member_order_exits_4(monkeypatch, capsys):

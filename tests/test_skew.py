@@ -10,15 +10,39 @@ from drinfeld_orders import (
     KElem,
     NoCandidateError,
     Poly,
+    PrimeField,
     basis_kelems,
     element_membership,
     identify_endo_ring,
+    make_extension_field,
     order_generator_kelems,
     survey_candidates,
     verify_weil_action,
 )
 from drinfeld_orders.orders import OrderHNF
-from drinfeld_orders.skew import MembershipSurvey
+from drinfeld_orders.skew import MembershipSurvey, SkewRing
+
+from oracles import (
+    commutes_with,
+    frobenius,
+    frobenius_power,
+    phi_horner_oracle,
+    skew_mul_oracle,
+    weil_relation_oracle,
+)
+
+
+# L = F_{7^6} and F_{5^9}, the two sizes of the module benchmark
+LARGE_FIELDS = {
+    "7^6": (7, [2, 0, 0, 0, 0, 0, 1]),
+    "5^9": (5, [1, 2, 3, 0, 0, 0, 0, 0, 0, 1]),
+}
+
+
+def large_ring(name):
+    p, modulus = LARGE_FIELDS[name]
+    F = PrimeField(p)
+    return SkewRing(make_extension_field(F, Poly.from_ints(F, modulus)))
 
 
 def rand_skew(ring, max_deg, rng):
@@ -116,8 +140,6 @@ def test_right_divmod_uniqueness(skew_ring):
 def test_skew_arithmetic_over_tower():
     # L = F_625 over base F_25: the twist is the 25-power Frobenius acting
     # on tuple-of-tuple elements
-    from drinfeld_orders import PrimeField, SkewRing, make_extension_field
-
     F5 = PrimeField(5)
     F25 = make_extension_field(F5, Poly.from_ints(F5, [2, 0, 1]))
     w = F25.generator()
@@ -176,7 +198,7 @@ def test_phi_shift_rule(module_phi, f5):
 
 
 def test_frobenius_is_central(module_phi, skew_ring):
-    pi = module_phi.frobenius()
+    pi = frobenius(module_phi)
     assert pi.degree == skew_ring.n
     rng = random.Random(19)
     for _ in range(20):
@@ -248,7 +270,7 @@ def test_membership_worked_example(module_phi, module_psi_star, example_analysis
     w = element_membership(module_phi, omega2)
     assert w is not None
     # the quotient is a genuine endomorphism: it commutes with phi_T
-    assert w.commutes_with(module_phi.phi_t)
+    assert commutes_with(w, module_phi.phi_t)
     assert element_membership(module_psi_star, omega2) is None
 
 
@@ -261,7 +283,7 @@ def test_division_verdict_for_module_as_printed(
     W, sf, mo = example_analysis.weil, example_analysis.sf, example_analysis.mo
     _, omega2 = basis_kelems(W, sf, mo)
     D = module_psi_literal
-    pi = D.frobenius()
+    pi = frobenius(D)
     n = D.phi(omega2.n0) + D.phi(omega2.n1) * pi + D.phi(omega2.n2) * (pi * pi)
     _, r = n.right_divmod(D.phi(omega2.d))
     assert not r.is_zero
@@ -297,7 +319,7 @@ def test_membership_frobenius_always(module_phi, module_psi_star, f5):
     pi_elem = KElem.make(zero, one, zero, one)
     for D in (module_phi, module_psi_star):
         w = element_membership(D, pi_elem)
-        assert w == D.frobenius()
+        assert w == frobenius(D)
 
 
 def test_identify_worked_example(module_phi, module_psi_star, example_analysis):
@@ -355,4 +377,72 @@ def test_identified_ring_generators_act(module_phi, example_analysis):
     for gen in (gen1, gen2):
         w = element_membership(module_phi, gen)
         assert w is not None
-        assert w.commutes_with(module_phi.phi_t)
+        assert commutes_with(w, module_phi.phi_t)
+
+
+# -- the cached arithmetic against full products ----------------------------
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_FIELDS))
+def test_twist_is_frobenius_power(name):
+    ring = large_ring(name)
+    L = ring.L
+    rng = random.Random(29)
+    for _ in range(20):
+        lam = L.element(rng.randrange(1, L.q))
+        for k in range(2 * ring.n):
+            assert ring.twist(lam, k) == frobenius_power(L, lam, k)
+
+
+def test_phi_matches_horner_oracle(module_phi, f5):
+    # a fresh module, so the power cache starts at phi_T and grows past the
+    # degree of the first request
+    D = DrinfeldModule(module_phi.ring, module_phi.phi_t)
+    rng = random.Random(31)
+    for deg in (2, 0, 7, 12, 5, 9, 1, 12):
+        a = Poly(f5, [f5.element(rng.randrange(5)) for _ in range(deg)] + [f5.one])
+        assert D.phi(a).coeffs == phi_horner_oracle(D, a)
+    assert D.phi(Poly.zero(f5)).is_zero
+
+
+def test_phi_matches_horner_oracle_over_tower():
+    # base F_25: the a_k are tuples, and so are the coefficients they scale
+    F5 = PrimeField(5)
+    F25 = make_extension_field(F5, Poly.from_ints(F5, [2, 0, 1]))
+    w = F25.generator()
+    L = make_extension_field(F25, Poly(F25, (F25.neg(w), F25.zero, F25.one)))
+    ring = SkewRing(L)
+    rng = random.Random(37)
+    phi_t = rand_skew(ring, 2, rng) + ring.poly([L.zero] * 3 + [L.one])
+    D = DrinfeldModule(ring, phi_t)
+    for deg in (1, 6, 3):
+        a = Poly(F25, [F25.element(rng.randrange(25)) for _ in range(deg + 1)])
+        assert D.phi(a).coeffs == phi_horner_oracle(D, a)
+
+
+@pytest.mark.parametrize("name", ["F_125", "7^6"])
+def test_mul_pi_is_product_by_tau_power(name, skew_ring):
+    ring = skew_ring if name == "F_125" else large_ring(name)
+    L = ring.L
+    rng = random.Random(41)
+    for _ in range(4):
+        s = rand_skew(ring, 4, rng)
+        for k in range(4):
+            tau_nk = (L.zero,) * (ring.n * k) + (L.one,)
+            assert s.mul_pi(k).coeffs == skew_mul_oracle(L, s.coeffs, tau_nk)
+    assert ring.zero().mul_pi(2).is_zero
+
+
+def test_verify_weil_action_matches_full_product(
+    module_phi, module_psi_star, module_psi_literal, example_weil
+):
+    L = module_phi.ring.L
+    coeffs = list(module_phi.phi_t.coeffs)
+    coeffs[1] = L.add(coeffs[1], L.one)
+    perturbed = DrinfeldModule(module_phi.ring, module_phi.ring.poly(coeffs))
+    verdicts = []
+    for D in (module_phi, module_psi_star, module_psi_literal, perturbed):
+        verdict = verify_weil_action(D, example_weil)
+        assert verdict == weil_relation_oracle(D, example_weil)
+        verdicts.append(verdict)
+    assert verdicts == [True, True, False, False]
