@@ -40,7 +40,6 @@ from .errors import (
     ReducibleError,
 )
 from .factor import (
-    divisors,
     exact_sqrt,
     factor,
     is_irreducible,
@@ -49,6 +48,10 @@ from .factor import (
     residue_factor,
     squarefree_decompose,
 )
+
+# not called here any more; bench/tests/test_bench.py checks that the tracer
+# rewraps this binding, so it stays until that test names another one
+from .factor import divisors  # noqa: F401
 from .gf import FiniteField
 from .poly import Poly, polys_below_degree, poly_crt, poly_gcd, valuation
 
@@ -138,18 +141,33 @@ def _cubic_disc(W: WeilCubic) -> Poly:
 
 def _check_irreducible_over_k(W: WeilCubic) -> None:
     """A monic cubic over A is reducible over k = F_q(T) iff it has a root
-    in A, and any root divides the constant term."""
+    in A.  A root divides a0 = mu*pv^m, and pv is irreducible, so it is
+    u*pv^j for a unit u and 0 <= j <= m.
+
+    For r = u*pv^j the term a_i r^i of M(r) has degree deg a_i + i*j*deg pv
+    and, pv being monic, leading coefficient lc(a_i) u^i.  So M(r) = 0
+    forces the sum of lc(a_i) u^i over the terms of top degree to vanish;
+    only the units where it does get the full evaluation."""
     F = W.field
-    a0, a2, a1, one = W.coefficients()
-    for d in divisors(W.a0):
+    coeffs = W.coefficients()
+    a0, a2, a1, _ = coeffs
+    dv = W.pv.degree
+    for j in range(W.m + 1):
+        degs = [
+            None if c.is_zero else c.degree + i * j * dv
+            for i, c in enumerate(coeffs)
+        ]
+        top = max(d for d in degs if d is not None)
+        lead = Poly(F, (c.lc if d == top else F.zero for c, d in zip(coeffs, degs)))
+        if lead.degree < 1:  # a nonzero constant has no root
+            continue
         for i in range(1, F.q):
             u = F.element(i)
-            r = d.scale(u)
-            val = ((r + a1) * r + a2) * r + a0
-            if val.is_zero:
-                raise ReducibleError(
-                    f"M(x) has the root {r.to_str()} in A"
-                )
+            if lead.evaluate(u) != F.zero:
+                continue
+            r = (W.pv**j).scale(u)
+            if (((r + a1) * r + a2) * r + a0).is_zero:
+                raise ReducibleError(f"M(x) has the root {r.to_str()} in A")
 
 
 def _newton_segments(points):

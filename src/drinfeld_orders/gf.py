@@ -15,13 +15,28 @@ equality is structural, so the same tower built twice compares equal.
 Constructors here check only shape (primality, monic modulus).  Whether a
 modulus is irreducible is a factorisation question; use
 ``factor.make_extension_field`` when that guarantee is needed.
+
+An extension with q <= TABLE_CAP builds, on its first add, sub, mul, inv or
+pow, the tables of a primitive element g: exp[k] = g^k, log[g^k] = k and the
+Zech logarithms log(1 + g^k) (Huber, IEEE Trans. IT 36, 1990; Lidl and
+Niederreiter, *Finite Fields*, ch. 9).  Products, inverses and powers are
+then index arithmetic and sums one Zech lookup.  The tables are a write-once
+cache: built at most once per field object and never changed after.  Larger
+fields, and a reducible modulus (no element of order q - 1), keep the
+schoolbook arithmetic on coefficient tuples, with inverses from the extended
+Euclidean algorithm.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterator
 
 from .errors import DomainError
+
+# Building tables costs about q schoolbook products (33 ms for F_2401 on a
+# 2-vCPU Xeon), more than the ~1,700 products such a field does per config.
+TABLE_CAP = 2**10
 
 
 def is_prime(n: int) -> bool:
@@ -158,7 +173,9 @@ class ExtensionField(FiniteField):
 
     Elements are tuples of e base-field values, ascending powers of the
     generator.  The modulus is a tuple of e+1 base values with leading
-    coefficient one; irreducibility is the caller's responsibility.
+    coefficient one; irreducibility is the caller's responsibility.  With
+    q <= TABLE_CAP, add/sub/mul/inv/pow run on log tables built on first
+    use; a value that is not an element then raises KeyError.
     """
 
     def __init__(self, base: FiniteField, modulus):
@@ -187,19 +204,115 @@ class ExtensionField(FiniteField):
             return (self.base.neg(self.modulus[0]),)
         return self.element(self.base.q)
 
+    # -- tables -----------------------------------------------------------
+
+    @cached_property
+    def _log(self):
+        """log[g^k] = k and log[zero] = None for a primitive element g; also
+        sets _exp, _zech and _log_neg_one.  Empty when the field has no
+        tables (q > TABLE_CAP or a reducible modulus)."""
+        exp = self._primitive_powers() if self.q <= TABLE_CAP else None
+        if exp is None:
+            return {}
+        n = self.q - 1
+        log = {x: k for k, x in enumerate(exp)}
+        log[self.zero] = None
+        zech = [log[self._add(self.one, x)] for x in exp]
+        # both doubled, so that a sum of two logs, or a difference of two
+        # (a negative index wraps), needs no reduction mod n
+        self._exp = exp + exp
+        self._zech = zech + zech
+        self._log_neg_one = n // 2 if self.p != 2 else 0
+        return log
+
+    def _primitive_powers(self):
+        """[g^0, ..., g^(q-2)] for the first element g of order q - 1, or
+        None when some element is not a unit (a reducible modulus)."""
+        one = self.one
+        for i in range(1, self.q):
+            g = self.element(i)
+            powers, seen, x = [one], {one}, g
+            while x not in seen:
+                powers.append(x)
+                seen.add(x)
+                x = self._mul(x, g)
+            if x != one:
+                return None
+            if len(powers) == self.q - 1:
+                return powers
+        return None
+
+    # -- arithmetic ---------------------------------------------------------
+
     def add(self, a, b):
-        base = self.base
-        return tuple(base.add(x, y) for x, y in zip(a, b))
+        log = self._log
+        if not log:
+            return self._add(a, b)
+        la, lb = log[a], log[b]
+        if la is None:
+            return b
+        if lb is None:
+            return a
+        z = self._zech[lb - la]  # g^la + g^lb = g^la (1 + g^(lb-la))
+        return self.zero if z is None else self._exp[la + z]
 
     def sub(self, a, b):
-        base = self.base
-        return tuple(base.sub(x, y) for x, y in zip(a, b))
+        log = self._log
+        if not log:
+            return self._sub(a, b)
+        la, lb = log[a], log[b]
+        if lb is None:
+            return a
+        lb += self._log_neg_one
+        if la is None:
+            return self._exp[lb]
+        z = self._zech[lb - la]
+        return self.zero if z is None else self._exp[la + z]
 
     def neg(self, a):
         base = self.base
         return tuple(base.neg(x) for x in a)
 
     def mul(self, a, b):
+        log = self._log
+        if not log:
+            return self._mul(a, b)
+        la, lb = log[a], log[b]
+        if la is None or lb is None:
+            return self.zero
+        return self._exp[la + lb]
+
+    def inv(self, a):
+        log = self._log
+        if not log:
+            return self._inv(a)
+        la = log[a]
+        if la is None:
+            raise ZeroDivisionError("inverse of zero")
+        return self._exp[-la]
+
+    def pow(self, a, n: int):
+        log = self._log
+        if not log:
+            return super().pow(a, n)
+        la = log[a]
+        if la is None:
+            if n < 0:
+                raise ZeroDivisionError("inverse of zero")
+            return self.zero if n else self.one
+        return self._exp[la * n % (self.q - 1)]
+
+    # -- schoolbook arithmetic on coefficient tuples ------------------------
+
+    def _add(self, a, b):
+        base = self.base
+        return tuple(base.add(x, y) for x, y in zip(a, b))
+
+    def _sub(self, a, b):
+        base = self.base
+        return tuple(base.sub(x, y) for x, y in zip(a, b))
+
+    def _mul(self, a, b):
         base = self.base
         e = self.e
         zero = base.zero
@@ -222,10 +335,39 @@ class ExtensionField(FiniteField):
                     acc[i - e + j] = base.sub(acc[i - e + j], base.mul(ci, mj))
         return tuple(acc[:e])
 
-    def inv(self, a):
-        if a == self.zero:
+    def _inv(self, a):
+        """Inverse by the extended Euclidean algorithm on a and the modulus
+        in base[y], keeping s with s*a = r mod the modulus for each
+        remainder r."""
+        base = self.base
+        zero = base.zero
+
+        def trim(c):
+            while c and c[-1] == zero:
+                c.pop()
+            return c
+
+        r0, r1 = list(self.modulus), trim(list(a))
+        if not r1:
             raise ZeroDivisionError("inverse of zero")
-        return self.pow(a, self.q - 2)
+        s0, s1 = [], [base.one]
+        while len(r1) > 1:
+            inv_lc = base.inv(r1[-1])
+            while len(r0) >= len(r1):
+                c = base.mul(r0[-1], inv_lc)
+                k = len(r0) - len(r1)
+                s0 += [zero] * (len(s1) + k - len(s0))
+                for i, x in enumerate(r1):
+                    r0[i + k] = base.sub(r0[i + k], base.mul(c, x))
+                for i, x in enumerate(s1):
+                    s0[i + k] = base.sub(s0[i + k], base.mul(c, x))
+                trim(r0)
+                trim(s0)
+            r0, r1, s0, s1 = r1, r0, s1, s0
+        if not r1:
+            raise ZeroDivisionError(f"{a} is a zero divisor (reducible modulus)")
+        c = base.inv(r1[0])
+        return tuple([base.mul(c, x) for x in s1] + [zero] * (self.e - len(s1)))
 
     def element(self, i: int):
         if not 0 <= i < self.q:

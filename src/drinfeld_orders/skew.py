@@ -71,12 +71,6 @@ class SkewRing:
     def one(self) -> "SkewPoly":
         return SkewPoly(self, (self.L.one,))
 
-    def tau(self) -> "SkewPoly":
-        return SkewPoly(self, (self.L.zero, self.L.one))
-
-    def constant(self, lam) -> "SkewPoly":
-        return SkewPoly(self, (lam,))
-
     def __eq__(self, other):
         return isinstance(other, SkewRing) and other.L == self.L
 
@@ -215,16 +209,7 @@ class DrinfeldModule:
             )
         self.ring = ring
         self.phi_t = phi_t
-        self.gamma_t = phi_t.coeff(0)
         self._powers = [ring.one(), phi_t]  # phi_{T^k}, grown on demand
-
-    def gamma(self, a: Poly):
-        """Image of a under the structure map A -> L (evaluate at gamma_t)."""
-        L = self.ring.L
-        acc = L.zero
-        for c in reversed(a.coeffs):
-            acc = L.add(L.mul(acc, self.gamma_t), L.embed(c))
-        return acc
 
     def phi(self, a: Poly) -> SkewPoly:
         """The unique ring-homomorphism image of a with T -> phi_T, as

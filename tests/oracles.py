@@ -4,7 +4,9 @@ Everything here deliberately avoids the code paths it is used to check:
 ring closure is decided by multiplying companion-matrix representations of
 the generators and testing lattice membership coordinate-wise, the field
 discriminant is recomputed from the trace form, the integral basis is found
-by scanning every residue mod I^2, skew products are taken in full from
+by scanning every residue mod I^2, a root of M in A by scanning every unit
+times every divisor of a0, field arithmetic is redone on coefficient tuples
+without calling the field object, skew products are taken in full from
 the twist rule with Frobenius powers from ``L.pow``, and the endomorphism-ring
 enumeration is cross-checked against a brute-force sweep over every HNF
 lattice between A[pi] and the maximal order.
@@ -366,6 +368,30 @@ def commutes_with(u, v) -> bool:
     return u * v == v * u
 
 
+def skew_tau(ring):
+    """tau as a skew polynomial of ring."""
+    return ring.poly((ring.L.zero, ring.L.one))
+
+
+def skew_constant(ring, lam):
+    """The constant skew polynomial lam."""
+    return ring.poly((lam,))
+
+
+def gamma_t(D):
+    """gamma(T), the constant coefficient of phi_T."""
+    return D.phi_t.coeff(0)
+
+
+def gamma(D, a: Poly):
+    """Image of a under the structure map A -> L (evaluate at gamma(T))."""
+    L = D.ring.L
+    acc = L.zero
+    for c in reversed(a.coeffs):
+        acc = L.add(L.mul(acc, gamma_t(D)), L.embed(c))
+    return acc
+
+
 def frobenius_power(L, lam, k: int):
     """lam^(q^k) with q the order of L's base field."""
     return L.pow(lam, L.base.q**k)
@@ -421,6 +447,85 @@ def weil_relation_oracle(D, W: WeilCubic) -> bool:
         term = skew_mul_oracle(L, phi_horner_oracle(D, a), pi_power(k))
         acc = skew_add_oracle(L, acc, term)
     return not acc
+
+
+# -- finite-field arithmetic from the definition ------------------------------
+# An element of F_p is an int mod p; one of base[y]/(f) is the tuple of its
+# coefficients, multiplied as polynomials and reduced by y^e = -(f - y^e).
+# Only the tower's p and moduli are read off the field object.
+
+
+def _prime_ops(p):
+    return (
+        lambda a, b: (a + b) % p,
+        lambda a, b: (a - b) % p,
+        lambda a, b: a * b % p,
+        0,
+    )
+
+
+def _extension_ops(base_ops, modulus):
+    badd, bsub, bmul, bzero = base_ops
+    e = len(modulus) - 1
+
+    def add(a, b):
+        return tuple(badd(x, y) for x, y in zip(a, b))
+
+    def sub(a, b):
+        return tuple(bsub(x, y) for x, y in zip(a, b))
+
+    def mul(a, b):
+        acc = [bzero] * (2 * e - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                acc[i + j] = badd(acc[i + j], bmul(x, y))
+        for i in range(2 * e - 2, e - 1, -1):
+            c, acc[i] = acc[i], bzero
+            for k in range(e):
+                acc[i - e + k] = bsub(acc[i - e + k], bmul(c, modulus[k]))
+        return tuple(acc[:e])
+
+    return add, sub, mul, (bzero,) * e
+
+
+def schoolbook_ops(F):
+    """(add, sub, mul) of the field F from the definition."""
+    moduli = []
+    while hasattr(F, "modulus"):
+        moduli.append(F.modulus)
+        F = F.base
+    ops = _prime_ops(F.p)
+    for modulus in reversed(moduli):
+        ops = _extension_ops(ops, modulus)
+    return ops[:3]
+
+
+def schoolbook_pow(mul, one, a, n: int):
+    """a^n for n >= 0 by square and multiply with the given mul."""
+    out = one
+    while n:
+        if n & 1:
+            out = mul(out, a)
+        a = mul(a, a)
+        n >>= 1
+    return out
+
+
+# -- roots in A ------------------------------------------------------------------
+
+
+def root_in_a_oracle(W: WeilCubic):
+    """The first root of M in A, scanning every unit times every monic
+    divisor of a0 (divisors in canonical order, units by index); None when
+    M has no root in A."""
+    F = W.field
+    a0, a2, a1, _ = W.coefficients()
+    for d in divisors(W.a0):
+        for i in range(1, F.q):
+            r = d.scale(F.element(i))
+            if (((r + a1) * r + a2) * r + a0).is_zero:
+                return r
+    return None
 
 
 # -- instance generation -----------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 import drinfeld_orders.cli as cli
 import drinfeld_orders.skew as skew
 from drinfeld_orders.cli import main
-from drinfeld_orders.gf import ExtensionField, FiniteField
+from drinfeld_orders.gf import ExtensionField, FiniteField, PrimeField
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = REPO / "configs" / "example_f5.json"
@@ -183,6 +183,41 @@ def test_analyze_builds_l_once(monkeypatch, capsys):
     assert main(["analyze", str(GOLDEN)]) == 0
     capsys.readouterr()
     assert [m.degree for m in calls] == [3]
+
+
+F49_CLASS = {
+    "field": {"p": 7, "e": 2, "modulus": [1, 0, 1]},
+    "pv": [[3, 2], [1, 0]],
+    "m": 6,
+    "weil": {
+        "a1": [[0, 4], [4, 3], [6, 1]],
+        "a2": [[4, 5], [2, 0], [4, 2], [2, 6], [6, 6]],
+        "mu": [1, 4],
+    },
+}
+
+
+def test_f49_class_multiplies_in_f7_only_to_build_tables(tmp_path, monkeypatch, capsys):
+    # with F_49 and its residue fields on log tables, F_7 products happen
+    # only while the F_49 tables are built (about 350; schoolbook: ~190,000)
+    path = tmp_path / "f49.json"
+    path.write_text(json.dumps(F49_CLASS))
+    cfg = cli.load_config(str(path))
+    assert isinstance(cfg.field, ExtensionField) and cfg.field.q == 49
+    assert "_log" not in vars(cfg.field)  # loading builds no table
+    calls = [0]
+    real = PrimeField.mul
+
+    def counted(field, a, b):
+        calls[0] += 1
+        return real(field, a, b)
+
+    monkeypatch.setattr(PrimeField, "mul", counted)
+    monkeypatch.delenv("DRINFELD_ORDERS_CANDIDATE_BOUND", raising=False)
+    assert main(["analyze", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "endomorphism rings (1)" in out and "[O_max=A[pi]]" in out
+    assert calls[0] <= 1000
 
 
 def test_twist_raises_each_element_at_most_n_minus_1_times(monkeypatch, capsys):

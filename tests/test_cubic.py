@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from drinfeld_orders import (
@@ -15,13 +17,21 @@ from drinfeld_orders import (
     height,
     index,
     integral_basis,
+    is_irreducible,
     poly_gcd,
     standard_form,
     validate_weil_necessary,
 )
+from drinfeld_orders.cubic import _check_irreducible_over_k
+from drinfeld_orders.factor import make_extension_field
 from drinfeld_orders.poly import polys_below_degree, valuation
 
-from oracles import RatFunc, integral_basis_oracle, trace_form_discriminant
+from oracles import (
+    RatFunc,
+    integral_basis_oracle,
+    root_in_a_oracle,
+    trace_form_discriminant,
+)
 
 
 def test_validate_worked_example(example_weil):
@@ -68,6 +78,99 @@ def test_validate_rejects_reducible(f5):
     assert W.a0 == a0
     with pytest.raises(ReducibleError):
         validate_weil_necessary(W)
+
+
+def sieve_verdict(W):
+    """The ReducibleError message of the leading-coefficient sieve, or None."""
+    try:
+        _check_irreducible_over_k(W)
+    except ReducibleError as exc:
+        return str(exc)
+    return None
+
+
+def oracle_verdict(W):
+    r = root_in_a_oracle(W)
+    return None if r is None else f"M(x) has the root {r.to_str()} in A"
+
+
+def sieve_fields():
+    F7 = PrimeField(7)
+    F5 = PrimeField(5)
+    return {
+        "F13": PrimeField(13),
+        "F25": make_extension_field(F5, Poly.from_ints(F5, [2, 0, 1])),
+        "F49": make_extension_field(F7, Poly.from_ints(F7, [1, 0, 1])),
+    }
+
+
+def test_root_sieve_matches_exhaustive_scan_on_pool(instance_pool):
+    for analysis in instance_pool:
+        assert sieve_verdict(analysis.weil) == oracle_verdict(analysis.weil) is None
+
+
+def planted_root_cubic(F, pv, m, j, rng):
+    """(x - u pv^j)(x^2 + s x + c pv^(m-j)) with random u, c and s: the root
+    u pv^j divides a0 = -u c pv^m; the quadratic may add roots of its own."""
+    u, c = (F.element(rng.randrange(1, F.q)) for _ in range(2))
+    s = Poly(F, (F.element(rng.randrange(F.q)) for _ in range(3)))
+    r = (pv**j).scale(u)
+    t = (pv ** (m - j)).scale(c)
+    W = WeilCubic(
+        field=F, a1=s - r, a2=t - r * s, mu=F.neg(F.mul(u, c)), pv=pv, m=m
+    )
+    assert W.a0 == -(r * t)
+    return W
+
+
+@pytest.mark.parametrize("name", ["F13", "F25", "F49"])
+def test_root_sieve_finds_constructed_roots(name):
+    F = sieve_fields()[name]
+    rng = random.Random(f"sieve/{name}")
+    T = Poly.x(F)
+    m = 4
+    quadratics = [T * T + Poly.const(F, F.element(i)) for i in range(1, F.q)]
+    quadratic = next(f for f in quadratics if is_irreducible(f))
+    for pv in (T + Poly.const(F, F.element(3)), quadratic):
+        for j in (0, m // 2, m):
+            W = planted_root_cubic(F, pv, m, j, rng)
+            verdict = sieve_verdict(W)
+            assert verdict is not None
+            assert verdict == oracle_verdict(W)
+
+
+def test_root_sieve_candidate_rejected_by_full_check():
+    # over F_13, x^3 + x^2 - T^3 with pv = T: at j = 1 the top-degree terms
+    # u^3 T^3 - T^3 cancel for u = 1, but M(T) = T^2 is not zero
+    F = PrimeField(13)
+    T = Poly.x(F)
+    W = WeilCubic(field=F, a1=Poly.one(F), a2=Poly.zero(F), mu=F.element(12), pv=T, m=3)
+    a0, a2, a1, _ = W.coefficients()
+    assert ((T + a1) * T + a2) * T + a0 == T * T
+    assert sieve_verdict(W) == oracle_verdict(W) is None
+
+
+@pytest.mark.parametrize("name", ["F13", "F25", "F49"])
+def test_root_sieve_matches_exhaustive_scan_on_random_cubics(name):
+    # random cubics, every other one with a planted root at a random j
+    F = sieve_fields()[name]
+    rng = random.Random(f"sieve-random/{name}")
+    T = Poly.x(F)
+    for k in range(60):
+        pv = T + Poly.const(F, F.element(rng.randrange(F.q)))
+        m = rng.randrange(1, 4)
+        if k % 2:
+            W = planted_root_cubic(F, pv, m, rng.randrange(m + 1), rng)
+        else:
+            a1, a2 = (
+                Poly(F, [F.element(rng.randrange(F.q)) for _ in range(rng.randrange(4))])
+                for _ in range(2)
+            )
+            mu = F.element(rng.randrange(1, F.q))
+            W = WeilCubic(field=F, a1=a1, a2=a2, mu=mu, pv=pv, m=m)
+        verdict = sieve_verdict(W)
+        assert verdict == oracle_verdict(W)
+        assert k % 2 == 0 or verdict is not None
 
 
 def test_validate_rejects_char3():

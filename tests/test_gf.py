@@ -5,6 +5,9 @@ import random
 import pytest
 
 from drinfeld_orders import DomainError, Poly, PrimeField, make_extension_field
+from drinfeld_orders.gf import TABLE_CAP, ExtensionField
+
+from oracles import schoolbook_ops, schoolbook_pow
 
 
 def build_field(q):
@@ -91,3 +94,135 @@ def test_from_int_is_prime_subfield_embedding():
     three = F9.from_int(3)
     assert three == F9.zero
     assert F9.from_int(5) == F9.add(F9.one, F9.add(F9.one, F9.add(F9.one, F9.add(F9.one, F9.one))))
+
+
+def ext_field(p, modulus):
+    F = PrimeField(p)
+    return make_extension_field(F, Poly.from_ints(F, modulus))
+
+
+def f625_over_f25():
+    F25 = ext_field(5, [2, 0, 1])
+    w = F25.generator()
+    return make_extension_field(F25, Poly(F25, (F25.neg(w), F25.zero, F25.one)))
+
+
+TABLED = {
+    "F9": lambda: ext_field(3, [1, 0, 1]),
+    "F25": lambda: ext_field(5, [2, 0, 1]),
+    "F49": lambda: ext_field(7, [1, 0, 1]),
+    "F125": lambda: ext_field(5, [3, 3, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("name", TABLED)
+def test_tables_match_schoolbook_on_all_pairs(name):
+    F = TABLED[name]()
+    add, sub, mul = schoolbook_ops(F)
+    elems = list(F.elements())
+    for a in elems:
+        for b in elems:
+            assert F.mul(a, b) == mul(a, b)
+            assert F.add(a, b) == add(a, b)
+            assert F.sub(a, b) == sub(a, b)
+    assert F._log  # the comparison ran on the tables
+
+
+def test_tables_match_schoolbook_over_tower():
+    L = f625_over_f25()
+    assert L.q == 625
+    add, sub, mul = schoolbook_ops(L)
+    rng = random.Random(625)
+    for _ in range(3000):
+        a, b = (L.element(rng.randrange(L.q)) for _ in range(2))
+        assert L.mul(a, b) == mul(a, b)
+        assert L.add(a, b) == add(a, b)
+        assert L.sub(a, b) == sub(a, b)
+    assert L._log and L.base._log
+
+
+@pytest.mark.parametrize("name", TABLED)
+def test_tables_inv_and_pow(name):
+    F = TABLED[name]()
+    _, _, mul = schoolbook_ops(F)
+    big = 10**20 + 7
+    for a in F.elements():
+        assert F.pow(a, 0) == F.one
+        assert F.pow(a, 1) == a
+        assert F.pow(a, big) == schoolbook_pow(mul, F.one, a, big)
+        if a == F.zero:
+            continue
+        assert mul(a, F.inv(a)) == F.one
+        assert F.pow(a, -1) == F.inv(a)
+        assert F.pow(a, -big) == schoolbook_pow(mul, F.one, F.inv(a), big)
+        assert F.pow(a, F.q - 1) == F.one
+
+
+@pytest.mark.parametrize("name", TABLED)
+def test_tables_zero_cases(name):
+    F = TABLED[name]()
+    with pytest.raises(ZeroDivisionError):
+        F.inv(F.zero)
+    with pytest.raises(ZeroDivisionError):
+        F.pow(F.zero, -2)
+    assert F.pow(F.zero, 0) == F.one
+    assert F.pow(F.zero, 5) == F.zero
+
+
+@pytest.mark.parametrize("name", TABLED)
+def test_tables_pth_root_and_is_square_brute_force(name):
+    F = TABLED[name]()
+    _, _, mul = schoolbook_ops(F)
+    elems = list(F.elements())
+    pth_powers = {schoolbook_pow(mul, F.one, x, F.p): x for x in elems}
+    squares = {mul(x, x) for x in elems}
+    for a in elems:
+        assert F.pth_root(a) == pth_powers[a]
+        assert F.is_square(a) == (a in squares)
+
+
+def test_above_cap_field_keeps_schoolbook():
+    L = ext_field(7, [2, 0, 0, 0, 0, 0, 1])  # F_{7^6}
+    assert L.q > TABLE_CAP
+    add, sub, mul = schoolbook_ops(L)
+    rng = random.Random(76)
+    for _ in range(300):
+        a, b = (L.element(rng.randrange(L.q)) for _ in range(2))
+        assert L.mul(a, b) == mul(a, b)
+        assert L.add(a, b) == add(a, b)
+        assert L.sub(a, b) == sub(a, b)
+        if a != L.zero:
+            assert mul(a, L.inv(a)) == L.one
+            assert L.pow(a, -3) == schoolbook_pow(mul, L.one, L.inv(a), 3)
+    assert not L._log
+
+
+def test_reducible_modulus_keeps_schoolbook():
+    R = ExtensionField(PrimeField(7), (6, 0, 1))  # y^2 - 1 = (y - 1)(y + 1)
+    add, sub, mul = schoolbook_ops(R)
+    elems = list(R.elements())
+    for a in elems:
+        for b in elems:
+            assert R.mul(a, b) == mul(a, b)
+            assert R.add(a, b) == add(a, b)
+            assert R.sub(a, b) == sub(a, b)
+    assert not R._log
+    with pytest.raises(ZeroDivisionError):
+        R.inv((1, 1))  # y + 1 is a zero divisor
+
+
+@pytest.mark.parametrize(
+    "bad", [(1, 0, 0), (1,), (7, 0)], ids=["long", "short", "unreduced"]
+)
+def test_tables_reject_non_elements(bad):
+    F = TABLED["F49"]()
+    a = F.element(10)
+    for op in (F.mul, F.add, F.sub):
+        with pytest.raises(KeyError):
+            op(bad, a)
+        with pytest.raises(KeyError):
+            op(a, bad)
+    with pytest.raises(KeyError):
+        F.inv(bad)
+    with pytest.raises(KeyError):
+        F.pow(bad, 3)
