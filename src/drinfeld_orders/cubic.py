@@ -3,17 +3,24 @@
 The isogeny class is described by a monic cubic M(x) = x^3 + a1*x^2 +
 a2*x + mu*pv^m over A = F_q[T] whose constant term is a unit times a
 power of the characteristic prime pv.  This module validates that data,
-computes the height and residue splitting at v, produces the depressed
-standard form x^3 + c1*x + c2, and from it the field discriminant, the
-index of A[pi~] in the maximal order, and the integral-basis parameters
-(alpha2, beta2) with
+computes the height h and residue splitting at v, produces the depressed
+standard form x^3 + c1*x + c2, and from it the maximal-order data.
 
-    omega2 = (alpha2 + beta2*pi~ + pi~^2) / I.
+The residue splitting is read in closed form from M = x^h * R(x) mod pv;
+only the quadratic R of height 1 needs a square test in F_q[T]/(pv).  The
+maximal-order data come from one factorisation of disc(M0): for each prime
+P the valuation criterion fixes v_P(Delta) in {0, 1, 2}, the index I has
+v_P(I) = (v_P(disc(M0)) - v_P(Delta)) / 2, and the integral-basis
+parameters (alpha2, beta2) with
+
+    omega2 = (alpha2 + beta2*pi~ + pi~^2) / I
+
+are lifted over the prime powers of I.
 
 Characteristics 2 and 3 are rejected up front: the depressed-cubic
 substitution divides by 3 and 27, and in characteristic 2 the polynomial
-discriminant collapses to c2^2, invalidating the square-free discriminant
-formula (quadratic ramification is wild there).
+discriminant collapses to c2^2, invalidating the valuation criterion
+(quadratic ramification is wild there).
 
 Validation is a necessary-conditions check.  Irreducibility over k and the
 constant-term shape are decided exactly, and so is the requirement that a
@@ -39,20 +46,12 @@ from .errors import (
     NotWeilAtVError,
     ReducibleError,
 )
-from .factor import (
-    exact_sqrt,
-    factor,
-    is_irreducible,
-    make_extension_field,
-    reduce_mod,
-    residue_factor,
-    squarefree_decompose,
-)
+from .factor import factor, is_irreducible, reduce_mod, squarefree_decompose
 
 # not called here any more; bench/tests/test_bench.py checks that the tracer
 # rewraps this binding, so it stays until that test names another one
 from .factor import divisors  # noqa: F401
-from .gf import FiniteField
+from .gf import ExtensionField, FiniteField
 from .poly import Poly, polys_below_degree, poly_crt, poly_gcd, valuation
 
 
@@ -79,10 +78,19 @@ class WeilCubic:
 @dataclass(frozen=True)
 class LocalData:
     height: int
-    etale_degree: int
     residue_pattern: tuple  # sorted ((factor degree, multiplicity), ...)
-    supersingular: bool
-    pv_divides_a2: bool
+
+    @property
+    def etale_degree(self) -> int:
+        return 3 - self.height
+
+    @property
+    def supersingular(self) -> bool:
+        return self.height == 3
+
+    @property
+    def pv_divides_a2(self) -> bool:
+        return self.height >= 2
 
 
 @dataclass(frozen=True)
@@ -113,6 +121,7 @@ class StandardForm:
 class MaximalOrderData:
     delta: Poly  # field discriminant, monic
     index: Poly  # monic I with I^2 * delta = disc_m0 up to a unit
+    index_factors: tuple  # ((P, k), ...): I = prod P^k, canonical order
     alpha2: Poly
     beta2: Poly
     disc_m0: Poly
@@ -186,9 +195,9 @@ def _newton_segments(points):
     return hull
 
 
-def _check_unique_local_zero(W: WeilCubic, h: int) -> None:
+def _check_unique_local_zero(W: WeilCubic, h: int, R: ExtensionField) -> None:
     """Reject shapes where more than one v-adic factor of M has constant
-    term divisible by pv.
+    term divisible by pv; R is the residue field F_q[T]/(pv).
 
     For h = 1 the condition always holds: the single positive-valuation
     root sits in its own factor and the remaining constant terms are
@@ -200,10 +209,8 @@ def _check_unique_local_zero(W: WeilCubic, h: int) -> None:
     """
     if h == 1:
         return
-    F = W.field
     pv = W.pv
     m = W.m
-    R = make_extension_field(F, pv)
     v_a2 = None if W.a2.is_zero else valuation(W.a2, pv)
     v_a1 = None if W.a1.is_zero else valuation(W.a1, pv)
 
@@ -250,6 +257,26 @@ def _check_unique_local_zero(W: WeilCubic, h: int) -> None:
     # residual is undecided at this level and accepted
 
 
+def _residue_pattern(W: WeilCubic, h: int, R: ExtensionField) -> tuple:
+    """Sorted (degree, multiplicity) shape of M mod pv over R = F_q[T]/(pv).
+
+    M = x^h * Q(x) mod pv with deg Q = 3 - h and Q(0) != 0, so x^h gives
+    (1, h); for h = 2 the linear Q adds (1, 1), and for h = 1 the quadratic
+    Q = x^2 + a1 x + a2 splits by its discriminant: a double root, two
+    roots, or none."""
+    if h == 3:
+        return ((1, 3),)
+    if h == 2:
+        return ((1, 1), (1, 2))
+    r1, r0 = reduce_mod(W.a1, R), reduce_mod(W.a2, R)
+    disc = R.sub(R.mul(r1, r1), R.mul(R.from_int(4), r0))
+    if disc == R.zero:
+        return ((1, 1), (1, 2))
+    if R.is_square(disc):
+        return ((1, 1), (1, 1), (1, 1))
+    return ((1, 1), (2, 1))
+
+
 def validate_weil_necessary(W: WeilCubic) -> LocalData:
     """Check the necessary conditions for W to define an isogeny class and
     return the local data at v."""
@@ -268,16 +295,9 @@ def validate_weil_necessary(W: WeilCubic) -> LocalData:
     h = height(W)
     if h < 1:
         raise NotWeilAtVError("constant term is not divisible by pv")
-    _check_unique_local_zero(W, h)
-    _, fac = residue_factor(list(W.coefficients()), W.pv)
-    pattern = tuple(sorted((p.degree, mult) for p, mult in fac.factors))
-    return LocalData(
-        height=h,
-        etale_degree=3 - h,
-        residue_pattern=pattern,
-        supersingular=(h == 3),
-        pv_divides_a2=(h >= 2),
-    )
+    R = ExtensionField(F, W.pv.coeffs)  # pv passed the irreducibility test
+    _check_unique_local_zero(W, h, R)
+    return LocalData(height=h, residue_pattern=_residue_pattern(W, h, R))
 
 
 def standard_form(W: WeilCubic) -> StandardForm:
@@ -331,61 +351,6 @@ def _assert_standard(c1: Poly, c2: Poly) -> None:
             raise InternalInconsistencyError("standard form has square/cube content")
 
 
-def field_discriminant(sf: StandardForm) -> Poly:
-    """Monic field discriminant from the square-free shape of disc_m0,
-    cross-checked prime by prime against the valuation criterion
-    (2 iff v(c1) >= v(c2) >= 1, 1 iff v(disc) odd, else 0)."""
-    d0 = sf.disc_m0
-    if d0.is_zero:
-        raise InternalInconsistencyError("standard form is not separable")
-    decomp = squarefree_decompose(d0)
-    odd_part = Poly.one(d0.field)
-    for part, mult in decomp.parts:
-        if mult % 2:
-            odd_part = odd_part * part
-    d24 = decomp.part(2) * decomp.part(4)
-    shared = poly_gcd(d24, sf.c2) if d24.degree >= 1 else Poly.one(d0.field)
-    delta = (odd_part * shared * shared).monic()
-    _check_valuation_criterion(sf, d0, delta)
-    return delta
-
-
-def _check_valuation_criterion(sf: StandardForm, d0: Poly, delta: Poly) -> None:
-    for part, _ in squarefree_decompose(d0).parts:
-        if part.degree < 1:
-            continue
-        for prime, _ in factor(part).factors:
-            got = valuation(delta, prime) if delta.degree >= 1 else 0
-            v_c1 = None if sf.c1.is_zero else valuation(sf.c1, prime)
-            v_c2 = valuation(sf.c2, prime)
-            if (v_c1 is None or v_c1 >= v_c2) and v_c2 >= 1:
-                want = 2
-            elif valuation(d0, prime) % 2:
-                want = 1
-            else:
-                want = 0
-            if got != want:
-                raise InternalInconsistencyError(
-                    f"field discriminant valuation mismatch at {prime.to_str()}:"
-                    f" formula gives {got}, criterion demands {want}"
-                )
-
-
-def index(sf: StandardForm, delta: Poly) -> Poly:
-    """Monic I with I^2 * delta = disc_m0 up to a unit."""
-    d0 = sf.disc_m0
-    try:
-        quotient = d0.monic().exact_div(delta)
-    except DomainError as exc:
-        raise InternalInconsistencyError(
-            "field discriminant does not divide disc_m0"
-        ) from exc
-    root = exact_sqrt(quotient)
-    if root is None:
-        raise InternalInconsistencyError("disc_m0 / delta is not a perfect square")
-    return root
-
-
 def _beta_candidates_mod_prime_power(sf: StandardForm, prime: Poly, k: int):
     """Solutions beta mod prime^(2k) of M0(beta) = 0 mod prime^(2k) and
     M0'(beta) = 0 mod prime^k, by digit-wise lifting."""
@@ -415,8 +380,9 @@ def _beta_candidates_mod_prime_power(sf: StandardForm, prime: Poly, k: int):
     return [b for b in level if (m0p(b) % pk).is_zero]
 
 
-def integral_basis(sf: StandardForm, I: Poly) -> Tuple[Poly, Poly]:
-    """Solve the congruence system for (alpha2, beta2):
+def integral_basis(sf: StandardForm, index_factors) -> Tuple[Poly, Poly]:
+    """Solve, for I = prod P^k over index_factors ((P, k), ...), the
+    congruence system for (alpha2, beta2):
 
         3 beta2^2 + c1          = 0 mod I
         beta2^3 + c1 beta2 + c2 = 0 mod I^2
@@ -429,12 +395,15 @@ def integral_basis(sf: StandardForm, I: Poly) -> Tuple[Poly, Poly]:
     them the canonically smallest beta2 is returned.
     """
     F = sf.c1.field
-    if I.degree == 0:
+    if not index_factors:
         return Poly.zero(F), Poly.zero(F)
+    I = Poly.one(F)
+    for prime, k in index_factors:
+        I = I * prime**k
     I2 = I * I
     c1, c2 = sf.c1, sf.c2
     per_prime = []
-    for prime, k in factor(I).factors:
+    for prime, k in index_factors:
         cands = _beta_candidates_mod_prime_power(sf, prime, k)
         if not cands:
             raise NoSolutionError(
@@ -463,14 +432,41 @@ def integral_basis(sf: StandardForm, I: Poly) -> Tuple[Poly, Poly]:
 
 
 def maximal_order_data(sf: StandardForm) -> MaximalOrderData:
-    """Run discriminant, index and integral basis in one step."""
-    delta = field_discriminant(sf)
-    idx = index(sf, delta)
-    alpha2, beta2 = integral_basis(sf, idx)
+    """Factor disc(M0) once and read Delta and I off it prime by prime, then
+    solve for the integral basis over the prime powers of I.
+
+    The valuation criterion: v_P(Delta) = 2 when v_P(c2) >= 1 and
+    v_P(c1) >= v_P(c2) (c1 = 0 included), else v_P(disc(M0)) mod 2.  The
+    rest of v_P(disc(M0)) is v_P(I^2): as v_P(disc(M0)) >= 1 the rest is
+    at least -1, and it is an exponent of I^2 exactly when it is even."""
+    d0 = sf.disc_m0
+    if d0.is_zero:
+        raise InternalInconsistencyError("standard form is not separable")
+    F = d0.field
+    delta = index = Poly.one(F)
+    index_factors = []
+    for prime, v in factor(d0).factors:
+        v_c2 = valuation(sf.c2, prime)
+        if v_c2 >= 1 and (sf.c1.is_zero or valuation(sf.c1, prime) >= v_c2):
+            v_delta = 2
+        else:
+            v_delta = v % 2
+        k, odd = divmod(v - v_delta, 2)
+        if odd:
+            raise InternalInconsistencyError(
+                f"disc_m0 / delta is not a perfect square at {prime.to_str()}"
+            )
+        delta = delta * prime**v_delta
+        if k:
+            index = index * prime**k
+            index_factors.append((prime, k))
+    index_factors = tuple(index_factors)
+    alpha2, beta2 = integral_basis(sf, index_factors)
     return MaximalOrderData(
         delta=delta,
-        index=idx,
+        index=index,
+        index_factors=index_factors,
         alpha2=alpha2,
         beta2=beta2,
-        disc_m0=sf.disc_m0,
+        disc_m0=d0,
     )

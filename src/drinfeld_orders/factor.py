@@ -7,8 +7,8 @@ Full factorisation is distinct-degree splitting followed by equal-degree
 splitting; the equal-degree stage draws its random elements from a PRNG
 seeded with a fixed constant, so output is reproducible run to run.
 
-Also here: exact square roots, divisor enumeration, irreducibility tests,
-and reduction of F_q[T]-coefficients into a residue field F_q[T]/(p).
+Also here: divisor enumeration, irreducibility tests, and reduction of
+F_q[T]-coefficients into a residue field F_q[T]/(p).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional, Sequence
 
 from .errors import DomainError
 from .gf import ExtensionField, FiniteField
@@ -38,12 +37,6 @@ class SquarefreeDecomp:
         for part, mult in self.parts:
             out = out * part**mult
         return out
-
-    def part(self, mult: int) -> Poly:
-        for p, m in self.parts:
-            if m == mult:
-                return p
-        return Poly.one(self.field)
 
 
 @dataclass(frozen=True)
@@ -225,25 +218,6 @@ def is_irreducible(f: Poly) -> bool:
     return True
 
 
-def exact_sqrt(f: Poly) -> Optional[Poly]:
-    """The monic square root of monic(f), or None when monic(f) is not a
-    square.  The leading coefficient is ignored."""
-    if f.is_zero:
-        raise DomainError("square root of zero")
-    F = f.field
-    if f.degree == 0:
-        return Poly.one(F)
-    if f.degree % 2:
-        return None
-    decomp = squarefree_decompose(f)
-    root = Poly.one(F)
-    for part, mult in decomp.parts:
-        if mult % 2:
-            return None
-        root = root * part ** (mult // 2)
-    return root
-
-
 def divisors(f: Poly) -> list:
     """All monic divisors of f, sorted canonically."""
     if f.is_zero:
@@ -275,16 +249,3 @@ def reduce_mod(c: Poly, R: ExtensionField):
     r = c % p
     pad = (R.base.zero,) * (R.e - len(r.coeffs))
     return r.coeffs + pad
-
-
-def residue_factor(coeffs: Sequence[Poly], p: Poly):
-    """Factor a polynomial in x with F_q[T] coefficients modulo the prime p.
-
-    coeffs are ascending in x.  Returns (residue field, Factorization of the
-    reduced polynomial over it).
-    """
-    R = make_extension_field(coeffs[0].field, p)
-    reduced = Poly(R, (reduce_mod(c, R) for c in coeffs))
-    if reduced.is_zero:
-        raise DomainError("polynomial vanishes modulo p")
-    return R, factor(reduced)

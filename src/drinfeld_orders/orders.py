@@ -11,14 +11,16 @@ lattice is a ring exactly when M1*M2*H^-1 has entries in A, where M2 is
 the multiplication table of the basis and M1, H are the structure matrices
 of the triple.  An order is an endomorphism ring exactly when it stays
 maximal above v (when pv divides a2, gcd(pv, a*c) = 1), contains the
-Frobenius, and is a ring; the tests run in that order, cheapest first.
+Frobenius, and is a ring.  The first two hold by construction of the
+enumerated triples, so closure is the only test run per triple.
 
 The full sandwich between A[pi] and the maximal order has c running over
 divisors of g, a over divisors of g^2*I (the a-entry of A[pi] itself), and
-b over the multiples of a/gcd(a, g/c) below deg a.  Its size is the
-candidate count checked against the candidate bound, however few triples
-are closure-tested: when pv divides a2, v-maximality acts on the divisors
-(pv is irreducible), so only a and c that pv does not divide are built.
+b over the multiples of a/gcd(a, g/c) below deg a, which is exactly the
+Frobenius-containment condition a | b*(g/c).  Its size is the candidate
+count checked against the candidate bound.  When pv divides a2,
+v-maximality acts on the divisors (pv is irreducible), so only a and c
+that pv does not divide are built.
 """
 
 from __future__ import annotations
@@ -72,9 +74,6 @@ class MultTable:
 @dataclass(frozen=True)
 class OrderReport:
     order: OrderHNF
-    is_closed: bool
-    contains_pi: bool
-    v_maximal: bool
     disc: Poly
     conductor_norm: Poly
     is_endo_ring: bool
@@ -139,24 +138,6 @@ def closure_check(order: OrderHNF, m2: MultTable) -> bool:
     return all(det.divides(entry) for row in prod for entry in row)
 
 
-def contains_frobenius(order: OrderHNF, g: Poly) -> bool:
-    """True iff the Frobenius lies in the lattice: c | g and a | b*(g/c)."""
-    q, r = divmod(g, order.c)
-    if r:
-        return False
-    if order.a.degree == 0:
-        return True
-    return ((order.b * q) % order.a).is_zero
-
-
-def v_maximality(order: OrderHNF, W: WeilCubic, local: LocalData) -> bool:
-    """Maximality above v.  Free when pv does not divide a2; otherwise the
-    conductor norm (a*c)^2 must be prime to pv."""
-    if not local.pv_divides_a2:
-        return True
-    return poly_gcd(W.pv, order.a * order.c).degree == 0
-
-
 def order_disc(order: OrderHNF, delta: Poly) -> Tuple[Poly, Poly]:
     """(disc, conductor norm) = ((a*c)^2 * delta, (a*c)^2), monic."""
     n = order.a * order.c
@@ -203,9 +184,10 @@ def enumerate_candidates(
     """Every admissible (a, b, c) triple, canonically ordered.
 
     c | g and a | g^2*I cover the whole sandwich A[pi] <= O <= O_max; b is
-    constrained by deg b < deg a together with a | b*(g/c), which is the
-    Frobenius-containment shape.  With an irreducible ``prime_to``, only
-    a and c it does not divide are taken.
+    constrained by deg b < deg a together with a | b*(g/c), so every triple
+    contains the Frobenius.  With an irreducible ``prime_to``, only a and c
+    it does not divide are taken: with prime_to = pv, every triple is
+    maximal above v.
     """
     F = sf.c1.field
     g = sf.g
@@ -226,29 +208,14 @@ def enumerate_candidates(
 
 
 def assess_order(
-    order: OrderHNF,
-    W: WeilCubic,
-    local: LocalData,
-    sf: StandardForm,
-    mo: MaximalOrderData,
-    m2: MultTable,
+    order: OrderHNF, mo: MaximalOrderData, m2: MultTable
 ) -> Optional[OrderReport]:
-    """The report of an accepted order; None at the first failed test."""
-    if not (
-        v_maximality(order, W, local)
-        and contains_frobenius(order, sf.g)
-        and closure_check(order, m2)
-    ):
+    """The report of an enumerated triple that is a ring; None otherwise."""
+    if not closure_check(order, m2):
         return None
     disc, conductor_norm = order_disc(order, mo.delta)
     return OrderReport(
-        order=order,
-        is_closed=True,
-        contains_pi=True,
-        v_maximal=True,
-        disc=disc,
-        conductor_norm=conductor_norm,
-        is_endo_ring=True,
+        order=order, disc=disc, conductor_norm=conductor_norm, is_endo_ring=True
     )
 
 
@@ -268,10 +235,7 @@ def analyze_weil_class(
             f"candidate space has {total} triples, above the bound {candidate_bound}"
         )
     prime_to = W.pv if local.pv_divides_a2 else None
-    reports = (
-        assess_order(o, W, local, sf, mo, m2)
-        for o in enumerate_candidates(sf, mo, prime_to)
-    )
+    reports = (assess_order(o, mo, m2) for o in enumerate_candidates(sf, mo, prime_to))
     accepted = tuple(r for r in reports if r is not None)
     if not accepted or accepted[0].order != OrderHNF(
         a=Poly.one(W.field), b=Poly.zero(W.field), c=Poly.one(W.field)

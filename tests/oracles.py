@@ -3,7 +3,10 @@
 Everything here deliberately avoids the code paths it is used to check:
 ring closure is decided by multiplying companion-matrix representations of
 the generators and testing lattice membership coordinate-wise, the field
-discriminant is recomputed from the trace form, the integral basis is found
+discriminant is recomputed from the trace form and from the square-free
+shape of disc(M0), the residue pattern at v by factoring M mod pv over the
+residue field, Frobenius containment and v-maximality are tested on the
+triple itself, the integral basis is found
 by scanning every residue mod I^2, a root of M in A by scanning every unit
 times every divisor of a0, field arithmetic is redone on coefficient tuples
 without calling the field object, skew products are taken in full from
@@ -29,8 +32,12 @@ from drinfeld_orders import (
     WeilCubic,
     analyze_weil_class,
     divisors,
+    factor,
+    make_extension_field,
     poly_gcd,
+    squarefree_decompose,
 )
+from drinfeld_orders.factor import reduce_mod
 from drinfeld_orders.poly import polys_below_degree
 
 # instance generation may hit these; anything else (in particular
@@ -125,6 +132,83 @@ def integral_basis_oracle(sf, I: Poly):
     )
     beta = min(solutions, key=lambda b: b.sort_key())
     return (beta * beta).scale_int(-2) % I, beta
+
+
+# -- discriminant, square roots and residue factorisation ---------------------
+
+
+def exact_sqrt(f: Poly):
+    """The monic square root of monic(f), or None when monic(f) is not a
+    square.  The leading coefficient is ignored."""
+    if f.is_zero:
+        raise DomainError("square root of zero")
+    F = f.field
+    if f.degree == 0:
+        return Poly.one(F)
+    if f.degree % 2:
+        return None
+    root = Poly.one(F)
+    for part, mult in squarefree_decompose(f).parts:
+        if mult % 2:
+            return None
+        root = root * part ** (mult // 2)
+    return root
+
+
+def field_discriminant_oracle(sf) -> Poly:
+    """Monic field discriminant from the square-free shape of disc(M0): the
+    parts of odd multiplicity, times the square of the common part of c2
+    and the parts of multiplicity 2 and 4."""
+    d0 = sf.disc_m0
+    F = d0.field
+    parts = {mult: part for part, mult in squarefree_decompose(d0).parts}
+    odd_part = Poly.one(F)
+    for mult, part in parts.items():
+        if mult % 2:
+            odd_part = odd_part * part
+    d24 = parts.get(2, Poly.one(F)) * parts.get(4, Poly.one(F))
+    shared = poly_gcd(d24, sf.c2) if d24.degree >= 1 else Poly.one(F)
+    return (odd_part * shared * shared).monic()
+
+
+def residue_factor(coeffs, p: Poly):
+    """Factor a polynomial in x with F_q[T] coefficients modulo the prime p.
+
+    coeffs are ascending in x.  Returns (residue field, Factorization of the
+    reduced polynomial over it).
+    """
+    R = make_extension_field(coeffs[0].field, p)
+    reduced = Poly(R, (reduce_mod(c, R) for c in coeffs))
+    if reduced.is_zero:
+        raise DomainError("polynomial vanishes modulo p")
+    return R, factor(reduced)
+
+
+def residue_pattern_oracle(W: WeilCubic) -> tuple:
+    """Sorted (degree, multiplicity) shape of M mod pv by factorisation."""
+    _, fac = residue_factor(list(W.coefficients()), W.pv)
+    return tuple(sorted((p.degree, mult) for p, mult in fac.factors))
+
+
+# -- the two tests the enumeration satisfies by construction -------------------
+
+
+def contains_frobenius(order: OrderHNF, g: Poly) -> bool:
+    """True iff the Frobenius lies in the lattice: c | g and a | b*(g/c)."""
+    q, r = divmod(g, order.c)
+    if r:
+        return False
+    if order.a.degree == 0:
+        return True
+    return ((order.b * q) % order.a).is_zero
+
+
+def v_maximality(order: OrderHNF, W: WeilCubic, local) -> bool:
+    """Maximality above v.  Free when pv does not divide a2; otherwise the
+    conductor norm (a*c)^2 must be prime to pv."""
+    if not local.pv_divides_a2:
+        return True
+    return poly_gcd(W.pv, order.a * order.c).degree == 0
 
 
 # -- 3x3 polynomial matrices -------------------------------------------------

@@ -28,7 +28,6 @@ from drinfeld_orders import (
     analyze_weil_class,
     closure_check,
     divisors,
-    exact_sqrt,
     factor,
     frobenius_order_hnf,
     identify_endo_ring,
@@ -37,7 +36,7 @@ from drinfeld_orders import (
     survey_candidates,
 )
 
-from oracles import closure_oracle, paper_weil
+from oracles import closure_oracle, exact_sqrt, paper_weil
 from test_factor import _independent_irreducible
 from test_gf import build_field
 from test_poly import rand_poly

@@ -1,34 +1,41 @@
 from __future__ import annotations
 
+import importlib
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from drinfeld_orders import (
     BadConstantTermError,
     Char3UnsupportedError,
+    ExtensionField,
+    InternalInconsistencyError,
     Poly,
     PrimeField,
     ReducibleError,
     WeilCubic,
+    analyze_weil_class,
     divisors,
     factor,
-    field_discriminant,
     height,
-    index,
     integral_basis,
     is_irreducible,
+    maximal_order_data,
     poly_gcd,
     standard_form,
     validate_weil_necessary,
 )
-from drinfeld_orders.cubic import _check_irreducible_over_k
+import drinfeld_orders.cubic as cubic_module
+from drinfeld_orders.cubic import _check_irreducible_over_k, _residue_pattern
 from drinfeld_orders.factor import make_extension_field
 from drinfeld_orders.poly import polys_below_degree, valuation
 
 from oracles import (
     RatFunc,
+    field_discriminant_oracle,
     integral_basis_oracle,
+    residue_pattern_oracle,
     root_in_a_oracle,
     trace_form_discriminant,
 )
@@ -287,7 +294,7 @@ def test_field_discriminant_squarefree_disc(f5):
     sf = standard_form(W)
     decomp = squarefree_decompose(sf.disc_m0)
     assert all(m == 1 for _, m in decomp.parts)
-    delta = field_discriminant(sf)
+    delta = maximal_order_data(sf).delta
     assert delta == sf.disc_m0.monic()
 
 
@@ -315,9 +322,10 @@ def test_index_trivial_when_delta_is_disc(f5):
     T = Poly.x(f5)
     W = WeilCubic(field=f5, a1=Poly.zero(f5), a2=T, mu=f5.element(1), pv=T, m=1)
     sf = standard_form(W)
-    delta = field_discriminant(sf)
+    mo = maximal_order_data(sf)
+    delta = mo.delta
     assert delta == sf.disc_m0.monic()
-    assert index(sf, delta).is_one
+    assert mo.index.is_one
 
 
 def test_index_against_divisor_search(instance_pool):
@@ -342,7 +350,7 @@ def test_integral_basis_trivial_when_index_one(f5):
     T = Poly.x(f5)
     W = WeilCubic(field=f5, a1=Poly.zero(f5), a2=T, mu=f5.element(1), pv=T, m=1)
     sf = standard_form(W)
-    alpha2, beta2 = integral_basis(sf, Poly.one(f5))
+    alpha2, beta2 = integral_basis(sf, ())
     assert alpha2.is_zero and beta2.is_zero
 
 
@@ -391,7 +399,7 @@ def test_integral_basis_lifting_path_matches_exhaustive(instance_pool):
         sf, I = analysis.sf, analysis.mo.index
         if I.degree < 1:
             continue
-        assert integral_basis(sf, I) == integral_basis_oracle(sf, I)
+        assert integral_basis(sf, factor(I).factors) == integral_basis_oracle(sf, I)
         checked += 1
         if len(factor(I).factors) > 1:
             multi_prime += 1
@@ -460,3 +468,123 @@ def test_disc_identity_and_trace_form(instance_pool):
     for analysis in instance_pool[:8]:
         got = trace_form_discriminant(analysis.sf, analysis.mo)
         assert got.monic() == analysis.mo.delta
+
+
+def test_delta_matches_squarefree_shape_and_trace_form(instance_pool):
+    # Delta read off the valuation criterion agrees with the square-free
+    # shape of disc(M0) and with the discriminant of the trace form
+    for analysis in instance_pool:
+        sf, mo = analysis.sf, analysis.mo
+        assert mo.delta == field_discriminant_oracle(sf)
+        assert trace_form_discriminant(sf, mo).monic() == mo.delta
+
+
+def test_index_factors_are_the_factorisation_of_i(instance_pool):
+    for analysis in instance_pool:
+        mo = analysis.mo
+        assert mo.index_factors == factor(mo.index).factors
+
+
+@pytest.mark.parametrize("v", [1, 3])
+def test_odd_index_exponent_raises(f5, v):
+    # c1 = 0 and v_T(c2) = 1 give v_T(Delta) = 2 by the criterion, so a
+    # disc(M0) with v_T = 1 or 3 leaves a negative or odd exponent for I^2
+    T = Poly.x(f5)
+    sf = SimpleNamespace(c1=Poly.zero(f5), c2=T, disc_m0=T**v)
+    with pytest.raises(InternalInconsistencyError, match="perfect square"):
+        maximal_order_data(sf)
+
+
+def test_residue_pattern_matches_factorisation_on_pool(instance_pool):
+    for analysis in instance_pool:
+        assert analysis.local.residue_pattern == residue_pattern_oracle(analysis.weil)
+
+
+def residue_shape_fields():
+    F5 = PrimeField(5)
+    F25 = make_extension_field(F5, Poly.from_ints(F5, [2, 0, 1]))
+    out = []
+    for F in (F5, F25):
+        T = Poly.x(F)
+        quadratics = (T * T + Poly.const(F, F.element(i)) for i in range(1, F.q))
+        quadratic = next(f for f in quadratics if is_irreducible(f))
+        out += [(F, T + Poly.const(F, F.element(2))), (F, quadratic)]
+    return out
+
+
+def planted_residue_cubic(F, pv, shape, rng):
+    """A cubic M = x^3 + a1 x^2 + a2 x + mu pv^m with M mod pv of the given
+    shape: x^3, x^2 (x - s), or x (x - s)(x - t) with t = s ("double"),
+    t != s ("split"), or x (x^2 + b x + c) irreducible ("irreducible").
+    Residues are lifted as polynomials of degree < deg pv, and random
+    multiples of pv are added on top."""
+    R = make_extension_field(F, pv)  # residue field, for building only
+
+    def lift(r):
+        return Poly(F, r) + pv * Poly(F, [F.element(rng.randrange(F.q)) for _ in range(3)])
+
+    def unit():
+        return R.element(rng.randrange(1, R.q))
+
+    if shape == "h3":
+        a1, a2 = lift(R.zero), lift(R.zero)
+    elif shape == "h2":
+        a1, a2 = lift(R.neg(unit())), lift(R.zero)
+    elif shape == "irreducible":
+        while True:
+            b, c = R.element(rng.randrange(R.q)), unit()
+            if is_irreducible(Poly(R, (c, b, R.one))):
+                break
+        a1, a2 = lift(b), lift(c)
+    else:
+        s = unit()
+        t = s if shape == "double" else next(
+            u for u in (unit() for _ in range(100)) if u != s
+        )
+        a1, a2 = lift(R.neg(R.add(s, t))), lift(R.mul(s, t))
+    mu = F.element(rng.randrange(1, F.q))
+    return WeilCubic(field=F, a1=a1, a2=a2, mu=mu, pv=pv, m=rng.randrange(1, 4))
+
+
+RESIDUE_SHAPES = {
+    "h3": ((1, 3),),
+    "h2": ((1, 1), (1, 2)),
+    "split": ((1, 1), (1, 1), (1, 1)),
+    "double": ((1, 1), (1, 2)),
+    "irreducible": ((1, 1), (2, 1)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(RESIDUE_SHAPES))
+def test_residue_pattern_closed_form_on_planted_cubics(shape):
+    # the closed form against factoring M mod pv, over F_5 and F_25 with
+    # deg pv = 1 and 2; the cubics need not define an isogeny class
+    rng = random.Random(f"residue/{shape}")
+    for F, pv in residue_shape_fields():
+        for _ in range(4):
+            W = planted_residue_cubic(F, pv, shape, rng)
+            R = ExtensionField(F, pv.coeffs)
+            got = _residue_pattern(W, height(W), R)
+            assert got == residue_pattern_oracle(W) == RESIDUE_SHAPES[shape]
+
+
+def test_pv_tested_for_irreducibility_once_per_class(f5, monkeypatch):
+    # h = 2 and deg pv = 2: x^3 + T x^2 + T(T^2 + 2) x + (T^2 + 2) over F_5
+    T = Poly.x(f5)
+    pv = T * T + Poly.const(f5, f5.element(2))
+    W = WeilCubic(field=f5, a1=T, a2=T * pv, mu=f5.one, pv=pv, m=1)
+    # the package exports a function named factor, so import the module by path
+    factor_module = importlib.import_module("drinfeld_orders.factor")
+    calls = []
+    original = factor_module.is_irreducible
+
+    def counting(f):
+        calls.append(f)
+        return original(f)
+
+    # every binding through which the pipeline may reach the Rabin test
+    monkeypatch.setattr(factor_module, "is_irreducible", counting)
+    monkeypatch.setattr(cubic_module, "is_irreducible", counting)
+    analysis = analyze_weil_class(W)
+    assert analysis.local.height == 2 and analysis.local.pv_divides_a2
+    assert calls == [pv]

@@ -9,14 +9,13 @@ from drinfeld_orders import (
     Poly,
     PrimeField,
     divisors,
-    exact_sqrt,
     factor,
     is_irreducible,
-    residue_factor,
     squarefree_decompose,
 )
 from drinfeld_orders.poly import polys_below_degree
 
+from oracles import exact_sqrt, residue_factor
 from test_gf import FIELDS
 from test_poly import rand_poly
 

@@ -94,7 +94,7 @@ def test_supersingular_constant_standard_form_end_to_end():
     assert analysis.mo.delta.is_one and analysis.mo.index.is_one
     frob = analysis.frobenius_order()
     assert frob == OrderHNF(a=T * T, b=Poly.zero(F), c=T)
-    from drinfeld_orders import v_maximality
+    from oracles import v_maximality
 
     assert not v_maximality(frob, W, analysis.local)
     assert [r.order for r in analysis.orders] == [
