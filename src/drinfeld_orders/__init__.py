@@ -2,11 +2,11 @@
 rank-3 Drinfeld modules over a finite A-field.
 
 The pipeline: validate the class descriptor and read its residue pattern
-at v in closed form, compute the standard form and the maximal-order data
-(field discriminant, index and its prime powers from one factorisation of
-disc(M0), integral basis), build the multiplication table, enumerate the
-suborders that contain the Frobenius and stay maximal above v by
-construction, keep those that pass the closure test, and optionally
+at v in closed form, factor disc(M) = g^6 disc(M0) once for the standard
+form and the primes of g and disc(M0), read the maximal-order data off them
+(field discriminant, index, integral basis), build the multiplication
+table, enumerate the suborders that contain the Frobenius and stay maximal
+above v by construction, keep those that pass the closure test, and optionally
 identify the endomorphism ring of concrete modules given by phi_T through
 skew right-division.  The candidate count and bound are the size of the
 full sandwich A[pi] <= O <= O_max.
@@ -58,6 +58,7 @@ from .orders import (
     frobenius_order_hnf,
     mult_table,
     order_disc,
+    sandwich_divisors,
 )
 from .poly import Poly, poly_gcd, poly_gcdext, valuation
 from .skew import (

@@ -390,7 +390,6 @@ def _ident_line(entry: dict) -> str:
 
 
 def render_text(report: dict, analysis: ClassAnalysis) -> str:
-    labels = _label_fn(analysis)
     lines = []
     inp = report["inputs"]
     lines.append("== isogeny class ==")

@@ -8,10 +8,11 @@ standard form x^3 + c1*x + c2, and from it the maximal-order data.
 
 The residue splitting is read in closed form from M = x^h * R(x) mod pv;
 only the quadratic R of height 1 needs a square test in F_q[T]/(pv).  The
-maximal-order data come from one factorisation of disc(M0): for each prime
-P the valuation criterion fixes v_P(Delta) in {0, 1, 2}, the index I has
-v_P(I) = (v_P(disc(M0)) - v_P(Delta)) / 2, and the integral-basis
-parameters (alpha2, beta2) with
+standard form factors disc(M) = g^6 disc(M0) once, the only factorisation
+of the class, and reads off the primes of the content g and of disc(M0).
+For each prime P of disc(M0) the valuation criterion fixes v_P(Delta) in
+{0, 1, 2}, the index I has v_P(I) = (v_P(disc(M0)) - v_P(Delta)) / 2, and
+the integral-basis parameters (alpha2, beta2) with
 
     omega2 = (alpha2 + beta2*pi~ + pi~^2) / I
 
@@ -46,13 +47,13 @@ from .errors import (
     NotWeilAtVError,
     ReducibleError,
 )
-from .factor import factor, is_irreducible, reduce_mod, squarefree_decompose
+from .factor import factor, is_irreducible, reduce_mod
 
 # not called here any more; bench/tests/test_bench.py checks that the tracer
 # rewraps this binding, so it stays until that test names another one
 from .factor import divisors  # noqa: F401
 from .gf import ExtensionField, FiniteField
-from .poly import Poly, polys_below_degree, poly_crt, poly_gcd, valuation
+from .poly import Poly, polys_below_degree, poly_crt, valuation
 
 
 @dataclass(frozen=True)
@@ -93,28 +94,34 @@ class LocalData:
         return self.height >= 2
 
 
+def _depressed_disc(e1: Poly, e2: Poly) -> Poly:
+    """Discriminant -4 e1^3 - 27 e2^2 of x^3 + e1 x + e2."""
+    return (e1**3).scale_int(-4) + (e2 * e2).scale_int(-27)
+
+
 @dataclass(frozen=True)
 class StandardForm:
     """Depressed data b1, b2 and the reduction to the standard c1, c2.
 
-    g1 and g2 hold the square/cube content of b1 and b2; g = gcd(g1, g2).
-    When b1 = 0 the content g1 is stored as the zero polynomial, which
-    behaves correctly under gcd.  Invariant: c1 = b1/g^2 and c2 = b2/g^3
-    exactly, and no prime divides c1 twice and c2 three times.
+    g is the square/cube content: the largest monic g with g^2 | b1 and
+    g^3 | b2.  g_factors and disc_m0_factors hold the factorisations
+    ((P, k), ...) of g and of disc(M0) in canonical order, both read off
+    the one factorisation of disc(M) = g^6 disc(M0).  Invariant: c1 =
+    b1/g^2 and c2 = b2/g^3 exactly.
     """
 
     b1: Poly
     b2: Poly
-    g1: Poly
-    g2: Poly
     g: Poly
     c1: Poly
     c2: Poly
+    g_factors: tuple
+    disc_m0_factors: tuple
 
     @property
     def disc_m0(self) -> Poly:
         """Discriminant -4 c1^3 - 27 c2^2 of the standard form."""
-        return (self.c1**3).scale_int(-4) + (self.c2 * self.c2).scale_int(-27)
+        return _depressed_disc(self.c1, self.c2)
 
 
 @dataclass(frozen=True)
@@ -136,16 +143,14 @@ def height(W: WeilCubic) -> int:
     raise InternalInconsistencyError("M(x) vanishes identically mod pv")
 
 
-def _cubic_disc(W: WeilCubic) -> Poly:
-    """Discriminant of the full cubic (with the quadratic term present)."""
-    a1, a2, a0 = W.a1, W.a2, W.a0
-    return (
-        (a1 * a2 * a0).scale_int(18)
-        - (a1**3 * a0).scale_int(4)
-        + (a1 * a1) * (a2 * a2)
-        - (a2**3).scale_int(4)
-        - (a0 * a0).scale_int(27)
-    )
+def _depress(W: WeilCubic) -> Tuple[Poly, Poly]:
+    """(b1, b2) with M(x - a1/3) = x^3 + b1 x + b2; needs p != 3."""
+    F = W.field
+    third = F.inv(F.from_int(3))
+    two_over_27 = F.div(F.from_int(2), F.from_int(27))
+    b1 = W.a2 - (W.a1 * W.a1).scale(third)
+    b2 = (W.a1**3).scale(two_over_27) - (W.a1 * W.a2).scale(third) + W.a0
+    return b1, b2
 
 
 def _check_irreducible_over_k(W: WeilCubic) -> None:
@@ -203,19 +208,17 @@ def _check_unique_local_zero(W: WeilCubic, h: int, R: ExtensionField) -> None:
     root sits in its own factor and the remaining constant terms are
     units.  For h = 2 the two positive-valuation roots must be conjugate,
     which (characteristic not 2) holds iff disc(M) is a non-square in the
-    completion, decided exactly.  For h = 3 the Newton polygon must be a
-    single segment and the residual cubic must not split; a perfect-cube
-    residual stays undecided at this level and is accepted.
+    completion (disc(M) is that of the depressed cubic), decided exactly.
+    For h = 3 the Newton polygon must be a single segment and the residual
+    cubic must not split; a perfect-cube residual stays undecided at this
+    level and is accepted.
     """
     if h == 1:
         return
     pv = W.pv
     m = W.m
-    v_a2 = None if W.a2.is_zero else valuation(W.a2, pv)
-    v_a1 = None if W.a1.is_zero else valuation(W.a1, pv)
-
     if h == 2:
-        d = _cubic_disc(W)
+        d = _depressed_disc(*_depress(W))
         v = valuation(d, pv)
         if v % 2:
             return
@@ -228,6 +231,8 @@ def _check_unique_local_zero(W: WeilCubic, h: int, R: ExtensionField) -> None:
         return
 
     # h == 3: supersingular shape, M must be irreducible over k_v
+    v_a2 = None if W.a2.is_zero else valuation(W.a2, pv)
+    v_a1 = None if W.a1.is_zero else valuation(W.a1, pv)
     points = [(0, m), (3, 0)]
     if v_a2 is not None:
         points.append((1, v_a2))
@@ -302,53 +307,46 @@ def validate_weil_necessary(W: WeilCubic) -> LocalData:
 
 def standard_form(W: WeilCubic) -> StandardForm:
     """Depress the cubic and strip square/cube content down to the standard
-    x^3 + c1 x + c2."""
+    x^3 + c1 x + c2.  A prime of g divides b1 and b2, hence disc(M) =
+    -4 b1^3 - 27 b2^2: its one factorisation gives v_P(g) = min(v_P(b1) // 2,
+    v_P(b2) // 3) (the second alone when b1 = 0) and v_P(disc(M0)) =
+    v_P(disc(M)) - 6 v_P(g)."""
     F = W.field
     if F.p == 3:
         raise Char3UnsupportedError("characteristic 3 is not supported")
     if F.p == 2:
         raise Char2UnsupportedError("characteristic 2 is not supported")
-    third = F.inv(F.from_int(3))
-    two_over_27 = F.div(F.from_int(2), F.from_int(27))
-    b1 = W.a2 - (W.a1 * W.a1).scale(third)
-    b2 = (W.a1**3).scale(two_over_27) - (W.a1 * W.a2).scale(third) + W.a0
+    b1, b2 = _depress(W)
     if b2.is_zero:
         raise InternalInconsistencyError(
             "depressed cubic has zero constant term; M(x) is reducible"
         )
-    if b1.is_zero:
-        g1 = Poly.zero(F)
-    else:
-        g1 = Poly.one(F)
-        for part, mult in squarefree_decompose(b1).parts:
-            g1 = g1 * part ** (mult // 2)
-    g2 = Poly.one(F)
-    for part, mult in squarefree_decompose(b2).parts:
-        g2 = g2 * part ** (mult // 3)
-    g = poly_gcd(g1, g2)
+    d = _depressed_disc(b1, b2)
+    if d.is_zero:
+        raise InternalInconsistencyError("standard form is not separable")
+    g = Poly.one(F)
+    g_factors = []
+    disc_m0_factors = []
+    for prime, v in factor(d).factors:
+        k = valuation(b2, prime) // 3
+        if not b1.is_zero:
+            k = min(k, valuation(b1, prime) // 2)
+        if k:
+            g = g * prime**k
+            g_factors.append((prime, k))
+        if v > 6 * k:
+            disc_m0_factors.append((prime, v - 6 * k))
     try:
-        c1 = b1.exact_div(g * g) if not b1.is_zero else b1
+        c1 = b1.exact_div(g * g)
         c2 = b2.exact_div(g**3)
     except DomainError as exc:
         raise InternalInconsistencyError(
             "square/cube content does not divide exactly"
         ) from exc
-    _assert_standard(c1, c2)
-    return StandardForm(b1=b1, b2=b2, g1=g1, g2=g2, g=g, c1=c1, c2=c2)
-
-
-def _assert_standard(c1: Poly, c2: Poly) -> None:
-    if c1.is_zero:
-        for _, mult in squarefree_decompose(c2).parts:
-            if mult >= 3:
-                raise InternalInconsistencyError("standard form has cubic content")
-        return
-    common = poly_gcd(c1, c2)
-    if common.degree < 1:
-        return
-    for prime, _ in factor(common).factors:
-        if valuation(c1, prime) >= 2 and valuation(c2, prime) >= 3:
-            raise InternalInconsistencyError("standard form has square/cube content")
+    return StandardForm(
+        b1=b1, b2=b2, g=g, c1=c1, c2=c2,
+        g_factors=tuple(g_factors), disc_m0_factors=tuple(disc_m0_factors),
+    )
 
 
 def _beta_candidates_mod_prime_power(sf: StandardForm, prime: Poly, k: int):
@@ -432,22 +430,25 @@ def integral_basis(sf: StandardForm, index_factors) -> Tuple[Poly, Poly]:
 
 
 def maximal_order_data(sf: StandardForm) -> MaximalOrderData:
-    """Factor disc(M0) once and read Delta and I off it prime by prime, then
-    solve for the integral basis over the prime powers of I.
+    """Read Delta and I off the stored factorisation of disc(M0) prime by
+    prime, then solve for the integral basis over the prime powers of I.
 
     The valuation criterion: v_P(Delta) = 2 when v_P(c2) >= 1 and
     v_P(c1) >= v_P(c2) (c1 = 0 included), else v_P(disc(M0)) mod 2.  The
     rest of v_P(disc(M0)) is v_P(I^2): as v_P(disc(M0)) >= 1 the rest is
-    at least -1, and it is an exponent of I^2 exactly when it is even."""
+    at least -1, and it is an exponent of I^2 exactly when it is even.  A
+    prime dividing c1 twice and c2 three times divides disc(M0), so the same
+    loop checks that (c1, c2) is standard."""
     d0 = sf.disc_m0
-    if d0.is_zero:
-        raise InternalInconsistencyError("standard form is not separable")
     F = d0.field
     delta = index = Poly.one(F)
     index_factors = []
-    for prime, v in factor(d0).factors:
+    for prime, v in sf.disc_m0_factors:
         v_c2 = valuation(sf.c2, prime)
-        if v_c2 >= 1 and (sf.c1.is_zero or valuation(sf.c1, prime) >= v_c2):
+        v_c1 = None if sf.c1.is_zero else valuation(sf.c1, prime)
+        if v_c2 >= 3 and (v_c1 is None or v_c1 >= 2):
+            raise InternalInconsistencyError("standard form has square/cube content")
+        if v_c2 >= 1 and (v_c1 is None or v_c1 >= v_c2):
             v_delta = 2
         else:
             v_delta = v % 2

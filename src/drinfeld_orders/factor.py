@@ -7,8 +7,8 @@ Full factorisation is distinct-degree splitting followed by equal-degree
 splitting; the equal-degree stage draws its random elements from a PRNG
 seeded with a fixed constant, so output is reproducible run to run.
 
-Also here: divisor enumeration, irreducibility tests, and reduction of
-F_q[T]-coefficients into a residue field F_q[T]/(p).
+Also here: divisors from a given factorisation, irreducibility tests, and
+reduction of F_q[T]-coefficients into a residue field F_q[T]/(p).
 """
 
 from __future__ import annotations
@@ -32,12 +32,6 @@ class SquarefreeDecomp:
     unit: object
     parts: tuple  # ((Poly, int), ...), multiplicities strictly increasing
 
-    def expand(self) -> Poly:
-        out = Poly.const(self.field, self.unit)
-        for part, mult in self.parts:
-            out = out * part**mult
-        return out
-
 
 @dataclass(frozen=True)
 class Factorization:
@@ -46,12 +40,6 @@ class Factorization:
     field: FiniteField
     unit: object
     factors: tuple  # ((Poly, int), ...)
-
-    def expand(self) -> Poly:
-        out = Poly.const(self.field, self.unit)
-        for p, m in self.factors:
-            out = out * p**m
-        return out
 
 
 def _pth_root(f: Poly) -> Poly:
@@ -218,16 +206,14 @@ def is_irreducible(f: Poly) -> bool:
     return True
 
 
-def divisors(f: Poly) -> list:
-    """All monic divisors of f, sorted canonically."""
-    if f.is_zero:
-        raise DomainError("divisors of zero")
-    fac = factor(f)
+def divisors(field: FiniteField, factors) -> list:
+    """All monic divisors of prod P^k over factors ((P, k), ...), sorted
+    canonically; the primes must be distinct."""
     out = []
-    choices = [range(m + 1) for _, m in fac.factors]
+    choices = [range(k + 1) for _, k in factors]
     for exponents in product(*choices):
-        d = Poly.one(f.field)
-        for (p, _), e in zip(fac.factors, exponents):
+        d = Poly.one(field)
+        for (p, _), e in zip(factors, exponents):
             d = d * p**e
         out.append(d)
     out.sort(key=lambda t: t.sort_key())

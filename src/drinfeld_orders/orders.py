@@ -15,8 +15,9 @@ Frobenius, and is a ring.  The first two hold by construction of the
 enumerated triples, so closure is the only test run per triple.
 
 The full sandwich between A[pi] and the maximal order has c running over
-divisors of g, a over divisors of g^2*I (the a-entry of A[pi] itself), and
-b over the multiples of a/gcd(a, g/c) below deg a, which is exactly the
+divisors of g, a over divisors of g^2*I (the a-entry of A[pi] itself),
+both built once per class from the stored primes of g and I, and b over
+the multiples of a/gcd(a, g/c) below deg a, which is exactly the
 Frobenius-containment condition a | b*(g/c).  Its size is the candidate
 count checked against the candidate bound.  When pv divides a2,
 v-maximality acts on the divisors (pv is irreducible), so only a and c
@@ -163,35 +164,38 @@ class ClassAnalysis:
     candidate_count: int  # size of the full sandwich A[pi] <= O <= O_max
     orders: tuple  # OrderReport of each accepted order, canonical order
 
-    def frobenius_order(self) -> OrderHNF:
-        return frobenius_order_hnf(self.sf, self.mo)
+
+def sandwich_divisors(sf: StandardForm, mo: MaximalOrderData) -> Tuple[list, list]:
+    """(divisors c of g, divisors a of g^2*I), from the stored primes of g
+    and I; nothing is factored."""
+    F = sf.c1.field
+    a_exps = {prime: 2 * k for prime, k in sf.g_factors}
+    for prime, k in mo.index_factors:
+        a_exps[prime] = a_exps.get(prime, 0) + k
+    return divisors(F, sf.g_factors), divisors(F, tuple(a_exps.items()))
 
 
-def _sandwich_divisors(sf: StandardForm, mo: MaximalOrderData):
-    return divisors(sf.g), divisors(frobenius_order_hnf(sf, mo).a)
-
-
-def _candidate_count(sf: StandardForm, mo: MaximalOrderData) -> int:
+def _candidate_count(sf: StandardForm, sandwich: Tuple[list, list]) -> int:
     """Size of the full sandwich: q^deg gcd(a, g/c) triples for each (a, c)."""
     q, g = sf.c1.field.q, sf.g
-    cs, as_ = _sandwich_divisors(sf, mo)
+    cs, as_ = sandwich
     return sum(q ** poly_gcd(a, g.exact_div(c)).degree for c in cs for a in as_)
 
 
 def enumerate_candidates(
-    sf: StandardForm, mo: MaximalOrderData, prime_to: Optional[Poly] = None
+    sf: StandardForm, sandwich: Tuple[list, list], prime_to: Optional[Poly] = None
 ) -> list:
     """Every admissible (a, b, c) triple, canonically ordered.
 
-    c | g and a | g^2*I cover the whole sandwich A[pi] <= O <= O_max; b is
-    constrained by deg b < deg a together with a | b*(g/c), so every triple
-    contains the Frobenius.  With an irreducible ``prime_to``, only a and c
-    it does not divide are taken: with prime_to = pv, every triple is
-    maximal above v.
+    The divisors c | g and a | g^2*I of ``sandwich_divisors`` cover the
+    whole sandwich A[pi] <= O <= O_max; b is constrained by deg b < deg a
+    together with a | b*(g/c), so every triple contains the Frobenius.
+    With an irreducible ``prime_to``, only a and c it does not divide are
+    taken: with prime_to = pv, every triple is maximal above v.
     """
     F = sf.c1.field
     g = sf.g
-    cs, as_ = _sandwich_divisors(sf, mo)
+    cs, as_ = sandwich
     if prime_to is not None:
         cs = [c for c in cs if not prime_to.divides(c)]
         as_ = [a for a in as_ if not prime_to.divides(a)]
@@ -229,13 +233,15 @@ def analyze_weil_class(
     sf = standard_form(W)
     mo = maximal_order_data(sf)
     m2 = mult_table(sf, mo)
-    total = _candidate_count(sf, mo)
+    sandwich = sandwich_divisors(sf, mo)
+    total = _candidate_count(sf, sandwich)
     if total > candidate_bound:
         raise CandidateBoundExceededError(
             f"candidate space has {total} triples, above the bound {candidate_bound}"
         )
     prime_to = W.pv if local.pv_divides_a2 else None
-    reports = (assess_order(o, mo, m2) for o in enumerate_candidates(sf, mo, prime_to))
+    candidates = enumerate_candidates(sf, sandwich, prime_to)
+    reports = (assess_order(o, mo, m2) for o in candidates)
     accepted = tuple(r for r in reports if r is not None)
     if not accepted or accepted[0].order != OrderHNF(
         a=Poly.one(W.field), b=Poly.zero(W.field), c=Poly.one(W.field)

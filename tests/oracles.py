@@ -1,7 +1,8 @@
 """Independent oracles and instance generators shared by the test suite.
 
 Everything here deliberately avoids the code paths it is used to check:
-ring closure is decided by multiplying companion-matrix representations of
+the content g comes from square-free decompositions of b1 and b2, ring
+closure is decided by multiplying companion-matrix representations of
 the generators and testing lattice membership coordinate-wise, the field
 discriminant is recomputed from the trace form and from the square-free
 shape of disc(M0), the residue pattern at v by factoring M mod pv over the
@@ -24,6 +25,7 @@ from drinfeld_orders import (
     CandidateBoundExceededError,
     ClassAnalysis,
     DomainError,
+    Factorization,
     NotWeilAtVError,
     OrderHNF,
     Poly,
@@ -134,7 +136,32 @@ def integral_basis_oracle(sf, I: Poly):
     return (beta * beta).scale_int(-2) % I, beta
 
 
-# -- discriminant, square roots and residue factorisation ---------------------
+# -- factorisations, content, discriminant, square roots and residues --------
+
+
+def expand(fac) -> Poly:
+    """unit * prod(P^k) of a Factorization or a SquarefreeDecomp."""
+    pairs = fac.factors if isinstance(fac, Factorization) else fac.parts
+    out = Poly.const(fac.field, fac.unit)
+    for part, mult in pairs:
+        out = out * part**mult
+    return out
+
+
+def content_oracle(b1: Poly, b2: Poly) -> Poly:
+    """The square/cube content g = gcd(g1, g2) of (b1, b2) from square-free
+    decompositions: g1 = prod part^(mult // 2) over b1 (zero when b1 = 0,
+    which gcd ignores) and g2 = prod part^(mult // 3) over b2."""
+    F = b2.field
+    g1 = Poly.zero(F)
+    if not b1.is_zero:
+        g1 = Poly.one(F)
+        for part, mult in squarefree_decompose(b1).parts:
+            g1 = g1 * part ** (mult // 2)
+    g2 = Poly.one(F)
+    for part, mult in squarefree_decompose(b2).parts:
+        g2 = g2 * part ** (mult // 3)
+    return poly_gcd(g1, g2)
 
 
 def exact_sqrt(f: Poly):
@@ -317,8 +344,8 @@ def sandwich_endo_oracle(analysis: ClassAnalysis):
     one = Poly.one(F)
     pi, pi2 = frobenius_coords(W, sf)
     accepted = []
-    for c in divisors(g):
-        for a in divisors(g * g * mo.index):
+    for c in divisors(F, factor(g).factors):
+        for a in divisors(F, factor(g * g * mo.index).factors):
             for b in polys_below_degree(F, a.degree):
                 order = OrderHNF(a=a, b=b, c=c)
                 if not element_in_lattice(order, pi, one, mo):
@@ -604,7 +631,7 @@ def root_in_a_oracle(W: WeilCubic):
     M has no root in A."""
     F = W.field
     a0, a2, a1, _ = W.coefficients()
-    for d in divisors(W.a0):
+    for d in divisors(F, factor(W.a0).factors):
         for i in range(1, F.q):
             r = d.scale(F.element(i))
             if (((r + a1) * r + a2) * r + a0).is_zero:

@@ -33,6 +33,7 @@ from drinfeld_orders.poly import polys_below_degree, valuation
 
 from oracles import (
     RatFunc,
+    content_oracle,
     field_discriminant_oracle,
     integral_basis_oracle,
     residue_pattern_oracle,
@@ -334,7 +335,8 @@ def test_index_against_divisor_search(instance_pool):
         sf, mo = analysis.sf, analysis.mo
         target = mo.disc_m0.monic()
         hits = [
-            d for d in divisors(target) if d * d * mo.delta == target
+            d for d in divisors(target.field, factor(target).factors)
+            if d * d * mo.delta == target
         ]
         assert hits == [mo.index]
 
@@ -490,9 +492,61 @@ def test_odd_index_exponent_raises(f5, v):
     # c1 = 0 and v_T(c2) = 1 give v_T(Delta) = 2 by the criterion, so a
     # disc(M0) with v_T = 1 or 3 leaves a negative or odd exponent for I^2
     T = Poly.x(f5)
-    sf = SimpleNamespace(c1=Poly.zero(f5), c2=T, disc_m0=T**v)
+    sf = SimpleNamespace(
+        c1=Poly.zero(f5), c2=T, disc_m0=T**v, disc_m0_factors=((T, v),)
+    )
     with pytest.raises(InternalInconsistencyError, match="perfect square"):
         maximal_order_data(sf)
+
+
+@pytest.mark.parametrize("c1_exp", [2, None])
+def test_square_cube_content_in_standard_form_raises(f5, c1_exp):
+    # T^2 | c1 (or c1 = 0) and T^3 | c2: T divides disc(M0), and the loop
+    # over its primes rejects the stand-in before reading Delta off it
+    T = Poly.x(f5)
+    c1 = Poly.zero(f5) if c1_exp is None else T**c1_exp
+    c2 = T**3
+    disc_m0 = (c1**3).scale_int(-4) + (c2 * c2).scale_int(-27)
+    sf = SimpleNamespace(
+        c1=c1, c2=c2, disc_m0=disc_m0, disc_m0_factors=factor(disc_m0).factors
+    )
+    with pytest.raises(InternalInconsistencyError, match="square/cube content"):
+        maximal_order_data(sf)
+
+
+def content_classes():
+    """Standard-form inputs the instance pool does not pin down: b1 = 0, a
+    content prime of degree 2, and a disc(M) whose exponent p divides."""
+    F = PrimeField(5)
+    T = Poly.x(F)
+    P = T * T + Poly.const(F, F.element(2))  # irreducible over F_5
+    zero = Poly.zero(F)
+    return [
+        # x^3 + T: b1 = 0, g = 1
+        WeilCubic(field=F, a1=zero, a2=zero, mu=F.one, pv=T, m=1),
+        # x^3 + T P^2 x + P^4: g = P, c1 = T, c2 = P
+        WeilCubic(field=F, a1=zero, a2=T * P * P, mu=F.one, pv=P, m=4),
+        # x^3 + T^10 x + T^15: disc(M) = 4 T^30, g = T^5, c1 = c2 = 1
+        WeilCubic(field=F, a1=zero, a2=T**10, mu=F.one, pv=T, m=15),
+    ]
+
+
+def test_content_and_disc_m0_primes_match_oracle(instance_pool):
+    # g and the primes of disc(M0), read off one factorisation of disc(M),
+    # against square-free content and a factorisation of disc(M0) itself
+    sfs = [a.sf for a in instance_pool] + [standard_form(W) for W in content_classes()]
+    assert any(sf.b1.is_zero for sf in sfs)
+    assert any(prime.degree == 2 for sf in sfs for prime, _ in sf.g_factors)
+    for sf in sfs:
+        assert sf.g == content_oracle(sf.b1, sf.b2)
+        assert sf.g_factors == factor(sf.g).factors
+        d0 = Poly.one(sf.g.field)
+        for prime, k in sf.disc_m0_factors:
+            d0 = d0 * prime**k
+        assert d0 == sf.disc_m0.monic()
+        assert sf.disc_m0_factors == factor(sf.disc_m0).factors
+    T = Poly.x(PrimeField(5))
+    assert sfs[-1].g == T**5 and sfs[-1].disc_m0_factors == ()
 
 
 def test_residue_pattern_matches_factorisation_on_pool(instance_pool):

@@ -14,6 +14,7 @@ from drinfeld_orders import (
     mult_table,
     order_disc,
     poly_gcd,
+    sandwich_divisors,
 )
 
 from oracles import (
@@ -24,6 +25,11 @@ from oracles import (
     sandwich_endo_oracle,
     v_maximality,
 )
+
+
+def _candidates(analysis, prime_to=None):
+    sandwich = sandwich_divisors(analysis.sf, analysis.mo)
+    return enumerate_candidates(analysis.sf, sandwich, prime_to)
 
 
 def test_mult_table_trivial_shape(f5):
@@ -104,7 +110,7 @@ def test_closure_violator_detected(example_analysis):
 def test_closure_agrees_with_companion_oracle(instance_pool):
     total = 0
     for analysis in instance_pool:
-        for order in enumerate_candidates(analysis.sf, analysis.mo):
+        for order in _candidates(analysis):
             got = closure_check(order, analysis.m2)
             want = closure_oracle(order, analysis.sf, analysis.mo)
             assert got == want, f"closure mismatch on {order}"
@@ -116,7 +122,7 @@ def test_closure_agreement_on_arbitrary_triples(instance_pool):
     # the two closure deciders must agree on any HNF triple, candidate or not
     import random
 
-    from drinfeld_orders import divisors
+    from drinfeld_orders import divisors, factor
     from drinfeld_orders.poly import polys_below_degree
 
     rng = random.Random(4242)
@@ -124,8 +130,8 @@ def test_closure_agreement_on_arbitrary_triples(instance_pool):
     for analysis in instance_pool[:12]:
         W, sf, mo = analysis.weil, analysis.sf, analysis.mo
         F = W.field
-        pool_a = divisors(sf.g * sf.g * mo.index * W.pv)
-        pool_c = divisors(sf.g * W.pv)
+        pool_a = divisors(F, factor(sf.g * sf.g * mo.index * W.pv).factors)
+        pool_c = divisors(F, factor(sf.g * W.pv).factors)
         for _ in range(12):
             a = pool_a[rng.randrange(len(pool_a))]
             c = pool_c[rng.randrange(len(pool_c))]
@@ -163,7 +169,7 @@ def test_contains_frobenius_matches_lattice_membership(instance_pool):
         W, sf, mo = analysis.weil, analysis.sf, analysis.mo
         pi, _ = frobenius_coords(W, sf)
         one = Poly.one(W.field)
-        for order in enumerate_candidates(sf, mo):
+        for order in _candidates(analysis):
             got = contains_frobenius(order, sf.g)
             want = element_in_lattice(order, pi, one, mo)
             assert got == want
@@ -173,7 +179,7 @@ def test_v_maximality_cases(f5, example_analysis):
     T = Poly.x(f5)
     one, zero = Poly.one(f5), Poly.zero(f5)
     # example: pv does not divide a2, every order passes
-    for order in enumerate_candidates(example_analysis.sf, example_analysis.mo):
+    for order in _candidates(example_analysis):
         assert v_maximality(order, example_analysis.weil, example_analysis.local)
     # pv | a2: gcd(pv, ac) = 1 required
     W = WeilCubic(field=f5, a1=Poly.one(f5), a2=T, mu=f5.element(2), pv=T, m=1)
@@ -198,7 +204,7 @@ def test_order_disc_worked_example(example_analysis):
 
 def test_order_disc_degree_law(instance_pool):
     for analysis in instance_pool:
-        for order in enumerate_candidates(analysis.sf, analysis.mo):
+        for order in _candidates(analysis):
             d = order.a.degree + order.c.degree
             disc, norm = order_disc(order, analysis.mo.delta)
             assert norm.degree == 2 * d
@@ -220,7 +226,7 @@ def test_enumerate_single_order_when_trivial(f5):
     W = WeilCubic(field=f5, a1=Poly.zero(f5), a2=Poly.one(f5), mu=f5.element(1), pv=T, m=1)
     analysis = analyze_weil_class(W)
     assert analysis.sf.g.is_one and analysis.mo.index.is_one
-    assert len(enumerate_candidates(analysis.sf, analysis.mo)) == 1
+    assert len(_candidates(analysis)) == 1
     assert analysis.candidate_count == 1
     assert len(analysis.orders) == 1
 
@@ -228,7 +234,7 @@ def test_enumerate_single_order_when_trivial(f5):
 def test_candidate_count_is_full_sandwich(instance_pool):
     for analysis in instance_pool:
         assert analysis.candidate_count == len(
-            enumerate_candidates(analysis.sf, analysis.mo)
+            _candidates(analysis)
         )
 
 
@@ -237,11 +243,11 @@ def test_divisor_filter_is_v_maximality(instance_pool):
     split = [a for a in instance_pool if a.local.pv_divides_a2]
     assert split
     for analysis in split:
-        W, sf, mo = analysis.weil, analysis.sf, analysis.mo
+        W = analysis.weil
         want = [
-            o for o in enumerate_candidates(sf, mo) if v_maximality(o, W, analysis.local)
+            o for o in _candidates(analysis) if v_maximality(o, W, analysis.local)
         ]
-        assert enumerate_candidates(sf, mo, W.pv) == want
+        assert _candidates(analysis, W.pv) == want
 
 
 def _content_family(p, u, e, mu, m):
@@ -300,12 +306,43 @@ def test_enumerated_triples_pass_the_tests_they_skip(instance_pool):
     ]
     filtered = 0
     for analysis in analyses:
-        W, sf, mo = analysis.weil, analysis.sf, analysis.mo
-        assert all(contains_frobenius(o, sf.g) for o in enumerate_candidates(sf, mo))
-        kept = enumerate_candidates(sf, mo, W.pv)
+        W, sf = analysis.weil, analysis.sf
+        assert all(contains_frobenius(o, sf.g) for o in _candidates(analysis))
+        kept = _candidates(analysis, W.pv)
         assert all(v_maximality(o, W, analysis.local) for o in kept)
         filtered += analysis.local.pv_divides_a2
     assert filtered >= len(CONTENT_FAMILY)
+
+
+def test_one_factorisation_per_class(monkeypatch, instance_pool):
+    # every prime a class needs is read off the one factorisation of disc(M)
+    # in standard_form; only validation of a supersingular class with 3 | m
+    # adds one, for its residual cubic
+    import sys
+
+    # the package exports a function named factor, so take the module by name
+    original = sys.modules["drinfeld_orders.factor"].factor
+    calls = []
+
+    def counting_factor(f):
+        calls.append(f)
+        return original(f)
+
+    for name, module in list(sys.modules.items()):
+        if name == "drinfeld_orders" or name.startswith("drinfeld_orders."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting_factor)
+    classes = [a.weil for a in instance_pool]
+    classes += [_content_family(*args) for args in CONTENT_FAMILY]
+    residuals = 0
+    for W in classes:
+        calls.clear()
+        local = analyze_weil_class(W).local
+        residual = local.supersingular and W.m % 3 == 0
+        residuals += residual
+        assert len(calls) == 1 + residual
+    assert residuals
 
 
 def test_enumerate_matches_sandwich_oracle(instance_pool):

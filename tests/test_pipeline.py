@@ -10,6 +10,7 @@ from drinfeld_orders import (
     SkewRing,
     WeilCubic,
     analyze_weil_class,
+    frobenius_order_hnf,
     identify_endo_ring,
     make_extension_field,
     verify_weil_action,
@@ -27,7 +28,7 @@ def test_supersingular_pure_cubic_end_to_end():
     W = WeilCubic(field=F, a1=Poly.zero(F), a2=Poly.zero(F), mu=F.element(1), pv=T, m=1)
     analysis = analyze_weil_class(W)
     assert analysis.local.supersingular
-    assert analysis.sf.c1.is_zero and analysis.sf.g1.is_zero
+    assert analysis.sf.c1.is_zero and analysis.sf.b1.is_zero
     assert analysis.mo.delta == T * T
     assert analysis.mo.index.is_one
     assert [r.order for r in analysis.orders] == [
@@ -92,7 +93,7 @@ def test_supersingular_constant_standard_form_end_to_end():
     assert analysis.sf.g == T
     assert analysis.sf.c1 == Poly.one(F) and analysis.sf.c2 == Poly.one(F)
     assert analysis.mo.delta.is_one and analysis.mo.index.is_one
-    frob = analysis.frobenius_order()
+    frob = frobenius_order_hnf(analysis.sf, analysis.mo)
     assert frob == OrderHNF(a=T * T, b=Poly.zero(F), c=T)
     from oracles import v_maximality
 
