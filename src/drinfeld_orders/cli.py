@@ -104,7 +104,9 @@ def _parse_elem(F: FiniteField, obj, where: str):
     if isinstance(obj, list):
         if isinstance(F, PrimeField):
             _require(len(obj) <= 1, f"{where}: prime-field element array too long")
-            return F.from_int(obj[0] if obj else 0)
+            obj = obj[0] if obj else 0
+            _require(_is_int(obj), f"{where}: expected an integer entry")
+            return F.from_int(obj)
         _require(isinstance(F, ExtensionField), f"{where}: unexpected field kind")
         _require(len(obj) <= F.e, f"{where}: element array longer than the degree")
         coeffs = [_parse_elem(F.base, o, where) for o in obj]

@@ -7,16 +7,19 @@ computes the height h and residue splitting at v, produces the depressed
 standard form x^3 + c1*x + c2, and from it the maximal-order data.
 
 The residue splitting is read in closed form from M = x^h * R(x) mod pv;
-only the quadratic R of height 1 needs a square test in F_q[T]/(pv).  The
-standard form factors disc(M) = g^6 disc(M0) once, the only factorisation
-of the class, and reads off the primes of the content g and of disc(M0).
+only the quadratic R of height 1 needs a square test, by Euler's criterion
+mod pv in A itself.  The residue field F_q[T]/(pv) is built only to factor
+the residual cubic of a supersingular shape with 3 | m.  The standard form
+factors disc(M) = g^6 disc(M0) once, the only factorisation of the class,
+and reads off the primes of the content g and of disc(M0).
 For each prime P of disc(M0) the valuation criterion fixes v_P(Delta) in
 {0, 1, 2}, the index I has v_P(I) = (v_P(disc(M0)) - v_P(Delta)) / 2, and
 the integral-basis parameters (alpha2, beta2) with
 
     omega2 = (alpha2 + beta2*pi~ + pi~^2) / I
 
-are lifted over the prime powers of I.
+are solved mod each prime power P^k of I, where beta2 has exactly one
+residue, and joined by one CRT.
 
 Characteristics 2 and 3 are rejected up front: the depressed-cubic
 substitution divides by 3 and 27, and in characteristic 2 the polynomial
@@ -34,7 +37,6 @@ conditions passed" rather than a full certification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as _iterproduct
 from typing import Tuple
 
 from .errors import (
@@ -200,9 +202,16 @@ def _newton_segments(points):
     return hull
 
 
-def _check_unique_local_zero(W: WeilCubic, h: int, R: ExtensionField) -> None:
+def _is_square_mod(f: Poly, pv: Poly) -> bool:
+    """Whether f is a square in F_q[T]/(pv), pv irreducible and q odd: f is
+    zero mod pv, or f^((q^deg pv - 1)/2) = 1 mod pv (Euler's criterion)."""
+    f = f % pv
+    return f.is_zero or f.pow_mod((f.field.q**pv.degree - 1) // 2, pv).is_one
+
+
+def _check_unique_local_zero(W: WeilCubic, h: int) -> None:
     """Reject shapes where more than one v-adic factor of M has constant
-    term divisible by pv; R is the residue field F_q[T]/(pv).
+    term divisible by pv.
 
     For h = 1 the condition always holds: the single positive-valuation
     root sits in its own factor and the remaining constant terms are
@@ -211,7 +220,8 @@ def _check_unique_local_zero(W: WeilCubic, h: int, R: ExtensionField) -> None:
     completion (disc(M) is that of the depressed cubic), decided exactly.
     For h = 3 the Newton polygon must be a single segment and the residual
     cubic must not split; a perfect-cube residual stays undecided at this
-    level and is accepted.
+    level and is accepted; the residual is the one place where the residue
+    field F_q[T]/(pv) is built.
     """
     if h == 1:
         return
@@ -222,8 +232,7 @@ def _check_unique_local_zero(W: WeilCubic, h: int, R: ExtensionField) -> None:
         v = valuation(d, pv)
         if v % 2:
             return
-        u = reduce_mod(d.exact_div(pv**v), R)
-        if R.is_square(u):
+        if _is_square_mod(d.exact_div(pv**v), pv):
             raise NotWeilAtVError(
                 "the quadratic v-adic factor above the zero of the "
                 "Frobenius splits"
@@ -244,6 +253,7 @@ def _check_unique_local_zero(W: WeilCubic, h: int, R: ExtensionField) -> None:
     if m % 3:
         return
     k = m // 3
+    R = ExtensionField(W.field, pv.coeffs)  # pv passed the irreducibility test
     r2 = (
         reduce_mod(W.a1.exact_div(pv**k), R)
         if v_a1 is not None and v_a1 == k
@@ -262,8 +272,8 @@ def _check_unique_local_zero(W: WeilCubic, h: int, R: ExtensionField) -> None:
     # residual is undecided at this level and accepted
 
 
-def _residue_pattern(W: WeilCubic, h: int, R: ExtensionField) -> tuple:
-    """Sorted (degree, multiplicity) shape of M mod pv over R = F_q[T]/(pv).
+def _residue_pattern(W: WeilCubic, h: int) -> tuple:
+    """Sorted (degree, multiplicity) shape of M mod pv over F_q[T]/(pv).
 
     M = x^h * Q(x) mod pv with deg Q = 3 - h and Q(0) != 0, so x^h gives
     (1, h); for h = 2 the linear Q adds (1, 1), and for h = 1 the quadratic
@@ -273,11 +283,10 @@ def _residue_pattern(W: WeilCubic, h: int, R: ExtensionField) -> tuple:
         return ((1, 3),)
     if h == 2:
         return ((1, 1), (1, 2))
-    r1, r0 = reduce_mod(W.a1, R), reduce_mod(W.a2, R)
-    disc = R.sub(R.mul(r1, r1), R.mul(R.from_int(4), r0))
-    if disc == R.zero:
+    disc = (W.a1 * W.a1 - W.a2.scale_int(4)) % W.pv
+    if disc.is_zero:
         return ((1, 1), (1, 2))
-    if R.is_square(disc):
+    if _is_square_mod(disc, W.pv):
         return ((1, 1), (1, 1), (1, 1))
     return ((1, 1), (2, 1))
 
@@ -300,9 +309,8 @@ def validate_weil_necessary(W: WeilCubic) -> LocalData:
     h = height(W)
     if h < 1:
         raise NotWeilAtVError("constant term is not divisible by pv")
-    R = ExtensionField(F, W.pv.coeffs)  # pv passed the irreducibility test
-    _check_unique_local_zero(W, h, R)
-    return LocalData(height=h, residue_pattern=_residue_pattern(W, h, R))
+    _check_unique_local_zero(W, h)
+    return LocalData(height=h, residue_pattern=_residue_pattern(W, h))
 
 
 def standard_form(W: WeilCubic) -> StandardForm:
@@ -349,33 +357,38 @@ def standard_form(W: WeilCubic) -> StandardForm:
     )
 
 
-def _beta_candidates_mod_prime_power(sf: StandardForm, prime: Poly, k: int):
-    """Solutions beta mod prime^(2k) of M0(beta) = 0 mod prime^(2k) and
-    M0'(beta) = 0 mod prime^k, by digit-wise lifting."""
+def _beta_mod_prime_power(sf: StandardForm, prime: Poly, k: int) -> Poly:
+    """The residue beta mod prime^k with M0'(beta) = 3 beta^2 + c1 = 0 mod
+    prime^k and M0(beta) = beta^3 + c1 beta + c2 = 0 mod prime^(2k).
+
+    The first congruence is lifted digit by digit in base prime; the second
+    is tested once at the end, which is exact: M0'(beta) = 0 mod prime^k
+    gives M0(beta + prime^k t) = M0(beta) mod prime^(2k).  Two valid
+    residues would give two omega2 whose difference (d_alpha + d_beta pi~)/I
+    is integral, forcing I | d_beta, so a count other than one means the
+    index is inconsistent with the standard form."""
     F = sf.c1.field
     c1, c2 = sf.c1, sf.c2
-
-    def m0(b: Poly) -> Poly:
-        return b**3 + c1 * b + c2
-
-    def m0p(b: Poly) -> Poly:
-        return (b * b).scale_int(3) + c1
-
     digits = list(polys_below_degree(F, prime.degree))
     level = [Poly.zero(F)]
     step = Poly.one(F)  # prime^j while filtering mod prime^(j+1)
     mod = prime
-    for _ in range(2 * k):
+    for _ in range(k):
         level = [
-            cand + d * step
-            for cand in level
-            for d in digits
-            if (m0(cand + d * step) % mod).is_zero
+            b
+            for b in (cand + d * step for cand in level for d in digits)
+            if not ((b * b).scale_int(3) + c1) % mod
         ]
         step = mod
         mod = mod * prime
-    pk = prime**k
-    return [b for b in level if (m0p(b) % pk).is_zero]
+    pk2 = step * step
+    level = [b for b in level if not (b**3 + c1 * b + c2) % pk2]
+    if len(level) != 1:
+        raise NoSolutionError(
+            f"{len(level)} integral-basis residues at {prime.to_str()}; the "
+            "index is inconsistent with the standard form"
+        )
+    return level[0]
 
 
 def integral_basis(sf: StandardForm, index_factors) -> Tuple[Poly, Poly]:
@@ -386,42 +399,17 @@ def integral_basis(sf: StandardForm, index_factors) -> Tuple[Poly, Poly]:
         beta2^3 + c1 beta2 + c2 = 0 mod I^2
         alpha2 = -2 beta2^2       mod I
 
-    with deg beta2 < deg I^2 and deg alpha2 < deg I.  For each prime power
-    P^k exactly dividing I, the solutions mod P^(2k) are found by lifting
-    digit by digit in base P, keeping every residue whose truncations are
-    roots; the solutions mod I^2 are their CRT combinations.  Among all of
-    them the canonically smallest beta2 is returned.
+    with deg beta2 < deg I and deg alpha2 < deg I.  Both congruences depend
+    on beta2 mod I only, and each prime power P^k of I has exactly one
+    residue mod P^k; one CRT joins them.  beta2 is thus the canonically
+    smallest of all solutions mod I^2.
     """
     F = sf.c1.field
     if not index_factors:
         return Poly.zero(F), Poly.zero(F)
-    I = Poly.one(F)
-    for prime, k in index_factors:
-        I = I * prime**k
-    I2 = I * I
-    c1, c2 = sf.c1, sf.c2
-    per_prime = []
-    for prime, k in index_factors:
-        cands = _beta_candidates_mod_prime_power(sf, prime, k)
-        if not cands:
-            raise NoSolutionError(
-                "no integral-basis parameter exists locally; the index "
-                "is inconsistent with the standard form"
-            )
-        per_prime.append([(b, prime ** (2 * k)) for b in cands])
-    solutions = []
-    for combo in _iterproduct(*per_prime):
-        beta, _ = poly_crt(list(combo))
-        if not ((beta * beta).scale_int(3) + c1) % I and not (
-            beta**3 + c1 * beta + c2
-        ) % I2:
-            solutions.append(beta % I2)
-    if not solutions:
-        raise NoSolutionError(
-            "the integral-basis congruences have no solution; upstream data "
-            "is inconsistent"
-        )
-    beta2 = min(solutions, key=lambda b: b.sort_key())
+    beta2, I = poly_crt(
+        [(_beta_mod_prime_power(sf, prime, k), prime**k) for prime, k in index_factors]
+    )
     alpha2 = ((beta2 * beta2).scale_int(-2)) % I
     two_thirds = F.div(F.from_int(2), F.from_int(3))
     if not ((alpha2 - sf.c1.scale(two_thirds)) % I).is_zero:

@@ -113,13 +113,6 @@ class FiniteField:
         """Inverse of the absolute Frobenius x -> x^p (always bijective)."""
         return self.pow(a, self.p ** (self.degree - 1))
 
-    def is_square(self, a) -> bool:
-        """Whether a is a square: always in characteristic 2, else by
-        Euler's criterion a^((q-1)/2) = 1 for a nonzero."""
-        if a == self.zero or self.p == 2:
-            return True
-        return self.pow(a, (self.q - 1) // 2) == self.one
-
 
 class PrimeField(FiniteField):
     """F_p with elements represented as ints in range(p)."""

@@ -153,6 +153,22 @@ def test_boolean_integers_rejected(tmp_path, capsys, path):
     assert f"'{'.'.join(path)}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", ["a", [1], True], ids=["str", "nested", "bool"])
+@pytest.mark.parametrize("where", ["weil.mu", "phi_T"])
+def test_prime_field_array_entries_checked(tmp_path, capsys, where, entry):
+    # [x] is the prime-field element x; x must be a non-boolean integer
+    cfg = json.loads(GOLDEN.read_text())
+    if where == "weil.mu":
+        cfg["weil"]["mu"] = [entry]
+    else:  # an element of L over F_5, its first coordinate given as [x]
+        cfg["modules"][1]["phi_T"][1] = [[entry]]
+    bad = tmp_path / "entry.json"
+    bad.write_text(json.dumps(cfg))
+    assert main(["analyze", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config:") and where in err
+
+
 def test_analyze_runs_each_membership_once(monkeypatch, capsys):
     # End is read off the survey: 2 in-class modules x 2 orders x 2 generators
     calls = []

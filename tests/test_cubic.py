@@ -9,8 +9,8 @@ import pytest
 from drinfeld_orders import (
     BadConstantTermError,
     Char3UnsupportedError,
-    ExtensionField,
     InternalInconsistencyError,
+    NoSolutionError,
     Poly,
     PrimeField,
     ReducibleError,
@@ -27,7 +27,11 @@ from drinfeld_orders import (
     validate_weil_necessary,
 )
 import drinfeld_orders.cubic as cubic_module
-from drinfeld_orders.cubic import _check_irreducible_over_k, _residue_pattern
+from drinfeld_orders.cubic import (
+    _check_irreducible_over_k,
+    _is_square_mod,
+    _residue_pattern,
+)
 from drinfeld_orders.factor import make_extension_field
 from drinfeld_orders.poly import polys_below_degree, valuation
 
@@ -354,6 +358,10 @@ def test_integral_basis_trivial_when_index_one(f5):
     sf = standard_form(W)
     alpha2, beta2 = integral_basis(sf, ())
     assert alpha2.is_zero and beta2.is_zero
+    # T divides disc(M0) = -4T^3 - 27T^2 but not the index: no residue of
+    # beta2 mod T meets both congruences
+    with pytest.raises(NoSolutionError):
+        integral_basis(sf, ((T, 1),))
 
 
 def test_integral_basis_congruences_hold(instance_pool):
@@ -617,9 +625,57 @@ def test_residue_pattern_closed_form_on_planted_cubics(shape):
     for F, pv in residue_shape_fields():
         for _ in range(4):
             W = planted_residue_cubic(F, pv, shape, rng)
-            R = ExtensionField(F, pv.coeffs)
-            got = _residue_pattern(W, height(W), R)
+            got = _residue_pattern(W, height(W))
             assert got == residue_pattern_oracle(W) == RESIDUE_SHAPES[shape]
+
+
+@pytest.mark.parametrize("q", [5, 7, 25])
+def test_is_square_mod_brute_force(q):
+    # Euler's criterion mod pv against the squares of F_q[T]/(pv), over every
+    # residue (0 included) and one unreduced representative of each
+    F5 = PrimeField(5)
+    F = make_extension_field(F5, Poly.from_ints(F5, [2, 0, 1])) if q == 25 else PrimeField(q)
+    T = Poly.x(F)
+    quadratics = (T * T + Poly.const(F, F.element(i)) for i in range(1, F.q))
+    for pv in (T + Poly.one(F), next(f for f in quadratics if is_irreducible(f))):
+        residues = list(polys_below_degree(F, pv.degree))
+        squares = {(r * r) % pv for r in residues}
+        for r in residues:
+            assert _is_square_mod(r, pv) == (r in squares)
+            assert _is_square_mod(r + pv * T, pv) == (r in squares)
+
+
+def test_degree_three_index_one_crt_no_residue_field(monkeypatch):
+    # over F_7: pv = T, m = 1, a1 = 1, a2 = 2T^3+2T^2+5T+5, mu = 3 has h = 1
+    # and the irreducible index I = T^3+5T^2+6T+4, whose q^(deg I) = 343
+    # residues mod I must not be enumerated
+    F = PrimeField(7)
+    T = Poly.x(F)
+    a2 = Poly.from_ints(F, [5, 5, 2, 2])
+    W = WeilCubic(field=F, a1=Poly.one(F), a2=a2, mu=F.element(3), pv=T, m=1)
+    crt_calls, residue_fields = [], []
+    real_crt, real_field = cubic_module.poly_crt, cubic_module.ExtensionField
+    monkeypatch.setattr(
+        cubic_module, "poly_crt", lambda pairs: crt_calls.append(pairs) or real_crt(pairs)
+    )
+    monkeypatch.setattr(
+        cubic_module,
+        "ExtensionField",
+        lambda *args: residue_fields.append(args) or real_field(*args),
+    )
+    assert validate_weil_necessary(W).height == 1
+    mo = maximal_order_data(standard_form(W))
+    assert mo.index == Poly.from_ints(F, [4, 6, 5, 1]) and is_irreducible(mo.index)
+    assert mo.alpha2 == Poly.from_ints(F, [4, 0, 4])
+    assert mo.beta2 == Poly.from_ints(F, [2, 5, 1])
+    assert len(crt_calls) == 1
+    # h = 2 needs no residue field either: x^3 + T x^2 + T(T^2+2) x + (T^2+2)
+    f5 = PrimeField(5)
+    T = Poly.x(f5)
+    pv = T * T + Poly.const(f5, f5.element(2))
+    W = WeilCubic(field=f5, a1=T, a2=T * pv, mu=f5.one, pv=pv, m=1)
+    assert validate_weil_necessary(W).height == 2
+    assert residue_fields == []
 
 
 def test_pv_tested_for_irreducibility_once_per_class(f5, monkeypatch):
