@@ -16,15 +16,36 @@ Constructors here check only shape (primality, monic modulus).  Whether a
 modulus is irreducible is a factorisation question; use
 ``factor.make_extension_field`` when that guarantee is needed.
 
-An extension with q <= TABLE_CAP builds, on its first add, sub, mul, inv or
-pow, the tables of a primitive element g: exp[k] = g^k, log[g^k] = k and the
-Zech logarithms log(1 + g^k) (Huber, IEEE Trans. IT 36, 1990; Lidl and
-Niederreiter, *Finite Fields*, ch. 9).  Products, inverses and powers are
-then index arithmetic and sums one Zech lookup.  The tables are a write-once
-cache: built at most once per field object and never changed after.  Larger
-fields, and a reducible modulus (no element of order q - 1), keep the
-schoolbook arithmetic on coefficient tuples, with inverses from the extended
-Euclidean algorithm.
+Extension arithmetic runs in one of three regimes, chosen per field object:
+
+* log tables, for q <= TABLE_CAP: on its first add, sub, mul, inv or pow the
+  field builds the tables of a primitive element g: exp[k] = g^k,
+  log[g^k] = k and the Zech logarithms log(1 + g^k) (Huber, IEEE Trans. IT
+  36, 1990; Lidl and Niederreiter, *Finite Fields*, ch. 9).  Products,
+  inverses and powers are then index arithmetic and sums one Zech lookup.
+  The tables are a write-once cache: built at most once per field object
+  and never changed after.
+* packed ints, for a prime base above the cap (and a reducible modulus,
+  which has no element of order q - 1): a product packs each operand's e
+  coefficients into one int, w bits per digit, makes one big-int multiply
+  (Kronecker substitution; von zur Gathen and Gerhard, *Modern Computer
+  Algebra*, section 8.4) and folds the e - 1 high digits back with packed
+  rows z^(e+k) mod f, built once per field.  No digit may carry into its
+  neighbour, so 2^w exceeds the largest digit the fold can reach,
+  e (p-1)^2 (1 + (e-1)(p-1)): a product digit is at most e (p-1)^2 and
+  each of the e - 1 folded digits adds at most that times p - 1.  One
+  unpack and one reduction mod p per coefficient finish the product.  Sums,
+  differences and negatives are one integer comprehension each.
+* base-field loops, for a tower above the cap (an extension of an
+  extension): schoolbook arithmetic on coefficient tuples through the base
+  field's operations.
+
+Outside the tables, inverses come from the extended Euclidean algorithm.
+The base field supplies the kernels the last two regimes differ in
+(``product_mod`` and the coordinatewise ``vec_*`` operations), and
+``PrimeField`` overrides the generic coefficient loops of ``FiniteField``
+with integer ones; ``poly.Poly`` multiplies and divides through the same
+kind of kernel (``poly_mul``, ``poly_divmod``).
 """
 
 from __future__ import annotations
@@ -39,16 +60,48 @@ from .errors import DomainError
 TABLE_CAP = 2**10
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality of every
+# n below this bound (Sorenson and Webster, Math. Comp. 86, 2017).
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3317044064679887385961981
+
+
+# A product in F_p[T] is packed once both factors have this many nonzero
+# coefficients; a short or sparse factor is cheaper term by term.
+KRONECKER_MIN = 4
+
+
+def _pack(digits, w: int) -> int:
+    """sum_i digits[i] * 2^(w*i): one int with w bits per digit."""
+    x = 0
+    for d in reversed(digits):
+        x = x << w | d
+    return x
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; DomainError for n >= MR_BOUND, where the
+    fixed bases no longer decide."""
+    if n >= MR_BOUND:
+        raise DomainError(f"{n} is too large: primality is decided below {MR_BOUND}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -113,6 +166,75 @@ class FiniteField:
         """Inverse of the absolute Frobenius x -> x^p (always bijective)."""
         return self.pow(a, self.p ** (self.degree - 1))
 
+    # -- kernels on coefficient sequences -----------------------------------
+    # Loops through the field's own operations; PrimeField overrides each
+    # with integer arithmetic.
+
+    def vec_add(self, a, b):
+        """Coordinatewise a + b of two tuples of the same length."""
+        add = self.add
+        return tuple([add(x, y) for x, y in zip(a, b)])
+
+    def vec_sub(self, a, b):
+        sub = self.sub
+        return tuple([sub(x, y) for x, y in zip(a, b)])
+
+    def vec_scale(self, c, a):
+        """c times every coordinate of a."""
+        mul = self.mul
+        return tuple([mul(c, x) for x in a])
+
+    def poly_mul(self, a, b):
+        """Coefficients (ascending, a list) of the product of two nonempty
+        coefficient sequences."""
+        zero, add, mul = self.zero, self.add, self.mul
+        out = [zero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x == zero:
+                continue
+            for j, y in enumerate(b, i):
+                if y != zero:
+                    out[j] = add(out[j], mul(x, y))
+        return out
+
+    def poly_divmod(self, a, b):
+        """(quotient, remainder) coefficient lists of a divided by b, for
+        len(a) >= len(b) and a nonzero last entry of b; the remainder has
+        len(b) - 1 entries."""
+        zero, sub, mul = self.zero, self.sub, self.mul
+        n = len(b) - 1
+        inv_lc = self.inv(b[-1])
+        rem = list(a)
+        quo = [zero] * (len(a) - n)
+        for i in range(len(quo) - 1, -1, -1):
+            c = rem[i + n]
+            if c == zero:
+                continue
+            c = mul(c, inv_lc)
+            quo[i] = c
+            for j, y in enumerate(b, i):
+                rem[j] = sub(rem[j], mul(c, y))
+        return quo, rem[:n]
+
+    def product_mod(self, modulus):
+        """A function (a, b) -> a*b mod `modulus` on tuples of e coefficients
+        over this field, for a monic `modulus` of degree e (e + 1 entries)."""
+        e = len(modulus) - 1
+        zero, sub, mul, poly_mul = self.zero, self.sub, self.mul, self.poly_mul
+
+        def product(a, b):
+            acc = poly_mul(a, b)
+            for i in range(2 * e - 2, e - 1, -1):
+                c = acc[i]
+                if c == zero:
+                    continue
+                for j, m in enumerate(modulus[:e], i - e):
+                    if m != zero:
+                        acc[j] = sub(acc[j], mul(c, m))
+            return tuple(acc[:e])
+
+        return product
+
 
 class PrimeField(FiniteField):
     """F_p with elements represented as ints in range(p)."""
@@ -150,6 +272,80 @@ class PrimeField(FiniteField):
 
     def index(self, a) -> int:
         return a
+
+    def vec_add(self, a, b):
+        p = self.p
+        return tuple([(x + y) % p for x, y in zip(a, b)])
+
+    def vec_sub(self, a, b):
+        p = self.p
+        return tuple([(x - y) % p for x, y in zip(a, b)])
+
+    def vec_scale(self, c, a):
+        p = self.p
+        return tuple([c * x % p for x in a])
+
+    def poly_mul(self, a, b):
+        p = self.p
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) >= KRONECKER_MIN:
+            if len(a) - a.count(0) < len(b) - b.count(0):
+                a, b = b, a
+            n = len(b) - b.count(0)  # b has the fewer nonzero terms
+            if n >= KRONECKER_MIN:
+                # a digit of the product is a sum of at most n terms < p^2
+                w = (n * (p - 1) ** 2).bit_length()
+                c = _pack(a, w) * _pack(b, w)
+                digit = (1 << w) - 1
+                return [(c >> s & digit) % p for s in range(0, w * (len(a) + len(b) - 1), w)]
+        out = [0] * (len(a) + len(b) - 1)
+        for i, y in enumerate(b):
+            if y:
+                for j, x in enumerate(a, i):
+                    if x:
+                        out[j] = (out[j] + x * y) % p
+        return out
+
+    def poly_divmod(self, a, b):
+        # the entries of rem stay unreduced until they are read
+        p = self.p
+        n = len(b) - 1
+        inv_lc = pow(b[-1], -1, p)
+        low = b[:n]
+        rem = list(a)
+        quo = [0] * (len(a) - n)
+        for i in range(len(quo) - 1, -1, -1):
+            c = rem[i + n] * inv_lc % p
+            if c:
+                quo[i] = c
+                for j, y in enumerate(low, i):
+                    rem[j] -= c * y
+        return quo, [x % p for x in rem[:n]]
+
+    def product_mod(self, modulus):
+        """Packed-int products; see the module docstring for the digit
+        width w."""
+        p, e = self.p, len(modulus) - 1
+        w = (e * (p - 1) ** 2 * (1 + (e - 1) * (p - 1))).bit_length()
+        digit, low = (1 << w) - 1, (1 << w * e) - 1
+        # (shift of digit e + k, z^(e+k) mod modulus packed), k = 0..e-2
+        folds = []
+        z = [0] * (e - 1) + [1]
+        for k in range(e - 1):
+            top = z[-1]
+            z = [(x - top * m) % p for x, m in zip([0] + z[:-1], modulus)]
+            folds.append((w * (e + k), _pack(z, w)))
+        shifts = range(0, w * e, w)
+
+        def product(a, b):
+            c = _pack(a, w) * _pack(b, w)
+            r = c & low
+            for s, row in folds:
+                r += (c >> s & digit) * row
+            return tuple([(r >> s & digit) % p for s in shifts])
+
+        return product
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -210,7 +406,7 @@ class ExtensionField(FiniteField):
         n = self.q - 1
         log = {x: k for k, x in enumerate(exp)}
         log[self.zero] = None
-        zech = [log[self._add(self.one, x)] for x in exp]
+        zech = [log[self.base.vec_add(self.one, x)] for x in exp]
         # both doubled, so that a sum of two logs, or a difference of two
         # (a negative index wraps), needs no reduction mod n
         self._exp = exp + exp
@@ -240,7 +436,7 @@ class ExtensionField(FiniteField):
     def add(self, a, b):
         log = self._log
         if not log:
-            return self._add(a, b)
+            return self.base.vec_add(a, b)
         la, lb = log[a], log[b]
         if la is None:
             return b
@@ -252,7 +448,7 @@ class ExtensionField(FiniteField):
     def sub(self, a, b):
         log = self._log
         if not log:
-            return self._sub(a, b)
+            return self.base.vec_sub(a, b)
         la, lb = log[a], log[b]
         if lb is None:
             return a
@@ -263,8 +459,7 @@ class ExtensionField(FiniteField):
         return self.zero if z is None else self._exp[la + z]
 
     def neg(self, a):
-        base = self.base
-        return tuple(base.neg(x) for x in a)
+        return self.base.vec_sub(self.zero, a)
 
     def mul(self, a, b):
         log = self._log
@@ -295,38 +490,13 @@ class ExtensionField(FiniteField):
             return self.zero if n else self.one
         return self._exp[la * n % (self.q - 1)]
 
-    # -- schoolbook arithmetic on coefficient tuples ------------------------
+    # -- arithmetic on coefficient tuples ---------------------------------
 
-    def _add(self, a, b):
-        base = self.base
-        return tuple(base.add(x, y) for x, y in zip(a, b))
-
-    def _sub(self, a, b):
-        base = self.base
-        return tuple(base.sub(x, y) for x, y in zip(a, b))
-
-    def _mul(self, a, b):
-        base = self.base
-        e = self.e
-        zero = base.zero
-        acc = [zero] * (2 * e - 1)
-        for i, ai in enumerate(a):
-            if ai == zero:
-                continue
-            for j, bj in enumerate(b):
-                if bj == zero:
-                    continue
-                acc[i + j] = base.add(acc[i + j], base.mul(ai, bj))
-        for i in range(len(acc) - 1, e - 1, -1):
-            ci = acc[i]
-            if ci == zero:
-                continue
-            acc[i] = zero
-            for j in range(e):
-                mj = self.modulus[j]
-                if mj != zero:
-                    acc[i - e + j] = base.sub(acc[i - e + j], base.mul(ci, mj))
-        return tuple(acc[:e])
+    @cached_property
+    def _mul(self):
+        """(a, b) -> a*b mod the modulus on coefficient tuples, from the base
+        field: packed ints over F_p, base-field loops over an extension."""
+        return self.base.product_mod(self.modulus)
 
     def _inv(self, a):
         """Inverse by the extended Euclidean algorithm on a and the modulus

@@ -4,6 +4,17 @@ Coefficients are stored ascending with trailing zeros stripped, so the
 empty tuple is the zero polynomial and its degree is the sentinel -1.
 Polynomials are immutable and hashable; all arithmetic is exact.
 
+Products and division with remainder run on the coefficient field's
+kernels (``FiniteField.poly_mul``, ``poly_divmod``), so the three regimes of
+``gf`` apply here too.  Over F_p they are integer loops: division reduces
+each coefficient mod p once, when it is read, and a product of two
+polynomials with at least ``gf.KRONECKER_MIN`` nonzero coefficients each is
+packed (Kronecker substitution, digits of w bits with 2^w > n (p-1)^2, n
+the smaller count of nonzero coefficients, which bounds every coefficient of
+the unreduced product); a shorter or sparser product goes term by term.
+Over an extension field they loop through its operations: its log tables up
+to ``gf.TABLE_CAP``, packed ints or base-field loops above it.
+
 The canonical order used everywhere for deterministic output sorts by
 degree first, then lexicographically on coefficients from the leading one
 down to the constant, comparing coefficients by their canonical index in
@@ -115,16 +126,7 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly(F, ())
-        zero = F.zero
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == zero:
-                continue
-            for j, bj in enumerate(b):
-                if bj == zero:
-                    continue
-                out[i + j] = F.add(out[i + j], F.mul(ai, bj))
-        return Poly(F, out)
+        return Poly(F, F.poly_mul(a, b))
 
     def scale(self, c) -> "Poly":
         """Multiply by a field scalar."""
@@ -154,22 +156,10 @@ class Poly:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         F = self.field
-        zero = F.zero
-        dlc_inv = F.inv(other.lc)
-        n = len(other.coeffs)
-        rem = list(self.coeffs)
-        if len(rem) < n:
+        if len(self.coeffs) < len(other.coeffs):
             return Poly(F, ()), self
-        q = [zero] * (len(rem) - n + 1)
-        for i in range(len(rem) - n, -1, -1):
-            c = rem[i + n - 1]
-            if c == zero:
-                continue
-            qi = F.mul(c, dlc_inv)
-            q[i] = qi
-            for j, dj in enumerate(other.coeffs):
-                rem[i + j] = F.sub(rem[i + j], F.mul(qi, dj))
-        return Poly(F, q), Poly(F, rem)
+        q, r = F.poly_divmod(self.coeffs, other.coeffs)
+        return Poly(F, q), Poly(F, r)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]

@@ -226,7 +226,7 @@ class DrinfeldModule:
                 continue
             for i, lam in enumerate(power.coeffs):
                 if c != one:
-                    lam = tuple(base.mul(c, x) for x in lam)
+                    lam = base.vec_scale(c, lam)
                 out[i] = L.add(out[i], lam)
         return SkewPoly(self.ring, out)
 

@@ -10,7 +10,8 @@ residue field, Frobenius containment and v-maximality are tested on the
 triple itself, the integral basis is found
 by scanning every residue mod I^2, a root of M in A by scanning every unit
 times every divisor of a0, field arithmetic is redone on coefficient tuples
-without calling the field object, skew products are taken in full from
+without calling the field object (and polynomials over F_p and
+primality by plain integer loops), skew products are taken in full from
 the twist rule with Frobenius powers from ``L.pow``, and the endomorphism-ring
 enumeration is cross-checked against a brute-force sweep over every HNF
 lattice between A[pi] and the maximal order.
@@ -609,6 +610,47 @@ def schoolbook_ops(F):
     for modulus in reversed(moduli):
         ops = _extension_ops(ops, modulus)
     return ops[:3]
+
+
+def is_prime_oracle(n: int) -> bool:
+    """Primality by trial division."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def poly_mul_oracle(p, a, b):
+    """Product of two int coefficient lists mod p, one term at a time."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def poly_divmod_oracle(p, a, b):
+    """(quotient, remainder) of int coefficient lists mod p (b with a
+    nonzero last entry) by long division, each step reducing mod p; both
+    stripped of trailing zeros."""
+    inv = next(c for c in range(1, p) if c * b[-1] % p == 1)
+    rem, quo = list(a), [0] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + len(b) - 1] * inv % p
+        quo[k] = c
+        for j, y in enumerate(b):
+            rem[k + j] = (rem[k + j] - c * y) % p
+
+    def strip(c):
+        while c and c[-1] == 0:
+            c.pop()
+        return c
+
+    return strip(quo), strip(rem)
 
 
 def schoolbook_pow(mul, one, a, n: int):

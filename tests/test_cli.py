@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -215,7 +216,8 @@ F49_CLASS = {
 
 def test_f49_class_multiplies_in_f7_only_to_build_tables(tmp_path, monkeypatch, capsys):
     # with F_49 and its residue fields on log tables, F_7 products happen
-    # only while the F_49 tables are built (about 350; schoolbook: ~190,000)
+    # only while the F_49 tables are built, and those are packed (no
+    # PrimeField.mul call; about 350 with F_7 loops, ~190,000 schoolbook)
     path = tmp_path / "f49.json"
     path.write_text(json.dumps(F49_CLASS))
     cfg = cli.load_config(str(path))
@@ -386,3 +388,20 @@ def test_char2_rejected(tmp_path):
     proc = run_cli(["analyze", str(path)])
     assert proc.returncode == 3
     assert "weil-validation" in proc.stderr
+
+
+def test_large_prime_config_loads_fast_and_oversized_p_exits_2(tmp_path, capsys):
+    cfg = json.loads((REPO / "configs" / "example_f5.json").read_text())
+    cfg.pop("L"), cfg.pop("modules")
+    cfg["field"]["p"] = 2**61 - 1
+    path = tmp_path / "p61.json"
+    path.write_text(json.dumps(cfg))
+    t0 = time.perf_counter()
+    loaded = cli.load_config(str(path))
+    assert time.perf_counter() - t0 < 1.0
+    assert loaded.field == PrimeField(2**61 - 1)
+    # beyond the bound where Miller-Rabin with fixed bases decides primality
+    cfg["field"]["p"] = 2**89 - 1
+    path.write_text(json.dumps(cfg))
+    assert main(["analyze", str(path)]) == 2
+    assert "too large" in capsys.readouterr().err

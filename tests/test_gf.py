@@ -5,9 +5,9 @@ import random
 import pytest
 
 from drinfeld_orders import DomainError, Poly, PrimeField, make_extension_field
-from drinfeld_orders.gf import TABLE_CAP, ExtensionField
+from drinfeld_orders.gf import MR_BOUND, TABLE_CAP, ExtensionField, is_prime
 
-from oracles import schoolbook_ops, schoolbook_pow
+from oracles import is_prime_oracle, schoolbook_ops, schoolbook_pow
 
 
 def build_field(q):
@@ -172,23 +172,39 @@ def test_tables_pth_root_and_is_square_brute_force(name):
         assert F.pth_root(a) == pth_powers[a]
 
 
-def test_above_cap_field_keeps_schoolbook():
-    L = ext_field(7, [2, 0, 0, 0, 0, 0, 1])  # F_{7^6}
-    assert L.q > TABLE_CAP
+PACKED = {
+    "p7e6": lambda: ext_field(7, [2, 0, 0, 0, 0, 0, 1]),
+    "p5e9": lambda: ext_field(5, [1, 0, 0, 0, 4, 0, 0, 0, 0, 1]),
+    "p2e11": lambda: ext_field(2, [1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1]),
+    "p3e7": lambda: ext_field(3, [1, 0, 2, 0, 0, 0, 0, 1]),
+    "p1009e2": lambda: ext_field(1009, [1, 9, 1]),
+    "p1031e1": lambda: ext_field(1031, [5, 1]),  # degree 1: no fold rows
+}
+
+
+@pytest.mark.parametrize("name", PACKED)
+def test_packed_fields_match_schoolbook(name):
+    L = PACKED[name]()
+    assert L.q > TABLE_CAP and isinstance(L.base, PrimeField)
     add, sub, mul = schoolbook_ops(L)
-    rng = random.Random(76)
-    for _ in range(300):
-        a, b = (L.element(rng.randrange(L.q)) for _ in range(2))
+    top = (L.p - 1,) * L.e  # every digit p - 1: the widest packed digits
+    rng = random.Random(L.q)
+    pairs = [(top, top), (top, L.one), (L.zero, top)]
+    pairs += [tuple(L.element(rng.randrange(L.q)) for _ in range(2)) for _ in range(300)]
+    for a, b in pairs:
         assert L.mul(a, b) == mul(a, b)
         assert L.add(a, b) == add(a, b)
         assert L.sub(a, b) == sub(a, b)
+        assert L.neg(a) == sub(L.zero, a)
+        assert L.pow(a, 5) == schoolbook_pow(mul, L.one, a, 5)
         if a != L.zero:
             assert mul(a, L.inv(a)) == L.one
             assert L.pow(a, -3) == schoolbook_pow(mul, L.one, L.inv(a), 3)
     assert not L._log
 
 
-def test_reducible_modulus_keeps_schoolbook():
+def test_reducible_modulus_runs_packed():
+    # no element of order q - 1, so no tables: products run packed
     R = ExtensionField(PrimeField(7), (6, 0, 1))  # y^2 - 1 = (y - 1)(y + 1)
     add, sub, mul = schoolbook_ops(R)
     elems = list(R.elements())
@@ -217,3 +233,42 @@ def test_tables_reject_non_elements(bad):
         F.inv(bad)
     with pytest.raises(KeyError):
         F.pow(bad, 3)
+
+
+def test_packed_product_makes_no_prime_field_call(monkeypatch):
+    L = PACKED["p7e6"]()
+    calls = [0]
+    real = PrimeField.mul
+
+    def counted(field, a, b):
+        calls[0] += 1
+        return real(field, a, b)
+
+    monkeypatch.setattr(PrimeField, "mul", counted)
+    a, b = (1, 2, 3, 4, 5, 6), (6, 5, 4, 3, 2, 1)  # schoolbook: 36 calls and more
+    assert L.mul(a, b) == schoolbook_ops(L)[2](a, b)
+    assert calls[0] == 0
+
+
+# -- primality ------------------------------------------------------------------
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(20_000) if is_prime(n)] == [
+        n for n in range(20_000) if is_prime_oracle(n)
+    ]
+
+
+def test_is_prime_large_cases():
+    assert not is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
+    assert not is_prime_oracle(3215031751)
+    # strong pseudoprime to every prime base up to 37: only base 41 exposes it
+    assert not is_prime(399165290221 * 798330580441)
+    assert is_prime(2**61 - 1) and is_prime(10**12 + 39)
+    assert is_prime_oracle(10**12 + 39)
+    assert not is_prime((2**31 - 1) * (10**12 + 39))
+    assert is_prime(MR_BOUND - 1) is False  # even
+    with pytest.raises(DomainError):
+        is_prime(MR_BOUND)
+    with pytest.raises(DomainError):
+        PrimeField(2**127 - 1)

@@ -7,7 +7,7 @@ import pytest
 from drinfeld_orders import DomainError, Poly, PrimeField, poly_gcd, poly_gcdext
 from drinfeld_orders.poly import poly_crt, polys_below_degree, valuation
 
-from oracles import RatFunc
+from oracles import RatFunc, poly_divmod_oracle, poly_mul_oracle
 from test_gf import FIELDS
 
 
@@ -54,6 +54,37 @@ def test_divmod_roundtrip(F):
         q, r = divmod(f, g)
         assert q * g + r == f
         assert r.degree < g.degree
+
+
+def _random_shape(F, rng):
+    """Zero, a constant, or up to 30 coefficients, dense or mostly zero,
+    with a random leading one (so divisors are not monic in general)."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return Poly.zero(F)
+    length = 1 if kind == 1 else rng.randrange(1, 31)
+    density = 0.2 if kind == 2 else 1.0
+    coeffs = [rng.randrange(F.p) if rng.random() < density else 0 for _ in range(length - 1)]
+    return Poly(F, coeffs + [rng.randrange(1, F.p)])
+
+
+@pytest.mark.parametrize("p", [2, 5, 7, 13, 1009])
+def test_prime_field_kernels_match_schoolbook(p):
+    F = PrimeField(p)
+    rng = random.Random(p)
+    for _ in range(300):
+        f, g = _random_shape(F, rng), _random_shape(F, rng)
+        prod = f * g
+        if f and g:
+            assert list(prod.coeffs) == poly_mul_oracle(p, f.coeffs, g.coeffs)
+        else:
+            assert prod.is_zero
+        if g.is_zero:
+            continue
+        q, r = divmod(f, g)
+        want_q, want_r = poly_divmod_oracle(p, list(f.coeffs), list(g.coeffs))
+        assert (list(q.coeffs), list(r.coeffs)) == (want_q, want_r)
+        assert q * g + r == f and r.degree < g.degree
 
 
 def test_division_by_zero():
