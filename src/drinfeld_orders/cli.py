@@ -60,6 +60,12 @@ ENV_CANDIDATE_BOUND = "DRINFELD_ORDERS_CANDIDATE_BOUND"
 
 VERDICT_TEXT = "necessary conditions passed"
 
+# Size limits, checked before any arithmetic (exit 2 beyond them).  Every
+# config in configs/, in the tests and in the benchmark lies inside them.
+MAX_FIELD_DEGREE = 16  # e = [F_q : F_p]
+MAX_L_DEGREE = 24  # n = m * deg pv = [L : F_q]
+MAX_POLY_DEGREE = 2 * MAX_L_DEGREE  # pv, a1, a2; L has degree n
+
 
 @dataclass
 class ModuleSpec:
@@ -117,6 +123,10 @@ def _parse_elem(F: FiniteField, obj, where: str):
 
 def _parse_poly(F: FiniteField, obj, where: str) -> Poly:
     _require(isinstance(obj, list), f"{where}: expected a coefficient array")
+    _require(
+        len(obj) <= MAX_POLY_DEGREE + 1,
+        f"{where}: degree above the limit {MAX_POLY_DEGREE}",
+    )
     return Poly(F, (_parse_elem(F, o, where) for o in obj))
 
 
@@ -136,6 +146,7 @@ def load_config(path: str) -> ProblemConfig:
     _require(_is_int(p) and p >= 2, "'field.p' must be a prime integer")
     e = fld.get("e", 1)
     _require(_is_int(e) and e >= 1, "'field.e' must be a positive integer")
+    _require(e <= MAX_FIELD_DEGREE, f"'field.e' is above the limit {MAX_FIELD_DEGREE}")
     try:
         base = PrimeField(p)
     except DomainError as exc:
@@ -156,6 +167,10 @@ def load_config(path: str) -> ProblemConfig:
     pv = _parse_poly(F, raw.get("pv"), "pv")
     m = raw.get("m")
     _require(_is_int(m) and m >= 1, "'m' must be a positive integer")
+    _require(
+        m * max(pv.degree, 1) <= MAX_L_DEGREE,
+        f"m * deg(pv) is above the limit {MAX_L_DEGREE}",
+    )
 
     weil = raw.get("weil")
     _require(isinstance(weil, dict), "'weil' object is required")
@@ -186,6 +201,10 @@ def load_config(path: str) -> ProblemConfig:
             _require(
                 isinstance(entry.get("phi_T"), list),
                 f"module '{name}' needs a 'phi_T' coefficient array",
+            )
+            _require(
+                len(entry["phi_T"]) <= MAX_POLY_DEGREE + 1,
+                f"module '{name}' phi_T: degree above the limit {MAX_POLY_DEGREE}",
             )
             modules.append(ModuleSpec(name=name, phi_t_coeffs=entry["phi_T"]))
 

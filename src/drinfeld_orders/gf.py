@@ -30,11 +30,14 @@ Extension arithmetic runs in one of three regimes, chosen per field object:
   coefficients into one int, w bits per digit, makes one big-int multiply
   (Kronecker substitution; von zur Gathen and Gerhard, *Modern Computer
   Algebra*, section 8.4) and folds the e - 1 high digits back with packed
-  rows z^(e+k) mod f, built once per field.  No digit may carry into its
-  neighbour, so 2^w exceeds the largest digit the fold can reach,
-  e (p-1)^2 (1 + (e-1)(p-1)): a product digit is at most e (p-1)^2 and
-  each of the e - 1 folded digits adds at most that times p - 1.  One
-  unpack and one reduction mod p per coefficient finish the product.  Sums,
+  rows z^(e+k) mod f, built once per field (``Packing``).  The fold is
+  delayed: it takes a sum of up to t unreduced products at once, and no
+  digit may carry into its neighbour, so 2^w exceeds the largest digit the
+  fold can reach, t e (p-1)^2 (1 + (e-1)(p-1)): a digit of one product is
+  at most e (p-1)^2 and each of the e - 1 folded digits adds at most that
+  times p - 1.  One unpack and one reduction mod p per coefficient finish
+  the sum.  A field product is the case t = 1; ``skew`` folds each
+  coefficient of a product in L{tau} once, with a larger t.  Sums,
   differences and negatives are one integer comprehension each.
 * base-field loops, for a tower above the cap (an extension of an
   extension): schoolbook arithmetic on coefficient tuples through the base
@@ -236,6 +239,53 @@ class FiniteField:
         return product
 
 
+class Packing:
+    """F_p[z]/(f), f monic of degree e, on packed ints: coefficient i of an
+    element is digit i of one int, w bits per digit.
+
+    A product of two packed elements has 2e - 1 digits, each at most
+    e (p-1)^2.  ``fold`` takes a sum of up to `terms` such products (or of
+    smaller summands: reduced elements, or ones scaled by F_p), adds each
+    of the e - 1 high digits back times its packed row z^(e+k) mod f, and
+    unpacks once, one reduction mod p per coefficient.  A folded digit adds
+    at most p - 1 times its own bound to a low digit, so no digit exceeds
+    terms e (p-1)^2 (1 + (e-1)(p-1)) < 2^w or carries into its neighbour.
+    A sum without high digits needs only ``unpack``.
+    """
+
+    def __init__(self, p: int, modulus, terms: int):
+        e = len(modulus) - 1
+        w = (terms * e * (p - 1) ** 2 * (1 + (e - 1) * (p - 1))).bit_length()
+        digit, low = (1 << w) - 1, (1 << w * e) - 1
+        # (shift of digit e + k, z^(e+k) mod modulus packed), k = 0..e-2
+        folds = []
+        z = [0] * (e - 1) + [1]
+        for k in range(e - 1):
+            top = z[-1]
+            z = [(x - top * m) % p for x, m in zip([0] + z[:-1], modulus)]
+            folds.append((w * (e + k), _pack(z, w)))
+        shifts = range(0, w * e, w)
+
+        def unpack(c):
+            return tuple([(c >> s & digit) % p for s in shifts])
+
+        def fold(c):
+            r = c & low
+            for s, row in folds:
+                r += (c >> s & digit) * row
+            return tuple([(r >> s & digit) % p for s in shifts])
+
+        self.w, self.terms = w, terms
+        self.unpack, self.fold = unpack, fold
+
+    def pack(self, a) -> int:
+        return _pack(a, self.w)
+
+    def reduce(self, c) -> int:
+        """The packed reduced element of a foldable sum: one summand."""
+        return _pack(self.fold(c), self.w)
+
+
 class PrimeField(FiniteField):
     """F_p with elements represented as ints in range(p)."""
 
@@ -324,26 +374,12 @@ class PrimeField(FiniteField):
         return quo, [x % p for x in rem[:n]]
 
     def product_mod(self, modulus):
-        """Packed-int products; see the module docstring for the digit
-        width w."""
-        p, e = self.p, len(modulus) - 1
-        w = (e * (p - 1) ** 2 * (1 + (e - 1) * (p - 1))).bit_length()
-        digit, low = (1 << w) - 1, (1 << w * e) - 1
-        # (shift of digit e + k, z^(e+k) mod modulus packed), k = 0..e-2
-        folds = []
-        z = [0] * (e - 1) + [1]
-        for k in range(e - 1):
-            top = z[-1]
-            z = [(x - top * m) % p for x, m in zip([0] + z[:-1], modulus)]
-            folds.append((w * (e + k), _pack(z, w)))
-        shifts = range(0, w * e, w)
+        """Packed-int products: one fold of a single product."""
+        pk = Packing(self.p, modulus, 1)
+        w, fold = pk.w, pk.fold
 
         def product(a, b):
-            c = _pack(a, w) * _pack(b, w)
-            r = c & low
-            for s, row in folds:
-                r += (c >> s & digit) * row
-            return tuple([(r >> s & digit) % p for s in shifts])
+            return fold(_pack(a, w) * _pack(b, w))
 
         return product
 

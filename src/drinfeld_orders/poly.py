@@ -40,6 +40,15 @@ class Poly:
         self.field = field
         self.coeffs = tuple(coeffs)
 
+    @classmethod
+    def _exact(cls, field: FiniteField, coeffs) -> "Poly":
+        """From coefficients that end in a nonzero one, as a product or a
+        quotient over a field does: no copy-and-strip pass."""
+        out = object.__new__(cls)
+        out.field = field
+        out.coeffs = tuple(coeffs)
+        return out
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -126,7 +135,7 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly(F, ())
-        return Poly(F, F.poly_mul(a, b))
+        return Poly._exact(F, F.poly_mul(a, b))
 
     def scale(self, c) -> "Poly":
         """Multiply by a field scalar."""
@@ -159,7 +168,7 @@ class Poly:
         if len(self.coeffs) < len(other.coeffs):
             return Poly(F, ()), self
         q, r = F.poly_divmod(self.coeffs, other.coeffs)
-        return Poly(F, q), Poly(F, r)
+        return Poly._exact(F, q), Poly(F, r)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]

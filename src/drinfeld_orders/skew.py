@@ -16,11 +16,27 @@ divisors.
 
 The arithmetic never recomputes a Frobenius power.  Each ``SkewRing``
 (one per config's L) keeps the orbit lam, lam^q, ..., lam^(q^(n-1)) of
-every element it has twisted, so a twist is a list lookup after n-1 q-th
-powers.  A product s*pi^k only prepends n*k zero coefficients
-(``SkewPoly.mul_pi``).  Each ``DrinfeldModule`` keeps phi_{T^k} for the
-k used so far, and phi_a = sum_k a_k*phi_{T^k} scales their coefficients
-by the a_k in F_q.
+every element it has twisted, so a twist is a list lookup.  Each
+``DrinfeldModule`` keeps phi_{T^k} for the k used so far, and
+phi_a = sum_k a_k*phi_{T^k} scales their coefficients by the a_k in F_q.
+pi = tau^n is central and fixes L, so a product by pi^j only shifts the
+coefficients up by n*j: sum_j phi_(a_j)*pi^j (the relation M(pi) and the
+numerators N) is one such sum with shifts (``phi_combination``).
+
+Over an L = F_p[z]/(f) without log tables (q > ``gf.TABLE_CAP``) the
+arithmetic runs on packed ints (``gf.Packing``) and reduces late:
+- a coefficient of a product u*v is the sum over i of u_i times
+  v_(m-i)^(q^i), made of big-int products of the packed u_i (packed once)
+  and the packed orbits of the v_j (cached per ring), and folded once;
+- the orbit itself is F_p-linear, x^p = sum_i x_i (z^i)^p, so it needs no
+  power in L;
+- phi_{T^k} is kept packed and reduced, so a coefficient of
+  sum_j phi_(a_j)*pi^j, a sum of reduced elements times F_p scalars, is
+  unpacked once and never folded;
+- right division folds only the top remainder coefficient at each step.
+At most ``SKEW_TERMS`` products go into a sum before it is folded; a longer
+sum is first reduced to one summand.  Over a tower, and over a tabled L
+(measured faster there), the same operations loop through L.mul and L.add.
 
 ``survey_candidates`` is the one membership loop: it tests both generators
 of every accepted order, and ``identify_endo_ring`` reads End(phi) off its
@@ -30,13 +46,20 @@ rows.  The CLI's ``check-module`` shows the ``analyze`` line for one module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import cycle, repeat
+from operator import add, mul
 from typing import List, Optional, Sequence, Tuple
 
 from .cubic import MaximalOrderData, StandardForm, WeilCubic
 from .errors import DomainError, NoCandidateError
-from .gf import ExtensionField
+from .gf import TABLE_CAP, ExtensionField, Packing, PrimeField
 from .orders import OrderHNF
 from .poly import Poly, poly_gcd
+
+
+# Products summed into one coefficient before it is folded (gf.Packing);
+# a longer sum is reduced to one summand first.
+SKEW_TERMS = 64
 
 
 class SkewRing:
@@ -48,9 +71,24 @@ class SkewRing:
         self.q = L.base.q
         self.n = L.e  # [L : F_q]
         self._orbits = {}  # lam -> [lam, lam^q, ..., lam^(q^(n-1))]
+        # the packed path, for L over F_p without log tables; None over a
+        # tower, and for a tabled L, whose loops through L.mul and L.add
+        # were measured 10% faster on the shipped F_125 configs
+        packed = L.q > TABLE_CAP and isinstance(L.base, PrimeField)
+        self._pk = Packing(L.p, L.modulus, SKEW_TERMS) if packed else None
+        self._packed_orbits = {}  # lam -> the orbit of lam, packed
+        if self._pk is not None:
+            # (z^i)^p packed: with q = p the Frobenius is F_p-linear
+            zp = L.pow(L.generator(), self.q)
+            rows, x = [], L.one
+            for _ in range(self.n):
+                rows.append(self._pk.pack(x))
+                x = L.mul(x, zp)
+            self._frobenius_rows = rows
 
     def twist(self, lam, k: int):
-        """lam^(q^k); the k-th power of the relative Frobenius."""
+        """lam^(q^k); the k-th power of the relative Frobenius (the loop
+        path; the packed one keeps ``_packed_orbit``)."""
         k %= self.n
         if k == 0:
             return lam
@@ -61,6 +99,37 @@ class SkewRing:
                 orbit.append(self.L.pow(orbit[-1], self.q))
             self._orbits[lam] = orbit
         return orbit[k]
+
+    def _packed_orbit(self, lam):
+        """[lam, lam^q, ..., lam^(q^(n-1))] packed, each step one sum
+        x^p = sum_i x_i (z^i)^p, unpacked without a fold."""
+        orbit = self._packed_orbits.get(lam)
+        if orbit is None:
+            pk, rows = self._pk, self._frobenius_rows
+            x = lam
+            orbit = [pk.pack(x)]
+            for _ in range(self.n - 1):
+                x = pk.unpack(sum(map(mul, x, rows)))
+                orbit.append(pk.pack(x))
+            self._packed_orbits[lam] = orbit
+        return orbit
+
+    def _product(self, pu, v):
+        """The unfolded coefficient sums of u*v, from the packed
+        coefficients pu of u: entry m is sum_i u_i * v_(m-i)^(q^i)."""
+        pk, zero = self._pk, self.L.zero
+        acc = [0] * (len(pu) + len(v) - 1)
+        terms = 0
+        for j, y in enumerate(v):
+            if y == zero:
+                continue
+            if terms == pk.terms and len(pu) > pk.terms:
+                acc = [pk.reduce(c) for c in acc]
+                terms = 1
+            terms += 1
+            end = j + len(pu)
+            acc[j:end] = map(add, acc[j:end], map(mul, pu, cycle(self._packed_orbit(y))))
+        return acc
 
     def poly(self, coeffs: Sequence) -> "SkewPoly":
         return SkewPoly(self, coeffs)
@@ -89,6 +158,15 @@ class SkewPoly:
         self.ring = ring
         self.coeffs = tuple(coeffs)
 
+    @classmethod
+    def _exact(cls, ring: SkewRing, coeffs: tuple) -> "SkewPoly":
+        """From a tuple that ends in a nonzero coefficient, as a product or
+        a quotient does: L{tau} has no zero divisors."""
+        out = object.__new__(cls)
+        out.ring = ring
+        out.coeffs = coeffs
+        return out
+
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -103,23 +181,19 @@ class SkewPoly:
     def coeff(self, i: int):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.ring.L.zero
 
-    def __add__(self, other: "SkewPoly") -> "SkewPoly":
-        if not isinstance(other, SkewPoly):
-            return NotImplemented
-        L = self.ring.L
-        n = max(len(self.coeffs), len(other.coeffs))
-        return SkewPoly(
-            self.ring, (L.add(self.coeff(i), other.coeff(i)) for i in range(n))
-        )
-
     def __mul__(self, other: "SkewPoly") -> "SkewPoly":
         if not isinstance(other, SkewPoly):
             return NotImplemented
         ring = self.ring
-        L = ring.L
-        zero = L.zero
         if not self.coeffs or not other.coeffs:
             return SkewPoly(ring, ())
+        pk = ring._pk
+        if pk is not None:
+            fold, pack = pk.fold, pk.pack
+            acc = ring._product([pack(x) for x in self.coeffs], other.coeffs)
+            return SkewPoly._exact(ring, tuple([fold(c) for c in acc]))
+        L = ring.L
+        zero = L.zero
         out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, ui in enumerate(self.coeffs):
             if ui == zero:
@@ -128,15 +202,7 @@ class SkewPoly:
                 if vj == zero:
                     continue
                 out[i + j] = L.add(out[i + j], L.mul(ui, ring.twist(vj, i)))
-        return SkewPoly(ring, out)
-
-    def mul_pi(self, k: int) -> "SkewPoly":
-        """self * pi^k: pi = tau^n is central and fixes L, so this only
-        shifts the coefficients up by n*k."""
-        if not self.coeffs:
-            return self
-        ring = self.ring
-        return SkewPoly(ring, (ring.L.zero,) * (ring.n * k) + self.coeffs)
+        return SkewPoly._exact(ring, tuple(out))
 
     def right_divmod(self, d: "SkewPoly") -> Tuple["SkewPoly", "SkewPoly"]:
         """(w, r) with self = w*d + r and deg_tau r < deg_tau d."""
@@ -144,23 +210,47 @@ class SkewPoly:
             raise DomainError("skew division by zero")
         ring = self.ring
         L = ring.L
-        rem = list(self.coeffs)
         dn = d.degree
-        if len(rem) - 1 < dn:
+        if len(self.coeffs) - 1 < dn:
             return ring.zero(), self
         # 1/lc(d)^(q^k) = (1/lc(d))^(q^k): one inversion, then twists
         inv_lc = L.inv(d.coeffs[-1])
-        qcoeffs = [L.zero] * (len(rem) - dn)
-        for i in range(len(rem) - 1, dn - 1, -1):
-            c = rem[i]
-            if c == L.zero:
+        pk = ring._pk
+        if pk is None:
+            rem = list(self.coeffs)
+            quo = [L.zero] * (len(rem) - dn)
+            for k in range(len(quo) - 1, -1, -1):
+                c = rem[k + dn]
+                if c == L.zero:
+                    continue
+                qk = L.mul(c, ring.twist(inv_lc, k))
+                quo[k] = qk
+                for j, dj in enumerate(d.coeffs):
+                    rem[k + j] = L.sub(rem[k + j], L.mul(qk, ring.twist(dj, k)))
+            return SkewPoly._exact(ring, tuple(quo)), SkewPoly(ring, rem[:dn])
+        # packed: rem holds unfolded sums, and only the top one is folded at
+        # each step; column r lists d_j^(q^r) for j < dn (the top cancels)
+        n, zero, fold, pack = ring.n, L.zero, pk.fold, pk.pack
+        inv_orbit = ring._packed_orbit(inv_lc)
+        orbits = [ring._packed_orbit(c) for c in d.coeffs[:dn]]
+        columns = [[orbit[r] for orbit in orbits] for r in range(n)]
+        rem = [pack(c) for c in self.coeffs]
+        quo = [zero] * (len(rem) - dn)
+        terms = 1
+        for k in range(len(quo) - 1, -1, -1):
+            c = fold(rem[k + dn])
+            if c == zero:
                 continue
-            k = i - dn
-            qk = L.mul(c, ring.twist(inv_lc, k))
-            qcoeffs[k] = qk
-            for j, dj in enumerate(d.coeffs):
-                rem[k + j] = L.sub(rem[k + j], L.mul(qk, ring.twist(dj, k)))
-        return SkewPoly(ring, qcoeffs), SkewPoly(ring, rem[:dn])
+            if terms == pk.terms:
+                rem[: k + dn] = map(pk.reduce, rem[: k + dn])
+                terms = 1
+            terms += 1
+            r = k % n
+            qk = fold(pack(c) * inv_orbit[r])
+            quo[k] = qk
+            end = k + dn
+            rem[k:end] = map(add, rem[k:end], map(mul, columns[r], repeat(pack(L.neg(qk)))))
+        return SkewPoly._exact(ring, tuple(quo)), SkewPoly(ring, [fold(c) for c in rem[:dn]])
 
     def sort_key(self):
         idx = self.ring.L.index
@@ -209,36 +299,76 @@ class DrinfeldModule:
             )
         self.ring = ring
         self.phi_t = phi_t
-        self._powers = [ring.one(), phi_t]  # phi_{T^k}, grown on demand
+        # phi_{T^k}, grown on demand: lists of packed coefficients on the
+        # packed path, SkewPolys on the loop path
+        pk = ring._pk
+        if pk is None:
+            self._powers = [ring.one(), phi_t]
+        else:
+            self._powers = [[pk.pack(ring.L.one)], [pk.pack(c) for c in phi_t.coeffs]]
+
+    def _powers_below(self, k: int) -> list:
+        """phi_{T^0}, ..., phi_{T^(k-1)} (at least)."""
+        powers, pk = self._powers, self.ring._pk
+        while len(powers) < k:
+            if pk is None:
+                powers.append(powers[-1] * self.phi_t)
+            else:
+                acc = self.ring._product(powers[-1], self.phi_t.coeffs)
+                powers.append([pk.reduce(c) for c in acc])
+        return powers
 
     def phi(self, a: Poly) -> SkewPoly:
-        """The unique ring-homomorphism image of a with T -> phi_T, as
-        sum_k a_k * phi_{T^k}; the a_k lie in F_q, so each term scales the
-        coefficients of phi_{T^k} (tuples over F_q) and needs no twist."""
-        powers = self._powers
-        while len(powers) < len(a.coeffs):
-            powers.append(powers[-1] * self.phi_t)
-        L, base = self.ring.L, self.ring.base
-        zero, one = base.zero, base.one
-        out = [L.zero] * (3 * len(a.coeffs))
-        for c, power in zip(a.coeffs, powers):
-            if c == zero:
-                continue
-            for i, lam in enumerate(power.coeffs):
-                if c != one:
-                    lam = base.vec_scale(c, lam)
-                out[i] = L.add(out[i], lam)
-        return SkewPoly(self.ring, out)
+        """The unique ring-homomorphism image of a with T -> phi_T."""
+        return self.phi_combination((a,))
+
+    def phi_combination(self, polys: Sequence[Poly]) -> SkewPoly:
+        """sum_j phi_(polys[j]) * pi^j, with phi_a = sum_k a_k * phi_{T^k}.
+
+        The a_k lie in F_q, so each term scales the coefficients of
+        phi_{T^k} and needs no twist, and pi^j shifts them by n*j.  On the
+        packed path a term is a reduced element times an F_p scalar, so
+        each coefficient of the sum is unpacked once and never folded.
+        """
+        ring = self.ring
+        L, base, n = ring.L, ring.base, ring.n
+        powers = self._powers_below(max(len(a.coeffs) for a in polys))
+        size = max(
+            (3 * len(a.coeffs) - 2 + n * j for j, a in enumerate(polys) if a.coeffs),
+            default=0,
+        )
+        pk = ring._pk
+        if pk is None:
+            out = [L.zero] * size
+            for j, a in enumerate(polys):
+                for c, power in zip(a.coeffs, powers):
+                    if c == base.zero:
+                        continue
+                    for i, lam in enumerate(power.coeffs, n * j):
+                        if c != base.one:
+                            lam = base.vec_scale(c, lam)
+                        out[i] = L.add(out[i], lam)
+            return SkewPoly(ring, out)
+        acc = [0] * size
+        terms = 0
+        for j, a in enumerate(polys):
+            for c, power in zip(a.coeffs, powers):
+                if not c:
+                    continue
+                if terms == pk.terms:
+                    acc = [pk.reduce(x) for x in acc]
+                    terms = 1
+                terms += 1
+                start, end = n * j, n * j + len(power)
+                acc[start:end] = map(add, acc[start:end], map(mul, power, repeat(c)))
+        unpack = pk.unpack
+        return SkewPoly(ring, [unpack(x) for x in acc])
 
 
 def verify_weil_action(D: DrinfeldModule, W: WeilCubic) -> bool:
-    """True iff pi^3 + phi_a1*pi^2 + phi_a2*pi + phi_a0 = 0 in L{tau},
+    """True iff phi_a0 + phi_a2*pi + phi_a1*pi^2 + pi^3 = 0 in L{tau},
     i.e. D lies in the isogeny class described by W."""
-    acc = D.ring.one().mul_pi(3)
-    acc = acc + D.phi(W.a1).mul_pi(2)
-    acc = acc + D.phi(W.a2).mul_pi(1)
-    acc = acc + D.phi(W.a0)
-    return acc.is_zero
+    return D.phi_combination((W.a0, W.a2, W.a1, Poly.one(W.field))).is_zero
 
 
 @dataclass(frozen=True)
@@ -284,7 +414,7 @@ def element_membership(D: DrinfeldModule, e: KElem) -> Optional[SkewPoly]:
     phi_d; a zero remainder certifies membership and the quotient is the
     endomorphism.
     """
-    n = D.phi(e.n0) + D.phi(e.n1).mul_pi(1) + D.phi(e.n2).mul_pi(2)
+    n = D.phi_combination((e.n0, e.n1, e.n2))
     w, r = n.right_divmod(D.phi(e.d))
     if r.is_zero:
         return w

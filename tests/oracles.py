@@ -523,6 +523,16 @@ def skew_add_oracle(L, u, v):
     return _strip(L, (L.add(x, y) for x, y in zip(pad_u, pad_v)))
 
 
+def skew_sum(*polys):
+    """The sum of skew polynomials of one ring (SkewPoly has no + of its
+    own: the program adds only inside its packed or looped kernels)."""
+    ring = polys[0].ring
+    acc = ()
+    for s in polys:
+        acc = skew_add_oracle(ring.L, acc, s.coeffs)
+    return ring.poly(acc)
+
+
 def skew_mul_oracle(L, u, v):
     """Coefficients of u*v; the twist exponent q^i is reduced to q^(i mod n)
     because q^n fixes L."""
@@ -559,6 +569,57 @@ def weil_relation_oracle(D, W: WeilCubic) -> bool:
         term = skew_mul_oracle(L, phi_horner_oracle(D, a), pi_power(k))
         acc = skew_add_oracle(L, acc, term)
     return not acc
+
+
+def descended_module(L, g, c):
+    """(phi_T coefficients, WeilCubic) of a module with its class, for L of
+    degree n over F_q, g = (g0, g1, g2) in F_q and c in L*.
+
+    psi_T = g0 + g1 tau + g2 tau^2 + tau^3 has coefficients in F_q, so tau
+    commutes with psi_T and is a root of P(x) = x^3 + g2 x^2 + g1 x + g0 - T
+    over A.  Then pi = tau^n is a root of the characteristic polynomial M of
+    C^n, C the companion matrix of P (Cayley-Hamilton in A[x]/(P)), and
+    M = x^3 - tr x^2 + (principal 2-minors) x - det with
+    det = (T - g0)^n.  phi = c psi c^-1, with coefficients
+    g_i c^(1 - q^i), is isomorphic to psi, so it lies in the same class."""
+    F, n = L.base, L.e
+    T, zero, one = Poly.x(F), Poly.zero(F), Poly.one(F)
+    gamma = Poly.const(F, g[0])
+    comp = (
+        (zero, zero, T - gamma),
+        (one, zero, Poly.const(F, F.neg(g[1]))),
+        (zero, one, Poly.const(F, F.neg(g[2]))),
+    )
+    m = identity_matrix(F)
+    for _ in range(n):
+        m = mat_mul(m, comp)
+    minors = sum(
+        (m[i][i] * m[j][j] - m[i][j] * m[j][i] for i, j in ((0, 1), (0, 2), (1, 2))),
+        start=zero,
+    )
+    det = sum(
+        (
+            m[0][k] * (m[1][(k + 1) % 3] * m[2][(k + 2) % 3] - m[1][(k + 2) % 3] * m[2][(k + 1) % 3])
+            for k in range(3)
+        ),
+        start=zero,
+    )
+    pv = T - gamma
+    assert det == pv**n
+    W = WeilCubic(
+        field=F,
+        a1=-(m[0][0] + m[1][1] + m[2][2]),
+        a2=minors,
+        mu=F.neg(F.one),
+        pv=pv,
+        m=n,
+    )
+    c_inv = L.inv(c)
+    phi_t = [
+        L.mul(L.mul(L.embed(gi), c), frobenius_power(L, c_inv, i))
+        for i, gi in enumerate((*g, F.one))
+    ]
+    return phi_t, W
 
 
 # -- finite-field arithmetic from the definition ------------------------------

@@ -405,3 +405,38 @@ def test_large_prime_config_loads_fast_and_oversized_p_exits_2(tmp_path, capsys)
     path.write_text(json.dumps(cfg))
     assert main(["analyze", str(path)]) == 2
     assert "too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"m": 300}, "m * deg(pv)"),
+        ({"pv": [1, 1, 1], "m": 13}, "m * deg(pv)"),
+        ({"weil": {"a1": [1] * 50, "a2": [1], "mu": 1}}, "weil.a1: degree"),
+        ({"field": {"p": 5, "e": 17, "modulus": [1] * 18}}, "'field.e'"),
+        ({"L": [1] * 50}, "L: degree"),
+    ],
+    ids=["m300", "n26", "a1-deg49", "e17", "L-deg49"],
+)
+def test_oversized_config_exits_2_fast(tmp_path, capsys, edit, message):
+    # pv = T and m = 300 over F_5 used to run for over a minute; size limits
+    # are checked before any arithmetic
+    cfg = json.loads(GOLDEN.read_text())
+    cfg.update(edit)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(cfg))
+    t0 = time.perf_counter()
+    assert main(["analyze", str(path)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("config:") and message in err and "limit" in err
+
+
+def test_size_limits_admit_the_largest_known_configs(tmp_path):
+    # the class tests reach m = 15 with deg a2 = 10
+    cfg = json.loads(GOLDEN.read_text())
+    cfg.pop("L"), cfg.pop("modules")
+    cfg.update({"m": 15, "weil": {"a1": [0], "a2": [0] * 10 + [1], "mu": 1}})
+    path = tmp_path / "m15.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.load_config(str(path)).m == 15

@@ -19,21 +19,28 @@ from drinfeld_orders import (
     survey_candidates,
     verify_weil_action,
 )
+from drinfeld_orders.gf import ExtensionField
 from drinfeld_orders.orders import OrderHNF
 from drinfeld_orders.skew import MembershipSurvey, SkewRing
 
+import drinfeld_orders.gf as gf
+import drinfeld_orders.skew as skew
 from oracles import (
     commutes_with,
+    descended_module,
     frobenius,
     frobenius_power,
     gamma,
     gamma_t,
     phi_horner_oracle,
     skew_constant,
+    skew_add_oracle,
     skew_mul_oracle,
+    skew_sum,
     skew_tau,
     weil_relation_oracle,
 )
+from test_gf import PACKED
 
 
 # L = F_{7^6} and F_{5^9}, the two sizes of the module benchmark
@@ -83,7 +90,7 @@ def test_mul_associative_distributive(skew_ring):
         v = rand_skew(skew_ring, 3, rng)
         w = rand_skew(skew_ring, 3, rng)
         assert (u * v) * w == u * (v * w)
-        assert u * (v + w) == u * v + u * w
+        assert u * skew_sum(v, w) == skew_sum(u * v, u * w)
 
 
 def test_noncommutativity_detected(skew_ring):
@@ -94,8 +101,8 @@ def test_noncommutativity_detected(skew_ring):
     for i in range(L.q):
         c = L.element(i)
         cpoly = skew_constant(skew_ring, c)
-        left = (tau + one) * (tau + cpoly)
-        right = (tau + cpoly) * (tau + one)
+        left = skew_sum(tau, one) * skew_sum(tau, cpoly)
+        right = skew_sum(tau, cpoly) * skew_sum(tau, one)
         if L.pow(c, skew_ring.q) == c:
             assert left == right
         else:
@@ -110,7 +117,7 @@ def test_right_divmod_roundtrip(skew_ring):
         if d.is_zero:
             continue
         q, r = n.right_divmod(d)
-        assert q * d + r == n
+        assert skew_sum(q * d, r) == n
         assert r.degree < d.degree
 
 
@@ -136,7 +143,7 @@ def test_right_divmod_uniqueness(skew_ring):
         d = rand_skew(skew_ring, 2, rng)
     q1 = rand_skew(skew_ring, 2, rng)
     r1 = rand_skew(skew_ring, 1, rng)
-    n = q1 * d + r1
+    n = skew_sum(q1 * d, r1)
     q2, r2 = n.right_divmod(d)
     assert q2 == q1 and r2 == r1
 
@@ -164,8 +171,8 @@ def test_skew_arithmetic_over_tower():
         assert (u * v) * t == u * (v * t)
         if t.is_zero:
             continue
-        q, r = (u * v + t).right_divmod(t)
-        assert q * t + r == u * v + t
+        q, r = skew_sum(u * v, t).right_divmod(t)
+        assert skew_sum(q * t, r) == skew_sum(u * v, t)
         assert r.degree < t.degree
 
 
@@ -175,7 +182,7 @@ def test_phi_homomorphism(module_phi, f5):
     for _ in range(15):
         a = Poly(f5, [f5.element(rng.randrange(5)) for _ in range(3)])
         b = Poly(f5, [f5.element(rng.randrange(5)) for _ in range(3)])
-        assert module_phi.phi(a + b) == module_phi.phi(a) + module_phi.phi(b)
+        assert module_phi.phi(a + b) == skew_sum(module_phi.phi(a), module_phi.phi(b))
         assert module_phi.phi(a * b) == module_phi.phi(a) * module_phi.phi(b)
     assert module_phi.phi(T * T) == module_phi.phi(T) * module_phi.phi(T)
 
@@ -198,7 +205,7 @@ def test_phi_shift_rule(module_phi, f5):
     # phi_{T+2} = phi_T + 2
     T = Poly.x(f5)
     two = Poly.const(f5, f5.element(2))
-    assert module_phi.phi(T + two) == module_phi.phi(T) + module_phi.phi(two)
+    assert module_phi.phi(T + two) == skew_sum(module_phi.phi(T), module_phi.phi(two))
 
 
 def test_frobenius_is_central(module_phi, skew_ring):
@@ -288,7 +295,7 @@ def test_division_verdict_for_module_as_printed(
     _, omega2 = basis_kelems(W, sf, mo)
     D = module_psi_literal
     pi = frobenius(D)
-    n = D.phi(omega2.n0) + D.phi(omega2.n1) * pi + D.phi(omega2.n2) * (pi * pi)
+    n = skew_sum(D.phi(omega2.n0), D.phi(omega2.n1) * pi, D.phi(omega2.n2) * (pi * pi))
     _, r = n.right_divmod(D.phi(omega2.d))
     assert not r.is_zero
     assert element_membership(D, omega2) is None
@@ -394,8 +401,10 @@ def test_twist_is_frobenius_power(name):
     rng = random.Random(29)
     for _ in range(20):
         lam = L.element(rng.randrange(1, L.q))
+        packed = ring._packed_orbit(lam)
         for k in range(2 * ring.n):
             assert ring.twist(lam, k) == frobenius_power(L, lam, k)
+            assert ring._pk.unpack(packed[k % ring.n]) == frobenius_power(L, lam, k)
 
 
 def test_phi_matches_horner_oracle(module_phi, f5):
@@ -417,7 +426,7 @@ def test_phi_matches_horner_oracle_over_tower():
     L = make_extension_field(F25, Poly(F25, (F25.neg(w), F25.zero, F25.one)))
     ring = SkewRing(L)
     rng = random.Random(37)
-    phi_t = rand_skew(ring, 2, rng) + ring.poly([L.zero] * 3 + [L.one])
+    phi_t = skew_sum(rand_skew(ring, 2, rng), ring.poly([L.zero] * 3 + [L.one]))
     D = DrinfeldModule(ring, phi_t)
     for deg in (1, 6, 3):
         a = Poly(F25, [F25.element(rng.randrange(25)) for _ in range(deg + 1)])
@@ -425,16 +434,21 @@ def test_phi_matches_horner_oracle_over_tower():
 
 
 @pytest.mark.parametrize("name", ["F_125", "7^6"])
-def test_mul_pi_is_product_by_tau_power(name, skew_ring):
+def test_phi_combination_shifts_by_pi(name, skew_ring):
+    # sum_j phi_(a_j) pi^j against full products by tau^(n j)
     ring = skew_ring if name == "F_125" else large_ring(name)
-    L = ring.L
+    L, F = ring.L, ring.base
     rng = random.Random(41)
+    D = DrinfeldModule(ring, skew_sum(rand_skew(ring, 2, rng), ring.poly([L.zero] * 3 + [L.one])))
+    zero = Poly.zero(F)
     for _ in range(4):
-        s = rand_skew(ring, 4, rng)
-        for k in range(4):
+        polys = [Poly(F, [rng.randrange(F.q) for _ in range(rng.randrange(5))]) for _ in range(4)]
+        want = ()
+        for k, a in enumerate(polys):
             tau_nk = (L.zero,) * (ring.n * k) + (L.one,)
-            assert s.mul_pi(k).coeffs == skew_mul_oracle(L, s.coeffs, tau_nk)
-    assert ring.zero().mul_pi(2).is_zero
+            want = skew_add_oracle(L, want, skew_mul_oracle(L, phi_horner_oracle(D, a), tau_nk))
+        assert D.phi_combination(polys).coeffs == want
+    assert D.phi_combination((zero, zero)).is_zero
 
 
 def test_verify_weil_action_matches_full_product(
@@ -450,3 +464,186 @@ def test_verify_weil_action_matches_full_product(
         assert verdict == weil_relation_oracle(D, example_weil)
         verdicts.append(verdict)
     assert verdicts == [True, True, False, False]
+
+
+# -- the packed kernels against the definition --------------------------------
+# The fields of the packed gf tests run packed in L{tau} too; F_125 (log
+# tables) and a tower over F_25 run the loops.  Each packed ring is also
+# built with SKEW_TERMS = 2, so that every longer sum is reduced first.
+
+
+def tower_field():
+    F5 = PrimeField(5)
+    F25 = make_extension_field(F5, Poly.from_ints(F5, [2, 0, 1]))
+    w = F25.generator()
+    return make_extension_field(F25, Poly(F25, (F25.neg(w), F25.zero, F25.one)))
+
+
+def f125_field():
+    F5 = PrimeField(5)
+    return make_extension_field(F5, Poly.from_ints(F5, [3, 3, 0, 1]))
+
+
+KERNEL_FIELDS = {**PACKED, "F_125": f125_field, "tower": tower_field}
+KERNEL_CASES = [(name, None) for name in KERNEL_FIELDS] + [(name, 2) for name in PACKED]
+
+
+def kernel_ring(name, terms, monkeypatch):
+    if terms is not None:
+        monkeypatch.setattr(skew, "SKEW_TERMS", terms)
+    ring = SkewRing(KERNEL_FIELDS[name]())
+    assert (ring._pk is not None) == (name in PACKED)
+    return ring
+
+
+def kernel_id(case):
+    name, terms = case
+    return name if terms is None else f"{name}-terms{terms}"
+
+
+def kernel_polys(ring, rng):
+    """Skew polynomials of lengths 1 to 13 with random coefficients, and
+    ones whose every coefficient is the top element, (p-1, ..., p-1) over
+    F_p: the widest packed digits."""
+    L = ring.L
+    top = L.element(L.q - 1)
+    out = [ring.poly([top] * k) for k in (1, 5, 9)]
+    for k in (1, 2, 4, 5, 7, 13):
+        out.append(ring.poly([L.element(rng.randrange(L.q)) for _ in range(k - 1)] + [top]))
+    return out
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES, ids=kernel_id)
+def test_kernel_products_match_oracle(case, monkeypatch):
+    ring = kernel_ring(*case, monkeypatch)
+    L = ring.L
+    polys = kernel_polys(ring, random.Random(43))
+    for u in polys:
+        for v in polys:
+            got = u * v
+            assert got.coeffs == skew_mul_oracle(L, u.coeffs, v.coeffs)
+            assert got.degree == u.degree + v.degree
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES, ids=kernel_id)
+def test_kernel_right_divmod_round_trips(case, monkeypatch):
+    ring = kernel_ring(*case, monkeypatch)
+    L = ring.L
+    rng = random.Random(47)
+    polys = kernel_polys(ring, rng)
+    for d in polys[1:]:
+        for n in polys:
+            q, r = n.right_divmod(d)
+            assert r.degree < d.degree
+            back = skew_add_oracle(L, skew_mul_oracle(L, q.coeffs, d.coeffs), r.coeffs)
+            assert back == n.coeffs
+        w = polys[-1]
+        q, r = ring.poly(skew_mul_oracle(L, w.coeffs, d.coeffs)).right_divmod(d)
+        assert q == w and r.is_zero
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES, ids=kernel_id)
+def test_kernel_phi_matches_horner_oracle(case, monkeypatch):
+    ring = kernel_ring(*case, monkeypatch)
+    L, F = ring.L, ring.base
+    rng = random.Random(53)
+    top, base_top = L.element(L.q - 1), F.element(F.q - 1)
+    modules = [
+        DrinfeldModule(ring, ring.poly([top] * 4)),
+        DrinfeldModule(ring, ring.poly([L.element(rng.randrange(L.q)) for _ in range(3)] + [top])),
+    ]
+    for D in modules:
+        for deg in (3, 0, 7, 1):
+            a = Poly(F, [F.element(rng.randrange(F.q)) for _ in range(deg)] + [base_top])
+            assert D.phi(a).coeffs == phi_horner_oracle(D, a)
+        a = Poly(F, [base_top] * 6)
+        assert D.phi(a).coeffs == phi_horner_oracle(D, a)
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES, ids=kernel_id)
+def test_kernel_weil_action_matches_relation_oracle(case, monkeypatch):
+    ring = kernel_ring(*case, monkeypatch)
+    L, F = ring.L, ring.base
+    rng = random.Random(59)
+    g = tuple(F.element(rng.randrange(F.q)) for _ in range(3))
+    phi_t, W = descended_module(L, g, L.element(rng.randrange(1, L.q)))
+    perturbed = list(phi_t)
+    perturbed[2] = L.add(perturbed[2], L.one)
+    verdicts = []
+    for coeffs in (phi_t, perturbed):
+        D = DrinfeldModule(ring, ring.poly(coeffs))
+        verdict = verify_weil_action(D, W)
+        assert verdict == weil_relation_oracle(D, W)
+        verdicts.append(verdict)
+    assert verdicts == [True, False]
+
+
+def test_packed_skew_arithmetic_makes_no_field_product(monkeypatch):
+    # F_{7^6}: products, right division and phi fold each coefficient sum
+    # once; none goes through ExtensionField.mul term by term
+    ring = SkewRing(KERNEL_FIELDS["p7e6"]())
+    L = ring.L
+    rng = random.Random(61)
+    u, v = (ring.poly([L.element(rng.randrange(1, L.q)) for _ in range(9)]) for _ in range(2))
+    D = DrinfeldModule(ring, ring.poly([L.element(rng.randrange(1, L.q)) for _ in range(4)]))
+    a = Poly(ring.base, [rng.randrange(1, 7) for _ in range(6)])
+    calls = [0]
+    real = ExtensionField.mul
+
+    def counted(field, x, y):
+        calls[0] += 1
+        return real(field, x, y)
+
+    monkeypatch.setattr(ExtensionField, "mul", counted)
+    w = u * v
+    quo, rem = w.right_divmod(v)
+    phi_a = D.phi(a)
+    assert calls[0] == 0
+    monkeypatch.undo()
+    assert w.coeffs == skew_mul_oracle(L, u.coeffs, v.coeffs)
+    assert quo == u and rem.is_zero
+    assert phi_a.coeffs == phi_horner_oracle(D, a)
+
+
+@pytest.mark.parametrize("name", ["p7e6", "p1031e1"])
+def test_packed_sums_stay_within_the_digit_bound(name, monkeypatch):
+    # the digit width is sized for sums of at most `terms` summands whose
+    # digits are at most e (p-1)^2 (a product before its fold); record the
+    # largest digit of every sum handed to fold or unpack, on digits wide
+    # enough not to overflow, with terms = 2 so that most sums are reduced
+    seen = []
+
+    def wide(p, modulus, terms):
+        pk = gf.Packing(p, modulus, 2**40)
+        fold, unpack, w = pk.fold, pk.unpack, pk.w
+        shifts = range(0, w * (2 * len(modulus) - 3), w)
+
+        def largest_digit(c):
+            seen.append(max(c >> s & ((1 << w) - 1) for s in shifts))
+            return c
+
+        pk.fold = lambda c: fold(largest_digit(c))
+        pk.unpack = lambda c: unpack(largest_digit(c))
+        pk.terms = terms
+        return pk
+
+    monkeypatch.setattr(skew, "Packing", wide)
+    monkeypatch.setattr(skew, "SKEW_TERMS", 2)
+    ring = SkewRing(PACKED[name]())
+    L = ring.L
+    top = ring.poly([L.element(L.q - 1)] * 9)
+    ones = ring.poly([L.one] * 9)
+    prod = top * top
+    quo, rem = prod.right_divmod(top)
+    # quotient coefficients 1: each remainder update adds (p-1)^2 per digit
+    # at e = 1
+    quo1, rem1 = (ones * top).right_divmod(top)
+    D = DrinfeldModule(ring, ring.poly([L.element(L.q - 1)] * 4))
+    phi_a = D.phi(Poly(ring.base, [ring.base.q - 1] * 5))
+    e, p = L.e, L.p
+    assert max(seen) <= 2 * e * (p - 1) ** 2
+    monkeypatch.undo()
+    assert prod.coeffs == skew_mul_oracle(L, top.coeffs, top.coeffs)
+    assert quo == top and rem.is_zero
+    assert quo1 == ones and rem1.is_zero
+    assert phi_a.coeffs == phi_horner_oracle(D, Poly(ring.base, [ring.base.q - 1] * 5))
