@@ -49,7 +49,7 @@ from .errors import (
     NotWeilAtVError,
     ReducibleError,
 )
-from .factor import factor, is_irreducible, reduce_mod
+from .factor import factor, is_irreducible, reduce_mod, unit_roots
 
 # not called here any more; bench/tests/test_bench.py checks that the tracer
 # rewraps this binding, so it stays until that test names another one
@@ -163,7 +163,7 @@ def _check_irreducible_over_k(W: WeilCubic) -> None:
     For r = u*pv^j the term a_i r^i of M(r) has degree deg a_i + i*j*deg pv
     and, pv being monic, leading coefficient lc(a_i) u^i.  So M(r) = 0
     forces the sum of lc(a_i) u^i over the terms of top degree to vanish;
-    only the units where it does get the full evaluation."""
+    only its roots u in F_q* get the full evaluation."""
     F = W.field
     coeffs = W.coefficients()
     a0, a2, a1, _ = coeffs
@@ -177,10 +177,7 @@ def _check_irreducible_over_k(W: WeilCubic) -> None:
         lead = Poly(F, (c.lc if d == top else F.zero for c, d in zip(coeffs, degs)))
         if lead.degree < 1:  # a nonzero constant has no root
             continue
-        for i in range(1, F.q):
-            u = F.element(i)
-            if lead.evaluate(u) != F.zero:
-                continue
+        for u in unit_roots(lead):
             r = (W.pv**j).scale(u)
             if (((r + a1) * r + a2) * r + a0).is_zero:
                 raise ReducibleError(f"M(x) has the root {r.to_str()} in A")

@@ -8,15 +8,16 @@ element of a degree-e extension is a tuple of e base-field elements
 values themselves are inert, hashable and directly comparable, so they can
 be used as dict keys without wrapping.
 
-Towers nest: F_9 = F_3[y]/(y^2+1) has int coefficients, and a residue field
-F_q[T]/(p) built on top of an extension F_q has tuple coefficients.  Field
-equality is structural, so the same tower built twice compares equal.
+Towers nest two levels deep: F_9 = F_3[y]/(y^2+1) has int coefficients, and
+a residue field F_q[T]/(p) built on top of an extension F_q has tuple
+coefficients; the base of an extension is F_p or an extension of F_p.
+Field equality is structural, so the same tower built twice compares equal.
 
 Constructors here check only shape (primality, monic modulus).  Whether a
 modulus is irreducible is a factorisation question; use
 ``factor.make_extension_field`` when that guarantee is needed.
 
-Extension arithmetic runs in one of three regimes, chosen per field object:
+Extension arithmetic runs in one of two regimes, chosen per field object:
 
 * log tables, for q <= TABLE_CAP: on its first add, sub, mul, inv or pow the
   field builds the tables of a primitive element g: exp[k] = g^k,
@@ -25,30 +26,19 @@ Extension arithmetic runs in one of three regimes, chosen per field object:
   inverses and powers are then index arithmetic and sums one Zech lookup.
   The tables are a write-once cache: built at most once per field object
   and never changed after.
-* packed ints, for a prime base above the cap (and a reducible modulus,
-  which has no element of order q - 1): a product packs each operand's e
-  coefficients into one int, w bits per digit, makes one big-int multiply
-  (Kronecker substitution; von zur Gathen and Gerhard, *Modern Computer
-  Algebra*, section 8.4) and folds the e - 1 high digits back with packed
-  rows z^(e+k) mod f, built once per field (``Packing``).  The fold is
-  delayed: it takes a sum of up to t unreduced products at once, and no
-  digit may carry into its neighbour, so 2^w exceeds the largest digit the
-  fold can reach, t e (p-1)^2 (1 + (e-1)(p-1)): a digit of one product is
-  at most e (p-1)^2 and each of the e - 1 folded digits adds at most that
-  times p - 1.  One unpack and one reduction mod p per coefficient finish
-  the sum.  A field product is the case t = 1; ``skew`` folds each
-  coefficient of a product in L{tau} once, with a larger t.  Sums,
-  differences and negatives are one integer comprehension each.
-* base-field loops, for a tower above the cap (an extension of an
-  extension): schoolbook arithmetic on coefficient tuples through the base
-  field's operations.
+* packed ints, above the cap (and for a reducible modulus, which has no
+  element of order q - 1): a product packs the F_p-coordinates of each
+  operand into one int, makes one big-int multiply (Kronecker substitution
+  in z and y; von zur Gathen and Gerhard, *Modern Computer Algebra*, section
+  8.4) and folds the digits outside the basis back with packed rows built
+  once per field (``Packing``).  ``skew`` folds a sum of many products at
+  once.  Building the tables multiplies the same way.  Sums, differences
+  and negatives go coordinatewise through the base field.
 
-Outside the tables, inverses come from the extended Euclidean algorithm.
-The base field supplies the kernels the last two regimes differ in
-(``product_mod`` and the coordinatewise ``vec_*`` operations), and
-``PrimeField`` overrides the generic coefficient loops of ``FiniteField``
-with integer ones; ``poly.Poly`` multiplies and divides through the same
-kind of kernel (``poly_mul``, ``poly_divmod``).
+Outside the tables, inverses come from the extended Euclidean algorithm.  ``PrimeField`` overrides the generic coefficient
+loops of ``FiniteField`` (``vec_add``, ``vec_sub``) with integer ones;
+``poly.Poly`` multiplies and divides through the same kind of kernel
+(``poly_mul``, ``poly_divmod``).
 """
 
 from __future__ import annotations
@@ -182,11 +172,6 @@ class FiniteField:
         sub = self.sub
         return tuple([sub(x, y) for x, y in zip(a, b)])
 
-    def vec_scale(self, c, a):
-        """c times every coordinate of a."""
-        mul = self.mul
-        return tuple([mul(c, x) for x in a])
-
     def poly_mul(self, a, b):
         """Coefficients (ascending, a list) of the product of two nonempty
         coefficient sequences."""
@@ -219,71 +204,116 @@ class FiniteField:
                 rem[j] = sub(rem[j], mul(c, y))
         return quo, rem[:n]
 
-    def product_mod(self, modulus):
-        """A function (a, b) -> a*b mod `modulus` on tuples of e coefficients
-        over this field, for a monic `modulus` of degree e (e + 1 entries)."""
-        e = len(modulus) - 1
-        zero, sub, mul, poly_mul = self.zero, self.sub, self.mul, self.poly_mul
-
-        def product(a, b):
-            acc = poly_mul(a, b)
-            for i in range(2 * e - 2, e - 1, -1):
-                c = acc[i]
-                if c == zero:
-                    continue
-                for j, m in enumerate(modulus[:e], i - e):
-                    if m != zero:
-                        acc[j] = sub(acc[j], mul(c, m))
-            return tuple(acc[:e])
-
-        return product
-
 
 class Packing:
-    """F_p[z]/(f), f monic of degree e, on packed ints: coefficient i of an
-    element is digit i of one int, w bits per digit.
+    """L = B[z]/(f) on packed ints, for f monic of degree n over a base
+    B = F_p (e = 1) or F_p[y]/(g), g of degree e: F_p-coordinate j of
+    coefficient i of an element is digit i(2e-1) + j of one int, w bits per
+    digit.
 
-    A product of two packed elements has 2e - 1 digits, each at most
-    e (p-1)^2.  ``fold`` takes a sum of up to `terms` such products (or of
-    smaller summands: reduced elements, or ones scaled by F_p), adds each
-    of the e - 1 high digits back times its packed row z^(e+k) mod f, and
-    unpacks once, one reduction mod p per coefficient.  A folded digit adds
-    at most p - 1 times its own bound to a low digit, so no digit exceeds
-    terms e (p-1)^2 (1 + (e-1)(p-1)) < 2^w or carries into its neighbour.
-    A sum without high digits needs only ``unpack``.
+    Two packed elements multiply as polynomials in z and y (Kronecker
+    substitution in two variables), and digit (i, j) of the product,
+    i < 2n - 1 and j < 2e - 1, stays in place; it is at most ne (p-1)^2.
+    ``fold`` takes a sum of up to `terms` such products (or of smaller
+    summands: reduced elements, or ones scaled by B), keeps the ne basis
+    digits (i < n, j < e), adds each of the R = (2n-1)(2e-1) - ne others back
+    times its packed row z^i y^j reduced, and unpacks once, one reduction mod
+    p per coordinate.  A folded digit adds at most p - 1 times its own bound
+    to a basis digit, so no digit exceeds terms ne (p-1)^2 (1 + R(p-1)) < 2^w
+    or carries into its neighbour.  A sum without digits outside the basis
+    needs only ``unpack``.  For e = 1 a coefficient is one digit, and the
+    rows are z^(n+k) mod f.
     """
 
-    def __init__(self, p: int, modulus, terms: int):
-        e = len(modulus) - 1
-        w = (terms * e * (p - 1) ** 2 * (1 + (e - 1) * (p - 1))).bit_length()
-        digit, low = (1 << w) - 1, (1 << w * e) - 1
-        # (shift of digit e + k, z^(e+k) mod modulus packed), k = 0..e-2
-        folds = []
-        z = [0] * (e - 1) + [1]
-        for k in range(e - 1):
-            top = z[-1]
-            z = [(x - top * m) % p for x, m in zip([0] + z[:-1], modulus)]
-            folds.append((w * (e + k), _pack(z, w)))
-        shifts = range(0, w * e, w)
+    def __init__(self, L, terms: int):
+        p, n, e = L.p, L.e, L.base.degree
+        span = 2 * e - 1  # digits per coefficient of a product
+        outside = (2 * n - 1) * span - n * e
+        w = (terms * n * e * (p - 1) ** 2 * (1 + outside * (p - 1))).bit_length()
+        digit = (1 << w) - 1
+        if e == 1:
+            shifts = range(0, w * n, w)
+            basis = (1 << w * n) - 1
 
-        def unpack(c):
-            return tuple([(c >> s & digit) % p for s in shifts])
+            def pack(a):
+                x = 0
+                for d in reversed(a):
+                    x = x << w | d
+                return x
+
+            def unpack(c):
+                return tuple([(c >> s & digit) % p for s in shifts])
+
+            tops = [[-m % p for m in L.modulus[:n]]]
+        else:
+            blocks = [range(w * span * i, w * (span * i + e), w) for i in range(n)]
+            basis = sum(digit << s for block in blocks for s in block)
+            pad = w * (e - 1)
+
+            def pack(a):
+                x = 0
+                for c in reversed(a):
+                    x <<= pad
+                    for d in reversed(c):
+                        x = x << w | d
+                return x
+
+            def unpack(c):
+                return tuple([tuple([(c >> s & digit) % p for s in b]) for b in blocks])
+
+            g = L.base.modulus
+
+            def times_y(x):
+                out = []
+                for b in range(0, n * e, e):
+                    t = x[b + e - 1]
+                    out += [(a - t * m) % p for a, m in zip([0] + x[b : b + e - 1], g)]
+                return out
+
+            tops = [[-d % p for c in L.modulus[:n] for d in c]]
+            for _ in range(e - 1):  # z^n y^k for k < e
+                tops.append(times_y(tops[-1]))
+
+        # the rows are built on flat lists of F_p-coordinates, index e i + j;
+        # tops[k] is z^n y^k
+        def times_z(x):
+            out = [0] * e + x[:-e]
+            for t, row in zip(x[-e:], tops):
+                if t:
+                    out = [(a + t * r) % p for a, r in zip(out, row)]
+            return out
+
+        # (shift of digit (i, j), z^i y^j reduced and packed) for the digits
+        # outside the basis; over F_p these all have i >= n
+        folds = []
+        first = n - 1 if e == 1 else 0
+        x = [0] * (n * e)
+        x[first * e] = 1
+        for i in range(first, 2 * n - 1):
+            if i > first:
+                x = times_z(x)
+            row = x
+            for j in range(span):
+                if j:
+                    row = times_y(row)
+                if i >= n or j >= e:
+                    element = row if e == 1 else [row[b : b + e] for b in range(0, n * e, e)]
+                    folds.append((w * (span * i + j), pack(element)))
 
         def fold(c):
-            r = c & low
+            r = c & basis
             for s, row in folds:
                 r += (c >> s & digit) * row
-            return tuple([(r >> s & digit) % p for s in shifts])
+            if e == 1:  # unpack, inlined
+                return tuple([(r >> s & digit) % p for s in shifts])
+            return unpack(r)
 
         self.w, self.terms = w, terms
-        self.unpack, self.fold = unpack, fold
-
-    def pack(self, a) -> int:
-        return _pack(a, self.w)
+        self.pack, self.unpack, self.fold = pack, unpack, fold
 
     def reduce(self, c) -> int:
         """The packed reduced element of a foldable sum: one summand."""
-        return _pack(self.fold(c), self.w)
+        return self.pack(self.fold(c))
 
 
 class PrimeField(FiniteField):
@@ -331,10 +361,6 @@ class PrimeField(FiniteField):
         p = self.p
         return tuple([(x - y) % p for x, y in zip(a, b)])
 
-    def vec_scale(self, c, a):
-        p = self.p
-        return tuple([c * x % p for x in a])
-
     def poly_mul(self, a, b):
         p = self.p
         if len(a) < len(b):
@@ -373,16 +399,6 @@ class PrimeField(FiniteField):
                     rem[j] -= c * y
         return quo, [x % p for x in rem[:n]]
 
-    def product_mod(self, modulus):
-        """Packed-int products: one fold of a single product."""
-        pk = Packing(self.p, modulus, 1)
-        w, fold = pk.w, pk.fold
-
-        def product(a, b):
-            return fold(_pack(a, w) * _pack(b, w))
-
-        return product
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -410,6 +426,8 @@ class ExtensionField(FiniteField):
             raise DomainError("extension degree must be at least 1")
         if modulus[-1] != base.one:
             raise DomainError("extension modulus must be monic")
+        if isinstance(base, ExtensionField) and not isinstance(base.base, PrimeField):
+            raise DomainError("the base of an extension must be F_p or an extension of F_p")
         self.base = base
         self.modulus = modulus
         self.e = e
@@ -530,9 +548,11 @@ class ExtensionField(FiniteField):
 
     @cached_property
     def _mul(self):
-        """(a, b) -> a*b mod the modulus on coefficient tuples, from the base
-        field: packed ints over F_p, base-field loops over an extension."""
-        return self.base.product_mod(self.modulus)
+        """(a, b) -> a*b mod the modulus on coefficient tuples: one product
+        of packed ints and one fold."""
+        pk = Packing(self, 1)
+        pack, fold = pk.pack, pk.fold
+        return lambda a, b: fold(pack(a) * pack(b))
 
     def _inv(self, a):
         """Inverse by the extended Euclidean algorithm on a and the modulus

@@ -5,7 +5,7 @@ empty tuple is the zero polynomial and its degree is the sentinel -1.
 Polynomials are immutable and hashable; all arithmetic is exact.
 
 Products and division with remainder run on the coefficient field's
-kernels (``FiniteField.poly_mul``, ``poly_divmod``), so the three regimes of
+kernels (``FiniteField.poly_mul``, ``poly_divmod``), so the two regimes of
 ``gf`` apply here too.  Over F_p they are integer loops: division reduces
 each coefficient mod p once, when it is read, and a product of two
 polynomials with at least ``gf.KRONECKER_MIN`` nonzero coefficients each is
@@ -13,7 +13,7 @@ packed (Kronecker substitution, digits of w bits with 2^w > n (p-1)^2, n
 the smaller count of nonzero coefficients, which bounds every coefficient of
 the unreduced product); a shorter or sparser product goes term by term.
 Over an extension field they loop through its operations: its log tables up
-to ``gf.TABLE_CAP``, packed ints or base-field loops above it.
+to ``gf.TABLE_CAP``, packed ints above it.
 
 The canonical order used everywhere for deterministic output sorts by
 degree first, then lexicographically on coefficients from the leading one

@@ -23,20 +23,21 @@ pi = tau^n is central and fixes L, so a product by pi^j only shifts the
 coefficients up by n*j: sum_j phi_(a_j)*pi^j (the relation M(pi) and the
 numerators N) is one such sum with shifts (``phi_combination``).
 
-Over an L = F_p[z]/(f) without log tables (q > ``gf.TABLE_CAP``) the
-arithmetic runs on packed ints (``gf.Packing``) and reduces late:
+All of it runs on packed ints (``gf.Packing``, over L = F_q[z]/(f) with
+F_q = F_p or F_p[y]/(g)) and reduces late:
 - a coefficient of a product u*v is the sum over i of u_i times
   v_(m-i)^(q^i), made of big-int products of the packed u_i (packed once)
   and the packed orbits of the v_j (cached per ring), and folded once;
-- the orbit itself is F_p-linear, x^p = sum_i x_i (z^i)^p, so it needs no
-  power in L;
+- the orbit itself is F_p-linear: F_q is fixed by the q-Frobenius, so
+  x^q = sum_(i,j) x_ij y^j (z^q)^i over the F_p-coordinates x_ij of x, and
+  it needs no power in L;
 - phi_{T^k} is kept packed and reduced, so a coefficient of
-  sum_j phi_(a_j)*pi^j, a sum of reduced elements times F_p scalars, is
-  unpacked once and never folded;
+  sum_j phi_(a_j)*pi^j, a sum of reduced elements times scalars in F_q, is
+  unpacked once over F_p and never folded; over F_p[y]/(g) a scalar is
+  packed as an element of L and each sum is folded once;
 - right division folds only the top remainder coefficient at each step.
 At most ``SKEW_TERMS`` products go into a sum before it is folded; a longer
-sum is first reduced to one summand.  Over a tower, and over a tabled L
-(measured faster there), the same operations loop through L.mul and L.add.
+sum is first reduced to one summand.
 
 ``survey_candidates`` is the one membership loop: it tests both generators
 of every accepted order, and ``identify_endo_ring`` reads End(phi) off its
@@ -46,13 +47,13 @@ rows.  The CLI's ``check-module`` shows the ``analyze`` line for one module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import cycle, repeat
+from itertools import chain, cycle, repeat
 from operator import add, mul
 from typing import List, Optional, Sequence, Tuple
 
 from .cubic import MaximalOrderData, StandardForm, WeilCubic
 from .errors import DomainError, NoCandidateError
-from .gf import TABLE_CAP, ExtensionField, Packing, PrimeField
+from .gf import ExtensionField, Packing
 from .orders import OrderHNF
 from .poly import Poly, poly_gcd
 
@@ -70,46 +71,37 @@ class SkewRing:
         self.base = L.base
         self.q = L.base.q
         self.n = L.e  # [L : F_q]
-        self._orbits = {}  # lam -> [lam, lam^q, ..., lam^(q^(n-1))]
-        # the packed path, for L over F_p without log tables; None over a
-        # tower, and for a tabled L, whose loops through L.mul and L.add
-        # were measured 10% faster on the shipped F_125 configs
-        packed = L.q > TABLE_CAP and isinstance(L.base, PrimeField)
-        self._pk = Packing(L.p, L.modulus, SKEW_TERMS) if packed else None
+        self._pk = pk = Packing(L, SKEW_TERMS)
         self._packed_orbits = {}  # lam -> the orbit of lam, packed
-        if self._pk is not None:
-            # (z^i)^p packed: with q = p the Frobenius is F_p-linear
-            zp = L.pow(L.generator(), self.q)
-            rows, x = [], L.one
-            for _ in range(self.n):
-                rows.append(self._pk.pack(x))
-                x = L.mul(x, zp)
-            self._frobenius_rows = rows
+        # y^j (z^q)^i packed, listed as the F_p-coordinates x_ij of an
+        # element are: (y^j z^i)^q = y^j (z^q)^i, as y^q = y
+        zq = L.pow(L.generator(), self.q)
+        ys = [L.embed(L.base.element(L.p**j)) for j in range(1, L.base.degree)]
+        rows, x = [], L.one
+        for i in range(self.n):
+            if i:
+                x = L.mul(x, zq)
+            rows.append(pk.pack(x))
+            rows += [pk.pack(L.mul(x, y)) for y in ys]
+        self._frobenius_rows = rows
 
     def twist(self, lam, k: int):
-        """lam^(q^k); the k-th power of the relative Frobenius (the loop
-        path; the packed one keeps ``_packed_orbit``)."""
+        """lam^(q^k); the k-th power of the relative Frobenius."""
         k %= self.n
-        if k == 0:
-            return lam
-        orbit = self._orbits.get(lam)
-        if orbit is None:
-            orbit = [lam]
-            for _ in range(self.n - 1):
-                orbit.append(self.L.pow(orbit[-1], self.q))
-            self._orbits[lam] = orbit
-        return orbit[k]
+        return self._pk.unpack(self._packed_orbit(lam)[k]) if k else lam
 
     def _packed_orbit(self, lam):
-        """[lam, lam^q, ..., lam^(q^(n-1))] packed, each step one sum
-        x^p = sum_i x_i (z^i)^p, unpacked without a fold."""
+        """[lam, lam^q, ..., lam^(q^(n-1))] packed, each step one sum of
+        the Frobenius rows times the F_p-coordinates, unpacked without a
+        fold."""
         orbit = self._packed_orbits.get(lam)
         if orbit is None:
             pk, rows = self._pk, self._frobenius_rows
+            tower = self.L.base.degree > 1
             x = lam
             orbit = [pk.pack(x)]
             for _ in range(self.n - 1):
-                x = pk.unpack(sum(map(mul, x, rows)))
+                x = pk.unpack(sum(map(mul, chain.from_iterable(x) if tower else x, rows)))
                 orbit.append(pk.pack(x))
             self._packed_orbits[lam] = orbit
         return orbit
@@ -187,22 +179,9 @@ class SkewPoly:
         ring = self.ring
         if not self.coeffs or not other.coeffs:
             return SkewPoly(ring, ())
-        pk = ring._pk
-        if pk is not None:
-            fold, pack = pk.fold, pk.pack
-            acc = ring._product([pack(x) for x in self.coeffs], other.coeffs)
-            return SkewPoly._exact(ring, tuple([fold(c) for c in acc]))
-        L = ring.L
-        zero = L.zero
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ui in enumerate(self.coeffs):
-            if ui == zero:
-                continue
-            for j, vj in enumerate(other.coeffs):
-                if vj == zero:
-                    continue
-                out[i + j] = L.add(out[i + j], L.mul(ui, ring.twist(vj, i)))
-        return SkewPoly._exact(ring, tuple(out))
+        fold, pack = ring._pk.fold, ring._pk.pack
+        acc = ring._product([pack(x) for x in self.coeffs], other.coeffs)
+        return SkewPoly._exact(ring, tuple([fold(c) for c in acc]))
 
     def right_divmod(self, d: "SkewPoly") -> Tuple["SkewPoly", "SkewPoly"]:
         """(w, r) with self = w*d + r and deg_tau r < deg_tau d."""
@@ -214,24 +193,11 @@ class SkewPoly:
         if len(self.coeffs) - 1 < dn:
             return ring.zero(), self
         # 1/lc(d)^(q^k) = (1/lc(d))^(q^k): one inversion, then twists
-        inv_lc = L.inv(d.coeffs[-1])
-        pk = ring._pk
-        if pk is None:
-            rem = list(self.coeffs)
-            quo = [L.zero] * (len(rem) - dn)
-            for k in range(len(quo) - 1, -1, -1):
-                c = rem[k + dn]
-                if c == L.zero:
-                    continue
-                qk = L.mul(c, ring.twist(inv_lc, k))
-                quo[k] = qk
-                for j, dj in enumerate(d.coeffs):
-                    rem[k + j] = L.sub(rem[k + j], L.mul(qk, ring.twist(dj, k)))
-            return SkewPoly._exact(ring, tuple(quo)), SkewPoly(ring, rem[:dn])
-        # packed: rem holds unfolded sums, and only the top one is folded at
-        # each step; column r lists d_j^(q^r) for j < dn (the top cancels)
-        n, zero, fold, pack = ring.n, L.zero, pk.fold, pk.pack
-        inv_orbit = ring._packed_orbit(inv_lc)
+        inv_orbit = ring._packed_orbit(L.inv(d.coeffs[-1]))
+        # rem holds unfolded sums, and only the top one is folded at each
+        # step; column r lists d_j^(q^r) for j < dn (the top cancels)
+        pk, n, zero = ring._pk, ring.n, L.zero
+        fold, pack = pk.fold, pk.pack
         orbits = [ring._packed_orbit(c) for c in d.coeffs[:dn]]
         columns = [[orbit[r] for orbit in orbits] for r in range(n)]
         rem = [pack(c) for c in self.coeffs]
@@ -299,23 +265,16 @@ class DrinfeldModule:
             )
         self.ring = ring
         self.phi_t = phi_t
-        # phi_{T^k}, grown on demand: lists of packed coefficients on the
-        # packed path, SkewPolys on the loop path
+        # phi_{T^k}, grown on demand, as lists of packed coefficients
         pk = ring._pk
-        if pk is None:
-            self._powers = [ring.one(), phi_t]
-        else:
-            self._powers = [[pk.pack(ring.L.one)], [pk.pack(c) for c in phi_t.coeffs]]
+        self._powers = [[pk.pack(ring.L.one)], [pk.pack(c) for c in phi_t.coeffs]]
 
     def _powers_below(self, k: int) -> list:
         """phi_{T^0}, ..., phi_{T^(k-1)} (at least)."""
-        powers, pk = self._powers, self.ring._pk
+        powers, ring = self._powers, self.ring
         while len(powers) < k:
-            if pk is None:
-                powers.append(powers[-1] * self.phi_t)
-            else:
-                acc = self.ring._product(powers[-1], self.phi_t.coeffs)
-                powers.append([pk.reduce(c) for c in acc])
+            acc = ring._product(powers[-1], self.phi_t.coeffs)
+            powers.append([ring._pk.reduce(c) for c in acc])
         return powers
 
     def phi(self, a: Poly) -> SkewPoly:
@@ -326,43 +285,36 @@ class DrinfeldModule:
         """sum_j phi_(polys[j]) * pi^j, with phi_a = sum_k a_k * phi_{T^k}.
 
         The a_k lie in F_q, so each term scales the coefficients of
-        phi_{T^k} and needs no twist, and pi^j shifts them by n*j.  On the
-        packed path a term is a reduced element times an F_p scalar, so
-        each coefficient of the sum is unpacked once and never folded.
+        phi_{T^k} and needs no twist, and pi^j shifts them by n*j.  Over F_p
+        a term is a reduced element times one digit, so each coefficient of
+        the sum is unpacked once and never folded; over F_p[y]/(g) the
+        scalar is packed as an element of L and each sum is folded once.
         """
         ring = self.ring
-        L, base, n = ring.L, ring.base, ring.n
+        L, n, pk = ring.L, ring.n, ring._pk
         powers = self._powers_below(max(len(a.coeffs) for a in polys))
         size = max(
             (3 * len(a.coeffs) - 2 + n * j for j, a in enumerate(polys) if a.coeffs),
             default=0,
         )
-        pk = ring._pk
-        if pk is None:
-            out = [L.zero] * size
-            for j, a in enumerate(polys):
-                for c, power in zip(a.coeffs, powers):
-                    if c == base.zero:
-                        continue
-                    for i, lam in enumerate(power.coeffs, n * j):
-                        if c != base.one:
-                            lam = base.vec_scale(c, lam)
-                        out[i] = L.add(out[i], lam)
-            return SkewPoly(ring, out)
+        tower = L.base.degree > 1
+        zero = L.base.zero
         acc = [0] * size
         terms = 0
         for j, a in enumerate(polys):
             for c, power in zip(a.coeffs, powers):
-                if not c:
+                if c == zero:
                     continue
                 if terms == pk.terms:
                     acc = [pk.reduce(x) for x in acc]
                     terms = 1
                 terms += 1
+                if tower:
+                    c = pk.pack(L.embed(c))
                 start, end = n * j, n * j + len(power)
                 acc[start:end] = map(add, acc[start:end], map(mul, power, repeat(c)))
-        unpack = pk.unpack
-        return SkewPoly(ring, [unpack(x) for x in acc])
+        finish = pk.fold if tower else pk.unpack
+        return SkewPoly(ring, [finish(x) for x in acc])
 
 
 def verify_weil_action(D: DrinfeldModule, W: WeilCubic) -> bool:

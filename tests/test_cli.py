@@ -10,8 +10,11 @@ import pytest
 
 import drinfeld_orders.cli as cli
 import drinfeld_orders.skew as skew
+from drinfeld_orders import Poly, make_extension_field
 from drinfeld_orders.cli import main
 from drinfeld_orders.gf import ExtensionField, FiniteField, PrimeField
+
+from oracles import descended_module
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = REPO / "configs" / "example_f5.json"
@@ -374,6 +377,71 @@ def test_extension_base_field_config(tmp_path, fmt):
     path.write_text(json.dumps(cfg))
     proc = run_cli(["analyze", str(path), "--format", fmt])
     assert proc.returncode == 0, proc.stderr
+
+
+def test_modules_over_an_extension_base(tmp_path, monkeypatch, capsys):
+    # L of degree 3 over F_25 = F_5[y]/(y^2 + 2), 15,625 elements (above the
+    # table cap): an in-class module from descended_module and a perturbed
+    # one, through analyze and check-module
+    F5 = PrimeField(5)
+    F25 = make_extension_field(F5, Poly.from_ints(F5, [2, 0, 1]))
+    L = make_extension_field(F25, Poly(F25, ((0, 1), (0, 1), (0, 0), (1, 0))))
+    g = ((4, 0), (3, 3), (4, 4))
+    phi_t, W = descended_module(L, g, ((4, 1), (1, 3), (1, 0)))
+    perturbed = list(phi_t)
+    perturbed[2] = L.add(perturbed[2], L.one)
+
+    def arrays(coeffs):
+        return [[list(c) for c in x] if isinstance(x[0], tuple) else list(x) for x in coeffs]
+
+    cfg = {
+        "field": {"p": 5, "e": 2, "modulus": [2, 0, 1]},
+        "pv": arrays(W.pv.coeffs),
+        "m": W.m,
+        "weil": {"a1": arrays(W.a1.coeffs), "a2": arrays(W.a2.coeffs), "mu": list(W.mu)},
+        "L": arrays(L.modulus),
+        "modules": [
+            {"name": "phi", "phi_T": arrays(phi_t)},
+            {"name": "perturbed", "phi_T": arrays(perturbed)},
+        ],
+    }
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps(cfg))
+    monkeypatch.delenv("DRINFELD_ORDERS_CANDIDATE_BOUND", raising=False)
+    assert main(["analyze", str(path)]) == 0
+    lines = dict(
+        line.split(": ", 1)
+        for line in capsys.readouterr().out.splitlines()
+        if line.startswith(("phi: ", "perturbed: "))
+    )
+    assert lines["phi"].startswith("in class: yes; End = ")
+    assert lines["perturbed"] == "in class: no"
+    for name, line in lines.items():
+        assert main(["check-module", str(path), "--name", name]) == 0
+        assert capsys.readouterr().out == line + "\n"
+
+
+@pytest.mark.parametrize(
+    "p, modulus",
+    [(7, [4, 0, 2, 0, 0, 0, 5, 4, 1]), (5, [1, 4, 0, 2, 0, 3, 3, 3, 3, 1, 0, 3, 0, 3, 3, 4, 1])],
+    ids=["7^8", "5^16"],
+)
+def test_large_q_class_exits_fast(tmp_path, capsys, p, modulus):
+    # the root-in-A sieve finds the roots of its top-degree polynomial in
+    # F_q* by a gcd with u^(q-1) - 1; evaluating it at all q - 1 units ran
+    # past 20 s for these fields
+    cfg = {
+        "field": {"p": p, "e": len(modulus) - 1, "modulus": modulus},
+        "pv": [0, 1],
+        "m": 1,
+        "weil": {"a1": [1], "a2": [1], "mu": 1},
+    }
+    path = tmp_path / "large_q.json"
+    path.write_text(json.dumps(cfg))
+    t0 = time.perf_counter()
+    assert main(["analyze", str(path)]) == 0
+    assert time.perf_counter() - t0 < 5.0
+    assert "verdict: necessary conditions passed" in capsys.readouterr().out
 
 
 def test_char2_rejected(tmp_path):

@@ -45,6 +45,9 @@ from oracles import (
     trace_form_discriminant,
 )
 
+# the module, not the function the package exports under its name
+factor_module = importlib.import_module("drinfeld_orders.factor")
+
 
 def test_validate_worked_example(example_weil):
     local = validate_weil_necessary(example_weil)
@@ -149,6 +152,15 @@ def test_root_sieve_finds_constructed_roots(name):
             verdict = sieve_verdict(W)
             assert verdict is not None
             assert verdict == oracle_verdict(W)
+
+
+def test_root_sieve_by_gcd_matches_oracle(instance_pool, monkeypatch):
+    # the two tests above with every root search by gcd, as for q above
+    # the scan bound
+    monkeypatch.setattr(factor_module, "ROOT_SCAN_MAX", 1)
+    test_root_sieve_matches_exhaustive_scan_on_pool(instance_pool)
+    for name in sieve_fields():
+        test_root_sieve_finds_constructed_roots(name)
 
 
 def test_root_sieve_candidate_rejected_by_full_check():

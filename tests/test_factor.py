@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import random
 
 import pytest
@@ -13,11 +14,15 @@ from drinfeld_orders import (
     is_irreducible,
     squarefree_decompose,
 )
+from drinfeld_orders.factor import unit_roots
 from drinfeld_orders.poly import polys_below_degree
 
 from oracles import exact_sqrt, expand, residue_factor
 from test_gf import FIELDS
 from test_poly import rand_poly
+
+# the module, not the function the package exports under its name
+factor_module = importlib.import_module("drinfeld_orders.factor")
 
 
 def test_squarefree_worked_example():
@@ -167,6 +172,27 @@ def test_factor_roundtrip_and_irreducibility_random(F):
         for prime, mult in fac.factors:
             assert prime.is_monic and mult >= 1
             assert _independent_irreducible(prime)
+
+
+@pytest.mark.parametrize("bound", [None, 1], ids=["scan", "gcd"])
+@pytest.mark.parametrize("F", FIELDS, ids=lambda F: f"q{F.q}")
+def test_unit_roots_match_every_unit(F, bound, monkeypatch):
+    # both root searches (bound 1 sends every field to the gcd) on random
+    # polynomials and on products of linear factors times a power of u
+    if bound is not None:
+        monkeypatch.setattr(factor_module, "ROOT_SCAN_MAX", bound)
+    rng = random.Random(F.q * 107)
+    units = [u for u in F.elements() if u != F.zero]
+    x = Poly.x(F)
+    polys = [rand_poly(F, 3, rng) for _ in range(20)]
+    for _ in range(20):
+        f = x ** rng.randrange(3)
+        for _ in range(rng.randrange(1, 4)):
+            f = f * (x - Poly.const(F, rng.choice(units)))
+        polys.append(f.scale(rng.choice(units)))
+    for f in polys:
+        if not f.is_zero:
+            assert unit_roots(f) == [u for u in units if f.evaluate(u) == F.zero]
 
 
 def test_factor_deterministic():

@@ -94,6 +94,11 @@ def ext_field(p, modulus):
     return make_extension_field(F, Poly.from_ints(F, modulus))
 
 
+def tower_field(p, base_modulus, modulus):
+    F = ext_field(p, base_modulus)
+    return make_extension_field(F, Poly(F, modulus))
+
+
 def f625_over_f25():
     F25 = ext_field(5, [2, 0, 1])
     w = F25.generator()
@@ -179,15 +184,19 @@ PACKED = {
     "p3e7": lambda: ext_field(3, [1, 0, 2, 0, 0, 0, 0, 1]),
     "p1009e2": lambda: ext_field(1009, [1, 9, 1]),
     "p1031e1": lambda: ext_field(1031, [5, 1]),  # degree 1: no fold rows
+    # towers: z^3 + y z + y over F_25 = F_5[y]/(y^2 + 2), and
+    # z^2 + (1 + y) z + 1 over F_49 = F_7[y]/(y^2 + 1)
+    "f25e3": lambda: tower_field(5, [2, 0, 1], [(0, 1), (0, 1), (0, 0), (1, 0)]),
+    "f49e2": lambda: tower_field(7, [1, 0, 1], [(1, 0), (1, 1), (1, 0)]),
 }
 
 
 @pytest.mark.parametrize("name", PACKED)
 def test_packed_fields_match_schoolbook(name):
     L = PACKED[name]()
-    assert L.q > TABLE_CAP and isinstance(L.base, PrimeField)
+    assert L.q > TABLE_CAP
     add, sub, mul = schoolbook_ops(L)
-    top = (L.p - 1,) * L.e  # every digit p - 1: the widest packed digits
+    top = L.element(L.q - 1)  # every digit p - 1: the widest packed digits
     rng = random.Random(L.q)
     pairs = [(top, top), (top, L.one), (L.zero, top)]
     pairs += [tuple(L.element(rng.randrange(L.q)) for _ in range(2)) for _ in range(300)]

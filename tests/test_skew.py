@@ -467,9 +467,9 @@ def test_verify_weil_action_matches_full_product(
 
 
 # -- the packed kernels against the definition --------------------------------
-# The fields of the packed gf tests run packed in L{tau} too; F_125 (log
-# tables) and a tower over F_25 run the loops.  Each packed ring is also
-# built with SKEW_TERMS = 2, so that every longer sum is reduced first.
+# The fields of the packed gf tests, F_125 (log tables) and a tabled tower
+# over F_25; each ring is also built with SKEW_TERMS = 2, so that every
+# longer sum is reduced first.
 
 
 def tower_field():
@@ -485,15 +485,13 @@ def f125_field():
 
 
 KERNEL_FIELDS = {**PACKED, "F_125": f125_field, "tower": tower_field}
-KERNEL_CASES = [(name, None) for name in KERNEL_FIELDS] + [(name, 2) for name in PACKED]
+KERNEL_CASES = [(name, terms) for terms in (None, 2) for name in KERNEL_FIELDS]
 
 
 def kernel_ring(name, terms, monkeypatch):
     if terms is not None:
         monkeypatch.setattr(skew, "SKEW_TERMS", terms)
-    ring = SkewRing(KERNEL_FIELDS[name]())
-    assert (ring._pk is not None) == (name in PACKED)
-    return ring
+    return SkewRing(KERNEL_FIELDS[name]())
 
 
 def kernel_id(case):
@@ -605,18 +603,20 @@ def test_packed_skew_arithmetic_makes_no_field_product(monkeypatch):
     assert phi_a.coeffs == phi_horner_oracle(D, a)
 
 
-@pytest.mark.parametrize("name", ["p7e6", "p1031e1"])
+@pytest.mark.parametrize("name", ["p7e6", "p1031e1", "f25e3"])
 def test_packed_sums_stay_within_the_digit_bound(name, monkeypatch):
     # the digit width is sized for sums of at most `terms` summands whose
-    # digits are at most e (p-1)^2 (a product before its fold); record the
-    # largest digit of every sum handed to fold or unpack, on digits wide
-    # enough not to overflow, with terms = 2 so that most sums are reduced
+    # digits are at most n e (p-1)^2, n = [L : F_q] and e = [F_q : F_p] (a
+    # product before its fold); record the largest digit of every sum handed
+    # to fold or unpack, on digits wide enough not to overflow, with
+    # terms = 2 so that most sums are reduced
     seen = []
 
-    def wide(p, modulus, terms):
-        pk = gf.Packing(p, modulus, 2**40)
+    def wide(L, terms):
+        pk = gf.Packing(L, 2**40)
         fold, unpack, w = pk.fold, pk.unpack, pk.w
-        shifts = range(0, w * (2 * len(modulus) - 3), w)
+        span = 2 * L.base.degree - 1
+        shifts = range(0, w * (2 * L.e - 1) * span, w)
 
         def largest_digit(c):
             seen.append(max(c >> s & ((1 << w) - 1) for s in shifts))
@@ -630,20 +630,21 @@ def test_packed_sums_stay_within_the_digit_bound(name, monkeypatch):
     monkeypatch.setattr(skew, "Packing", wide)
     monkeypatch.setattr(skew, "SKEW_TERMS", 2)
     ring = SkewRing(PACKED[name]())
-    L = ring.L
+    L, F = ring.L, ring.base
     top = ring.poly([L.element(L.q - 1)] * 9)
     ones = ring.poly([L.one] * 9)
     prod = top * top
     quo, rem = prod.right_divmod(top)
     # quotient coefficients 1: each remainder update adds (p-1)^2 per digit
-    # at e = 1
+    # at n e = 1
     quo1, rem1 = (ones * top).right_divmod(top)
     D = DrinfeldModule(ring, ring.poly([L.element(L.q - 1)] * 4))
-    phi_a = D.phi(Poly(ring.base, [ring.base.q - 1] * 5))
-    e, p = L.e, L.p
-    assert max(seen) <= 2 * e * (p - 1) ** 2
+    a = Poly(F, [F.element(F.q - 1)] * 5)
+    phi_a = D.phi(a)
+    n, e, p = L.e, F.degree, L.p
+    assert max(seen) <= 2 * n * e * (p - 1) ** 2
     monkeypatch.undo()
     assert prod.coeffs == skew_mul_oracle(L, top.coeffs, top.coeffs)
     assert quo == top and rem.is_zero
     assert quo1 == ones and rem1.is_zero
-    assert phi_a.coeffs == phi_horner_oracle(D, Poly(ring.base, [ring.base.q - 1] * 5))
+    assert phi_a.coeffs == phi_horner_oracle(D, a)
