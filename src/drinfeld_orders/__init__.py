@@ -49,7 +49,6 @@ from .factor import (
 from .gf import ExtensionField, FiniteField, PrimeField
 from .orders import (
     ClassAnalysis,
-    MultTable,
     OrderHNF,
     OrderReport,
     analyze_weil_class,
@@ -66,7 +65,6 @@ from .skew import (
     KElem,
     SkewPoly,
     SkewRing,
-    basis_kelems,
     element_membership,
     identify_endo_ring,
     order_generator_kelems,

@@ -7,9 +7,13 @@ Full factorisation is distinct-degree splitting followed by equal-degree
 splitting; the equal-degree stage draws its random elements from a PRNG
 seeded with a fixed constant, so output is reproducible run to run.
 
+The irreducibility test is Ben-Or's: the same distinct-degree ladder,
+which stops at half the degree, and f is irreducible when it comes back
+whole (Ben-Or, FOCS 1981; Gao and Panario, 1997).
+
 Also here: the roots of a polynomial in F_q*, divisors from a given
-factorisation, irreducibility tests, and reduction of F_q[T]-coefficients
-into a residue field F_q[T]/(p).
+factorisation, and reduction of F_q[T]-coefficients into a residue field
+F_q[T]/(p).
 """
 
 from __future__ import annotations
@@ -98,7 +102,10 @@ def squarefree_decompose(f: Poly) -> SquarefreeDecomp:
 
 
 def _distinct_degree(f: Poly):
-    """Split monic square-free f into (product-of-degree-d-factors, d) pieces."""
+    """Split monic square-free f into (product-of-degree-d-factors, d) pieces.
+
+    ``is_irreducible`` passes it any f of degree >= 2 and reads only whether
+    f comes back whole, as [(f, deg f)]."""
     F = f.field
     q = F.q
     x = Poly.x(F)
@@ -196,39 +203,15 @@ def factor(f: Poly) -> Factorization:
     return Factorization(f.field, unit, ordered)
 
 
-def _prime_divisors(n: int) -> list:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def is_irreducible(f: Poly) -> bool:
-    """Rabin's test; independent of the splitting machinery above."""
+    """Ben-Or's test: the distinct-degree ladder, which stops at deg f / 2,
+    finds no factor.  A reducible f has an irreducible factor P with
+    deg P <= deg f / 2, repeated or not, and the gcd with x^(q^deg P) - x
+    picks it up, so no square-free step is needed."""
     n = f.degree
-    if n < 1:
-        return False
-    if n == 1:
-        return True
-    F = f.field
-    q = F.q
-    x = Poly.x(F)
-    h = x.pow_mod(q**n, f)
-    if h != x % f:
-        return False
-    for ell in _prime_divisors(n):
-        h = x.pow_mod(q ** (n // ell), f)
-        g = h - x
-        if g.is_zero or poly_gcd(g, f).degree > 0:
-            return False
-    return True
+    if n <= 1:
+        return n == 1
+    return _distinct_degree(f) == [(f, n)]
 
 
 def divisors(field: FiniteField, factors) -> list:

@@ -66,13 +66,6 @@ class OrderHNF:
 
 
 @dataclass(frozen=True)
-class MultTable:
-    """Rows express (omega1^2, omega2^2, omega1*omega2) over (1, omega1, omega2)."""
-
-    rows: tuple  # 3x3 tuple of tuples of Poly
-
-
-@dataclass(frozen=True)
 class OrderReport:
     order: OrderHNF
     disc: Poly
@@ -80,8 +73,9 @@ class OrderReport:
     is_endo_ring: bool
 
 
-def mult_table(sf: StandardForm, mo: MaximalOrderData) -> MultTable:
-    """The nine structure constants of the integral basis.
+def mult_table(sf: StandardForm, mo: MaximalOrderData) -> tuple:
+    """The nine structure constants of the integral basis: rows express
+    (omega1^2, omega2^2, omega1*omega2) over (1, omega1, omega2).
 
     Exact divisibility by I and I^2 is asserted entry-wise; failure means
     (alpha2, beta2) do not satisfy their congruences.
@@ -104,7 +98,7 @@ def mult_table(sf: StandardForm, mo: MaximalOrderData) -> MultTable:
             "multiplication table entries are not integral; integral-basis "
             "parameters are invalid"
         ) from exc
-    return MultTable(rows=((x11, x12, x13), (x21, x22, x23), (x31, x32, x33)))
+    return ((x11, x12, x13), (x21, x22, x23), (x31, x32, x33))
 
 
 def _mat_mul(a, b):
@@ -117,7 +111,7 @@ def _mat_mul(a, b):
     )
 
 
-def closure_check(order: OrderHNF, m2: MultTable) -> bool:
+def closure_check(order: OrderHNF, m2: tuple) -> bool:
     """True iff M1*M2*H^-1 is integral; H^-1 is realised as adj(H)/det(H)
     with an exact divisibility test, never fractions."""
     a, b, c = order.a, order.b, order.c
@@ -135,7 +129,7 @@ def closure_check(order: OrderHNF, m2: MultTable) -> bool:
         (zero, zero, c),
     )
     det = a * c
-    prod = _mat_mul(_mat_mul(m1, m2.rows), adj_h)
+    prod = _mat_mul(_mat_mul(m1, m2), adj_h)
     return all(det.divides(entry) for row in prod for entry in row)
 
 
@@ -160,7 +154,6 @@ class ClassAnalysis:
     local: LocalData
     sf: StandardForm
     mo: MaximalOrderData
-    m2: MultTable
     candidate_count: int  # size of the full sandwich A[pi] <= O <= O_max
     orders: tuple  # OrderReport of each accepted order, canonical order
 
@@ -212,7 +205,7 @@ def enumerate_candidates(
 
 
 def assess_order(
-    order: OrderHNF, mo: MaximalOrderData, m2: MultTable
+    order: OrderHNF, mo: MaximalOrderData, m2: tuple
 ) -> Optional[OrderReport]:
     """The report of an enumerated triple that is a ring; None otherwise."""
     if not closure_check(order, m2):
@@ -252,7 +245,6 @@ def analyze_weil_class(
         local=local,
         sf=sf,
         mo=mo,
-        m2=m2,
         candidate_count=total,
         orders=accepted,
     )

@@ -41,7 +41,9 @@ sum is first reduced to one summand.
 
 ``survey_candidates`` is the one membership loop: it tests both generators
 of every accepted order, and ``identify_endo_ring`` reads End(phi) off its
-rows.  The CLI's ``check-module`` shows the ``analyze`` line for one module.
+rows.  ``order_generator_kelems`` writes each generator over pi in one
+step, over the common denominator g^2*I of omega1 and omega2, and puts it
+in lowest terms once.  The CLI's ``check-module`` shows the ``analyze`` line for one module.
 """
 
 from __future__ import annotations
@@ -347,17 +349,6 @@ class KElem:
             n0, n1, n2, d = (x.scale(u) for x in (n0, n1, n2, d))
         return KElem(n0, n1, n2, d)
 
-    def add(self, other: "KElem") -> "KElem":
-        return KElem.make(
-            self.n0 * other.d + other.n0 * self.d,
-            self.n1 * other.d + other.n1 * self.d,
-            self.n2 * other.d + other.n2 * self.d,
-            self.d * other.d,
-        )
-
-    def scale_poly(self, f: Poly) -> "KElem":
-        return KElem.make(self.n0 * f, self.n1 * f, self.n2 * f, self.d)
-
 
 def element_membership(D: DrinfeldModule, e: KElem) -> Optional[SkewPoly]:
     """The endomorphism realising e, or None when e is not in End(phi).
@@ -373,31 +364,30 @@ def element_membership(D: DrinfeldModule, e: KElem) -> Optional[SkewPoly]:
     return None
 
 
-def basis_kelems(W: WeilCubic, sf: StandardForm, mo: MaximalOrderData) -> Tuple[KElem, KElem]:
-    """(omega1, omega2) rewritten over pi:
+def order_generator_kelems(
+    order: OrderHNF, W: WeilCubic, sf: StandardForm, mo: MaximalOrderData
+) -> Tuple[KElem, KElem]:
+    """The two non-trivial generators c*omega1 + b*omega2 and a*omega2,
+    each put in lowest terms once over the common denominator g*gI,
+    gI = g*I, of
 
         omega1 = (t + pi)/g            with t = a1/3
-        omega2 = (alpha2*g^2 + beta2*g*(t+pi) + (t+pi)^2) / (g^2*I)
+        omega2 = (n0 + n1*pi + pi^2) / (g*gI)
+
+    where n0 = alpha2*g^2 + beta2*g*t + t^2 and n1 = beta2*g + 2t.  The
+    basis (omega1, omega2) itself is the pair of O_max = (1, 0, 1).
     """
     F = W.field
     third = F.inv(F.from_int(3))
     t = W.a1.scale(third)
     g = sf.g
-    one = Poly.one(F)
-    omega1 = KElem.make(t, one, Poly.zero(F), g)
+    gI = g * mo.index
+    d = g * gI
     n0 = mo.alpha2 * g * g + mo.beta2 * g * t + t * t
     n1 = mo.beta2 * g + t.scale_int(2)
-    omega2 = KElem.make(n0, n1, one, g * g * mo.index)
-    return omega1, omega2
-
-
-def order_generator_kelems(
-    order: OrderHNF, W: WeilCubic, sf: StandardForm, mo: MaximalOrderData
-) -> Tuple[KElem, KElem]:
-    """The two non-trivial generators c*omega1 + b*omega2 and a*omega2."""
-    omega1, omega2 = basis_kelems(W, sf, mo)
-    gen1 = omega1.scale_poly(order.c).add(omega2.scale_poly(order.b))
-    gen2 = omega2.scale_poly(order.a)
+    a, b, c = order.a, order.b, order.c
+    gen1 = KElem.make(c * gI * t + b * n0, c * gI + b * n1, b, d)
+    gen2 = KElem.make(a * n0, a * n1, a, d)
     return gen1, gen2
 
 

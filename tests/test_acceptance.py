@@ -31,6 +31,7 @@ from drinfeld_orders import (
     factor,
     frobenius_order_hnf,
     identify_endo_ring,
+    mult_table,
     squarefree_decompose,
     verify_weil_action,
     survey_candidates,
@@ -182,11 +183,12 @@ def test_criterion_6_closure_oracle_equivalence(instance_pool):
     disagreements = 0
     triples = 0
     for analysis in instance_pool:
+        m2 = mult_table(analysis.sf, analysis.mo)
         for order in enumerate_candidates(
             analysis.sf, sandwich_divisors(analysis.sf, analysis.mo)
         ):
             triples += 1
-            if closure_check(order, analysis.m2) != closure_oracle(
+            if closure_check(order, m2) != closure_oracle(
                 order, analysis.sf, analysis.mo
             ):
                 disagreements += 1

@@ -704,7 +704,7 @@ def test_pv_tested_for_irreducibility_once_per_class(f5, monkeypatch):
         calls.append(f)
         return original(f)
 
-    # every binding through which the pipeline may reach the Rabin test
+    # every binding through which the pipeline may reach Ben-Or's test
     monkeypatch.setattr(factor_module, "is_irreducible", counting)
     monkeypatch.setattr(cubic_module, "is_irreducible", counting)
     analysis = analyze_weil_class(W)

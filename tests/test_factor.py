@@ -12,6 +12,7 @@ from drinfeld_orders import (
     divisors,
     factor,
     is_irreducible,
+    make_extension_field,
     squarefree_decompose,
 )
 from drinfeld_orders.factor import unit_roots
@@ -158,6 +159,46 @@ def _independent_irreducible(f) -> bool:
         if h.is_zero or not poly_gcd(h, f).is_one:
             return False
     return (x.pow_mod(F.q**n, f) - x).is_zero
+
+
+def _monic_polys(F, max_deg: int):
+    """Every monic polynomial over F of degree at most max_deg."""
+    x = Poly.x(F)
+    for n in range(max_deg + 1):
+        lead = x**n
+        for u in polys_below_degree(F, n):
+            yield lead + u
+
+
+def test_ben_or_matches_independent_oracle():
+    # every monic polynomial of small degree over F_5, F_7 and the tabled
+    # F_25, and a non-monic multiple of each one over F_5
+    F5 = PrimeField(5)
+    F25 = make_extension_field(F5, Poly.from_ints(F5, [2, 0, 1]))
+    for F, max_deg in ((F5, 4), (PrimeField(7), 3), (F25, 2)):
+        for f in _monic_polys(F, max_deg):
+            assert is_irreducible(f) == _independent_irreducible(f), f.to_str()
+    for f in _monic_polys(F5, 4):
+        g = f.scale(F5.element(3))
+        assert is_irreducible(g) == _independent_irreducible(f), g.to_str()
+
+
+def test_ben_or_corner_inputs():
+    F = PrimeField(5)
+    T = Poly.x(F)
+    quad = T * T + Poly.const(F, F.element(2))
+    other = T * T + Poly.const(F, F.element(3))
+    assert is_irreducible(quad) and is_irreducible(other)
+    # P^2 and P*Q with deg P = deg Q = n/2: the ladder meets them last
+    assert not is_irreducible(quad * quad)
+    assert not is_irreducible(quad * other)
+    assert not is_irreducible((quad * quad).scale(F.element(2)))
+    assert is_irreducible(quad.scale(F.element(4)))
+    assert is_irreducible((T + Poly.one(F)).scale(F.element(2)))
+    assert not is_irreducible(Poly.zero(F))
+    assert not any(is_irreducible(Poly.const(F, c)) for c in F.elements())
+    # the modulus of the shipped L = F_125
+    assert is_irreducible(Poly.from_ints(F, [3, 3, 0, 1]))
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=lambda F: f"q{F.q}")

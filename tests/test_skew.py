@@ -11,11 +11,13 @@ from drinfeld_orders import (
     NoCandidateError,
     Poly,
     PrimeField,
-    basis_kelems,
     element_membership,
     identify_endo_ring,
+    enumerate_candidates,
     make_extension_field,
     order_generator_kelems,
+    poly_gcd,
+    sandwich_divisors,
     survey_candidates,
     verify_weil_action,
 )
@@ -251,13 +253,16 @@ def test_gamma_taken_from_constant_coefficient(module_phi, example_weil):
 
 def test_kelem_normalization(f5):
     T = Poly.x(f5)
-    one = Poly.one(f5)
     e = KElem.make(T * T, T, T, (T * T).scale(f5.element(2)))
     # common factor T removed, denominator made monic
     assert e.d == T
     assert e.n0 == T.scale(f5.element(3))
-    e2 = KElem.make(one, Poly.zero(f5), Poly.zero(f5), one)
-    assert e2.add(e2).n0 == Poly.from_ints(f5, [2])
+
+
+def basis_kelems(W, sf, mo):
+    """(omega1, omega2) over pi: the generators of O_max = (1, 0, 1)."""
+    one, zero = Poly.one(W.field), Poly.zero(W.field)
+    return order_generator_kelems(OrderHNF(a=one, b=zero, c=one), W, sf, mo)
 
 
 def test_omega_kelems_worked_example(example_analysis):
@@ -362,23 +367,26 @@ def test_membership_monotone_over_candidates(
 
 def test_generator_kelems_match_companion_algebra(instance_pool):
     # the pi-rewriting of c*omega1 + b*omega2 and a*omega2 agrees with the
-    # companion-matrix representation, including instances with g != 1
+    # companion-matrix representation on every triple of the full sandwich,
+    # accepted or not, including instances with g != 1 and with I != 1, and
+    # each generator comes out in lowest terms with a monic denominator
     from oracles import kelem_matches_element
 
-    from drinfeld_orders import order_generator_kelems as gen_kelems
-
-    nontrivial_g = 0
+    nontrivial_g = nontrivial_index = 0
     for analysis in instance_pool:
         W, sf, mo = analysis.weil, analysis.sf, analysis.mo
-        if not sf.g.is_one:
-            nontrivial_g += 1
-        for rep in analysis.orders:
-            gen1, gen2 = gen_kelems(rep.order, W, sf, mo)
-            assert kelem_matches_element(gen1, rep.order.c, rep.order.b, analysis)
-            assert kelem_matches_element(
-                gen2, Poly.zero(W.field), rep.order.a, analysis
-            )
-    assert nontrivial_g >= 2
+        nontrivial_g += not sf.g.is_one
+        nontrivial_index += not mo.index.is_one
+        for order in enumerate_candidates(sf, sandwich_divisors(sf, mo)):
+            gen1, gen2 = order_generator_kelems(order, W, sf, mo)
+            assert kelem_matches_element(gen1, order.c, order.b, analysis)
+            assert kelem_matches_element(gen2, Poly.zero(W.field), order.a, analysis)
+            for gen in (gen1, gen2):
+                content = gen.d
+                for x in (gen.n0, gen.n1, gen.n2):
+                    content = poly_gcd(content, x)
+                assert gen.d.is_monic and content.is_one
+    assert nontrivial_g >= 2 and nontrivial_index >= 2
 
 
 def test_identified_ring_generators_act(module_phi, example_analysis):
