@@ -36,6 +36,7 @@ from .errors import (
     NoSolutionError,
     NotWeilAtVError,
     ReducibleError,
+    WeilValidationError,
 )
 from .factor import (
     Factorization,

@@ -5,11 +5,15 @@ Two commands over a JSON problem description:
     analyze CONFIG [--format json|text] [--candidate-bound N]
     check-module CONFIG --name NAME
 
-``check-module`` runs the same per-module work as ``analyze`` and prints
+Both take one path, ``run``: load the config, resolve the candidate bound,
+analyse the class, identify its modules, build the report and render it.
+``check-module`` is ``analyze`` restricted to the named module; it prints
 that module's ``analyze`` line without the name prefix.
 
-Exit codes: 0 success, 2 config error, 3 validation of the isogeny-class
-data failed, 4 internal inconsistency, 5 candidate bound exceeded.
+``main`` turns an error into an exit code and a stderr prefix through one
+table, ``EXITS``: 0 success, 2 config error, 3 validation of the
+isogeny-class data failed, 4 internal inconsistency, 5 candidate bound
+exceeded.
 
 Config format: polynomials are ascending coefficient arrays; coefficients
 are integers (reduced into F_p) or, for extension fields, arrays of
@@ -19,6 +23,8 @@ base-field coefficients.  See the README for the full schema.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import os
 import sys
@@ -27,16 +33,12 @@ from typing import Optional
 
 from .cubic import WeilCubic
 from .errors import (
-    BadConstantTermError,
     CandidateBoundExceededError,
-    Char2UnsupportedError,
-    Char3UnsupportedError,
     ConfigError,
     DomainError,
     DrinfeldOrdersError,
     InternalInconsistencyError,
-    NotWeilAtVError,
-    ReducibleError,
+    WeilValidationError,
 )
 from .factor import make_extension_field
 from .gf import ExtensionField, FiniteField, PrimeField
@@ -66,6 +68,16 @@ MAX_FIELD_DEGREE = 16  # e = [F_q : F_p]
 MAX_L_DEGREE = 24  # n = m * deg pv = [L : F_q]
 MAX_POLY_DEGREE = 2 * MAX_L_DEGREE  # pv, a1, a2; L has degree n
 
+# (error type, exit code, stderr prefix); the first row the error is an
+# instance of decides
+EXITS = (
+    (ConfigError, 2, "config"),
+    (WeilValidationError, 3, "weil-validation"),
+    (CandidateBoundExceededError, 5, "enumeration"),
+    (InternalInconsistencyError, 4, "internal-inconsistency"),
+    (DrinfeldOrdersError, 4, "error"),
+)
+
 
 @dataclass
 class ModuleSpec:
@@ -75,21 +87,11 @@ class ModuleSpec:
 
 @dataclass
 class ProblemConfig:
-    field: FiniteField
-    pv: Poly
-    m: int
-    a1: Poly
-    a2: Poly
-    mu: object
+    weil: WeilCubic
     l_modulus: Optional[Poly]
     modules: list
     candidate_bound: Optional[int]
     output_format: Optional[str]
-
-    def weil(self) -> WeilCubic:
-        return WeilCubic(
-            field=self.field, a1=self.a1, a2=self.a2, mu=self.mu, pv=self.pv, m=self.m
-        )
 
 
 def _require(cond: bool, message: str) -> None:
@@ -100,6 +102,19 @@ def _require(cond: bool, message: str) -> None:
 def _is_int(obj) -> bool:
     """An integer that is not a boolean (JSON true/false load as bool)."""
     return isinstance(obj, int) and not isinstance(obj, bool)
+
+
+def _positive_int(value, where: str) -> Optional[int]:
+    """A candidate bound from one source: None when the source is unset,
+    else the value (a string is read as an integer) if it is positive."""
+    if isinstance(value, str):
+        with contextlib.suppress(ValueError):
+            value = int(value)
+    _require(
+        value is None or (_is_int(value) and value >= 1),
+        f"{where} must be a positive integer",
+    )
+    return value
 
 
 def _parse_elem(F: FiniteField, obj, where: str):
@@ -210,23 +225,14 @@ def load_config(path: str) -> ProblemConfig:
 
     options = raw.get("options", {})
     _require(isinstance(options, dict), "'options' must be an object")
-    bound = options.get("candidate_bound")
-    _require(
-        bound is None or (_is_int(bound) and bound >= 1),
-        "'options.candidate_bound' must be a positive integer",
-    )
+    bound = _positive_int(options.get("candidate_bound"), "'options.candidate_bound'")
     fmt = options.get("output_format")
     _require(
         fmt in (None, "json", "text"),
         "'options.output_format' must be 'json' or 'text'",
     )
     return ProblemConfig(
-        field=F,
-        pv=pv,
-        m=m,
-        a1=a1,
-        a2=a2,
-        mu=mu,
+        weil=WeilCubic(field=F, a1=a1, a2=a2, mu=mu, pv=pv, m=m),
         l_modulus=l_modulus,
         modules=modules,
         candidate_bound=bound,
@@ -234,27 +240,34 @@ def load_config(path: str) -> ProblemConfig:
     )
 
 
+def resolve_candidate_bound(cfg: ProblemConfig, flag: Optional[int]) -> int:
+    """The first bound set among the flag, the environment variable and the
+    config's options (checked when loaded), each checked to be positive by
+    ``_positive_int``; else the default."""
+    return (
+        _positive_int(flag, "--candidate-bound")
+        or _positive_int(os.environ.get(ENV_CANDIDATE_BOUND), ENV_CANDIDATE_BOUND)
+        or cfg.candidate_bound
+        or DEFAULT_CANDIDATE_BOUND
+    )
+
+
 def build_skew_ring(cfg: ProblemConfig) -> SkewRing:
     """L{tau} for the config's L; its modulus is checked here, once for all
     the config's modules."""
     try:
-        return SkewRing(make_extension_field(cfg.field, cfg.l_modulus))
+        return SkewRing(make_extension_field(cfg.weil.field, cfg.l_modulus))
     except DomainError as exc:
         raise ConfigError(f"L: {exc}") from exc
-
-
-def build_drinfeld_module(ring: SkewRing, spec: ModuleSpec) -> DrinfeldModule:
-    coeffs = [
-        _parse_elem(ring.L, c, f"module '{spec.name}' phi_T") for c in spec.phi_t_coeffs
-    ]
-    return DrinfeldModule(ring, ring.poly(coeffs))
 
 
 def identify_module(ring: SkewRing, spec: ModuleSpec, analysis: ClassAnalysis) -> dict:
     """Build one module, check it lies in the class, survey the accepted
     orders and read End(phi) off the survey."""
+    where = f"module '{spec.name}' phi_T"
     try:
-        module = build_drinfeld_module(ring, spec)
+        coeffs = [_parse_elem(ring.L, c, where) for c in spec.phi_t_coeffs]
+        module = DrinfeldModule(ring, ring.poly(coeffs))
     except DomainError:
         return {"module": spec.name, "in_class": False, "rank_mismatch": True}
     if not verify_weil_action(module, analysis.weil):
@@ -289,7 +302,7 @@ def _poly_json(f: Poly):
     return [_elem_json(c) for c in f.coeffs]
 
 
-def _order_json(order: OrderHNF, labels) -> dict:
+def _order_json(order: OrderHNF, labels: dict) -> dict:
     return {
         "a": _poly_json(order.a),
         "a_str": order.a.to_str(),
@@ -297,30 +310,21 @@ def _order_json(order: OrderHNF, labels) -> dict:
         "b_str": order.b.to_str(),
         "c": _poly_json(order.c),
         "c_str": order.c.to_str(),
-        "label": labels(order),
+        "label": labels.get(order, ""),
     }
 
 
-def _label_fn(analysis: ClassAnalysis):
-    maximal = OrderHNF(
-        a=Poly.one(analysis.weil.field),
-        b=Poly.zero(analysis.weil.field),
-        c=Poly.one(analysis.weil.field),
-    )
+def _labels(analysis: ClassAnalysis) -> dict:
+    """The label of each named order: O_max, A[pi], or both when equal."""
+    F = analysis.weil.field
+    maximal = OrderHNF(a=Poly.one(F), b=Poly.zero(F), c=Poly.one(F))
     frob = frobenius_order_hnf(analysis.sf, analysis.mo)
-
-    def labels(order: OrderHNF) -> str:
-        tags = []
-        if order == maximal:
-            tags.append("O_max")
-        if order == frob:
-            tags.append("A[pi]")
-        return "=".join(tags)
-
-    return labels
+    if frob == maximal:
+        return {maximal: "O_max=A[pi]"}
+    return {maximal: "O_max", frob: "A[pi]"}
 
 
-def _ident_json(ident: dict, labels) -> dict:
+def _ident_json(ident: dict, labels: dict) -> dict:
     entry = {"module": ident["module"], "in_class": ident["in_class"]}
     if ident["in_class"]:
         entry["order"] = _order_json(ident["order"], labels)
@@ -334,9 +338,9 @@ def _ident_json(ident: dict, labels) -> dict:
     return entry
 
 
-def build_report(cfg: ProblemConfig, analysis: ClassAnalysis, identifications) -> dict:
-    labels = _label_fn(analysis)
-    sf, mo = analysis.sf, analysis.mo
+def build_report(analysis: ClassAnalysis, identifications) -> dict:
+    labels = _labels(analysis)
+    W, sf, mo = analysis.weil, analysis.sf, analysis.mo
     orders = []
     for rep in analysis.orders:
         entry = _order_json(rep.order, labels)
@@ -356,15 +360,15 @@ def build_report(cfg: ProblemConfig, analysis: ClassAnalysis, identifications) -
         orders.append(entry)
     return {
         "inputs": {
-            "p": cfg.field.p,
-            "e": cfg.field.degree,
-            "q": cfg.field.q,
-            "pv": _poly_json(cfg.pv),
-            "pv_str": cfg.pv.to_str(),
-            "m": cfg.m,
-            "a1": _poly_json(cfg.a1),
-            "a2": _poly_json(cfg.a2),
-            "mu": _elem_json(cfg.mu),
+            "p": W.field.p,
+            "e": W.field.degree,
+            "q": W.field.q,
+            "pv": _poly_json(W.pv),
+            "pv_str": W.pv.to_str(),
+            "m": W.m,
+            "a1": _poly_json(W.a1),
+            "a2": _poly_json(W.a2),
+            "mu": _elem_json(W.mu),
         },
         "verdict": VERDICT_TEXT,
         "local": {
@@ -411,42 +415,29 @@ def _ident_line(entry: dict) -> str:
 
 
 def render_text(report: dict, analysis: ClassAnalysis) -> str:
-    lines = []
-    inp = report["inputs"]
-    lines.append("== isogeny class ==")
-    lines.append(
-        f"q = {inp['q']}, pv = {inp['pv_str']}, m = {inp['m']}"
-    )
-    lines.append(
-        "M(x) = x^3 + (%s)*x^2 + (%s)*x + (%s)*(%s)^%d"
-        % (
-            analysis.weil.a1.to_str(),
-            analysis.weil.a2.to_str(),
-            _elem_str(analysis.weil.mu),
-            inp["pv_str"],
-            inp["m"],
-        )
-    )
-    lines.append(f"verdict: {report['verdict']}")
-    loc = report["local"]
+    inp, loc, sf, W = report["inputs"], report["local"], report["standard_form"], analysis.weil
     pattern = " * ".join(
         f"(deg {d})^{m}" if m > 1 else f"(deg {d})" for d, m in loc["residue_pattern"]
     )
-    lines.append(
+    lines = [
+        "== isogeny class ==",
+        f"q = {inp['q']}, pv = {inp['pv_str']}, m = {inp['m']}",
+        f"M(x) = x^3 + ({W.a1.to_str()})*x^2 + ({W.a2.to_str()})*x + "
+        f"({_elem_str(W.mu)})*({inp['pv_str']})^{inp['m']}",
+        f"verdict: {report['verdict']}",
         f"height h = {loc['height']} (etale degree {loc['etale_degree']}), "
-        f"supersingular: {'yes' if loc['supersingular'] else 'no'}"
-    )
-    lines.append(f"M mod pv factor degrees: {pattern}")
-    lines.append("")
-    lines.append("== maximal order ==")
-    sf = report["standard_form"]
-    lines.append(f"standard form: c1 = {sf['c1_str']}, c2 = {sf['c2_str']}, g = {sf['g_str']}")
-    lines.append(f"disc(M0) = {report['disc_m0_str']}")
-    lines.append(f"Delta    = {report['delta_str']}")
-    lines.append(f"index I  = {report['index_str']}")
-    lines.append(f"alpha2 = {report['alpha2_str']}, beta2 = {report['beta2_str']}")
-    lines.append("")
-    lines.append(f"== endomorphism rings ({len(report['orders'])}) ==")
+        f"supersingular: {'yes' if loc['supersingular'] else 'no'}",
+        f"M mod pv factor degrees: {pattern}",
+        "",
+        "== maximal order ==",
+        f"standard form: c1 = {sf['c1_str']}, c2 = {sf['c2_str']}, g = {sf['g_str']}",
+        f"disc(M0) = {report['disc_m0_str']}",
+        f"Delta    = {report['delta_str']}",
+        f"index I  = {report['index_str']}",
+        f"alpha2 = {report['alpha2_str']}, beta2 = {report['beta2_str']}",
+        "",
+        f"== endomorphism rings ({len(report['orders'])}) ==",
+    ]
     for i, entry in enumerate(report["orders"], 1):
         tag = f"  [{entry['label']}]" if entry["label"] else ""
         lines.append(
@@ -455,59 +446,34 @@ def render_text(report: dict, analysis: ClassAnalysis) -> str:
             f"disc = {entry['disc_str']}"
         )
     if report["identifications"]:
-        lines.append("")
-        lines.append("== module identifications ==")
+        lines += ["", "== module identifications =="]
         for ident in report["identifications"]:
             lines.append(f"{ident['module']}: {_ident_line(ident)}")
     return "\n".join(lines) + "\n"
 
 
-def resolve_candidate_bound(cfg: ProblemConfig, flag: Optional[int]) -> int:
-    if flag is not None:
-        return flag
-    env = os.environ.get(ENV_CANDIDATE_BOUND)
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"{ENV_CANDIDATE_BOUND} must be an integer") from exc
-        if value < 1:
-            raise ConfigError(f"{ENV_CANDIDATE_BOUND} must be positive")
-        return value
-    if cfg.candidate_bound is not None:
-        return cfg.candidate_bound
-    return DEFAULT_CANDIDATE_BOUND
-
-
-def cmd_analyze(args) -> int:
+def run(args) -> str:
+    """The stdout of one command."""
     cfg = load_config(args.config)
+    modules = cfg.modules
+    if args.name is not None:
+        modules = [spec for spec in modules if spec.name == args.name]
+        _require(modules, f"module '{args.name}' not found in config")
     bound = resolve_candidate_bound(cfg, args.candidate_bound)
-    analysis = analyze_weil_class(cfg.weil(), candidate_bound=bound)
-    ring = build_skew_ring(cfg) if cfg.modules else None
-    identifications = [identify_module(ring, spec, analysis) for spec in cfg.modules]
-    report = build_report(cfg, analysis, identifications)
-    fmt = args.format or cfg.output_format or "text"
-    if fmt == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        sys.stdout.write(render_text(report, analysis))
-    return 0
+    analysis = analyze_weil_class(cfg.weil, candidate_bound=bound)
+    ring = build_skew_ring(cfg) if modules else None
+    identifications = [identify_module(ring, spec, analysis) for spec in modules]
+    report = build_report(analysis, identifications)
+    if args.name is not None:
+        mismatch = " (rank mismatch)" if identifications[0].get("rank_mismatch") else ""
+        return _ident_line(report["identifications"][0]) + mismatch + "\n"
+    if (args.format or cfg.output_format) == "json":
+        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return render_text(report, analysis)
 
 
-def cmd_check_module(args) -> int:
-    cfg = load_config(args.config)
-    spec = next((s for s in cfg.modules if s.name == args.name), None)
-    if spec is None:
-        raise ConfigError(f"module '{args.name}' not found in config")
-    bound = resolve_candidate_bound(cfg, None)
-    analysis = analyze_weil_class(cfg.weil(), candidate_bound=bound)
-    ident = identify_module(build_skew_ring(cfg), spec, analysis)
-    line = _ident_line(_ident_json(ident, _label_fn(analysis)))
-    print(line + (" (rank mismatch)" if ident.get("rank_mismatch") else ""))
-    return 0
-
-
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="drinfeld-orders",
         description=(
@@ -521,42 +487,29 @@ def main(argv=None) -> int:
     p_analyze.add_argument("config", help="path to a JSON problem description")
     p_analyze.add_argument("--format", choices=("json", "text"), default=None)
     p_analyze.add_argument("--candidate-bound", type=int, default=None)
-    p_analyze.set_defaults(func=cmd_analyze)
+    p_analyze.set_defaults(name=None)
     p_check = sub.add_parser(
         "check-module", help="verify one module and identify its endomorphism ring"
     )
     p_check.add_argument("config", help="path to a JSON problem description")
     p_check.add_argument("--name", required=True, help="module name from the config")
-    p_check.set_defaults(func=cmd_check_module)
-    args = parser.parse_args(argv)
+    p_check.set_defaults(format=None, candidate_bound=None)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        sys.stdout.write(run(args))
     except BrokenPipeError:
         # reader went away (e.g. piped into head); suppress the shutdown noise
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
-        return 0
-    except ConfigError as exc:
-        print(f"config: {exc}", file=sys.stderr)
-        return 2
-    except (
-        ReducibleError,
-        BadConstantTermError,
-        NotWeilAtVError,
-        Char2UnsupportedError,
-        Char3UnsupportedError,
-    ) as exc:
-        print(f"weil-validation: {exc}", file=sys.stderr)
-        return 3
-    except CandidateBoundExceededError as exc:
-        print(f"enumeration: {exc}", file=sys.stderr)
-        return 5
-    except InternalInconsistencyError as exc:
-        print(f"internal-inconsistency: {exc}", file=sys.stderr)
-        return 4
     except DrinfeldOrdersError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        code, prefix = next((c, p) for kind, c, p in EXITS if isinstance(exc, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
+    return 0
 
 
 if __name__ == "__main__":

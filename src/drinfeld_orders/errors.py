@@ -1,7 +1,7 @@
 """Typed errors shared across the library.
 
-The CLI maps these onto distinct exit codes; library code raises them
-directly and never prints.
+Library code raises them directly and never prints.  The CLI maps each
+to an exit code by the first of its base classes in one table.
 """
 
 
@@ -18,26 +18,31 @@ class ConfigError(DrinfeldOrdersError):
     """A problem description failed to parse or validate."""
 
 
-class ReducibleError(DrinfeldOrdersError):
+class WeilValidationError(DrinfeldOrdersError):
+    """The isogeny-class data cannot be a Frobenius minimal polynomial, or
+    lies outside the supported characteristics."""
+
+
+class ReducibleError(WeilValidationError):
     """The cubic is reducible over the rational function field."""
 
 
-class BadConstantTermError(DrinfeldOrdersError):
+class BadConstantTermError(WeilValidationError):
     """The constant-term data (mu, pv, m) is malformed."""
 
 
-class NotWeilAtVError(DrinfeldOrdersError):
+class NotWeilAtVError(WeilValidationError):
     """The v-adic splitting shape is incompatible with a Frobenius minimal
     polynomial: more than one v-adic factor has constant term divisible by
     pv."""
 
 
-class Char3UnsupportedError(DrinfeldOrdersError):
+class Char3UnsupportedError(WeilValidationError):
     """Characteristic 3 is rejected: the depressed-cubic substitution divides
     by 3 and 27."""
 
 
-class Char2UnsupportedError(DrinfeldOrdersError):
+class Char2UnsupportedError(WeilValidationError):
     """Characteristic 2 is rejected: the polynomial discriminant degenerates
     to c2^2 there and the square-free discriminant formula no longer
     computes the field discriminant (quadratic ramification turns wild)."""

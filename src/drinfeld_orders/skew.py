@@ -43,7 +43,7 @@ sum is first reduced to one summand.
 of every accepted order, and ``identify_endo_ring`` reads End(phi) off its
 rows.  ``order_generator_kelems`` writes each generator over pi in one
 step, over the common denominator g^2*I of omega1 and omega2, and puts it
-in lowest terms once.  The CLI's ``check-module`` shows the ``analyze`` line for one module.
+in lowest terms once.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import drinfeld_orders.cli as cli
+import drinfeld_orders.errors as errors
 import drinfeld_orders.skew as skew
 from drinfeld_orders import Poly, make_extension_field
 from drinfeld_orders.cli import main
@@ -224,8 +226,8 @@ def test_f49_class_multiplies_in_f7_only_to_build_tables(tmp_path, monkeypatch, 
     path = tmp_path / "f49.json"
     path.write_text(json.dumps(F49_CLASS))
     cfg = cli.load_config(str(path))
-    assert isinstance(cfg.field, ExtensionField) and cfg.field.q == 49
-    assert "_log" not in vars(cfg.field)  # loading builds no table
+    assert isinstance(cfg.weil.field, ExtensionField) and cfg.weil.field.q == 49
+    assert "_log" not in vars(cfg.weil.field)  # loading builds no table
     calls = [0]
     real = PrimeField.mul
 
@@ -467,7 +469,7 @@ def test_large_prime_config_loads_fast_and_oversized_p_exits_2(tmp_path, capsys)
     t0 = time.perf_counter()
     loaded = cli.load_config(str(path))
     assert time.perf_counter() - t0 < 1.0
-    assert loaded.field == PrimeField(2**61 - 1)
+    assert loaded.weil.field == PrimeField(2**61 - 1)
     # beyond the bound where Miller-Rabin with fixed bases decides primality
     cfg["field"]["p"] = 2**89 - 1
     path.write_text(json.dumps(cfg))
@@ -507,4 +509,78 @@ def test_size_limits_admit_the_largest_known_configs(tmp_path):
     cfg.update({"m": 15, "weil": {"a1": [0], "a2": [0] * 10 + [1], "mu": 1}})
     path = tmp_path / "m15.json"
     path.write_text(json.dumps(cfg))
-    assert cli.load_config(str(path)).m == 15
+    assert cli.load_config(str(path)).weil.m == 15
+
+
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [
+        (errors.ConfigError, 2, "config:"),
+        (errors.ReducibleError, 3, "weil-validation:"),
+        (errors.BadConstantTermError, 3, "weil-validation:"),
+        (errors.NotWeilAtVError, 3, "weil-validation:"),
+        (errors.Char2UnsupportedError, 3, "weil-validation:"),
+        (errors.Char3UnsupportedError, 3, "weil-validation:"),
+        (errors.CandidateBoundExceededError, 5, "enumeration:"),
+        (errors.InternalInconsistencyError, 4, "internal-inconsistency:"),
+        (errors.NoSolutionError, 4, "internal-inconsistency:"),
+        (errors.NoCandidateError, 4, "internal-inconsistency:"),
+        (errors.DomainError, 4, "error:"),
+    ],
+    ids=lambda x: x.__name__ if isinstance(x, type) else None,
+)
+def test_exit_code_and_prefix_per_error_type(monkeypatch, capsys, error, code, prefix):
+    def failing(W, candidate_bound):
+        raise error("raised on purpose")
+
+    monkeypatch.setattr(cli, "analyze_weil_class", failing)
+    monkeypatch.delenv("DRINFELD_ORDERS_CANDIDATE_BOUND", raising=False)
+    assert main(["analyze", str(GOLDEN)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{prefix} raised on purpose\n"
+
+
+@pytest.mark.parametrize("value", [0, -5])
+@pytest.mark.parametrize("source", ["flag", "env", "options"])
+def test_non_positive_candidate_bound_exits_2(tmp_path, monkeypatch, capsys, source, value):
+    # every source of the bound goes through the same positivity check
+    cfg = json.loads(GOLDEN.read_text())
+    argv = ["analyze", str(tmp_path / "bound.json")]
+    monkeypatch.delenv("DRINFELD_ORDERS_CANDIDATE_BOUND", raising=False)
+    if source == "flag":
+        argv += ["--candidate-bound", str(value)]
+    elif source == "env":
+        monkeypatch.setenv("DRINFELD_ORDERS_CANDIDATE_BOUND", str(value))
+    else:
+        cfg["options"]["candidate_bound"] = value
+    (tmp_path / "bound.json").write_text(json.dumps(cfg))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config:")
+    assert "must be a positive integer" in captured.err
+
+
+def test_parser_built_once(monkeypatch, capsys):
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    monkeypatch.delenv("DRINFELD_ORDERS_CANDIDATE_BOUND", raising=False)
+    assert main(["analyze", str(GOLDEN), "--format", "json"]) == 0
+    first = list(built)
+    assert main(["check-module", str(GOLDEN), "--name", "phi"]) == 0
+    capsys.readouterr()
+    # one parser (its two subcommand parsers are ArgumentParsers too), built
+    # by the first call; the second builds none
+    assert first == [
+        "drinfeld-orders",
+        "drinfeld-orders analyze",
+        "drinfeld-orders check-module",
+    ]
+    assert built == first
