@@ -18,8 +18,7 @@ the integral-basis parameters (alpha2, beta2) with
 
     omega2 = (alpha2 + beta2*pi~ + pi~^2) / I
 
-are solved mod each prime power P^k of I, where beta2 has exactly one
-residue, and joined by one CRT.
+come in closed form from the identity 3 M0(x) - x M0'(x) = 2 c1 x + 3 c2.
 
 Characteristics 2 and 3 are rejected up front: the depressed-cubic
 substitution divides by 3 and 27, and in characteristic 2 the polynomial
@@ -37,6 +36,7 @@ conditions passed" rather than a full certification.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 from .errors import (
@@ -55,7 +55,7 @@ from .factor import factor, is_irreducible, reduce_mod, unit_roots
 # rewraps this binding, so it stays until that test names another one
 from .factor import divisors  # noqa: F401
 from .gf import ExtensionField, FiniteField
-from .poly import Poly, polys_below_degree, poly_crt, valuation
+from .poly import Poly, poly_gcdext, valuation
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class WeilCubic:
     pv: Poly
     m: int
 
-    @property
+    @cached_property
     def a0(self) -> Poly:
         return (self.pv**self.m).scale(self.mu)
 
@@ -354,62 +354,39 @@ def standard_form(W: WeilCubic) -> StandardForm:
     )
 
 
-def _beta_mod_prime_power(sf: StandardForm, prime: Poly, k: int) -> Poly:
-    """The residue beta mod prime^k with M0'(beta) = 3 beta^2 + c1 = 0 mod
-    prime^k and M0(beta) = beta^3 + c1 beta + c2 = 0 mod prime^(2k).
-
-    The first congruence is lifted digit by digit in base prime; the second
-    is tested once at the end, which is exact: M0'(beta) = 0 mod prime^k
-    gives M0(beta + prime^k t) = M0(beta) mod prime^(2k).  Two valid
-    residues would give two omega2 whose difference (d_alpha + d_beta pi~)/I
-    is integral, forcing I | d_beta, so a count other than one means the
-    index is inconsistent with the standard form."""
-    F = sf.c1.field
-    c1, c2 = sf.c1, sf.c2
-    digits = list(polys_below_degree(F, prime.degree))
-    level = [Poly.zero(F)]
-    step = Poly.one(F)  # prime^j while filtering mod prime^(j+1)
-    mod = prime
-    for _ in range(k):
-        level = [
-            b
-            for b in (cand + d * step for cand in level for d in digits)
-            if not ((b * b).scale_int(3) + c1) % mod
-        ]
-        step = mod
-        mod = mod * prime
-    pk2 = step * step
-    level = [b for b in level if not (b**3 + c1 * b + c2) % pk2]
-    if len(level) != 1:
-        raise NoSolutionError(
-            f"{len(level)} integral-basis residues at {prime.to_str()}; the "
-            "index is inconsistent with the standard form"
-        )
-    return level[0]
-
-
 def integral_basis(sf: StandardForm, index_factors) -> Tuple[Poly, Poly]:
-    """Solve, for I = prod P^k over index_factors ((P, k), ...), the
-    congruence system for (alpha2, beta2):
+    """(alpha2, beta2) for I = prod P^k over index_factors ((P, k), ...):
 
         3 beta2^2 + c1          = 0 mod I
         beta2^3 + c1 beta2 + c2 = 0 mod I^2
         alpha2 = -2 beta2^2       mod I
 
-    with deg beta2 < deg I and deg alpha2 < deg I.  Both congruences depend
-    on beta2 mod I only, and each prime power P^k of I has exactly one
-    residue mod P^k; one CRT joins them.  beta2 is thus the canonically
-    smallest of all solutions mod I^2.
+    with deg beta2, deg alpha2 < deg I.  As 3 M0(x) - x M0'(x) = 2 c1 x +
+    3 c2, any solution has 2 c1 beta2 + 3 c2 = 0 mod I: beta2 = -3 c2 /
+    (2 c1) mod each P^k with P not dividing c1, and beta2 = 0 mod each P
+    dividing c1 (then P | c2, and k = 1 as (c1, c2) is standard).  So
+    beta2 = -3 c2 u mod I with u = 1/(2 c1) mod the product I1 of the
+    former, and it is checked against both congruences.
     """
     F = sf.c1.field
     if not index_factors:
         return Poly.zero(F), Poly.zero(F)
-    beta2, I = poly_crt(
-        [(_beta_mod_prime_power(sf, prime, k), prime**k) for prime, k in index_factors]
-    )
+    c1, c2 = sf.c1, sf.c2
+    I = I1 = Poly.one(F)
+    for prime, k in index_factors:
+        I = I * prime**k
+        if c1 % prime:
+            I1 = I1 * prime**k
+    u = poly_gcdext(c1.scale_int(2), I1)[1]
+    beta2 = (c2 * u).scale_int(-3) % I
+    if ((beta2 * beta2).scale_int(3) + c1) % I or (beta2**3 + c1 * beta2 + c2) % (I * I):
+        raise NoSolutionError(
+            f"no integral-basis residue mod {I.to_str()}; the index is "
+            "inconsistent with the standard form"
+        )
     alpha2 = ((beta2 * beta2).scale_int(-2)) % I
     two_thirds = F.div(F.from_int(2), F.from_int(3))
-    if not ((alpha2 - sf.c1.scale(two_thirds)) % I).is_zero:
+    if not ((alpha2 - c1.scale(two_thirds)) % I).is_zero:
         raise InternalInconsistencyError("alpha2 is not congruent to 2*c1/3 mod I")
     return alpha2, beta2
 

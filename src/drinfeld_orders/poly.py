@@ -286,24 +286,6 @@ def poly_gcdext(f: Poly, g: Poly):
     return r0.scale(u), s0.scale(u), t0.scale(u)
 
 
-def poly_crt(pairs):
-    """Combine residues [(r_i, m_i)] with pairwise coprime moduli.
-
-    Returns (r, m) with m the product modulus and r reduced mod m.
-    """
-    it = iter(pairs)
-    r, m = next(it)
-    for r2, m2 in it:
-        d, s, t = poly_gcdext(m, m2)
-        if not d.is_one:
-            raise DomainError("CRT moduli are not coprime")
-        # r + m*s*(r2 - r) is congruent to r mod m and to r2 mod m2
-        r = r + m * s * (r2 - r)
-        m = m * m2
-        r = r % m
-    return r, m
-
-
 def polys_below_degree(field: FiniteField, d: int) -> Iterator[Poly]:
     """All q^d polynomials of degree < d, in canonical index order."""
     q = field.q

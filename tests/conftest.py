@@ -10,7 +10,15 @@ sys.path.insert(0, str(Path(__file__).parent))
 from oracles import paper_weil, random_instance_pool  # noqa: E402
 
 from drinfeld_orders import PrimeField, Poly, analyze_weil_class, make_extension_field  # noqa: E402
+from drinfeld_orders.cli import ENV_CANDIDATE_BOUND  # noqa: E402
 from drinfeld_orders.skew import DrinfeldModule, SkewRing  # noqa: E402
+
+
+@pytest.fixture(autouse=True)
+def _no_candidate_bound_from_environment(monkeypatch):
+    """Every test, and every CLI subprocess a test starts, sees the candidate
+    bound only where the test sets it."""
+    monkeypatch.delenv(ENV_CANDIDATE_BOUND, raising=False)
 
 
 @pytest.fixture(scope="session")

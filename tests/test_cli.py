@@ -26,7 +26,6 @@ def run_cli(args, env_extra=None):
     import os
 
     env = dict(os.environ)
-    env.pop("DRINFELD_ORDERS_CANDIDATE_BOUND", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -185,7 +184,6 @@ def test_analyze_runs_each_membership_once(monkeypatch, capsys):
         return real(D, e)
 
     monkeypatch.setattr(skew, "element_membership", counted)
-    monkeypatch.delenv("DRINFELD_ORDERS_CANDIDATE_BOUND", raising=False)
     assert main(["analyze", str(GOLDEN)]) == 0
     capsys.readouterr()
     assert len(calls) == 8
@@ -201,7 +199,6 @@ def test_analyze_builds_l_once(monkeypatch, capsys):
         return real(base, modulus)
 
     monkeypatch.setattr(cli, "make_extension_field", counted)
-    monkeypatch.delenv("DRINFELD_ORDERS_CANDIDATE_BOUND", raising=False)
     assert main(["analyze", str(GOLDEN)]) == 0
     capsys.readouterr()
     assert [m.degree for m in calls] == [3]
@@ -236,7 +233,6 @@ def test_f49_class_multiplies_in_f7_only_to_build_tables(tmp_path, monkeypatch, 
         return real(field, a, b)
 
     monkeypatch.setattr(PrimeField, "mul", counted)
-    monkeypatch.delenv("DRINFELD_ORDERS_CANDIDATE_BOUND", raising=False)
     assert main(["analyze", str(path)]) == 0
     out = capsys.readouterr().out
     assert "endomorphism rings (1)" in out and "[O_max=A[pi]]" in out
@@ -254,7 +250,6 @@ def test_twist_raises_each_element_at_most_n_minus_1_times(monkeypatch, capsys):
         return FiniteField.pow(field, a, n)
 
     monkeypatch.setattr(ExtensionField, "pow", counted)
-    monkeypatch.delenv("DRINFELD_ORDERS_CANDIDATE_BOUND", raising=False)
     assert main(["check-module", str(GOLDEN), "--name", "phi"]) == 0
     assert capsys.readouterr().out == "in class: yes; End = O_max(1,0,1)\n"
     assert raised and max(raised.values()) <= 3 - 1
@@ -277,7 +272,6 @@ def test_reducible_l_checked_after_class(tmp_path):
 
 def test_no_all_member_order_exits_4(monkeypatch, capsys):
     monkeypatch.setattr(skew, "element_membership", lambda D, e: None)
-    monkeypatch.delenv("DRINFELD_ORDERS_CANDIDATE_BOUND", raising=False)
     assert main(["check-module", str(GOLDEN), "--name", "phi"]) == 4
     assert "no candidate order" in capsys.readouterr().err
 
@@ -381,7 +375,7 @@ def test_extension_base_field_config(tmp_path, fmt):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_modules_over_an_extension_base(tmp_path, monkeypatch, capsys):
+def test_modules_over_an_extension_base(tmp_path, capsys):
     # L of degree 3 over F_25 = F_5[y]/(y^2 + 2), 15,625 elements (above the
     # table cap): an in-class module from descended_module and a perturbed
     # one, through analyze and check-module
@@ -409,7 +403,6 @@ def test_modules_over_an_extension_base(tmp_path, monkeypatch, capsys):
     }
     path = tmp_path / "tower.json"
     path.write_text(json.dumps(cfg))
-    monkeypatch.delenv("DRINFELD_ORDERS_CANDIDATE_BOUND", raising=False)
     assert main(["analyze", str(path)]) == 0
     lines = dict(
         line.split(": ", 1)
@@ -444,6 +437,26 @@ def test_large_q_class_exits_fast(tmp_path, capsys, p, modulus):
     assert main(["analyze", str(path)]) == 0
     assert time.perf_counter() - t0 < 5.0
     assert "verdict: necessary conditions passed" in capsys.readouterr().out
+
+
+def test_high_degree_index_prime_exits_fast(tmp_path, capsys):
+    # the index is irreducible of degree 10 over F_13; searching its
+    # 13^10 residues for beta2 ran for over 30 s, the closed form gives beta2 = T
+    a2 = [1, 4, 3, 4, 5, 10, 6, 0, 1, 7, 8, 8, 12, 7, 9, 7, 8, 0, 5, 5, 11, 2]
+    cfg = {
+        "field": {"p": 13, "e": 1},
+        "pv": [0, 1],
+        "m": 3,
+        "weil": {"a1": [], "a2": a2, "mu": 2},
+    }
+    path = tmp_path / "index_degree_10.json"
+    path.write_text(json.dumps(cfg))
+    t0 = time.perf_counter()
+    assert main(["analyze", str(path)]) == 0
+    assert time.perf_counter() - t0 < 5.0
+    out = capsys.readouterr().out
+    assert "index I  = T^10+10*T^9+2*T^8+4*T^7+7*T^6+4*T^5+T^4+2*T^3+8*T^2+9*T+2\n" in out
+    assert "alpha2 = 11*T^2, beta2 = T\n" in out
 
 
 def test_char2_rejected(tmp_path):
@@ -534,7 +547,6 @@ def test_exit_code_and_prefix_per_error_type(monkeypatch, capsys, error, code, p
         raise error("raised on purpose")
 
     monkeypatch.setattr(cli, "analyze_weil_class", failing)
-    monkeypatch.delenv("DRINFELD_ORDERS_CANDIDATE_BOUND", raising=False)
     assert main(["analyze", str(GOLDEN)]) == code
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -547,7 +559,6 @@ def test_non_positive_candidate_bound_exits_2(tmp_path, monkeypatch, capsys, sou
     # every source of the bound goes through the same positivity check
     cfg = json.loads(GOLDEN.read_text())
     argv = ["analyze", str(tmp_path / "bound.json")]
-    monkeypatch.delenv("DRINFELD_ORDERS_CANDIDATE_BOUND", raising=False)
     if source == "flag":
         argv += ["--candidate-bound", str(value)]
     elif source == "env":
@@ -571,7 +582,6 @@ def test_parser_built_once(monkeypatch, capsys):
 
     cli._parser.cache_clear()
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    monkeypatch.delenv("DRINFELD_ORDERS_CANDIDATE_BOUND", raising=False)
     assert main(["analyze", str(GOLDEN), "--format", "json"]) == 0
     first = list(built)
     assert main(["check-module", str(GOLDEN), "--name", "phi"]) == 0

@@ -413,10 +413,11 @@ def test_integral_basis_exhaustive_oracle(instance_pool):
 
 
 def test_integral_basis_lifting_path_matches_exhaustive(instance_pool):
-    # the per-prime lifting + CRT agrees with the exhaustive scan of the
-    # residues mod I^2 on every instance with a nontrivial index
+    # the closed form beta2 = -3 c2 / (2 c1) agrees with the exhaustive scan
+    # of the residues mod I^2 on every instance with a nontrivial index
     checked = 0
     multi_prime = 0
+    prime_divides_c1 = 0
     for analysis in instance_pool:
         sf, I = analysis.sf, analysis.mo.index
         if I.degree < 1:
@@ -425,8 +426,28 @@ def test_integral_basis_lifting_path_matches_exhaustive(instance_pool):
         checked += 1
         if len(factor(I).factors) > 1:
             multi_prime += 1
+        if any(not sf.c1 % prime for prime, _ in factor(I).factors):
+            prime_divides_c1 += 1
     assert checked >= 5
-    assert multi_prime >= 1  # the CRT recombination ran at least once
+    assert multi_prime >= 1
+    assert prime_divides_c1 >= 1  # the branch beta2 = 0 mod P ran at least once
+
+
+def test_integral_basis_mixed_branches_match_oracle(f5):
+    # x^3 + 4x^2 + (T^4+2T^2+4T)x + 3T^2 over F_5: I = T(T+3), where T + 3
+    # divides c1 (beta2 = 0 mod T+3) and T does not (beta2 = -3c2/(2c1) mod T)
+    T = Poly.x(f5)
+    W = WeilCubic(
+        field=f5, a1=Poly.from_ints(f5, [4]), a2=Poly.from_ints(f5, [0, 4, 2, 0, 1]),
+        mu=f5.element(3), pv=T, m=2,
+    )
+    assert validate_weil_necessary(W).height == 2
+    sf = standard_form(W)
+    mo = maximal_order_data(sf)
+    three = Poly.from_ints(f5, [3])
+    assert mo.index_factors == ((T, 1), (T + three, 1))
+    assert sf.c1 % T and not sf.c1 % (T + three)
+    assert integral_basis(sf, mo.index_factors) == integral_basis_oracle(sf, mo.index)
 
 
 def test_conductor_generator_product_worked_example(example_analysis):
@@ -665,11 +686,8 @@ def test_degree_three_index_one_crt_no_residue_field(monkeypatch):
     T = Poly.x(F)
     a2 = Poly.from_ints(F, [5, 5, 2, 2])
     W = WeilCubic(field=F, a1=Poly.one(F), a2=a2, mu=F.element(3), pv=T, m=1)
-    crt_calls, residue_fields = [], []
-    real_crt, real_field = cubic_module.poly_crt, cubic_module.ExtensionField
-    monkeypatch.setattr(
-        cubic_module, "poly_crt", lambda pairs: crt_calls.append(pairs) or real_crt(pairs)
-    )
+    residue_fields = []
+    real_field = cubic_module.ExtensionField
     monkeypatch.setattr(
         cubic_module,
         "ExtensionField",
@@ -680,7 +698,6 @@ def test_degree_three_index_one_crt_no_residue_field(monkeypatch):
     assert mo.index == Poly.from_ints(F, [4, 6, 5, 1]) and is_irreducible(mo.index)
     assert mo.alpha2 == Poly.from_ints(F, [4, 0, 4])
     assert mo.beta2 == Poly.from_ints(F, [2, 5, 1])
-    assert len(crt_calls) == 1
     # h = 2 needs no residue field either: x^3 + T x^2 + T(T^2+2) x + (T^2+2)
     f5 = PrimeField(5)
     T = Poly.x(f5)

@@ -59,8 +59,7 @@ def test_golden_cases_are_recorded():
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_golden_output(case, monkeypatch):
-    monkeypatch.delenv(ENV_CANDIDATE_BOUND, raising=False)
+def test_golden_output(case):
     rc, stdout = _run(CASES[case])
     assert rc == json.loads(EXIT_CODES.read_text())[case]
     assert stdout == (GOLDEN_DIR / f"{case}.out").read_text(encoding="utf-8")

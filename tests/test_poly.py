@@ -5,7 +5,7 @@ import random
 import pytest
 
 from drinfeld_orders import DomainError, Poly, PrimeField, poly_gcd, poly_gcdext
-from drinfeld_orders.poly import poly_crt, polys_below_degree, valuation
+from drinfeld_orders.poly import polys_below_degree, valuation
 
 from oracles import RatFunc, poly_divmod_oracle, poly_mul_oracle
 from test_gf import FIELDS
@@ -150,17 +150,6 @@ def test_gcdext_bezout(F):
         d, s, t = poly_gcdext(f, g)
         assert s * f + t * g == d
         assert d == poly_gcd(f, g)
-
-
-def test_crt_pairwise():
-    F = PrimeField(5)
-    T = Poly.x(F)
-    m1 = T
-    m2 = T + Poly.one(F)
-    r, m = poly_crt([(Poly.from_ints(F, [2]), m1), (Poly.from_ints(F, [3]), m2)])
-    assert m == m1 * m2
-    assert (r % m1) == Poly.from_ints(F, [2])
-    assert (r % m2) == Poly.from_ints(F, [3])
 
 
 def test_canonical_order_degree_then_leading():
