@@ -6,12 +6,13 @@ power of the characteristic prime pv.  This module validates that data,
 computes the height h and residue splitting at v, produces the depressed
 standard form x^3 + c1*x + c2, and from it the maximal-order data.
 
-The residue splitting is read in closed form from M = x^h * R(x) mod pv;
-only the quadratic R of height 1 needs a square test, by Euler's criterion
-mod pv in A itself.  The residue field F_q[T]/(pv) is built only to factor
-the residual cubic of a supersingular shape with 3 | m.  The standard form
-factors disc(M) = g^6 disc(M0) once, the only factorisation of the class,
-and reads off the primes of the content g and of disc(M0).
+The height, the Newton polygon at v and the residue splitting, read from
+M = x^h * R(x) mod pv, are closed forms; only the quadratic R of height 1
+needs a square test, by Euler's criterion mod pv in A itself.  The
+residue field F_q[T]/(pv) is built only to factor the residual cubic of a
+supersingular shape with 3 | m.  The standard form factors disc(M) =
+g^6 disc(M0) once, the only factorisation of the class, and reads off the
+primes of the content g and of disc(M0).
 For each prime P of disc(M0) the valuation criterion fixes v_P(Delta) in
 {0, 1, 2}, the index I has v_P(I) = (v_P(disc(M0)) - v_P(Delta)) / 2, and
 the integral-basis parameters (alpha2, beta2) with
@@ -138,11 +139,9 @@ class MaximalOrderData:
 
 def height(W: WeilCubic) -> int:
     """Sub-degree of M(x) mod pv: the smallest exponent whose coefficient
-    survives reduction."""
-    for k, c in enumerate(W.coefficients()):
-        if not c.is_zero and not (c % W.pv).is_zero:
-            return k
-    raise InternalInconsistencyError("M(x) vanishes identically mod pv")
+    survives reduction.  a0 = mu*pv^m with m >= 1 never does, and the
+    leading 1 always does."""
+    return 1 if W.a2 % W.pv else 2 if W.a1 % W.pv else 3
 
 
 def _depress(W: WeilCubic) -> Tuple[Poly, Poly]:
@@ -183,22 +182,6 @@ def _check_irreducible_over_k(W: WeilCubic) -> None:
                 raise ReducibleError(f"M(x) has the root {r.to_str()} in A")
 
 
-def _newton_segments(points):
-    """Lower convex hull of (i, v) points; returns the list of vertices."""
-    pts = sorted(points)
-    hull = []
-    for pt in pts:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            # drop the middle point when it lies on or above the chord
-            if (y2 - y1) * (pt[0] - x1) >= (pt[1] - y1) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
-    return hull
-
-
 def _is_square_mod(f: Poly, pv: Poly) -> bool:
     """Whether f is a square in F_q[T]/(pv), pv irreducible and q odd: f is
     zero mod pv, or f^((q^deg pv - 1)/2) = 1 mod pv (Euler's criterion)."""
@@ -215,10 +198,11 @@ def _check_unique_local_zero(W: WeilCubic, h: int) -> None:
     units.  For h = 2 the two positive-valuation roots must be conjugate,
     which (characteristic not 2) holds iff disc(M) is a non-square in the
     completion (disc(M) is that of the depressed cubic), decided exactly.
-    For h = 3 the Newton polygon must be a single segment and the residual
-    cubic must not split; a perfect-cube residual stays undecided at this
-    level and is accepted; the residual is the one place where the residue
-    field F_q[T]/(pv) is built.
+    For h = 3 the Newton polygon must be a single segment from (0, m) to
+    (3, 0), i.e. 3 v(a2) >= 2m and 3 v(a1) >= m, and the residual cubic
+    must not split; a perfect-cube residual stays undecided at this level
+    and is accepted; the residual is the one place where the residue field
+    F_q[T]/(pv) is built.
     """
     if h == 1:
         return
@@ -239,13 +223,7 @@ def _check_unique_local_zero(W: WeilCubic, h: int) -> None:
     # h == 3: supersingular shape, M must be irreducible over k_v
     v_a2 = None if W.a2.is_zero else valuation(W.a2, pv)
     v_a1 = None if W.a1.is_zero else valuation(W.a1, pv)
-    points = [(0, m), (3, 0)]
-    if v_a2 is not None:
-        points.append((1, v_a2))
-    if v_a1 is not None:
-        points.append((2, v_a1))
-    hull = _newton_segments(points)
-    if len(hull) > 2:
+    if (v_a2 is not None and 3 * v_a2 < 2 * m) or (v_a1 is not None and 3 * v_a1 < m):
         raise NotWeilAtVError("v-adic zeros with distinct valuations")
     if m % 3:
         return
@@ -304,8 +282,6 @@ def validate_weil_necessary(W: WeilCubic) -> LocalData:
         raise BadConstantTermError("pv must be monic irreducible of degree >= 1")
     _check_irreducible_over_k(W)
     h = height(W)
-    if h < 1:
-        raise NotWeilAtVError("constant term is not divisible by pv")
     _check_unique_local_zero(W, h)
     return LocalData(height=h, residue_pattern=_residue_pattern(W, h))
 

@@ -6,27 +6,28 @@ and deg b < deg a, standing for the lattice
 
     O = A + A*(c*omega1 + b*omega2) + A*(a*omega2)
 
-over the integral basis (1, omega1, omega2) of the maximal order.  The
-lattice is a ring exactly when M1*M2*H^-1 has entries in A, where M2 is
-the multiplication table of the basis and M1, H are the structure matrices
-of the triple.  An order is an endomorphism ring exactly when it stays
-maximal above v (when pv divides a2, gcd(pv, a*c) = 1), contains the
-Frobenius, and is a ring.  The first two hold by construction of the
-enumerated triples, so closure is the only test run per triple.
+over the integral basis (1, omega1, omega2) of the maximal order.  As
+x0 + x1*omega1 + x2*omega2 lies in O iff c | x1 and a | x2 - (x1/c)*b,
+O is a ring iff its generators' squares and product pass that test.  An
+order is an endomorphism ring exactly when it stays maximal above v
+(when pv divides a2, gcd(pv, a*c) = 1), contains the Frobenius, and is a
+ring.  The first two hold by construction of the enumerated triples, so
+closure is the only test run per triple.
 
 The full sandwich between A[pi] and the maximal order has c running over
 divisors of g, a over divisors of g^2*I (the a-entry of A[pi] itself),
 both built once per class from the stored primes of g and I, and b over
 the multiples of a/gcd(a, g/c) below deg a, which is exactly the
 Frobenius-containment condition a | b*(g/c).  Its size is the candidate
-count checked against the candidate bound.  When pv divides a2,
-v-maximality acts on the divisors (pv is irreducible), so only a and c
-that pv does not divide are built.
+count checked against the candidate bound, a product over the primes of
+g^2*I.  When pv divides a2, v-maximality acts on the divisors (pv is
+irreducible), so only a and c that pv does not divide are built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Optional, Tuple
 
 from .cubic import (
@@ -101,36 +102,24 @@ def mult_table(sf: StandardForm, mo: MaximalOrderData) -> tuple:
     return ((x11, x12, x13), (x21, x22, x23), (x31, x32, x33))
 
 
-def _mat_mul(a, b):
-    return tuple(
-        tuple(
-            sum((a[i][k] * b[k][j] for k in range(3)), start=Poly.zero(a[i][0].field))
-            for j in range(3)
-        )
-        for i in range(3)
-    )
-
-
 def closure_check(order: OrderHNF, m2: tuple) -> bool:
-    """True iff M1*M2*H^-1 is integral; H^-1 is realised as adj(H)/det(H)
-    with an exact divisibility test, never fractions."""
+    """True iff theta1^2, theta2^2 and theta1*theta2 lie in O, theta1 =
+    c*omega1 + b*omega2 and theta2 = a*omega2.  Over (omega1^2, omega2^2,
+    omega1*omega2) they are (c^2, b^2, 2bc), (0, a^2, 0) and (0, ab, ac);
+    only the omega1 and omega2 columns of m2 enter the membership test."""
     a, b, c = order.a, order.b, order.c
-    F = a.field
-    zero = Poly.zero(F)
-    two_bc = (b * c).scale_int(2)
-    m1 = (
-        (c * c, b * b, two_bc),
-        (zero, a * a, zero),
-        (zero, a * b, a * c),
+    (_, s1, s2), (_, t1, t2), (_, u1, u2) = m2
+
+    def contains(x1, x2):
+        y1, r = divmod(x1, c)
+        return not r and a.divides(x2 - y1 * b)
+
+    aa, ab, ac, cc, bb, bc2 = a * a, a * b, a * c, c * c, b * b, (b * c).scale_int(2)
+    return (
+        contains(aa * t1, aa * t2)
+        and contains(ab * t1 + ac * u1, ab * t2 + ac * u2)
+        and contains(cc * s1 + bb * t1 + bc2 * u1, cc * s2 + bb * t2 + bc2 * u2)
     )
-    adj_h = (
-        (c * a, zero, zero),
-        (zero, a, -b),
-        (zero, zero, c),
-    )
-    det = a * c
-    prod = _mat_mul(_mat_mul(m1, m2), adj_h)
-    return all(det.divides(entry) for row in prod for entry in row)
 
 
 def order_disc(order: OrderHNF, delta: Poly) -> Tuple[Poly, Poly]:
@@ -158,21 +147,32 @@ class ClassAnalysis:
     orders: tuple  # OrderReport of each accepted order, canonical order
 
 
+def _sandwich_exponents(sf: StandardForm, mo: MaximalOrderData) -> dict:
+    """P -> (v_P(g), v_P(g^2*I)) over the primes of g and I."""
+    exps = {prime: (k, 2 * k) for prime, k in sf.g_factors}
+    for prime, k in mo.index_factors:
+        k_g, k_a = exps.get(prime, (0, 0))
+        exps[prime] = (k_g, k_a + k)
+    return exps
+
+
 def sandwich_divisors(sf: StandardForm, mo: MaximalOrderData) -> Tuple[list, list]:
     """(divisors c of g, divisors a of g^2*I), from the stored primes of g
     and I; nothing is factored."""
     F = sf.c1.field
-    a_exps = {prime: 2 * k for prime, k in sf.g_factors}
-    for prime, k in mo.index_factors:
-        a_exps[prime] = a_exps.get(prime, 0) + k
-    return divisors(F, sf.g_factors), divisors(F, tuple(a_exps.items()))
+    exps = _sandwich_exponents(sf, mo).items()
+    return divisors(F, sf.g_factors), divisors(F, [(P, k_a) for P, (_, k_a) in exps])
 
 
-def _candidate_count(sf: StandardForm, sandwich: Tuple[list, list]) -> int:
-    """Size of the full sandwich: q^deg gcd(a, g/c) triples for each (a, c)."""
-    q, g = sf.c1.field.q, sf.g
-    cs, as_ = sandwich
-    return sum(q ** poly_gcd(a, g.exact_div(c)).degree for c in cs for a in as_)
+def _candidate_count(sf: StandardForm, mo: MaximalOrderData) -> int:
+    """Size of the full sandwich, the sum over c | g and a | g^2*I of
+    q^deg gcd(a, g/c): a product over P of the sums over i <= kg = v_P(g)
+    and j <= ka = v_P(g^2*I) of q^(deg P * min(j, kg - i))."""
+    q = sf.c1.field.q
+    return prod(
+        sum(q ** (P.degree * min(j, kg - i)) for i in range(kg + 1) for j in range(ka + 1))
+        for P, (kg, ka) in _sandwich_exponents(sf, mo).items()
+    )
 
 
 def enumerate_candidates(
@@ -226,14 +226,13 @@ def analyze_weil_class(
     sf = standard_form(W)
     mo = maximal_order_data(sf)
     m2 = mult_table(sf, mo)
-    sandwich = sandwich_divisors(sf, mo)
-    total = _candidate_count(sf, sandwich)
+    total = _candidate_count(sf, mo)
     if total > candidate_bound:
         raise CandidateBoundExceededError(
             f"candidate space has {total} triples, above the bound {candidate_bound}"
         )
     prime_to = W.pv if local.pv_divides_a2 else None
-    candidates = enumerate_candidates(sf, sandwich, prime_to)
+    candidates = enumerate_candidates(sf, sandwich_divisors(sf, mo), prime_to)
     reports = (assess_order(o, mo, m2) for o in candidates)
     accepted = tuple(r for r in reports if r is not None)
     if not accepted or accepted[0].order != OrderHNF(

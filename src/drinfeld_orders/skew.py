@@ -197,10 +197,10 @@ class SkewPoly:
         # 1/lc(d)^(q^k) = (1/lc(d))^(q^k): one inversion, then twists
         inv_orbit = ring._packed_orbit(L.inv(d.coeffs[-1]))
         # rem holds unfolded sums, and only the top one is folded at each
-        # step; column r lists d_j^(q^r) for j < dn (the top cancels)
+        # step; column r lists (-d_j)^(q^r) for j < dn (the top cancels)
         pk, n, zero = ring._pk, ring.n, L.zero
         fold, pack = pk.fold, pk.pack
-        orbits = [ring._packed_orbit(c) for c in d.coeffs[:dn]]
+        orbits = [ring._packed_orbit(L.neg(c)) for c in d.coeffs[:dn]]
         columns = [[orbit[r] for orbit in orbits] for r in range(n)]
         rem = [pack(c) for c in self.coeffs]
         quo = [zero] * (len(rem) - dn)
@@ -217,33 +217,11 @@ class SkewPoly:
             qk = fold(pack(c) * inv_orbit[r])
             quo[k] = qk
             end = k + dn
-            rem[k:end] = map(add, rem[k:end], map(mul, columns[r], repeat(pack(L.neg(qk)))))
+            rem[k:end] = map(add, rem[k:end], map(mul, columns[r], repeat(pack(qk))))
         return SkewPoly._exact(ring, tuple(quo)), SkewPoly(ring, [fold(c) for c in rem[:dn]])
 
-    def sort_key(self):
-        idx = self.ring.L.index
-        return (self.degree, tuple(idx(c) for c in reversed(self.coeffs)))
-
-    def to_str(self) -> str:
-        if self.is_zero:
-            return "0"
-        L = self.ring.L
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeff(i)
-            if c == L.zero:
-                continue
-            cs = "(" + ",".join(map(str, c)) + ")"
-            if i == 0:
-                parts.append(cs)
-            elif c == L.one:
-                parts.append("tau" if i == 1 else f"tau^{i}")
-            else:
-                parts.append(f"{cs}*tau" if i == 1 else f"{cs}*tau^{i}")
-        return "+".join(parts)
-
     def __repr__(self):
-        return f"SkewPoly({self.to_str()})"
+        return f"SkewPoly({self.coeffs})"
 
     def __eq__(self, other):
         return (

@@ -7,7 +7,8 @@ the generators and testing lattice membership coordinate-wise, the field
 discriminant is recomputed from the trace form and from the square-free
 shape of disc(M0), the residue pattern at v by factoring M mod pv over the
 residue field, Frobenius containment and v-maximality are tested on the
-triple itself, the integral basis is found
+triple itself, the Newton polygon at v is a convex hull, the sandwich is
+counted with one gcd per pair of divisors, the integral basis is found
 by scanning every residue mod I^2, a root of M in A by scanning every unit
 times every divisor of a0, field arithmetic is redone on coefficient tuples
 without calling the field object (and polynomials over F_p and
@@ -38,6 +39,7 @@ from drinfeld_orders import (
     factor,
     make_extension_field,
     poly_gcd,
+    sandwich_divisors,
     squarefree_decompose,
 )
 from drinfeld_orders.factor import reduce_mod
@@ -237,6 +239,29 @@ def v_maximality(order: OrderHNF, W: WeilCubic, local) -> bool:
     if not local.pv_divides_a2:
         return True
     return poly_gcd(W.pv, order.a * order.c).degree == 0
+
+
+def newton_vertices(points):
+    """Vertices of the lower convex hull of (i, v) points: the Newton
+    polygon, built point by point; a point on a chord is not a vertex."""
+    hull = []
+    for pt in sorted(points):
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (pt[0] - x1) < (pt[1] - y1) * (x2 - x1):
+                break
+            hull.pop()
+        hull.append(pt)
+    return hull
+
+
+def candidate_count_oracle(sf, mo) -> int:
+    """Size of the full sandwich, one gcd per pair of divisors: the b with
+    deg b < deg a and a | b*(g/c) number q^deg gcd(a, g/c) for each c | g
+    and a | g^2*I."""
+    q, g = sf.g.field.q, sf.g
+    cs, as_ = sandwich_divisors(sf, mo)
+    return sum(q ** poly_gcd(a, g.exact_div(c)).degree for c in cs for a in as_)
 
 
 # -- 3x3 polynomial matrices -------------------------------------------------

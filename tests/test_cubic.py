@@ -11,6 +11,7 @@ from drinfeld_orders import (
     Char3UnsupportedError,
     InternalInconsistencyError,
     NoSolutionError,
+    NotWeilAtVError,
     Poly,
     PrimeField,
     ReducibleError,
@@ -29,6 +30,7 @@ from drinfeld_orders import (
 import drinfeld_orders.cubic as cubic_module
 from drinfeld_orders.cubic import (
     _check_irreducible_over_k,
+    _check_unique_local_zero,
     _is_square_mod,
     _residue_pattern,
 )
@@ -40,6 +42,7 @@ from oracles import (
     content_oracle,
     field_discriminant_oracle,
     integral_basis_oracle,
+    newton_vertices,
     residue_pattern_oracle,
     root_in_a_oracle,
     trace_form_discriminant,
@@ -245,6 +248,27 @@ def test_height_characterisation(instance_pool):
         div_a1 = W.a1.is_zero or (W.a1 % W.pv).is_zero
         assert (h == 1) == (not div_a2)
         assert (h == 3) == (div_a2 and div_a1)
+
+
+def test_newton_polygon_closed_form_matches_hull(f5):
+    # h = 3 with pv = T: "distinct valuations" is raised exactly when the
+    # lower hull of (0, m), (1, v(a2)), (2, v(a1)), (3, 0) has a break
+    T = Poly.x(f5)
+    for m in range(1, 13):
+        for v_a1 in [None, *range(1, m + 3)]:
+            for v_a2 in [None, *range(1, m + 3)]:
+                a1 = Poly.zero(f5) if v_a1 is None else T**v_a1
+                a2 = Poly.zero(f5) if v_a2 is None else T**v_a2
+                W = WeilCubic(field=f5, a1=a1, a2=a2, mu=f5.element(2), pv=T, m=m)
+                points = [(0, m), (3, 0)]
+                points += [(1, v_a2)] if v_a2 is not None else []
+                points += [(2, v_a1)] if v_a1 is not None else []
+                try:
+                    _check_unique_local_zero(W, 3)
+                    raised = False
+                except NotWeilAtVError as exc:
+                    raised = "distinct valuations" in str(exc)
+                assert raised == (len(newton_vertices(points)) > 2), (m, v_a1, v_a2)
 
 
 def test_standard_form_depressed_input(f5):

@@ -18,6 +18,8 @@ from drinfeld_orders import (
 )
 
 from oracles import (
+    EXPECTED_REJECTIONS,
+    candidate_count_oracle,
     closure_oracle,
     contains_frobenius,
     element_in_lattice,
@@ -288,6 +290,28 @@ def test_v_maximality_filters_divisors_before_closure(monkeypatch):
     assert analysis.candidate_count == 425
     assert [r.order for r in analysis.orders] == [_maximal(W.field)]
     assert len(calls) == 1
+
+
+def test_candidate_count_matches_pairwise_gcd_oracle():
+    # x^3 + u T^e x + mu T^m over F_5 and F_7; x^3 + T^4 x + T^5 over F_5
+    # has g = I = T, so the prime T enters both c | g and a | g^2*I
+    W = _content_family(5, 1, 4, 1, 5)
+    analysis = analyze_weil_class(W)
+    assert analysis.sf.g == analysis.mo.index == Poly.x(W.field)
+    assert analysis.candidate_count == 20 == candidate_count_oracle(analysis.sf, analysis.mo)
+    shared = 0
+    for p in (5, 7):
+        for u in (1, 2):
+            for e in range(7):
+                for m in range(1, 8):
+                    try:
+                        analysis = analyze_weil_class(_content_family(p, u, e, 1, m))
+                    except EXPECTED_REJECTIONS:
+                        continue
+                    sf, mo = analysis.sf, analysis.mo
+                    assert analysis.candidate_count == candidate_count_oracle(sf, mo)
+                    shared += not poly_gcd(sf.g, mo.index).is_one
+    assert shared
 
 
 def test_large_sandwich_single_order():
