@@ -24,8 +24,11 @@ Extension arithmetic runs in one of two regimes, chosen per field object:
   log[g^k] = k and the Zech logarithms log(1 + g^k) (Huber, IEEE Trans. IT
   36, 1990; Lidl and Niederreiter, *Finite Fields*, ch. 9).  Products,
   inverses and powers are then index arithmetic and sums one Zech lookup.
-  The tables are a write-once cache: built at most once per field object
-  and never changed after.
+  Products and divisions of polynomials over such a field (``poly_mul``,
+  ``poly_divmod``) map each operand to logs once and run the schoolbook
+  loops on ints, with no field call per coefficient.  The tables are a
+  write-once cache: built at most once per field object and never changed
+  after.
 * packed ints, above the cap (and for a reducible modulus, which has no
   element of order q - 1): a product packs the F_p-coordinates of each
   operand into one int, makes one big-int multiply (Kronecker substitution
@@ -35,10 +38,12 @@ Extension arithmetic runs in one of two regimes, chosen per field object:
   once.  Building the tables multiplies the same way.  Sums, differences
   and negatives go coordinatewise through the base field.
 
-Outside the tables, inverses come from the extended Euclidean algorithm.  ``PrimeField`` overrides the generic coefficient
-loops of ``FiniteField`` (``vec_add``, ``vec_sub``) with integer ones;
-``poly.Poly`` multiplies and divides through the same kind of kernel
-(``poly_mul``, ``poly_divmod``).
+Outside the tables, inverses come from the extended Euclidean algorithm.
+``PrimeField`` overrides the generic coefficient loops of ``FiniteField``
+(``vec_add``, ``vec_sub``) with integer ones; ``poly.Poly`` multiplies and
+divides through the same kind of kernel (``poly_mul``, ``poly_divmod``),
+which ``PrimeField`` runs on ints and ``ExtensionField`` on log indices when
+it has tables.
 """
 
 from __future__ import annotations
@@ -161,7 +166,8 @@ class FiniteField:
 
     # -- kernels on coefficient sequences -----------------------------------
     # Loops through the field's own operations; PrimeField overrides each
-    # with integer arithmetic.
+    # with integer arithmetic, ExtensionField the polynomial ones with loops
+    # on log indices when it has tables.
 
     def vec_add(self, a, b):
         """Coordinatewise a + b of two tuples of the same length."""
@@ -543,6 +549,68 @@ class ExtensionField(FiniteField):
                 raise ZeroDivisionError("inverse of zero")
             return self.zero if n else self.one
         return self._exp[la * n % (self.q - 1)]
+
+    # -- kernels on coefficient sequences -----------------------------------
+    # With tables, each operand is mapped to logs once and the loops run on
+    # ints: a term is a sum of two logs, and adding g^t to g^o gives
+    # g^(o + zech[t - o]).  A log is kept below 2(q - 1), the length of the
+    # doubled tables, so a sum of two reduced logs, or the difference of two
+    # kept ones, indexes them as it is; a sum that may reach 2(q - 1) (after
+    # a Zech step, for a quotient term or a log of -b) is reduced mod q - 1.
+
+    def poly_mul(self, a, b):
+        log = self._log
+        if not log:
+            return super().poly_mul(a, b)
+        n, zech = self.q - 1, self._zech
+        la = [log[x] for x in a]
+        terms = [(j, y) for j, y in enumerate(map(log.__getitem__, b)) if y is not None]
+        out = [None] * (len(a) + len(b) - 1)
+        for i, x in enumerate(la):
+            if x is None:
+                continue
+            for j, y in terms:
+                t, k = x + y, i + j
+                o = out[k]
+                if o is None:
+                    out[k] = t
+                else:
+                    z = zech[t - o]
+                    out[k] = None if z is None else (o + z) % n
+        return self._exps(out)
+
+    def poly_divmod(self, a, b):
+        log = self._log
+        if not log:
+            return super().poly_divmod(a, b)
+        n, zech, neg = self.q - 1, self._zech, self._log_neg_one
+        dn = len(b) - 1
+        inv_lc = n - log[b[-1]]
+        # the logs of -b below its leading term
+        lb = map(log.__getitem__, b[:dn])
+        terms = [(j, (y + neg) % n) for j, y in enumerate(lb) if y is not None]
+        rem = [log[x] for x in a]
+        quo = [None] * (len(a) - dn)
+        for i in range(len(quo) - 1, -1, -1):
+            c = rem[i + dn]
+            if c is None:
+                continue
+            c = (c + inv_lc) % n
+            quo[i] = c
+            for j, y in terms:
+                t, k = c + y, i + j
+                o = rem[k]
+                if o is None:
+                    rem[k] = t
+                else:
+                    z = zech[t - o]
+                    rem[k] = None if z is None else (o + z) % n
+        return self._exps(quo), self._exps(rem[:dn])
+
+    def _exps(self, logs):
+        """The elements with the given logs, None giving zero."""
+        exp, zero = self._exp, self.zero
+        return [zero if k is None else exp[k] for k in logs]
 
     # -- arithmetic on coefficient tuples ---------------------------------
 

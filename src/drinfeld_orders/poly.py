@@ -12,8 +12,9 @@ polynomials with at least ``gf.KRONECKER_MIN`` nonzero coefficients each is
 packed (Kronecker substitution, digits of w bits with 2^w > n (p-1)^2, n
 the smaller count of nonzero coefficients, which bounds every coefficient of
 the unreduced product); a shorter or sparser product goes term by term.
-Over an extension field they loop through its operations: its log tables up
-to ``gf.TABLE_CAP``, packed ints above it.
+Over an extension field with log tables (up to ``gf.TABLE_CAP``) they run
+on log indices, one Zech lookup per sum and no field call per coefficient;
+above the cap they loop through its operations on packed ints.
 
 The canonical order used everywhere for deterministic output sorts by
 degree first, then lexicographically on coefficients from the leading one
@@ -148,15 +149,17 @@ class Poly:
         return self.scale(self.field.from_int(n))
 
     def __pow__(self, n: int) -> "Poly":
+        """Square and multiply from the top bit down, starting from self, so
+        no product has the factor 1."""
         if n < 0:
             raise DomainError("negative polynomial power")
-        result = Poly.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        if not n:
+            return Poly.one(self.field)
+        result = self
+        for bit in bin(n)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __divmod__(self, other: "Poly"):
@@ -191,13 +194,13 @@ class Poly:
     def pow_mod(self, n: int, modulus: "Poly") -> "Poly":
         if n < 0:
             raise DomainError("negative exponent in pow_mod")
-        result = Poly.one(self.field) % modulus
-        base = self % modulus
-        while n:
-            if n & 1:
+        if not n:
+            return Poly.one(self.field) % modulus
+        base = result = self % modulus
+        for bit in bin(n)[3:]:
+            result = (result * result) % modulus
+            if bit == "1":
                 result = (result * base) % modulus
-            base = (base * base) % modulus
-            n >>= 1
         return result
 
     def monic(self) -> "Poly":

@@ -698,6 +698,32 @@ def schoolbook_ops(F):
     return ops[:3]
 
 
+def field_poly_mul_oracle(F, a, b):
+    """Product of two coefficient sequences over F, one schoolbook term at a
+    time, as the list of len(a) + len(b) - 1 coefficients."""
+    add, _, mul = schoolbook_ops(F)
+    out = [F.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = add(out[i + j], mul(x, y))
+    return out
+
+
+def field_poly_divmod_oracle(F, a, b):
+    """(quotient, remainder) of coefficient sequences over F by long
+    division with schoolbook operations, for len(a) >= len(b) and b with a
+    nonzero last entry; the remainder keeps its len(b) - 1 entries."""
+    _, sub, mul = schoolbook_ops(F)
+    inv_lc = schoolbook_pow(mul, F.one, b[-1], F.q - 2)
+    n = len(b) - 1
+    rem, quo = list(a), [F.zero] * (len(a) - n)
+    for k in range(len(quo) - 1, -1, -1):
+        c = quo[k] = mul(rem[k + n], inv_lc)
+        for j, y in enumerate(b):
+            rem[k + j] = sub(rem[k + j], mul(c, y))
+    return quo, rem[:n]
+
+
 def is_prime_oracle(n: int) -> bool:
     """Primality by trial division."""
     if n < 2:

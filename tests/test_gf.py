@@ -7,7 +7,13 @@ import pytest
 from drinfeld_orders import DomainError, Poly, PrimeField, make_extension_field
 from drinfeld_orders.gf import MR_BOUND, TABLE_CAP, ExtensionField, is_prime
 
-from oracles import is_prime_oracle, schoolbook_ops, schoolbook_pow
+from oracles import (
+    field_poly_divmod_oracle,
+    field_poly_mul_oracle,
+    is_prime_oracle,
+    schoolbook_ops,
+    schoolbook_pow,
+)
 
 
 def build_field(q):
@@ -257,6 +263,107 @@ def test_packed_product_makes_no_prime_field_call(monkeypatch):
     a, b = (1, 2, 3, 4, 5, 6), (6, 5, 4, 3, 2, 1)  # schoolbook: 36 calls and more
     assert L.mul(a, b) == schoolbook_ops(L)[2](a, b)
     assert calls[0] == 0
+
+
+# -- polynomial kernels on the log tables -----------------------------------------
+
+LOG_KERNEL_FIELDS = {
+    "F4": lambda: ext_field(2, [1, 1, 1]),
+    "F8": lambda: ext_field(2, [1, 1, 0, 1]),
+    "F9": TABLED["F9"],
+    "F16": lambda: ext_field(2, [1, 1, 0, 0, 1]),
+    "F25": TABLED["F25"],
+    "F27": lambda: ext_field(3, [1, 2, 0, 1]),
+    "F49": TABLED["F49"],
+    "F1024": lambda: ext_field(2, [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1]),
+    "F625/F25": f625_over_f25,
+    # z^3 + y over F_4 = F_2[y]/(y^2 + y + 1): y is not a cube in F_4
+    "F64/F4": lambda: tower_field(2, [1, 1, 1], [(0, 1), (0, 0), (0, 0), (1, 0)]),
+}
+
+
+def _log_kernel_operands(F, rng):
+    """Pairs (a, b) of coefficient tuples, b with a nonzero last entry, that
+    reach every branch of the kernels: inner zeros, constant factors and
+    divisors, monic and non-monic divisors, equal lengths, and sums that
+    cancel to zero."""
+
+    def unit():
+        return F.element(rng.randrange(1, F.q))
+
+    def poly(length, density=1.0):
+        body = [F.element(rng.randrange(F.q)) for _ in range(length - 1)]
+        body = [x if rng.random() < density else F.zero for x in body]
+        return tuple(body + [unit()])
+
+    c = unit()
+    x_plus_c = (c, F.one)
+    x_minus_c = (F.neg(c), F.one)
+    pairs = [
+        (x_plus_c, x_minus_c),  # x^2 - c^2: the x term cancels
+        ((F.zero, F.zero, c), (unit(),)),  # a constant factor, and divisor
+        ((unit(),), poly(5)),
+        ((unit(),), (unit(),)),
+        (poly(6), (F.one,)),  # division by 1
+        (poly(5), poly(5)),  # len(a) == len(b)
+        (poly(7, 0.3), (c, F.zero, F.zero, unit())),  # inner zeros, non-monic
+        (poly(9), poly(3)[:-1] + (F.one,)),  # monic divisor
+    ]
+    for _ in range(60):
+        b = poly(rng.randrange(1, 6), rng.choice((0.3, 1.0)))
+        a = poly(rng.randrange(len(b), 10), rng.choice((0.3, 1.0)))
+        pairs.append((a, b))
+    return pairs
+
+
+@pytest.mark.parametrize("name", LOG_KERNEL_FIELDS)
+def test_log_kernels_match_schoolbook(name):
+    F = LOG_KERNEL_FIELDS[name]()
+    assert F.q <= TABLE_CAP and F._log
+    rng = random.Random(F.q)
+    for a, b in _log_kernel_operands(F, rng):
+        for x, y in ((a, b), (b, a)):
+            assert F.poly_mul(x, y) == field_poly_mul_oracle(F, x, y)
+        if len(a) >= len(b):
+            assert F.poly_divmod(a, b) == field_poly_divmod_oracle(F, a, b)
+        # a multiple of b: every remainder coefficient cancels to zero
+        ab = tuple(F.poly_mul(a, b))
+        quo, rem = F.poly_divmod(ab, b)
+        assert quo == list(a) and rem == [F.zero] * (len(b) - 1)
+
+
+class FieldOpCalled(Exception):
+    pass
+
+
+def test_log_kernels_make_no_field_op_calls(monkeypatch):
+    F = TABLED["F25"]()
+    L = PACKED["p7e6"]()
+    f = Poly(F, [F.element(i) for i in (3, 0, 17, 24, 1, 9)])
+    g = Poly(F, [F.element(i) for i in (5, 12, 0, 7)])
+    want_prod = field_poly_mul_oracle(F, f.coeffs, g.coeffs)
+    want_quo, want_rem = field_poly_divmod_oracle(F, f.coeffs, g.coeffs)
+    u = Poly(L, [L.element(i) for i in (3, 40, 117_000)])
+    ux = u * Poly.x(L)
+    R = ExtensionField(PrimeField(7), (6, 0, 1))  # reducible: no tables
+    v = Poly(R, [(1, 2), (3, 4)])
+    assert F._log
+
+    def forbidden(*args):
+        raise FieldOpCalled
+
+    for op in ("mul", "add", "sub"):
+        monkeypatch.setattr(ExtensionField, op, forbidden)
+    assert list((f * g).coeffs) == want_prod
+    q, r = divmod(f, g)
+    assert list(q.coeffs) == want_quo and list(r.coeffs) == want_rem
+    # above the cap, and without tables, the generic loops of FiniteField run
+    with pytest.raises(FieldOpCalled):
+        u * u
+    with pytest.raises(FieldOpCalled):
+        v * v
+    with pytest.raises(FieldOpCalled):
+        divmod(ux, u)
 
 
 # -- primality ------------------------------------------------------------------
