@@ -9,10 +9,13 @@ standard form x^3 + c1*x + c2, and from it the maximal-order data.
 The height, the Newton polygon at v and the residue splitting, read from
 M = x^h * R(x) mod pv, are closed forms; only the quadratic R of height 1
 needs a square test, by Euler's criterion mod pv in A itself.  The
-residue field F_q[T]/(pv) is built only to factor the residual cubic of a
-supersingular shape with 3 | m.  The standard form factors disc(M) =
-g^6 disc(M0) once, the only factorisation of the class, and reads off the
-primes of the content g and of disc(M0).
+residue field F_q[T]/(pv) is built only to decide, by a cube test and
+Ben-Or's irreducibility test, whether the residual cubic of a
+supersingular shape with 3 | m splits.  The standard form factors only
+the repeated part of disc(M) = g^6 disc(M0), the only factorisations of
+the class, and reads off the primes of the content g and of the repeated
+part of disc(M0); a prime dividing disc(M) once divides Delta once and
+neither g nor I, so the part of multiplicity 1 is kept whole.
 For each prime P of disc(M0) the valuation criterion fixes v_P(Delta) in
 {0, 1, 2}, the index I has v_P(I) = (v_P(disc(M0)) - v_P(Delta)) / 2, and
 the integral-basis parameters (alpha2, beta2) with
@@ -50,13 +53,13 @@ from .errors import (
     NotWeilAtVError,
     ReducibleError,
 )
-from .factor import factor, is_irreducible, reduce_mod, unit_roots
+from .factor import factor, is_irreducible, reduce_mod, squarefree_decompose, unit_roots
 
 # not called here any more; bench/tests/test_bench.py checks that the tracer
 # rewraps this binding, so it stays until that test names another one
 from .factor import divisors  # noqa: F401
 from .gf import ExtensionField, FiniteField
-from .poly import Poly, poly_gcdext, valuation
+from .poly import Poly, poly_gcd, poly_gcdext, valuation
 
 
 @dataclass(frozen=True)
@@ -107,10 +110,12 @@ class StandardForm:
     """Depressed data b1, b2 and the reduction to the standard c1, c2.
 
     g is the square/cube content: the largest monic g with g^2 | b1 and
-    g^3 | b2.  g_factors and disc_m0_factors hold the factorisations
-    ((P, k), ...) of g and of disc(M0) in canonical order, both read off
-    the one factorisation of disc(M) = g^6 disc(M0).  Invariant: c1 =
-    b1/g^2 and c2 = b2/g^3 exactly.
+    g^3 | b2.  g_factors is the factorisation ((P, k), ...) of g in
+    canonical order, and disc_m0_factors holds monic, pairwise coprime
+    (P, k) with disc(M0) = unit * prod P^k; both are read off the repeated
+    part of disc(M) = g^6 disc(M0).  An entry with k >= 2 is a prime; an
+    entry with k = 1 may be a product of primes, each dividing disc(M0)
+    exactly once.  Invariant: c1 = b1/g^2 and c2 = b2/g^3 exactly.
     """
 
     b1: Poly
@@ -200,9 +205,11 @@ def _check_unique_local_zero(W: WeilCubic, h: int) -> None:
     completion (disc(M) is that of the depressed cubic), decided exactly.
     For h = 3 the Newton polygon must be a single segment from (0, m) to
     (3, 0), i.e. 3 v(a2) >= 2m and 3 v(a1) >= m, and the residual cubic
-    must not split; a perfect-cube residual stays undecided at this level
-    and is accepted; the residual is the one place where the residue field
-    F_q[T]/(pv) is built.
+    must not split (have more than one distinct factor).  It splits iff it
+    is not a perfect cube, a closed-form test, and it is reducible, by
+    Ben-Or's test; a perfect-cube residual stays undecided at this level
+    and is accepted.  The residual is the one place where the residue
+    field F_q[T]/(pv) is built.
     """
     if h == 1:
         return
@@ -239,9 +246,11 @@ def _check_unique_local_zero(W: WeilCubic, h: int) -> None:
         if v_a2 is not None and v_a2 == 2 * k
         else R.zero
     )
-    mubar = reduce_mod(W.a0.exact_div(pv**m), R)
-    residual = Poly(R, (mubar, r1, r2, R.one))
-    if len(factor(residual).factors) > 1:
+    r0 = reduce_mod(W.a0.exact_div(pv**m), R)
+    # (x + a)^3 has r2 = 3a, r1 = 3a^2 and r0 = a^3
+    cube = R.mul(R.from_int(3), r1) == R.mul(r2, r2)
+    cube = cube and R.mul(R.from_int(27), r0) == R.pow(r2, 3)
+    if not cube and not is_irreducible(Poly(R, (r0, r1, r2, R.one))):
         raise NotWeilAtVError("the supersingular residual polynomial splits")
     # an irreducible residual makes M irreducible over k_v; a perfect-cube
     # residual is undecided at this level and accepted
@@ -289,9 +298,12 @@ def validate_weil_necessary(W: WeilCubic) -> LocalData:
 def standard_form(W: WeilCubic) -> StandardForm:
     """Depress the cubic and strip square/cube content down to the standard
     x^3 + c1 x + c2.  A prime of g divides b1 and b2, hence disc(M) =
-    -4 b1^3 - 27 b2^2: its one factorisation gives v_P(g) = min(v_P(b1) // 2,
+    -4 b1^3 - 27 b2^2, at least six times.  So only the parts of
+    multiplicity v >= 2 of the square-free decomposition of disc(M) are
+    factored; for each of their primes v_P(g) = min(v_P(b1) // 2,
     v_P(b2) // 3) (the second alone when b1 = 0) and v_P(disc(M0)) =
-    v_P(disc(M)) - 6 v_P(g)."""
+    v - 6 v_P(g).  The part of multiplicity 1 divides disc(M0) once and
+    is kept whole."""
     F = W.field
     if F.p == 3:
         raise Char3UnsupportedError("characteristic 3 is not supported")
@@ -308,7 +320,13 @@ def standard_form(W: WeilCubic) -> StandardForm:
     g = Poly.one(F)
     g_factors = []
     disc_m0_factors = []
-    for prime, v in factor(d).factors:
+    repeated = []
+    for part, v in squarefree_decompose(d).parts:
+        if v == 1:
+            disc_m0_factors.append((part, 1))
+        else:
+            repeated += [(prime, v) for prime, _ in factor(part).factors]
+    for prime, v in sorted(repeated, key=lambda t: t[0].sort_key()):
         k = valuation(b2, prime) // 3
         if not b1.is_zero:
             k = min(k, valuation(b1, prime) // 2)
@@ -368,20 +386,28 @@ def integral_basis(sf: StandardForm, index_factors) -> Tuple[Poly, Poly]:
 
 
 def maximal_order_data(sf: StandardForm) -> MaximalOrderData:
-    """Read Delta and I off the stored factorisation of disc(M0) prime by
-    prime, then solve for the integral basis over the prime powers of I.
+    """Read Delta and I off the stored entries of disc(M0), then solve for
+    the integral basis over the prime powers of I.
 
     The valuation criterion: v_P(Delta) = 2 when v_P(c2) >= 1 and
     v_P(c1) >= v_P(c2) (c1 = 0 included), else v_P(disc(M0)) mod 2.  The
     rest of v_P(disc(M0)) is v_P(I^2): as v_P(disc(M0)) >= 1 the rest is
     at least -1, and it is an exponent of I^2 exactly when it is even.  A
     prime dividing c1 twice and c2 three times divides disc(M0), so the same
-    loop checks that (c1, c2) is standard."""
+    loop checks that (c1, c2) is standard.
+
+    A prime P of a k = 1 entry divides disc(M0) once, so it divides Delta
+    once and not I, unless P | c1 and P | c2, which would give v_P(Delta)
+    = 2 and a rest of -1.  One gcd of the k = 1 entries with c1 and c2
+    checks that no such P exists, and the entries go into Delta whole."""
     d0 = sf.disc_m0
     F = d0.field
-    delta = index = Poly.one(F)
+    delta = index = simple = Poly.one(F)
     index_factors = []
     for prime, v in sf.disc_m0_factors:
+        if v == 1:
+            simple = simple * prime
+            continue
         v_c2 = valuation(sf.c2, prime)
         v_c1 = None if sf.c1.is_zero else valuation(sf.c1, prime)
         if v_c2 >= 3 and (v_c1 is None or v_c1 >= 2):
@@ -399,6 +425,12 @@ def maximal_order_data(sf: StandardForm) -> MaximalOrderData:
         if k:
             index = index * prime**k
             index_factors.append((prime, k))
+    common = poly_gcd(poly_gcd(sf.c2, sf.c1), simple)
+    if not common.is_one:
+        raise InternalInconsistencyError(
+            f"disc_m0 / delta is not a perfect square at {common.to_str()}"
+        )
+    delta = delta * simple
     index_factors = tuple(index_factors)
     alpha2, beta2 = integral_basis(sf, index_factors)
     return MaximalOrderData(

@@ -1,8 +1,10 @@
 """Factorisation machinery over finite fields.
 
-Square-free decomposition is characteristic-p aware: when the derivative
-vanishes the polynomial is a p-th power and the algorithm recurses on the
-exact p-th root, taken coefficient-wise through the inverse Frobenius.
+Square-free decomposition first strips the power x^k dividing f, which
+joins the part of multiplicity k, then runs Yun's loop on the cofactor.
+It is characteristic-p aware: when the derivative vanishes the polynomial
+is a p-th power and the algorithm recurses on the exact p-th root, taken
+coefficient-wise through the inverse Frobenius.
 Full factorisation is distinct-degree splitting followed by equal-degree
 splitting; the equal-degree stage draws its random elements from a PRNG
 seeded with a fixed constant, so output is reproducible run to run.
@@ -90,15 +92,28 @@ def _squarefree_monic(f: Poly) -> dict:
     return out
 
 
+def _split_x_power(f: Poly):
+    """(k, f / x^k) for the largest k with x^k | f, f nonzero."""
+    F = f.field
+    k = next(k for k, c in enumerate(f.coeffs) if c != F.zero)
+    return k, Poly(F, f.coeffs[k:])
+
+
 def squarefree_decompose(f: Poly) -> SquarefreeDecomp:
+    """The x^k dividing f is stripped first: x is prime and coprime to the
+    cofactor, so it joins the part of multiplicity k, and Yun's loop runs
+    on the cofactor alone rather than once per power of x."""
     if f.is_zero:
         raise DomainError("square-free decomposition of zero")
+    F = f.field
     unit = f.lc
-    if f.degree == 0:
-        return SquarefreeDecomp(f.field, unit, ())
-    parts = _squarefree_monic(f.monic())
+    k, rest = _split_x_power(f.monic())
+    parts = _squarefree_monic(rest) if rest.degree > 0 else {}
+    if k:
+        x = Poly.x(F)
+        parts[k] = parts[k] * x if k in parts else x
     ordered = tuple((parts[m], m) for m in sorted(parts))
-    return SquarefreeDecomp(f.field, unit, ordered)
+    return SquarefreeDecomp(F, unit, ordered)
 
 
 def _distinct_degree(f: Poly):
@@ -170,8 +185,7 @@ def unit_roots(f: Poly) -> list:
     split by equal-degree splitting, at a cost that grows with log q, not q
     (von zur Gathen and Gerhard, *Modern Computer Algebra*, section 14.3)."""
     F = f.field
-    k = next(k for k, c in enumerate(f.coeffs) if c != F.zero)
-    f = Poly(F, f.coeffs[k:])  # the factor u^k has no unit root
+    _, f = _split_x_power(f)  # the factor u^k has no unit root
     if f.degree < 1:
         return []
     if F.q <= ROOT_SCAN_MAX:

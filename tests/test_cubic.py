@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib
 import random
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
@@ -24,6 +25,7 @@ from drinfeld_orders import (
     is_irreducible,
     maximal_order_data,
     poly_gcd,
+    squarefree_decompose,
     standard_form,
     validate_weil_necessary,
 )
@@ -43,6 +45,7 @@ from oracles import (
     field_discriminant_oracle,
     integral_basis_oracle,
     newton_vertices,
+    residue_factor,
     residue_pattern_oracle,
     root_in_a_oracle,
     trace_form_discriminant,
@@ -269,6 +272,85 @@ def test_newton_polygon_closed_form_matches_hull(f5):
                 except NotWeilAtVError as exc:
                     raised = "distinct valuations" in str(exc)
                 assert raised == (len(newton_vertices(points)) > 2), (m, v_a1, v_a2)
+
+
+def _residual_verdict(W):
+    """(raised "splits", the oracle's count of distinct factors) for a class
+    of supersingular shape with m = 3 and v(a1), v(a2) >= 1, 2."""
+    pv = W.pv
+    one = Poly.one(W.field)
+    residual = [W.a0.exact_div(pv**3), W.a2.exact_div(pv**2), W.a1.exact_div(pv), one]
+    _, fac = residue_factor(residual, pv)
+    try:
+        _check_unique_local_zero(W, 3)
+        raised = False
+    except NotWeilAtVError as exc:
+        assert "residual polynomial splits" in str(exc)
+        raised = True
+    return raised, len(fac.factors)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_residual_split_matches_factorisation_exhaustive(p):
+    # every x^3 + r2 T x^2 + r1 T^2 x + mu T^3 over F_p: the residual
+    # x^3 + r2 x^2 + r1 x + mu splits iff it has two or more distinct factors
+    F = PrimeField(p)
+    T = Poly.x(F)
+    cubes = 0
+    for r2, r1, mu in product(range(p), range(p), range(1, p)):
+        W = WeilCubic(
+            field=F,
+            a1=T.scale(F.element(r2)),
+            a2=(T * T).scale(F.element(r1)),
+            mu=F.element(mu),
+            pv=T,
+            m=3,
+        )
+        raised, distinct = _residual_verdict(W)
+        assert raised == (distinct > 1), (r2, r1, mu)
+        cubes += distinct == 1 and not is_irreducible(
+            Poly.from_ints(F, [mu, r1, r2, 1])
+        )
+    assert cubes == p - 1  # (x + a)^3 for each a in F_p*
+
+
+def test_residual_split_matches_factorisation_over_f25():
+    # deg pv = 2 over F_5, so the residual lives over R = F_25: a seeded
+    # sample, plus every perfect cube (x + a)^3 with a^3 in F_5*, the only
+    # ones a unit mu can give
+    F = PrimeField(5)
+    T = Poly.x(F)
+    pv = T * T + Poly.const(F, F.element(2))
+    R = make_extension_field(F, pv)
+    rng = random.Random(17)
+    triples = [
+        (R.element(rng.randrange(R.q)), R.element(rng.randrange(R.q)), rng.randrange(1, 5))
+        for _ in range(150)
+    ]
+    for a in map(R.element, range(1, R.q)):
+        a3 = R.pow(a, 3)
+        mu = next((u for u in range(1, 5) if R.from_int(u) == a3), None)
+        if mu is not None:
+            three = R.from_int(3)
+            triples.append((R.mul(three, a), R.mul(three, R.mul(a, a)), mu))
+    splits = cubes = 0
+    for r2, r1, mu in triples:
+        extra = Poly(F, [F.element(rng.randrange(5)) for _ in range(2)])
+        W = WeilCubic(
+            field=F,
+            a1=Poly(F, r2) * pv + extra * pv * pv,
+            a2=Poly(F, r1) * pv * pv,
+            mu=F.element(mu),
+            pv=pv,
+            m=3,
+        )
+        raised, distinct = _residual_verdict(W)
+        assert raised == (distinct > 1), (r2, r1, mu)
+        splits += raised
+        cubes += distinct == 1 and not is_irreducible(
+            Poly(R, (R.from_int(mu), r1, r2, R.one))
+        )
+    assert splits and cubes >= 4
 
 
 def test_standard_form_depressed_input(f5):
@@ -597,19 +679,42 @@ def content_classes():
 
 
 def test_content_and_disc_m0_primes_match_oracle(instance_pool):
-    # g and the primes of disc(M0), read off one factorisation of disc(M),
-    # against square-free content and a factorisation of disc(M0) itself
+    # g and the entries of disc(M0), read off the repeated part of disc(M),
+    # against square-free content, a factorisation of disc(M0) itself and
+    # the field discriminant from its square-free shape
     sfs = [a.sf for a in instance_pool] + [standard_form(W) for W in content_classes()]
     assert any(sf.b1.is_zero for sf in sfs)
     assert any(prime.degree == 2 for sf in sfs for prime, _ in sf.g_factors)
+    simple_prime_of_g = delta_square = no_repeated_part = 0
     for sf in sfs:
         assert sf.g == content_oracle(sf.b1, sf.b2)
         assert sf.g_factors == factor(sf.g).factors
+        entries = [entry for entry, _ in sf.disc_m0_factors]
         d0 = Poly.one(sf.g.field)
-        for prime, k in sf.disc_m0_factors:
-            d0 = d0 * prime**k
+        for entry, k in sf.disc_m0_factors:
+            d0 = d0 * entry**k
         assert d0 == sf.disc_m0.monic()
-        assert sf.disc_m0_factors == factor(sf.disc_m0).factors
+        for i, a in enumerate(entries):
+            assert all(poly_gcd(a, b).is_one for b in entries[i + 1:])
+        assert all(is_irreducible(entry) for entry, k in sf.disc_m0_factors if k >= 2)
+        split = [
+            (prime, k * e)
+            for entry, k in sf.disc_m0_factors
+            for prime, e in factor(entry).factors
+        ]
+        assert sorted(split, key=lambda t: t[0].sort_key()) == list(
+            factor(sf.disc_m0).factors
+        )
+        delta = maximal_order_data(sf).delta
+        assert delta == field_discriminant_oracle(sf)
+        simple_prime_of_g += any(
+            k == 1 and not poly_gcd(entry, sf.g).is_one
+            for entry, k in sf.disc_m0_factors
+        )
+        delta_square += any(m == 2 for _, m in squarefree_decompose(delta).parts)
+        d = sf.g**6 * sf.disc_m0
+        no_repeated_part += all(m == 1 for _, m in squarefree_decompose(d).parts)
+    assert simple_prime_of_g and delta_square and no_repeated_part
     T = Poly.x(PrimeField(5))
     assert sfs[-1].g == T**5 and sfs[-1].disc_m0_factors == ()
 

@@ -13,6 +13,7 @@ from drinfeld_orders import (
     factor,
     is_irreducible,
     make_extension_field,
+    poly_gcd,
     squarefree_decompose,
 )
 from drinfeld_orders.factor import unit_roots
@@ -89,6 +90,37 @@ def test_squarefree_mixed_tame_and_wild_multiplicities():
     assert expand(decomp) == f
 
 
+def _x_power_inputs():
+    """Inputs with a power of x: c x^k, x^k g with g(0) != 0, x^k g^k (two
+    parts of one multiplicity), and x^p, x^p (x+1)^p over F_p."""
+    out = []
+    for p in (5, 7):
+        F = PrimeField(p)
+        x = Poly.x(F)
+        g = Poly.from_ints(F, [2, 1, 1])  # g(0) = 2
+        for k in range(1, 5):
+            out += [x**k, (x**k).scale(F.element(3)), x**k * g, (x * g) ** k]
+            out.append((x**k * g * g * (x + Poly.one(F)) ** 3).scale(F.element(2)))
+        out += [x**p, x**p * (x + Poly.one(F)) ** p]
+    return out
+
+
+@pytest.mark.parametrize("f", _x_power_inputs(), ids=lambda f: f"q{f.field.q}-{f.to_str()}")
+def test_squarefree_strips_power_of_x(f):
+    decomp = squarefree_decompose(f)
+    assert expand(decomp) == f
+    parts = [part for part, _ in decomp.parts]
+    mults = [mult for _, mult in decomp.parts]
+    assert mults == sorted(set(mults))
+    for i, part in enumerate(parts):
+        assert part.is_monic and part.degree >= 1
+        assert poly_gcd(part, part.derivative()).is_one
+        assert all(poly_gcd(part, other).is_one for other in parts[i + 1:])
+    k = next(k for k, c in enumerate(f.coeffs) if c != f.field.zero)
+    x = Poly.x(f.field)
+    assert any((part % x).is_zero for part, m in decomp.parts if m == k)
+
+
 def test_squarefree_zero_rejected():
     F = PrimeField(5)
     with pytest.raises(DomainError):
@@ -112,8 +144,6 @@ def test_squarefree_roundtrip_random(F):
             # parts are square-free: gcd with derivative is 1 unless deriv = 0
             deriv = part.derivative()
             if not deriv.is_zero:
-                from drinfeld_orders import poly_gcd
-
                 assert poly_gcd(part, deriv).is_one
 
 

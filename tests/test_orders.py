@@ -15,6 +15,8 @@ from drinfeld_orders import (
     order_disc,
     poly_gcd,
     sandwich_divisors,
+    squarefree_decompose,
+    validate_weil_necessary,
 )
 
 from oracles import (
@@ -188,8 +190,6 @@ def test_v_maximality_cases(f5, example_analysis):
         assert v_maximality(order, example_analysis.weil, example_analysis.local)
     # pv | a2: gcd(pv, ac) = 1 required
     W = WeilCubic(field=f5, a1=Poly.one(f5), a2=T, mu=f5.element(2), pv=T, m=1)
-    from drinfeld_orders import validate_weil_necessary
-
     local = validate_weil_necessary(W)
     assert local.pv_divides_a2
     assert not v_maximality(OrderHNF(a=T, b=zero, c=one), W, local)
@@ -341,10 +341,11 @@ def test_enumerated_triples_pass_the_tests_they_skip(instance_pool):
     assert filtered >= len(CONTENT_FAMILY)
 
 
-def test_one_factorisation_per_class(monkeypatch, instance_pool):
-    # every prime a class needs is read off the one factorisation of disc(M)
-    # in standard_form; only validation of a supersingular class with 3 | m
-    # adds one, for its residual cubic
+def test_factor_runs_only_on_the_repeated_part(monkeypatch, instance_pool):
+    # a prime dividing disc(M) once divides neither g nor I, so standard_form
+    # factors only the parts of multiplicity >= 2 of disc(M), one call each;
+    # validation factors nothing, the residual cubic of a supersingular class
+    # with 3 | m included
     import sys
 
     # the package exports a function named factor, so take the module by name
@@ -362,14 +363,21 @@ def test_one_factorisation_per_class(monkeypatch, instance_pool):
                     monkeypatch.setattr(module, attr, counting_factor)
     classes = [a.weil for a in instance_pool]
     classes += [_content_family(*args) for args in CONTENT_FAMILY]
-    residuals = 0
+    residuals = factored = 0
     for W in classes:
         calls.clear()
-        local = analyze_weil_class(W).local
-        residual = local.supersingular and W.m % 3 == 0
-        residuals += residual
-        assert len(calls) == 1 + residual
-    assert residuals
+        local = validate_weil_necessary(W)
+        assert calls == []
+        residuals += local.supersingular and W.m % 3 == 0
+        sf = analyze_weil_class(W).sf
+        d = sf.g**6 * sf.disc_m0
+        repeated = [part for part, v in squarefree_decompose(d).parts if v >= 2]
+        assert calls == repeated
+        factored += len(calls)
+        for f in calls:
+            assert poly_gcd(f, f.derivative()).is_one
+            assert (d % (f * f)).is_zero
+    assert residuals and factored
 
 
 def test_enumerate_matches_sandwich_oracle(instance_pool):
