@@ -38,12 +38,12 @@ Extension arithmetic runs in one of two regimes, chosen per field object:
   once.  Building the tables multiplies the same way.  Sums, differences
   and negatives go coordinatewise through the base field.
 
-Outside the tables, inverses come from the extended Euclidean algorithm.
-``PrimeField`` overrides the generic coefficient loops of ``FiniteField``
-(``vec_add``, ``vec_sub``) with integer ones; ``poly.Poly`` multiplies and
-divides through the same kind of kernel (``poly_mul``, ``poly_divmod``),
-which ``PrimeField`` runs on ints and ``ExtensionField`` on log indices when
-it has tables.
+Outside the tables, inverses come from the extended Euclidean algorithm and
+powers from ``power_ladder``, the one square-and-multiply loop, which
+``poly.Poly`` shares.  ``poly.Poly`` combines coefficients only through the
+kernels here (``vec_add``, ``vec_sub``, ``poly_mul``, ``poly_divmod``):
+``PrimeField`` runs them on ints, ``ExtensionField`` its polynomial ones on
+log indices when it has tables, and ``FiniteField`` loops through the field.
 """
 
 from __future__ import annotations
@@ -75,6 +75,17 @@ def _pack(digits, w: int) -> int:
     for d in reversed(digits):
         x = x << w | d
     return x
+
+
+def power_ladder(x, n: int, mul):
+    """x^n for n >= 1 under the product `mul`, by square and multiply from
+    the top bit of n down, starting from x, so no product has the factor 1."""
+    result = x
+    for bit in bin(n)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, x)
+    return result
 
 
 def is_prime(n: int) -> bool:
@@ -145,13 +156,7 @@ class FiniteField:
     def pow(self, a, n: int):
         if n < 0:
             a, n = self.inv(a), -n
-        result = self.one
-        while n:
-            if n & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return result
+        return power_ladder(a, n, self.mul) if n else self.one
 
     def from_int(self, n: int):
         """The image of the integer n under Z -> F_p -> this field."""
@@ -170,7 +175,7 @@ class FiniteField:
     # on log indices when it has tables.
 
     def vec_add(self, a, b):
-        """Coordinatewise a + b of two tuples of the same length."""
+        """Coordinatewise a + b of two tuples, up to the end of the shorter."""
         add = self.add
         return tuple([add(x, y) for x, y in zip(a, b)])
 

@@ -4,17 +4,18 @@ Coefficients are stored ascending with trailing zeros stripped, so the
 empty tuple is the zero polynomial and its degree is the sentinel -1.
 Polynomials are immutable and hashable; all arithmetic is exact.
 
-Products and division with remainder run on the coefficient field's
-kernels (``FiniteField.poly_mul``, ``poly_divmod``), so the two regimes of
-``gf`` apply here too.  Over F_p they are integer loops: division reduces
-each coefficient mod p once, when it is read, and a product of two
-polynomials with at least ``gf.KRONECKER_MIN`` nonzero coefficients each is
-packed (Kronecker substitution, digits of w bits with 2^w > n (p-1)^2, n
-the smaller count of nonzero coefficients, which bounds every coefficient of
-the unreduced product); a shorter or sparser product goes term by term.
-Over an extension field with log tables (up to ``gf.TABLE_CAP``) they run
-on log indices, one Zech lookup per sum and no field call per coefficient;
-above the cap they loop through its operations on packed ints.
+Every coefficient operation except ``evaluate`` (Horner) and ``derivative``
+runs on the field's kernels, so the two regimes of ``gf`` apply here too:
+sums, differences and negatives on ``vec_add``/``vec_sub``, scalar multiples
+and products on ``poly_mul``, division on ``poly_divmod``, powers on
+``gf.power_ladder``.  Over F_p these are integer loops: division reduces each
+coefficient mod p once, when it is read, and a product of two polynomials
+with at least ``gf.KRONECKER_MIN`` nonzero coefficients each is packed
+(Kronecker substitution, 2^w > n (p-1)^2 for w-bit digits, n the smaller
+count of nonzero coefficients); a shorter or sparser one goes term by term.
+Over an extension field with log tables (``gf.TABLE_CAP``) products and
+divisions run on log indices, one Zech lookup per sum and no field call per
+coefficient; above the cap the kernels loop through its packed operations.
 
 The canonical order used everywhere for deterministic output sorts by
 degree first, then lexicographically on coefficients from the leading one
@@ -24,10 +25,11 @@ the field.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError
-from .gf import FiniteField
+from .gf import FiniteField, power_ladder
 
 
 class Poly:
@@ -111,23 +113,22 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = F.add(out[i], c)
-        return Poly(F, out)
+        if len(a) > len(b):
+            return Poly._exact(F, F.vec_add(a, b) + a[len(b) :])
+        return Poly(F, F.vec_add(a, b))
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
         F = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            F, (F.sub(self.coeff(i), other.coeff(i)) for i in range(n))
-        )
+        a, b = self.coeffs, other.coeffs
+        pad = len(b) - len(a)
+        out = F.vec_sub(a + (F.zero,) * pad, b) + a[len(b) :]
+        return Poly._exact(F, out) if pad else Poly(F, out)
 
     def __neg__(self) -> "Poly":
         F = self.field
-        return Poly(F, (F.neg(c) for c in self.coeffs))
+        return Poly._exact(F, F.vec_sub((F.zero,) * len(self.coeffs), self.coeffs))
 
     def __mul__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
@@ -143,24 +144,15 @@ class Poly:
         F = self.field
         if c == F.zero:
             return Poly(F, ())
-        return Poly(F, (F.mul(c, a) for a in self.coeffs))
+        return Poly._exact(F, F.poly_mul(self.coeffs, (c,)))
 
     def scale_int(self, n: int) -> "Poly":
         return self.scale(self.field.from_int(n))
 
     def __pow__(self, n: int) -> "Poly":
-        """Square and multiply from the top bit down, starting from self, so
-        no product has the factor 1."""
         if n < 0:
             raise DomainError("negative polynomial power")
-        if not n:
-            return Poly.one(self.field)
-        result = self
-        for bit in bin(n)[3:]:
-            result = result * result
-            if bit == "1":
-                result = result * self
-        return result
+        return power_ladder(self, n, mul) if n else Poly.one(self.field)
 
     def __divmod__(self, other: "Poly"):
         if not isinstance(other, Poly):
@@ -172,9 +164,6 @@ class Poly:
             return Poly(F, ()), self
         q, r = F.poly_divmod(self.coeffs, other.coeffs)
         return Poly._exact(F, q), Poly(F, r)
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
 
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
@@ -196,12 +185,7 @@ class Poly:
             raise DomainError("negative exponent in pow_mod")
         if not n:
             return Poly.one(self.field) % modulus
-        base = result = self % modulus
-        for bit in bin(n)[3:]:
-            result = (result * result) % modulus
-            if bit == "1":
-                result = (result * base) % modulus
-        return result
+        return power_ladder(self % modulus, n, lambda a, b: a * b % modulus)
 
     def monic(self) -> "Poly":
         if self.is_zero:

@@ -128,12 +128,6 @@ class SkewRing:
     def poly(self, coeffs: Sequence) -> "SkewPoly":
         return SkewPoly(self, coeffs)
 
-    def zero(self) -> "SkewPoly":
-        return SkewPoly(self, ())
-
-    def one(self) -> "SkewPoly":
-        return SkewPoly(self, (self.L.one,))
-
     def __eq__(self, other):
         return isinstance(other, SkewRing) and other.L == self.L
 
@@ -193,7 +187,7 @@ class SkewPoly:
         L = ring.L
         dn = d.degree
         if len(self.coeffs) - 1 < dn:
-            return ring.zero(), self
+            return SkewPoly(ring, ()), self
         # 1/lc(d)^(q^k) = (1/lc(d))^(q^k): one inversion, then twists
         inv_orbit = ring._packed_orbit(L.inv(d.coeffs[-1]))
         # rem holds unfolded sums, and only the top one is folded at each

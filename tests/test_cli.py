@@ -278,17 +278,22 @@ def test_no_all_member_order_exits_4(monkeypatch, capsys):
 
 def test_exit_code_weil_validation(tmp_path):
     cfg = json.loads(GOLDEN.read_text())
-    # reducible: x^3 + T x + 4(T+1) has root 1
-    cfg["weil"] = {"a1": [], "a2": [0, 1], "mu": 4}
-    cfg["pv"] = [1, 1]
-    cfg["m"] = 1
     del cfg["modules"]
     del cfg["L"]
     path = tmp_path / "reducible.json"
-    path.write_text(json.dumps(cfg))
-    proc = run_cli(["analyze", str(path)])
-    assert proc.returncode == 3
-    assert "weil-validation" in proc.stderr
+    cases = [
+        # x^3 + T x + 4(T+1) has the root 1
+        ({"a1": [], "a2": [0, 1], "mu": 4}, [1, 1], 1, "1"),
+        # x^3 + 2T x^2 + 3T^2 x + 4T^3 has the root T: End(phi) (x) k is not
+        # a field, outside the paper's theorem (README)
+        ({"a1": [0, 2], "a2": [0, 0, 3], "mu": 4}, [0, 1], 3, "T"),
+    ]
+    for weil, pv, m, root in cases:
+        cfg.update(weil=weil, pv=pv, m=m)
+        path.write_text(json.dumps(cfg))
+        proc = run_cli(["analyze", str(path)])
+        assert proc.returncode == 3
+        assert f"weil-validation: M(x) has the root {root} in A" in proc.stderr
 
 
 def test_exit_code_char3(tmp_path):

@@ -343,6 +343,8 @@ def test_log_kernels_make_no_field_op_calls(monkeypatch):
     g = Poly(F, [F.element(i) for i in (5, 12, 0, 7)])
     want_prod = field_poly_mul_oracle(F, f.coeffs, g.coeffs)
     want_quo, want_rem = field_poly_divmod_oracle(F, f.coeffs, g.coeffs)
+    c = F.element(11)
+    want_scaled = field_poly_mul_oracle(F, f.coeffs, (c,))
     u = Poly(L, [L.element(i) for i in (3, 40, 117_000)])
     ux = u * Poly.x(L)
     R = ExtensionField(PrimeField(7), (6, 0, 1))  # reducible: no tables
@@ -357,6 +359,7 @@ def test_log_kernels_make_no_field_op_calls(monkeypatch):
     assert list((f * g).coeffs) == want_prod
     q, r = divmod(f, g)
     assert list(q.coeffs) == want_quo and list(r.coeffs) == want_rem
+    assert list(f.scale(c).coeffs) == want_scaled
     # above the cap, and without tables, the generic loops of FiniteField run
     with pytest.raises(FieldOpCalled):
         u * u

@@ -1,8 +1,11 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+private function, method or class it defines is named in it.
 
 ``__init__.py`` is exempt: its imports are the package's exports.  An
 import line carrying ``# noqa: F401`` is exempt too, for a binding kept on
-purpose.
+purpose.  A private definition is one whose name starts with ``_`` and is
+not a dunder; another module has no business calling it, so a private
+definition its own module never names is dead.
 """
 
 from __future__ import annotations
@@ -34,6 +37,27 @@ def unused_imports(source: str) -> list:
     return [(line, name) for line, name in imported if name not in used]
 
 
+def unreferenced_private_defs(source: str) -> list:
+    """(line, name) of each private def or class the module never names,
+    as a variable or as an attribute."""
+    tree = ast.parse(source)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    private = [
+        (node.lineno, node.name)
+        for node in ast.walk(tree)
+        if isinstance(node, defs)
+        and node.name.startswith("_")
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+    return [(line, name) for line, name in private if name not in named]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -43,3 +67,19 @@ def test_detects_an_unused_import():
     source = "from os import path, sep  # used below\nimport sys\nprint(sep)\n"
     assert unused_imports(source) == [(1, "path"), (2, "sys")]
     assert unused_imports("from os import path  # noqa: F401\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unreferenced_private_defs(path):
+    assert unreferenced_private_defs(path.read_text()) == []
+
+
+def test_detects_an_unreferenced_private_def():
+    source = (
+        "def _dead():\n    pass\n"
+        "def _called():\n    pass\n"
+        "class _Unused:\n    def _method(self):\n        pass\n"
+        "    def _used(self):\n        return self._used\n"
+        "    def __repr__(self):\n        return _called()\n"
+    )
+    assert unreferenced_private_defs(source) == [(1, "_dead"), (5, "_Unused"), (6, "_method")]

@@ -7,8 +7,8 @@ import pytest
 from drinfeld_orders import DomainError, Poly, PrimeField, poly_gcd, poly_gcdext
 from drinfeld_orders.poly import polys_below_degree, valuation
 
-from oracles import RatFunc, poly_divmod_oracle, poly_mul_oracle
-from test_gf import FIELDS
+from oracles import RatFunc, poly_divmod_oracle, poly_mul_oracle, schoolbook_ops
+from test_gf import FIELDS, LOG_KERNEL_FIELDS, PACKED, TABLED, FieldOpCalled
 
 
 def rand_poly(F, max_deg, rng, monic=False):
@@ -85,6 +85,111 @@ def test_prime_field_kernels_match_schoolbook(p):
         want_q, want_r = poly_divmod_oracle(p, list(f.coeffs), list(g.coeffs))
         assert (list(q.coeffs), list(r.coeffs)) == (want_q, want_r)
         assert q * g + r == f and r.degree < g.degree
+
+
+# -- sums, differences and scalars on the field kernels ------------------------
+
+SUM_FIELDS = {
+    "F7": lambda: PrimeField(7),
+    "F25": TABLED["F25"],
+    "F625/F25": LOG_KERNEL_FIELDS["F625/F25"],
+    "p7e6": PACKED["p7e6"],
+    "f25e3": PACKED["f25e3"],
+}
+
+
+def _coefficientwise(F, op, a, b):
+    """op on coefficient tuples a and b, the shorter padded with zeros,
+    trailing zeros stripped."""
+    n = max(len(a), len(b))
+    a, b = a + (F.zero,) * (n - len(a)), b + (F.zero,) * (n - len(b))
+    out = [op(x, y) for x, y in zip(a, b)]
+    while out and out[-1] == F.zero:
+        out.pop()
+    return tuple(out)
+
+
+def _sum_operands(F, rng):
+    """Pairs (f, g): zero operands, a longer right operand, equal lengths
+    whose top coefficients cancel in f + g and in f - g, and random ones."""
+
+    def unit():
+        return F.element(rng.randrange(1, F.q))
+
+    def poly(length):
+        return Poly(F, [F.element(rng.randrange(F.q)) for _ in range(length - 1)] + [unit()])
+
+    zero = Poly(F, ())
+    f, g = poly(5), poly(5)
+    top = Poly(F, g.coeffs[:-1] + (f.lc,))
+    pairs = [
+        (zero, zero),
+        (zero, poly(3)),
+        (poly(3), zero),
+        (poly(2), poly(6)),  # the longer operand on the right
+        (f, top),  # f - top: the top coefficients cancel
+        (f, -top),  # f + (-top): they cancel
+        (f, f),  # everything cancels in f - f
+        (f, -f),
+        (Poly(F, (unit(),)), poly(4)),
+    ]
+    pairs += [(poly(rng.randrange(1, 8)), poly(rng.randrange(1, 8))) for _ in range(40)]
+    return pairs
+
+
+@pytest.mark.parametrize("name", SUM_FIELDS)
+def test_sums_and_scalars_match_coefficientwise(name):
+    F = SUM_FIELDS[name]()
+    add, sub, mul = schoolbook_ops(F)
+    rng = random.Random(F.q)
+    scalars = (F.zero, F.one, F.element(rng.randrange(1, F.q)))
+    for f, g in _sum_operands(F, rng):
+        for x, y in ((f, g), (g, f)):
+            assert (x + y).coeffs == _coefficientwise(F, add, x.coeffs, y.coeffs)
+            assert (x - y).coeffs == _coefficientwise(F, sub, x.coeffs, y.coeffs)
+        assert (-f).coeffs == _coefficientwise(F, sub, (), f.coeffs)
+        for c in scalars:
+            want = _coefficientwise(F, lambda x, _: mul(c, x), f.coeffs, ())
+            assert f.scale(c).coeffs == want
+
+
+def test_prime_field_sums_make_no_field_op_calls(monkeypatch):
+    F = PrimeField(7)
+    f = Poly.from_ints(F, [3, 0, 6, 1, 5])
+    g = Poly.from_ints(F, [4, 2, 1, 0, 2, 0, 3])
+    want = (f + g, f - g, g - f, -g, f.scale(3))
+
+    def forbidden(*args):
+        raise FieldOpCalled
+
+    for op in ("add", "sub", "neg", "mul"):
+        monkeypatch.setattr(PrimeField, op, forbidden)
+    assert (f + g, f - g, g - f, -g, f.scale(3)) == want
+
+
+# -- powers: one ladder for fields and polynomials --------------------------------
+
+
+@pytest.mark.parametrize("name", SUM_FIELDS)
+def test_powers_match_repeated_products(name):
+    F = SUM_FIELDS[name]()
+    rng = random.Random(F.q + 1)
+    f = Poly(F, [F.element(rng.randrange(F.q)) for _ in range(2)] + [F.one])
+    m = Poly(F, [F.element(rng.randrange(1, F.q)) for _ in range(3)] + [F.one])
+    a = F.element(rng.randrange(2, F.q))
+    acc, power = Poly.one(F), F.one
+    for n in range(41):
+        assert f**n == acc
+        assert f.pow_mod(n, m) == acc % m
+        assert F.pow(a, n) == power
+        assert F.pow(a, -n) == F.pow(F.inv(a), n)
+        acc, power = acc * f, F.mul(power, a)
+    assert (f**0).is_one and f.pow_mod(0, m).is_one
+    assert f.pow_mod(0, Poly.const(F, a)).is_zero  # one mod a unit
+    with pytest.raises(DomainError):
+        f ** -1
+    with pytest.raises(DomainError):
+        f.pow_mod(-2, m)
 
 
 def test_division_by_zero():
