@@ -2,8 +2,10 @@
 rank-3 Drinfeld modules over a finite A-field.
 
 The pipeline: validate the class descriptor and read its residue pattern
-at v in closed form, factor disc(M) = g^6 disc(M0) once for the standard
-form and the primes of g and disc(M0), read the maximal-order data off them
+at v in closed form, split disc(M) = g^6 disc(M0) once by its square-free
+decomposition for the standard form, factoring only the parts of
+multiplicity >= 2 (they hold the primes of g and of the index) and keeping
+the part of multiplicity 1 whole, read the maximal-order data off them
 (field discriminant, index, integral basis), build the multiplication
 table, enumerate the suborders that contain the Frobenius and stay maximal
 above v by construction, keep those that pass the closure test, and optionally

@@ -41,7 +41,7 @@ from .errors import (
     WeilValidationError,
 )
 from .factor import make_extension_field
-from .gf import ExtensionField, FiniteField, PrimeField
+from .gf import ExtensionField, FiniteField, PrimeField, elem_str
 from .orders import (
     DEFAULT_CANDIDATE_BOUND,
     ClassAnalysis,
@@ -294,10 +294,6 @@ def _elem_json(c):
     return c if isinstance(c, int) else [_elem_json(x) for x in c]
 
 
-def _elem_str(c) -> str:
-    return str(c) if isinstance(c, int) else "(" + ",".join(_elem_str(x) for x in c) + ")"
-
-
 def _poly_json(f: Poly):
     return [_elem_json(c) for c in f.coeffs]
 
@@ -423,7 +419,7 @@ def render_text(report: dict, analysis: ClassAnalysis) -> str:
         "== isogeny class ==",
         f"q = {inp['q']}, pv = {inp['pv_str']}, m = {inp['m']}",
         f"M(x) = x^3 + ({W.a1.to_str()})*x^2 + ({W.a2.to_str()})*x + "
-        f"({_elem_str(W.mu)})*({inp['pv_str']})^{inp['m']}",
+        f"({elem_str(W.mu)})*({inp['pv_str']})^{inp['m']}",
         f"verdict: {report['verdict']}",
         f"height h = {loc['height']} (etale degree {loc['etale_degree']}), "
         f"supersingular: {'yes' if loc['supersingular'] else 'no'}",

@@ -19,11 +19,11 @@ modulus is irreducible is a factorisation question; use
 
 Extension arithmetic runs in one of two regimes, chosen per field object:
 
-* log tables, for q <= TABLE_CAP: on its first add, sub, mul, inv or pow the
+* log tables, for q <= TABLE_CAP: on its first add, sub, mul or inv the
   field builds the tables of a primitive element g: exp[k] = g^k,
   log[g^k] = k and the Zech logarithms log(1 + g^k) (Huber, IEEE Trans. IT
-  36, 1990; Lidl and Niederreiter, *Finite Fields*, ch. 9).  Products,
-  inverses and powers are then index arithmetic and sums one Zech lookup.
+  36, 1990; Lidl and Niederreiter, *Finite Fields*, ch. 9).  Products and
+  inverses are then index arithmetic and sums one Zech lookup.
   Products and divisions of polynomials over such a field (``poly_mul``,
   ``poly_divmod``) map each operand to logs once and run the schoolbook
   loops on ints, with no field call per coefficient.  The tables are a
@@ -38,9 +38,11 @@ Extension arithmetic runs in one of two regimes, chosen per field object:
   once.  Building the tables multiplies the same way.  Sums, differences
   and negatives go coordinatewise through the base field.
 
-Outside the tables, inverses come from the extended Euclidean algorithm and
-powers from ``power_ladder``, the one square-and-multiply loop, which
-``poly.Poly`` shares.  ``poly.Poly`` combines coefficients only through the
+Powers come from ``power_ladder``, the one square-and-multiply loop, in
+every field (over ``mul``, so a tabled field squares on its tables), and
+``poly.Poly`` shares it.  Outside the tables, inverses come from the
+extended Euclidean algorithm in base[y], run on the base field's
+polynomial kernels.  ``poly.Poly`` combines coefficients only through the
 kernels here (``vec_add``, ``vec_sub``, ``poly_mul``, ``poly_divmod``):
 ``PrimeField`` runs them on ints, ``ExtensionField`` its polynomial ones on
 log indices when it has tables, and ``FiniteField`` loops through the field.
@@ -88,6 +90,12 @@ def power_ladder(x, n: int, mul):
     return result
 
 
+def elem_str(c) -> str:
+    """A field element as the reports write it: an int as itself, a tuple of
+    coordinates as (c0,c1,...)."""
+    return str(c) if isinstance(c, int) else "(" + ",".join(map(elem_str, c)) + ")"
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; DomainError for n >= MR_BOUND, where the
     fixed bases no longer decide."""
@@ -118,7 +126,8 @@ class FiniteField:
     """Shared interface of PrimeField and ExtensionField.
 
     Subclasses provide p, q, degree (over the prime field), zero, one and
-    the core operations add/sub/neg/mul/inv/element/index.
+    the core operations add/sub/neg/mul/inv, plus the canonical enumeration:
+    element(i) is the i-th element for 0 <= i < q, and index(a) its inverse.
     """
 
     p: int
@@ -126,29 +135,6 @@ class FiniteField:
     degree: int
     zero = None
     one = None
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
-    def element(self, i: int):
-        """The i-th element in the canonical enumeration, 0 <= i < q."""
-        raise NotImplementedError
-
-    def index(self, a) -> int:
-        """Position of a in the canonical enumeration (inverse of element)."""
-        raise NotImplementedError
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -426,8 +412,9 @@ class ExtensionField(FiniteField):
     Elements are tuples of e base-field values, ascending powers of the
     generator.  The modulus is a tuple of e+1 base values with leading
     coefficient one; irreducibility is the caller's responsibility.  With
-    q <= TABLE_CAP, add/sub/mul/inv/pow run on log tables built on first
-    use; a value that is not an element then raises KeyError.
+    q <= TABLE_CAP, add/sub/mul/inv run on log tables built on first use,
+    and so do powers, through mul; a value that is not an element then
+    raises KeyError.
     """
 
     def __init__(self, base: FiniteField, modulus):
@@ -544,17 +531,6 @@ class ExtensionField(FiniteField):
             raise ZeroDivisionError("inverse of zero")
         return self._exp[-la]
 
-    def pow(self, a, n: int):
-        log = self._log
-        if not log:
-            return super().pow(a, n)
-        la = log[a]
-        if la is None:
-            if n < 0:
-                raise ZeroDivisionError("inverse of zero")
-            return self.zero if n else self.one
-        return self._exp[la * n % (self.q - 1)]
-
     # -- kernels on coefficient sequences -----------------------------------
     # With tables, each operand is mapped to logs once and the loops run on
     # ints: a term is a sum of two logs, and adding g^t to g^o gives
@@ -629,8 +605,9 @@ class ExtensionField(FiniteField):
 
     def _inv(self, a):
         """Inverse by the extended Euclidean algorithm on a and the modulus
-        in base[y], keeping s with s*a = r mod the modulus for each
-        remainder r."""
+        in base[y] (von zur Gathen and Gerhard, *Modern Computer Algebra*,
+        section 3.2), on the base field's polynomial kernels, keeping s with
+        s*a = r mod the modulus for each remainder r."""
         base = self.base
         zero = base.zero
 
@@ -644,22 +621,14 @@ class ExtensionField(FiniteField):
             raise ZeroDivisionError("inverse of zero")
         s0, s1 = [], [base.one]
         while len(r1) > 1:
-            inv_lc = base.inv(r1[-1])
-            while len(r0) >= len(r1):
-                c = base.mul(r0[-1], inv_lc)
-                k = len(r0) - len(r1)
-                s0 += [zero] * (len(s1) + k - len(s0))
-                for i, x in enumerate(r1):
-                    r0[i + k] = base.sub(r0[i + k], base.mul(c, x))
-                for i, x in enumerate(s1):
-                    s0[i + k] = base.sub(s0[i + k], base.mul(c, x))
-                trim(r0)
-                trim(s0)
-            r0, r1, s0, s1 = r1, r0, s1, s0
+            quo, rem = base.poly_divmod(r0, r1)
+            qs = base.poly_mul(quo, s1)  # longer than s0: deg s grows each step
+            r0, r1 = r1, trim(rem)
+            s0, s1 = s1, list(base.vec_sub(s0 + [zero] * (len(qs) - len(s0)), qs))
         if not r1:
             raise ZeroDivisionError(f"{a} is a zero divisor (reducible modulus)")
-        c = base.inv(r1[0])
-        return tuple([base.mul(c, x) for x in s1] + [zero] * (self.e - len(s1)))
+        s = base.poly_mul((base.inv(r1[0]),), s1)
+        return tuple(s + [zero] * (self.e - len(s)))
 
     def element(self, i: int):
         if not 0 <= i < self.q:

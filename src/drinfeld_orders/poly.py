@@ -29,7 +29,7 @@ from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError
-from .gf import FiniteField, power_ladder
+from .gf import FiniteField, elem_str, power_ladder
 
 
 class Poly:
@@ -216,7 +216,7 @@ class Poly:
         idx = self.field.index
         return (self.degree, tuple(idx(c) for c in reversed(self.coeffs)))
 
-    def to_str(self, var: str = "T") -> str:
+    def to_str(self) -> str:
         if self.is_zero:
             return "0"
         F = self.field
@@ -225,12 +225,12 @@ class Poly:
             c = self.coeff(i)
             if c == F.zero:
                 continue
-            cs = str(c) if isinstance(c, int) else "(" + ",".join(map(str, c)) + ")"
+            cs = elem_str(c)
             if i == 0:
                 parts.append(cs)
             else:
                 head = "" if c == F.one else cs + "*"
-                parts.append(f"{head}{var}" if i == 1 else f"{head}{var}^{i}")
+                parts.append(f"{head}T" if i == 1 else f"{head}T^{i}")
         return "+".join(parts)
 
     def __repr__(self):

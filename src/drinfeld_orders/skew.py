@@ -146,15 +146,6 @@ class SkewPoly:
         self.ring = ring
         self.coeffs = tuple(coeffs)
 
-    @classmethod
-    def _exact(cls, ring: SkewRing, coeffs: tuple) -> "SkewPoly":
-        """From a tuple that ends in a nonzero coefficient, as a product or
-        a quotient does: L{tau} has no zero divisors."""
-        out = object.__new__(cls)
-        out.ring = ring
-        out.coeffs = coeffs
-        return out
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -177,7 +168,7 @@ class SkewPoly:
             return SkewPoly(ring, ())
         fold, pack = ring._pk.fold, ring._pk.pack
         acc = ring._product([pack(x) for x in self.coeffs], other.coeffs)
-        return SkewPoly._exact(ring, tuple([fold(c) for c in acc]))
+        return SkewPoly(ring, [fold(c) for c in acc])
 
     def right_divmod(self, d: "SkewPoly") -> Tuple["SkewPoly", "SkewPoly"]:
         """(w, r) with self = w*d + r and deg_tau r < deg_tau d."""
@@ -212,7 +203,7 @@ class SkewPoly:
             quo[k] = qk
             end = k + dn
             rem[k:end] = map(add, rem[k:end], map(mul, columns[r], repeat(pack(qk))))
-        return SkewPoly._exact(ring, tuple(quo)), SkewPoly(ring, [fold(c) for c in rem[:dn]])
+        return SkewPoly(ring, quo), SkewPoly(ring, [fold(c) for c in rem[:dn]])
 
     def __repr__(self):
         return f"SkewPoly({self.coeffs})"

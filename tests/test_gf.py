@@ -183,6 +183,15 @@ def test_tables_pth_root_and_is_square_brute_force(name):
         assert F.pth_root(a) == pth_powers[a]
 
 
+def f2401_tower():
+    """L = F_2401[z]/(z^2 - w), w a non-square of F_2401 = F_7[y]/(y^4 + y + 2):
+    a base above the table cap, so L's inverse runs FiniteField's loops."""
+    F = ext_field(7, [2, 1, 0, 0, 1])
+    half = (F.q - 1) // 2
+    w = next(x for x in F.elements() if x != F.zero and F.pow(x, half) != F.one)
+    return make_extension_field(F, Poly(F, (F.neg(w), F.zero, F.one)))
+
+
 PACKED = {
     "p7e6": lambda: ext_field(7, [2, 0, 0, 0, 0, 0, 1]),
     "p5e9": lambda: ext_field(5, [1, 0, 0, 0, 4, 0, 0, 0, 0, 1]),
@@ -194,6 +203,7 @@ PACKED = {
     # z^2 + (1 + y) z + 1 over F_49 = F_7[y]/(y^2 + 1)
     "f25e3": lambda: tower_field(5, [2, 0, 1], [(0, 1), (0, 1), (0, 0), (1, 0)]),
     "f49e2": lambda: tower_field(7, [1, 0, 1], [(1, 0), (1, 1), (1, 0)]),
+    "f2401e2": f2401_tower,
 }
 
 
@@ -231,6 +241,41 @@ def test_reducible_modulus_runs_packed():
     assert not R._log
     with pytest.raises(ZeroDivisionError):
         R.inv((1, 1))  # y + 1 is a zero divisor
+
+
+def f25_reducible():
+    """F_25[z]/(z^2 - 1) = F_25 x F_25: no tables, so its inverse runs the
+    extended Euclidean algorithm on F_25's log kernels."""
+    F25 = TABLED["F25"]()
+    return ExtensionField(F25, (F25.neg(F25.one), F25.zero, F25.one))
+
+
+BASE_KERNEL_INVERSES = {"f2401e2": f2401_tower, "f25-reducible": f25_reducible}
+
+
+@pytest.mark.parametrize("name", BASE_KERNEL_INVERSES)
+def test_inverse_on_base_kernels_matches_schoolbook_pow(name):
+    R = BASE_KERNEL_INVERSES[name]()
+    assert not R._log
+    assert bool(R.base._log) == (name == "f25-reducible")
+    _, _, mul = schoolbook_ops(R)
+    rng = random.Random(R.q)
+    z = R.generator()
+    samples = [R.one, z, R.add(z, R.one), R.sub(z, R.one), R.element(R.q - 1)]
+    samples += [R.element(rng.randrange(1, R.q)) for _ in range(60)]
+    units = 0
+    for a in samples:
+        # in F_25 x F_25 a unit's order divides 24, and 24 | q - 1
+        want = schoolbook_pow(mul, R.one, a, R.q - 2)
+        if mul(a, want) == R.one:
+            units += 1
+            assert R.inv(a) == want
+        else:
+            with pytest.raises(ZeroDivisionError):
+                R.inv(a)
+    assert units > 40
+    if name == "f25-reducible":
+        assert units < len(samples)  # z + 1 and z - 1 at least
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import pytest
 
+from drinfeld_orders.gf import ExtensionField, FiniteField, PrimeField
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "drinfeld_orders"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
@@ -83,3 +85,14 @@ def test_detects_an_unreferenced_private_def():
         "    def __repr__(self):\n        return _called()\n"
     )
     assert unreferenced_private_defs(source) == [(1, "_dead"), (5, "_Unused"), (6, "_method")]
+
+
+FIELD_CORE = ("add", "sub", "neg", "mul", "inv", "element", "index")
+
+
+def test_each_field_class_defines_the_core_operations():
+    # FiniteField names the interface in its docstring only, with no stubs
+    # to fall back on, so each concrete field must define all of it
+    for cls in (PrimeField, ExtensionField):
+        assert [op for op in FIELD_CORE if op not in vars(cls)] == [], cls.__name__
+    assert [op for op in FIELD_CORE if op in vars(FiniteField)] == []
