@@ -10,6 +10,11 @@ analyse the class, identify its modules, build the report and render it.
 ``check-module`` is ``analyze`` restricted to the named module; it prints
 that module's ``analyze`` line without the name prefix.
 
+``build_report`` encodes each polynomial once, as an ascending array
+``name`` and its text ``name_str`` (the input and depressed coefficients
+a1, a2, b1, b2 as arrays only), and each accepted order once: the orders
+list, every identified ring and every survey row share that entry.
+
 ``main`` turns an error into an exit code and a stderr prefix through one
 table, ``EXITS``: 0 success, 2 config error, 3 validation of the
 isogeny-class data failed, 4 internal inconsistency, 5 candidate bound
@@ -45,7 +50,6 @@ from .gf import ExtensionField, FiniteField, PrimeField, elem_str
 from .orders import (
     DEFAULT_CANDIDATE_BOUND,
     ClassAnalysis,
-    OrderHNF,
     analyze_weil_class,
     frobenius_order_hnf,
 )
@@ -275,7 +279,6 @@ def identify_module(ring: SkewRing, spec: ModuleSpec, analysis: ClassAnalysis) -
     survey = survey_candidates(
         module,
         [rep.order for rep in analysis.orders],
-        analysis.weil,
         analysis.sf,
         analysis.mo,
     )
@@ -291,79 +294,64 @@ def identify_module(ring: SkewRing, spec: ModuleSpec, analysis: ClassAnalysis) -
 
 
 def _elem_json(c):
+    """A field element, or a tuple of them, as nested integer arrays."""
     return c if isinstance(c, int) else [_elem_json(x) for x in c]
 
 
-def _poly_json(f: Poly):
-    return [_elem_json(c) for c in f.coeffs]
-
-
-def _order_json(order: OrderHNF, labels: dict) -> dict:
-    return {
-        "a": _poly_json(order.a),
-        "a_str": order.a.to_str(),
-        "b": _poly_json(order.b),
-        "b_str": order.b.to_str(),
-        "c": _poly_json(order.c),
-        "c_str": order.c.to_str(),
-        "label": labels.get(order, ""),
-    }
-
-
-def _labels(analysis: ClassAnalysis) -> dict:
-    """The label of each named order: O_max, A[pi], or both when equal."""
-    F = analysis.weil.field
-    maximal = OrderHNF(a=Poly.one(F), b=Poly.zero(F), c=Poly.one(F))
-    frob = frobenius_order_hnf(analysis.sf, analysis.mo)
-    if frob == maximal:
-        return {maximal: "O_max=A[pi]"}
-    return {maximal: "O_max", frob: "A[pi]"}
-
-
-def _ident_json(ident: dict, labels: dict) -> dict:
-    entry = {"module": ident["module"], "in_class": ident["in_class"]}
-    if ident["in_class"]:
-        entry["order"] = _order_json(ident["order"], labels)
-        entry["survey"] = [
-            {
-                "order": _order_json(row.order, labels),
-                "generators": list(row.generator_verdicts),
-            }
-            for row in ident["survey"]
-        ]
-    return entry
+def _polys_json(**polys: Poly) -> dict:
+    """Each named polynomial as ``name``, its ascending coefficient array,
+    and ``name_str``, its text."""
+    out = {}
+    for name, f in polys.items():
+        out[name] = _elem_json(f.coeffs)
+        out[f"{name}_str"] = f.to_str()
+    return out
 
 
 def build_report(analysis: ClassAnalysis, identifications) -> dict:
-    labels = _labels(analysis)
     W, sf, mo = analysis.weil, analysis.sf, analysis.mo
-    orders = []
+    # analyze_weil_class accepts O_max first; O_max also carries A[pi]'s
+    # label when the two are equal
+    maximal = analysis.orders[0].order
+    frob = frobenius_order_hnf(sf, mo)
+    labels = {maximal: "O_max=A[pi]"} if frob == maximal else {maximal: "O_max", frob: "A[pi]"}
+    # one entry per accepted order, shared by the orders list, the
+    # identified rings and the survey rows
+    entries = {}
     for rep in analysis.orders:
-        entry = _order_json(rep.order, labels)
-        entry.update(
-            {
-                # the enumeration builds only triples that contain pi and
-                # are maximal above v; closure accepted them
-                "is_closed": True,
-                "contains_pi": True,
-                "v_maximal": True,
-                "conductor_norm": _poly_json(rep.conductor_norm),
-                "conductor_norm_str": rep.conductor_norm.to_str(),
-                "disc": _poly_json(rep.disc),
-                "disc_str": rep.disc.to_str(),
-            }
-        )
-        orders.append(entry)
+        o = rep.order
+        entries[o] = {**_polys_json(a=o.a, b=o.b, c=o.c), "label": labels.get(o, "")}
+    orders = [
+        {
+            **entries[rep.order],
+            # the enumeration builds only triples that contain pi and are
+            # maximal above v; closure accepted them
+            "is_closed": True,
+            "contains_pi": True,
+            "v_maximal": True,
+            **_polys_json(conductor_norm=rep.conductor_norm, disc=rep.disc),
+        }
+        for rep in analysis.orders
+    ]
+    idents = []
+    for ident in identifications:
+        entry = {"module": ident["module"], "in_class": ident["in_class"]}
+        if ident["in_class"]:
+            entry["order"] = entries[ident["order"]]
+            entry["survey"] = [
+                {"order": entries[row.order], "generators": list(row.generator_verdicts)}
+                for row in ident["survey"]
+            ]
+        idents.append(entry)
     return {
         "inputs": {
             "p": W.field.p,
             "e": W.field.degree,
             "q": W.field.q,
-            "pv": _poly_json(W.pv),
-            "pv_str": W.pv.to_str(),
+            **_polys_json(pv=W.pv),
             "m": W.m,
-            "a1": _poly_json(W.a1),
-            "a2": _poly_json(W.a2),
+            "a1": _elem_json(W.a1.coeffs),
+            "a2": _elem_json(W.a2.coeffs),
             "mu": _elem_json(W.mu),
         },
         "verdict": VERDICT_TEXT,
@@ -375,28 +363,17 @@ def build_report(analysis: ClassAnalysis, identifications) -> dict:
             "residue_pattern": [list(t) for t in analysis.local.residue_pattern],
         },
         "standard_form": {
-            "b1": _poly_json(sf.b1),
-            "b2": _poly_json(sf.b2),
-            "g": _poly_json(sf.g),
-            "g_str": sf.g.to_str(),
-            "c1": _poly_json(sf.c1),
-            "c1_str": sf.c1.to_str(),
-            "c2": _poly_json(sf.c2),
-            "c2_str": sf.c2.to_str(),
+            "b1": _elem_json(sf.b1.coeffs),
+            "b2": _elem_json(sf.b2.coeffs),
+            **_polys_json(g=sf.g, c1=sf.c1, c2=sf.c2),
         },
-        "disc_m0": _poly_json(mo.disc_m0),
-        "disc_m0_str": mo.disc_m0.to_str(),
-        "delta": _poly_json(mo.delta),
-        "delta_str": mo.delta.to_str(),
-        "index": _poly_json(mo.index),
-        "index_str": mo.index.to_str(),
-        "alpha2": _poly_json(mo.alpha2),
-        "alpha2_str": mo.alpha2.to_str(),
-        "beta2": _poly_json(mo.beta2),
-        "beta2_str": mo.beta2.to_str(),
+        **_polys_json(
+            disc_m0=mo.disc_m0, delta=mo.delta, index=mo.index,
+            alpha2=mo.alpha2, beta2=mo.beta2,
+        ),
         "candidate_count": analysis.candidate_count,
         "orders": orders,
-        "identifications": [_ident_json(i, labels) for i in identifications],
+        "identifications": idents,
     }
 
 

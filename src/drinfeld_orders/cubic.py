@@ -107,7 +107,8 @@ def _depressed_disc(e1: Poly, e2: Poly) -> Poly:
 
 @dataclass(frozen=True)
 class StandardForm:
-    """Depressed data b1, b2 and the reduction to the standard c1, c2.
+    """The shift t = a1/3, the depressed data b1, b2 with M(x - t) =
+    x^3 + b1 x + b2, and the reduction to the standard c1, c2.
 
     g is the square/cube content: the largest monic g with g^2 | b1 and
     g^3 | b2.  g_factors is the factorisation ((P, k), ...) of g in
@@ -118,6 +119,7 @@ class StandardForm:
     exactly once.  Invariant: c1 = b1/g^2 and c2 = b2/g^3 exactly.
     """
 
+    t: Poly
     b1: Poly
     b2: Poly
     g: Poly
@@ -149,14 +151,13 @@ def height(W: WeilCubic) -> int:
     return 1 if W.a2 % W.pv else 2 if W.a1 % W.pv else 3
 
 
-def _depress(W: WeilCubic) -> Tuple[Poly, Poly]:
-    """(b1, b2) with M(x - a1/3) = x^3 + b1 x + b2; needs p != 3."""
-    F = W.field
-    third = F.inv(F.from_int(3))
-    two_over_27 = F.div(F.from_int(2), F.from_int(27))
-    b1 = W.a2 - (W.a1 * W.a1).scale(third)
-    b2 = (W.a1**3).scale(two_over_27) - (W.a1 * W.a2).scale(third) + W.a0
-    return b1, b2
+def _depress(W: WeilCubic) -> Tuple[Poly, Poly, Poly]:
+    """(t, b1, b2) with t = a1/3 and M(x - t) = x^3 + b1 x + b2, that is
+    b1 = a2 - 3t^2 and b2 = 2t^3 - t a2 + a0; needs p != 3."""
+    t = W.a1.scale(W.field.inv(W.field.from_int(3)))
+    b1 = W.a2 - (t * t).scale_int(3)
+    b2 = (t**3).scale_int(2) - t * W.a2 + W.a0
+    return t, b1, b2
 
 
 def _check_irreducible_over_k(W: WeilCubic) -> None:
@@ -216,7 +217,7 @@ def _check_unique_local_zero(W: WeilCubic, h: int) -> None:
     pv = W.pv
     m = W.m
     if h == 2:
-        d = _depressed_disc(*_depress(W))
+        d = _depressed_disc(*_depress(W)[1:])
         v = valuation(d, pv)
         if v % 2:
             return
@@ -236,16 +237,8 @@ def _check_unique_local_zero(W: WeilCubic, h: int) -> None:
         return
     k = m // 3
     R = ExtensionField(W.field, pv.coeffs)  # pv passed the irreducibility test
-    r2 = (
-        reduce_mod(W.a1.exact_div(pv**k), R)
-        if v_a1 is not None and v_a1 == k
-        else R.zero
-    )
-    r1 = (
-        reduce_mod(W.a2.exact_div(pv ** (2 * k)), R)
-        if v_a2 is not None and v_a2 == 2 * k
-        else R.zero
-    )
+    r2 = reduce_mod(W.a1.exact_div(pv**k), R) if v_a1 == k else R.zero
+    r1 = reduce_mod(W.a2.exact_div(pv ** (2 * k)), R) if v_a2 == 2 * k else R.zero
     r0 = reduce_mod(W.a0.exact_div(pv**m), R)
     # (x + a)^3 has r2 = 3a, r1 = 3a^2 and r0 = a^3
     cube = R.mul(R.from_int(3), r1) == R.mul(r2, r2)
@@ -309,7 +302,7 @@ def standard_form(W: WeilCubic) -> StandardForm:
         raise Char3UnsupportedError("characteristic 3 is not supported")
     if F.p == 2:
         raise Char2UnsupportedError("characteristic 2 is not supported")
-    b1, b2 = _depress(W)
+    t, b1, b2 = _depress(W)
     if b2.is_zero:
         raise InternalInconsistencyError(
             "depressed cubic has zero constant term; M(x) is reducible"
@@ -343,7 +336,7 @@ def standard_form(W: WeilCubic) -> StandardForm:
             "square/cube content does not divide exactly"
         ) from exc
     return StandardForm(
-        b1=b1, b2=b2, g=g, c1=c1, c2=c2,
+        t=t, b1=b1, b2=b2, g=g, c1=c1, c2=c2,
         g_factors=tuple(g_factors), disc_m0_factors=tuple(disc_m0_factors),
     )
 

@@ -157,9 +157,6 @@ class SkewPoly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def coeff(self, i: int):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.ring.L.zero
-
     def __mul__(self, other: "SkewPoly") -> "SkewPoly":
         if not isinstance(other, SkewPoly):
             return NotImplemented
@@ -285,7 +282,7 @@ class DrinfeldModule:
 def verify_weil_action(D: DrinfeldModule, W: WeilCubic) -> bool:
     """True iff phi_a0 + phi_a2*pi + phi_a1*pi^2 + pi^3 = 0 in L{tau},
     i.e. D lies in the isogeny class described by W."""
-    return D.phi_combination((W.a0, W.a2, W.a1, Poly.one(W.field))).is_zero
+    return D.phi_combination(W.coefficients()).is_zero
 
 
 @dataclass(frozen=True)
@@ -328,22 +325,21 @@ def element_membership(D: DrinfeldModule, e: KElem) -> Optional[SkewPoly]:
 
 
 def order_generator_kelems(
-    order: OrderHNF, W: WeilCubic, sf: StandardForm, mo: MaximalOrderData
+    order: OrderHNF, sf: StandardForm, mo: MaximalOrderData
 ) -> Tuple[KElem, KElem]:
     """The two non-trivial generators c*omega1 + b*omega2 and a*omega2,
     each put in lowest terms once over the common denominator g*gI,
     gI = g*I, of
 
-        omega1 = (t + pi)/g            with t = a1/3
+        omega1 = (t + pi)/g            with t = a1/3 = sf.t
         omega2 = (n0 + n1*pi + pi^2) / (g*gI)
 
-    where n0 = alpha2*g^2 + beta2*g*t + t^2 and n1 = beta2*g + 2t.  The
-    basis (omega1, omega2) itself is the pair of O_max = (1, 0, 1).
+    where n0 = alpha2*g^2 + beta2*g*t + t^2 and n1 = beta2*g + 2t, read
+    from the standard form (t, g) and the maximal-order data (I, alpha2,
+    beta2) alone.  The basis (omega1, omega2) itself is the pair of
+    O_max = (1, 0, 1).
     """
-    F = W.field
-    third = F.inv(F.from_int(3))
-    t = W.a1.scale(third)
-    g = sf.g
+    t, g = sf.t, sf.g
     gI = g * mo.index
     d = g * gI
     n0 = mo.alpha2 * g * g + mo.beta2 * g * t + t * t
@@ -369,14 +365,13 @@ class MembershipSurvey:
 def survey_candidates(
     D: DrinfeldModule,
     candidates: Sequence[OrderHNF],
-    W: WeilCubic,
     sf: StandardForm,
     mo: MaximalOrderData,
 ) -> List[MembershipSurvey]:
     """Both generator verdicts of every candidate, in the given order."""
     out = []
     for order in candidates:
-        gen1, gen2 = order_generator_kelems(order, W, sf, mo)
+        gen1, gen2 = order_generator_kelems(order, sf, mo)
         verdicts = (
             element_membership(D, gen1) is not None,
             element_membership(D, gen2) is not None,

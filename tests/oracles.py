@@ -517,7 +517,7 @@ def skew_constant(ring, lam):
 
 def gamma_t(D):
     """gamma(T), the constant coefficient of phi_T."""
-    return D.phi_t.coeff(0)
+    return D.phi_t.coeffs[0]
 
 
 def gamma(D, a: Poly):

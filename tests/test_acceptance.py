@@ -105,7 +105,7 @@ def test_criterion_4_identification_phi(module_phi, example_analysis):
     W, sf, mo = example_analysis.weil, example_analysis.sf, example_analysis.mo
     F = W.field
     candidates = [r.order for r in example_analysis.orders]
-    end = identify_endo_ring(survey_candidates(module_phi, candidates, W, sf, mo))
+    end = identify_endo_ring(survey_candidates(module_phi, candidates, sf, mo))
     ok = end == OrderHNF(a=Poly.one(F), b=Poly.zero(F), c=Poly.one(F))
     _report("4 (End phi = O_max)", ok)
     assert ok
@@ -129,7 +129,7 @@ def test_criterion_4_identification_psi_as_printed(
     assert verify_weil_action(module_psi_literal, W)
     candidates = [r.order for r in example_analysis.orders]
     end = identify_endo_ring(
-        survey_candidates(module_psi_literal, candidates, W, sf, mo)
+        survey_candidates(module_psi_literal, candidates, sf, mo)
     )
     assert end == OrderHNF(a=Poly.x(F), b=Poly.zero(F), c=Poly.one(F))
 
@@ -141,7 +141,7 @@ def test_criterion_4_identification_corrected_witness(
     F = W.field
     candidates = [r.order for r in example_analysis.orders]
     end = identify_endo_ring(
-        survey_candidates(module_psi_star, candidates, W, sf, mo)
+        survey_candidates(module_psi_star, candidates, sf, mo)
     )
     ok = verify_weil_action(module_psi_star, W) and end == OrderHNF(
         a=Poly.x(F), b=Poly.zero(F), c=Poly.one(F)

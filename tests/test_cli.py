@@ -380,10 +380,10 @@ def test_extension_base_field_config(tmp_path, fmt):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_modules_over_an_extension_base(tmp_path, capsys):
-    # L of degree 3 over F_25 = F_5[y]/(y^2 + 2), 15,625 elements (above the
-    # table cap): an in-class module from descended_module and a perturbed
-    # one, through analyze and check-module
+def tower_config():
+    """A class over F_25 = F_5[y]/(y^2 + 2) with L of degree 3 over it,
+    15,625 elements (above the table cap): an in-class module from
+    descended_module and a perturbed one."""
     F5 = PrimeField(5)
     F25 = make_extension_field(F5, Poly.from_ints(F5, [2, 0, 1]))
     L = make_extension_field(F25, Poly(F25, ((0, 1), (0, 1), (0, 0), (1, 0))))
@@ -395,7 +395,7 @@ def test_modules_over_an_extension_base(tmp_path, capsys):
     def arrays(coeffs):
         return [[list(c) for c in x] if isinstance(x[0], tuple) else list(x) for x in coeffs]
 
-    cfg = {
+    return {
         "field": {"p": 5, "e": 2, "modulus": [2, 0, 1]},
         "pv": arrays(W.pv.coeffs),
         "m": W.m,
@@ -406,8 +406,12 @@ def test_modules_over_an_extension_base(tmp_path, capsys):
             {"name": "perturbed", "phi_T": arrays(perturbed)},
         ],
     }
+
+
+def test_modules_over_an_extension_base(tmp_path, capsys):
+    # the tower config through analyze and check-module
     path = tmp_path / "tower.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(tower_config()))
     assert main(["analyze", str(path)]) == 0
     lines = dict(
         line.split(": ", 1)
@@ -419,6 +423,18 @@ def test_modules_over_an_extension_base(tmp_path, capsys):
     for name, line in lines.items():
         assert main(["check-module", str(path), "--name", name]) == 0
         assert capsys.readouterr().out == line + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_extension_base_report_golden(tmp_path, capsys, fmt):
+    # the whole report over F_25, byte for byte: nested element arrays in
+    # the JSON and (c0,c1) coefficients in the text; the configs/ goldens
+    # are all over F_5
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps(tower_config()))
+    assert main(["analyze", str(path), "--format", fmt]) == 0
+    golden = REPO / "tests" / "golden" / f"f25_tower.analyze.{fmt}.out"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize(

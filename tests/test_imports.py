@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and every
-private function, method or class it defines is named in it.
+"""Every name a library module imports is used in that module, every
+private function, method or class it defines is named in it, and every
+parameter of its functions and lambdas is named in their bodies.
 
 ``__init__.py`` is exempt: its imports are the package's exports.  An
 import line carrying ``# noqa: F401`` is exempt too, for a binding kept on
@@ -60,6 +61,28 @@ def unreferenced_private_defs(source: str) -> list:
     return [(line, name) for line, name in private if name not in named]
 
 
+def unused_parameters(source: str) -> list:
+    """(line, name) of each function or lambda parameter, other than
+    ``self``, ``cls`` and names starting with ``_``, that its body never
+    names (a nested function's use counts)."""
+    tree = ast.parse(source)
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+        params += [p for p in (args.vararg, args.kwarg) if p is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        named = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        unused += [
+            (p.lineno, p.arg)
+            for p in params
+            if p.arg not in named and p.arg not in ("self", "cls") and not p.arg.startswith("_")
+        ]
+    return sorted(unused)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -85,6 +108,25 @@ def test_detects_an_unreferenced_private_def():
         "    def __repr__(self):\n        return _called()\n"
     )
     assert unreferenced_private_defs(source) == [(1, "_dead"), (5, "_Unused"), (6, "_method")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text()) == []
+
+
+def test_detects_an_unused_parameter():
+    source = (
+        "def f(a, b, _c, *args, key=None, **kw):\n"
+        "    def inner(x):\n        return a + x\n"
+        "    return inner\n"
+        "class C:\n    def m(self, y, z):\n        return y\n"
+        "    @classmethod\n    def n(cls):\n        pass\n"
+        "g = lambda u, w: u\n"
+    )
+    assert unused_parameters(source) == [
+        (1, "args"), (1, "b"), (1, "key"), (1, "kw"), (6, "z"), (11, "w")
+    ]
 
 
 FIELD_CORE = ("add", "sub", "neg", "mul", "inv", "element", "index")

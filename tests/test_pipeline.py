@@ -44,7 +44,7 @@ def test_supersingular_pure_cubic_end_to_end():
     assert verify_weil_action(module, W)
     end = identify_endo_ring(
         survey_candidates(
-            module, [r.order for r in analysis.orders], W, analysis.sf, analysis.mo
+            module, [r.order for r in analysis.orders], analysis.sf, analysis.mo
         )
     )
     assert end == analysis.orders[0].order
@@ -73,7 +73,7 @@ def test_module_as_printed_in_its_own_class():
     assert verify_weil_action(module, W)
     end = identify_endo_ring(
         survey_candidates(
-            module, [r.order for r in analysis.orders], W, analysis.sf, analysis.mo
+            module, [r.order for r in analysis.orders], analysis.sf, analysis.mo
         )
     )
     assert end == OrderHNF(a=Poly.one(F), b=Poly.zero(F), c=Poly.one(F))
@@ -110,7 +110,7 @@ def test_supersingular_constant_standard_form_end_to_end():
     # identification runs the g != 1 rewriting: omega2 = pi^2 / T^2
     end = identify_endo_ring(
         survey_candidates(
-            module, [r.order for r in analysis.orders], W, analysis.sf, analysis.mo
+            module, [r.order for r in analysis.orders], analysis.sf, analysis.mo
         )
     )
     assert end == analysis.orders[0].order
@@ -143,7 +143,7 @@ def test_extension_base_field_end_to_end():
     assert verify_weil_action(module, W)
     end = identify_endo_ring(
         survey_candidates(
-            module, [r.order for r in analysis.orders], W, analysis.sf, analysis.mo
+            module, [r.order for r in analysis.orders], analysis.sf, analysis.mo
         )
     )
     assert end == analysis.orders[0].order

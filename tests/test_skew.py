@@ -259,16 +259,16 @@ def test_kelem_normalization(f5):
     assert e.n0 == T.scale(f5.element(3))
 
 
-def basis_kelems(W, sf, mo):
+def basis_kelems(sf, mo):
     """(omega1, omega2) over pi: the generators of O_max = (1, 0, 1)."""
-    one, zero = Poly.one(W.field), Poly.zero(W.field)
-    return order_generator_kelems(OrderHNF(a=one, b=zero, c=one), W, sf, mo)
+    one, zero = Poly.one(sf.g.field), Poly.zero(sf.g.field)
+    return order_generator_kelems(OrderHNF(a=one, b=zero, c=one), sf, mo)
 
 
 def test_omega_kelems_worked_example(example_analysis):
     W, sf, mo = example_analysis.weil, example_analysis.sf, example_analysis.mo
     F = W.field
-    omega1, omega2 = basis_kelems(W, sf, mo)
+    omega1, omega2 = basis_kelems(sf, mo)
     # pi~ = pi + 2T + 2 over denominator 1
     assert omega1.d.is_one
     assert omega1.n0 == Poly.from_ints(F, [2, 2])
@@ -281,8 +281,8 @@ def test_omega_kelems_worked_example(example_analysis):
 
 
 def test_membership_worked_example(module_phi, module_psi_star, example_analysis):
-    W, sf, mo = example_analysis.weil, example_analysis.sf, example_analysis.mo
-    _, omega2 = basis_kelems(W, sf, mo)
+    sf, mo = example_analysis.sf, example_analysis.mo
+    _, omega2 = basis_kelems(sf, mo)
     w = element_membership(module_phi, omega2)
     assert w is not None
     # the quotient is a genuine endomorphism: it commutes with phi_T
@@ -296,8 +296,8 @@ def test_division_verdict_for_module_as_printed(
     # the mechanical division claim reproduces even for the out-of-class
     # module tau^3+tau^2+tau: the omega2 numerator built from it is not
     # right-divisible by its phi_T
-    W, sf, mo = example_analysis.weil, example_analysis.sf, example_analysis.mo
-    _, omega2 = basis_kelems(W, sf, mo)
+    sf, mo = example_analysis.sf, example_analysis.mo
+    _, omega2 = basis_kelems(sf, mo)
     D = module_psi_literal
     pi = frobenius(D)
     n = skew_sum(D.phi(omega2.n0), D.phi(omega2.n1) * pi, D.phi(omega2.n2) * (pi * pi))
@@ -308,9 +308,9 @@ def test_division_verdict_for_module_as_printed(
 
 def test_identify_single_candidate(module_phi, example_analysis):
     # with only the Frobenius order offered, any valid module maps to it
-    W, sf, mo = example_analysis.weil, example_analysis.sf, example_analysis.mo
+    sf, mo = example_analysis.sf, example_analysis.mo
     frob = example_analysis.orders[1].order
-    assert identify_endo_ring(survey_candidates(module_phi, [frob], W, sf, mo)) == frob
+    assert identify_endo_ring(survey_candidates(module_phi, [frob], sf, mo)) == frob
 
 
 def test_identify_without_all_member_row_raises(example_analysis):
@@ -345,20 +345,20 @@ def test_identify_worked_example(module_phi, module_psi_star, example_analysis):
     one, zero = Poly.one(F), Poly.zero(F)
     candidates = [r.order for r in example_analysis.orders]
     assert identify_endo_ring(
-        survey_candidates(module_phi, candidates, W, sf, mo)
+        survey_candidates(module_phi, candidates, sf, mo)
     ) == OrderHNF(a=one, b=zero, c=one)
     assert identify_endo_ring(
-        survey_candidates(module_psi_star, candidates, W, sf, mo)
+        survey_candidates(module_psi_star, candidates, sf, mo)
     ) == OrderHNF(a=T, b=zero, c=one)
 
 
 def test_membership_monotone_over_candidates(
     module_phi, module_psi_star, example_analysis
 ):
-    W, sf, mo = example_analysis.weil, example_analysis.sf, example_analysis.mo
+    sf, mo = example_analysis.sf, example_analysis.mo
     candidates = [r.order for r in example_analysis.orders]
     for D in (module_phi, module_psi_star):
-        rows = survey_candidates(D, candidates, W, sf, mo)
+        rows = survey_candidates(D, candidates, sf, mo)
         # candidates are sorted largest first; once a candidate fails, no
         # larger candidate may succeed (downward closure)
         ok = [row.all_members for row in rows]
@@ -378,7 +378,7 @@ def test_generator_kelems_match_companion_algebra(instance_pool):
         nontrivial_g += not sf.g.is_one
         nontrivial_index += not mo.index.is_one
         for order in enumerate_candidates(sf, sandwich_divisors(sf, mo)):
-            gen1, gen2 = order_generator_kelems(order, W, sf, mo)
+            gen1, gen2 = order_generator_kelems(order, sf, mo)
             assert kelem_matches_element(gen1, order.c, order.b, analysis)
             assert kelem_matches_element(gen2, Poly.zero(W.field), order.a, analysis)
             for gen in (gen1, gen2):
@@ -390,9 +390,9 @@ def test_generator_kelems_match_companion_algebra(instance_pool):
 
 
 def test_identified_ring_generators_act(module_phi, example_analysis):
-    W, sf, mo = example_analysis.weil, example_analysis.sf, example_analysis.mo
+    sf, mo = example_analysis.sf, example_analysis.mo
     order = example_analysis.orders[0].order
-    gen1, gen2 = order_generator_kelems(order, W, sf, mo)
+    gen1, gen2 = order_generator_kelems(order, sf, mo)
     for gen in (gen1, gen2):
         w = element_membership(module_phi, gen)
         assert w is not None
