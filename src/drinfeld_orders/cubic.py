@@ -9,13 +9,14 @@ standard form x^3 + c1*x + c2, and from it the maximal-order data.
 The height, the Newton polygon at v and the residue splitting, read from
 M = x^h * R(x) mod pv, are closed forms; only the quadratic R of height 1
 needs a square test, by Euler's criterion mod pv in A itself.  The
-residue field F_q[T]/(pv) is built only to decide, by a cube test and
-Ben-Or's irreducibility test, whether the residual cubic of a
-supersingular shape with 3 | m splits.  The standard form factors only
-the repeated part of disc(M) = g^6 disc(M0), the only factorisations of
-the class, and reads off the primes of the content g and of the repeated
-part of disc(M0); a prime dividing disc(M) once divides Delta once and
-neither g nor I, so the part of multiplicity 1 is kept whole.
+residual cubic of a supersingular shape with 3 | m splits iff it is not
+a cube and has a root in F_q[T]/(pv); that field is built only when
+deg pv >= 2, and is F_q, reached by evaluation, when deg pv = 1.  The
+standard form factors only the repeated part of disc(M) = g^6 disc(M0),
+the only factorisations of the class, and reads off the primes of the
+content g and of the repeated part of disc(M0); a prime dividing disc(M)
+once divides Delta once and neither g nor I, so the part of multiplicity
+1 is kept whole.
 For each prime P of disc(M0) the valuation criterion fixes v_P(Delta) in
 {0, 1, 2}, the index I has v_P(I) = (v_P(disc(M0)) - v_P(Delta)) / 2, and
 the integral-basis parameters (alpha2, beta2) with
@@ -76,6 +77,15 @@ class WeilCubic:
     @cached_property
     def a0(self) -> Poly:
         return (self.pv**self.m).scale(self.mu)
+
+    @cached_property
+    def depressed(self) -> Tuple[Poly, Poly, Poly]:
+        """(t, b1, b2) with t = a1/3 and M(x - t) = x^3 + b1 x + b2, that is
+        b1 = a2 - 3t^2 and b2 = 2t^3 - t a2 + a0; needs p != 3."""
+        t = self.a1.scale(self.field.inv(self.field.from_int(3)))
+        b1 = self.a2 - (t * t).scale_int(3)
+        b2 = (t**3).scale_int(2) - t * self.a2 + self.a0
+        return t, b1, b2
 
     def coefficients(self) -> Tuple[Poly, Poly, Poly, Poly]:
         """Ascending coefficients of M(x)."""
@@ -151,15 +161,6 @@ def height(W: WeilCubic) -> int:
     return 1 if W.a2 % W.pv else 2 if W.a1 % W.pv else 3
 
 
-def _depress(W: WeilCubic) -> Tuple[Poly, Poly, Poly]:
-    """(t, b1, b2) with t = a1/3 and M(x - t) = x^3 + b1 x + b2, that is
-    b1 = a2 - 3t^2 and b2 = 2t^3 - t a2 + a0; needs p != 3."""
-    t = W.a1.scale(W.field.inv(W.field.from_int(3)))
-    b1 = W.a2 - (t * t).scale_int(3)
-    b2 = (t**3).scale_int(2) - t * W.a2 + W.a0
-    return t, b1, b2
-
-
 def _check_irreducible_over_k(W: WeilCubic) -> None:
     """A monic cubic over A is reducible over k = F_q(T) iff it has a root
     in A.  A root divides a0 = mu*pv^m, and pv is irreducible, so it is
@@ -207,17 +208,17 @@ def _check_unique_local_zero(W: WeilCubic, h: int) -> None:
     For h = 3 the Newton polygon must be a single segment from (0, m) to
     (3, 0), i.e. 3 v(a2) >= 2m and 3 v(a1) >= m, and the residual cubic
     must not split (have more than one distinct factor).  It splits iff it
-    is not a perfect cube, a closed-form test, and it is reducible, by
-    Ben-Or's test; a perfect-cube residual stays undecided at this level
-    and is accepted.  The residual is the one place where the residue
-    field F_q[T]/(pv) is built.
+    is not a perfect cube, a closed-form test, and it has a root, a unit as
+    r0 = a0/pv^m = mu is; a perfect-cube residual stays undecided at this
+    level and is accepted.  For pv = T - c the residue field is F_q, and
+    a1, a2 reduce by evaluation at c; it is built only for deg pv >= 2.
     """
     if h == 1:
         return
     pv = W.pv
     m = W.m
     if h == 2:
-        d = _depressed_disc(*_depress(W)[1:])
+        d = _depressed_disc(*W.depressed[1:])
         v = valuation(d, pv)
         if v % 2:
             return
@@ -236,14 +237,19 @@ def _check_unique_local_zero(W: WeilCubic, h: int) -> None:
     if m % 3:
         return
     k = m // 3
-    R = ExtensionField(W.field, pv.coeffs)  # pv passed the irreducibility test
-    r2 = reduce_mod(W.a1.exact_div(pv**k), R) if v_a1 == k else R.zero
-    r1 = reduce_mod(W.a2.exact_div(pv ** (2 * k)), R) if v_a2 == 2 * k else R.zero
-    r0 = reduce_mod(W.a0.exact_div(pv**m), R)
+    F = W.field
+    s2 = W.a1.exact_div(pv**k) if v_a1 == k else Poly.zero(F)
+    s1 = W.a2.exact_div(pv ** (2 * k)) if v_a2 == 2 * k else Poly.zero(F)
+    if pv.degree == 1:  # pv = T - c: F_q[T]/(pv) is F_q, and f reduces to f(c)
+        R, c = F, F.neg(pv.coeffs[0])
+        r2, r1, r0 = s2.evaluate(c), s1.evaluate(c), W.mu
+    else:
+        R = ExtensionField(F, pv.coeffs)  # pv passed the irreducibility test
+        r2, r1, r0 = (reduce_mod(f, R) for f in (s2, s1, Poly.const(F, W.mu)))
     # (x + a)^3 has r2 = 3a, r1 = 3a^2 and r0 = a^3
     cube = R.mul(R.from_int(3), r1) == R.mul(r2, r2)
     cube = cube and R.mul(R.from_int(27), r0) == R.pow(r2, 3)
-    if not cube and not is_irreducible(Poly(R, (r0, r1, r2, R.one))):
+    if not cube and unit_roots(Poly(R, (r0, r1, r2, R.one))):
         raise NotWeilAtVError("the supersingular residual polynomial splits")
     # an irreducible residual makes M irreducible over k_v; a perfect-cube
     # residual is undecided at this level and accepted
@@ -302,7 +308,7 @@ def standard_form(W: WeilCubic) -> StandardForm:
         raise Char3UnsupportedError("characteristic 3 is not supported")
     if F.p == 2:
         raise Char2UnsupportedError("characteristic 2 is not supported")
-    t, b1, b2 = _depress(W)
+    t, b1, b2 = W.depressed
     if b2.is_zero:
         raise InternalInconsistencyError(
             "depressed cubic has zero constant term; M(x) is reducible"

@@ -21,7 +21,9 @@ the multiples of a/gcd(a, g/c) below deg a, which is exactly the
 Frobenius-containment condition a | b*(g/c).  Its size is the candidate
 count checked against the candidate bound, a product over the primes of
 g^2*I.  When pv divides a2, v-maximality acts on the divisors (pv is
-irreducible), so only a and c that pv does not divide are built.
+irreducible): pv is dropped from the primes of g and g^2*I before their
+divisors are expanded, so only a and c that pv does not divide are built,
+while the count stays that of the full sandwich.
 """
 
 from __future__ import annotations
@@ -156,12 +158,19 @@ def _sandwich_exponents(sf: StandardForm, mo: MaximalOrderData) -> dict:
     return exps
 
 
-def sandwich_divisors(sf: StandardForm, mo: MaximalOrderData) -> Tuple[list, list]:
+def sandwich_divisors(
+    sf: StandardForm, mo: MaximalOrderData, prime_to: Optional[Poly] = None
+) -> Tuple[list, list]:
     """(divisors c of g, divisors a of g^2*I), from the stored primes of g
-    and I; nothing is factored."""
+    and I; nothing is factored.  A monic irreducible ``prime_to`` divides
+    such a divisor iff it is one of those primes, so dropping it from both
+    lists builds exactly the c and a it does not divide: with prime_to =
+    pv, every triple is maximal above v."""
     F = sf.c1.field
     exps = _sandwich_exponents(sf, mo).items()
-    return divisors(F, sf.g_factors), divisors(F, [(P, k_a) for P, (_, k_a) in exps])
+    cs = [(P, k) for P, k in sf.g_factors if P != prime_to]
+    as_ = [(P, k_a) for P, (_, k_a) in exps if P != prime_to]
+    return divisors(F, cs), divisors(F, as_)
 
 
 def _candidate_count(sf: StandardForm, mo: MaximalOrderData) -> int:
@@ -175,23 +184,16 @@ def _candidate_count(sf: StandardForm, mo: MaximalOrderData) -> int:
     )
 
 
-def enumerate_candidates(
-    sf: StandardForm, sandwich: Tuple[list, list], prime_to: Optional[Poly] = None
-) -> list:
-    """Every admissible (a, b, c) triple, canonically ordered.
-
-    The divisors c | g and a | g^2*I of ``sandwich_divisors`` cover the
-    whole sandwich A[pi] <= O <= O_max; b is constrained by deg b < deg a
-    together with a | b*(g/c), so every triple contains the Frobenius.
-    With an irreducible ``prime_to``, only a and c it does not divide are
-    taken: with prime_to = pv, every triple is maximal above v.
+def enumerate_candidates(sf: StandardForm, sandwich: Tuple[list, list]) -> list:
+    """Every admissible (a, b, c) triple over the divisors c | g and
+    a | g^2*I of ``sandwich_divisors``, canonically ordered: the whole
+    sandwich A[pi] <= O <= O_max, or its part maximal above v when those
+    divisors are prime to pv.  b is constrained by deg b < deg a together
+    with a | b*(g/c), so every triple contains the Frobenius.
     """
     F = sf.c1.field
     g = sf.g
     cs, as_ = sandwich
-    if prime_to is not None:
-        cs = [c for c in cs if not prime_to.divides(c)]
-        as_ = [a for a in as_ if not prime_to.divides(a)]
     triples = []
     for c in cs:
         t = g.exact_div(c)
@@ -232,7 +234,7 @@ def analyze_weil_class(
             f"candidate space has {total} triples, above the bound {candidate_bound}"
         )
     prime_to = W.pv if local.pv_divides_a2 else None
-    candidates = enumerate_candidates(sf, sandwich_divisors(sf, mo), prime_to)
+    candidates = enumerate_candidates(sf, sandwich_divisors(sf, mo, prime_to))
     reports = (assess_order(o, mo, m2) for o in candidates)
     accepted = tuple(r for r in reports if r is not None)
     if not accepted or accepted[0].order != OrderHNF(

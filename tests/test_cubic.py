@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import importlib
 import random
+from dataclasses import replace
+from functools import cached_property
 from itertools import product
 from types import SimpleNamespace
 
@@ -37,6 +39,7 @@ from drinfeld_orders.cubic import (
     _residue_pattern,
 )
 from drinfeld_orders.factor import make_extension_field
+from drinfeld_orders.gf import ExtensionField
 from drinfeld_orders.poly import polys_below_degree, valuation
 
 from oracles import (
@@ -276,10 +279,12 @@ def test_newton_polygon_closed_form_matches_hull(f5):
 
 def _residual_verdict(W):
     """(raised "splits", the oracle's count of distinct factors) for a class
-    of supersingular shape with m = 3 and v(a1), v(a2) >= 1, 2."""
-    pv = W.pv
+    of supersingular shape with m = 3k and v(a1), v(a2) >= k, 2k."""
+    pv, k = W.pv, W.m // 3
     one = Poly.one(W.field)
-    residual = [W.a0.exact_div(pv**3), W.a2.exact_div(pv**2), W.a1.exact_div(pv), one]
+    residual = [
+        W.a0.exact_div(pv**W.m), W.a2.exact_div(pv ** (2 * k)), W.a1.exact_div(pv**k), one
+    ]
     _, fac = residue_factor(residual, pv)
     try:
         _check_unique_local_zero(W, 3)
@@ -290,34 +295,49 @@ def _residual_verdict(W):
     return raised, len(fac.factors)
 
 
+def _no_residue_field(*args):
+    raise AssertionError("a residue field was built for deg pv = 1")
+
+
 @pytest.mark.parametrize("p", [5, 7])
-def test_residual_split_matches_factorisation_exhaustive(p):
-    # every x^3 + r2 T x^2 + r1 T^2 x + mu T^3 over F_p: the residual
-    # x^3 + r2 x^2 + r1 x + mu splits iff it has two or more distinct factors
+def test_residual_split_matches_factorisation_exhaustive(p, monkeypatch):
+    # every x^3 + r2 pv^k x^2 + r1 pv^2k x + mu pv^3k over F_p, plus terms
+    # of higher pv-order in a1 and a2, for pv = T and T - 2 and k = 1, 2:
+    # the residual x^3 + r2 x^2 + r1 x + mu splits iff it has two or more
+    # distinct factors.  Over F_p the residual is reduced by evaluation at
+    # the root of pv, with no residue field built.
+    monkeypatch.setattr(cubic_module, "ExtensionField", _no_residue_field)
     F = PrimeField(p)
     T = Poly.x(F)
-    cubes = 0
-    for r2, r1, mu in product(range(p), range(p), range(1, p)):
-        W = WeilCubic(
-            field=F,
-            a1=T.scale(F.element(r2)),
-            a2=(T * T).scale(F.element(r1)),
-            mu=F.element(mu),
-            pv=T,
-            m=3,
-        )
-        raised, distinct = _residual_verdict(W)
-        assert raised == (distinct > 1), (r2, r1, mu)
-        cubes += distinct == 1 and not is_irreducible(
-            Poly.from_ints(F, [mu, r1, r2, 1])
-        )
-    assert cubes == p - 1  # (x + a)^3 for each a in F_p*
+    rng = random.Random(f"residual/{p}")
+    for pv, k in product((T, T - Poly.const(F, F.element(2))), (1, 2)):
+        cubes = 0
+        for r2, r1, mu in product(range(p), range(p), range(1, p)):
+            e1, e2 = (Poly(F, [F.element(rng.randrange(p)) for _ in range(2)]) for _ in range(2))
+            W = WeilCubic(
+                field=F,
+                a1=(Poly.const(F, F.element(r2)) + e1 * pv) * pv**k,
+                a2=(Poly.const(F, F.element(r1)) + e2 * pv) * pv ** (2 * k),
+                mu=F.element(mu),
+                pv=pv,
+                m=3 * k,
+            )
+            raised, distinct = _residual_verdict(W)
+            assert raised == (distinct > 1), (pv.to_str(), k, r2, r1, mu)
+            cubes += distinct == 1 and not is_irreducible(
+                Poly.from_ints(F, [mu, r1, r2, 1])
+            )
+        assert cubes == p - 1  # (x + a)^3 for each a in F_p*
 
 
-def test_residual_split_matches_factorisation_over_f25():
+def test_residual_split_matches_factorisation_over_f25(monkeypatch):
     # deg pv = 2 over F_5, so the residual lives over R = F_25: a seeded
     # sample, plus every perfect cube (x + a)^3 with a^3 in F_5*, the only
     # ones a unit mu can give
+    built = []
+    monkeypatch.setattr(
+        cubic_module, "ExtensionField", lambda *args: built.append(args) or ExtensionField(*args)
+    )
     F = PrimeField(5)
     T = Poly.x(F)
     pv = T * T + Poly.const(F, F.element(2))
@@ -351,6 +371,16 @@ def test_residual_split_matches_factorisation_over_f25():
             Poly(R, (R.from_int(mu), r1, r2, R.one))
         )
     assert splits and cubes >= 4
+    assert len(built) == len(triples)  # one residue field F_25 per class
+
+
+def test_residual_root_search_by_gcd_matches_factorisation(monkeypatch):
+    # the two tests above with every root search by gcd, as for q above
+    # the scan bound
+    monkeypatch.setattr(factor_module, "ROOT_SCAN_MAX", 1)
+    for p in (5, 7):
+        test_residual_split_matches_factorisation_exhaustive(p, monkeypatch)
+    test_residual_split_matches_factorisation_over_f25(monkeypatch)
 
 
 def test_standard_form_depressed_input(f5):
@@ -834,6 +864,33 @@ def test_degree_three_index_one_crt_no_residue_field(monkeypatch):
     W = WeilCubic(field=f5, a1=T, a2=T * pv, mu=f5.one, pv=pv, m=1)
     assert validate_weil_necessary(W).height == 2
     assert residue_fields == []
+
+
+def test_depressed_coefficients_derived_once_per_height_two_class(
+    f5, monkeypatch, instance_pool
+):
+    # for h = 2 the disc(M) square test at v and standard_form both read
+    # (t, b1, b2); they are derived once per class
+    derive = WeilCubic.__dict__["depressed"].func
+    calls = []
+
+    def counting(W):
+        calls.append(W)
+        return derive(W)
+
+    counted = cached_property(counting)
+    counted.__set_name__(WeilCubic, "depressed")
+    monkeypatch.setattr(WeilCubic, "depressed", counted)
+    # x^3 + T x^2 + T(T^2 + 2) x + (T^2 + 2) over F_5, and the pool's h = 2
+    # classes, copied so that nothing is cached yet
+    T = Poly.x(f5)
+    pv = T * T + Poly.const(f5, f5.element(2))
+    classes = [WeilCubic(field=f5, a1=T, a2=T * pv, mu=f5.one, pv=pv, m=1)]
+    classes += [replace(a.weil) for a in instance_pool if a.local.height == 2]
+    for W in classes:
+        calls.clear()
+        assert analyze_weil_class(W).local.height == 2
+        assert calls == [W]
 
 
 def test_pv_tested_for_irreducibility_once_per_class(f5, monkeypatch):

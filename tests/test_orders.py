@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from drinfeld_orders import (
@@ -18,6 +20,7 @@ from drinfeld_orders import (
     squarefree_decompose,
     validate_weil_necessary,
 )
+from drinfeld_orders.cli import load_config
 
 from oracles import (
     EXPECTED_REJECTIONS,
@@ -30,10 +33,12 @@ from oracles import (
     v_maximality,
 )
 
+REPO = Path(__file__).resolve().parent.parent
+
 
 def _candidates(analysis, prime_to=None):
-    sandwich = sandwich_divisors(analysis.sf, analysis.mo)
-    return enumerate_candidates(analysis.sf, sandwich, prime_to)
+    sandwich = sandwich_divisors(analysis.sf, analysis.mo, prime_to)
+    return enumerate_candidates(analysis.sf, sandwich)
 
 
 def test_mult_table_trivial_shape(f5):
@@ -244,15 +249,26 @@ def test_candidate_count_is_full_sandwich(instance_pool):
 
 
 def test_divisor_filter_is_v_maximality(instance_pool):
-    # pv irreducible: gcd(pv, a*c) = 1 iff pv divides neither a nor c
-    split = [a for a in instance_pool if a.local.pv_divides_a2]
-    assert split
+    # pv irreducible: gcd(pv, a*c) = 1 iff pv divides neither a nor c.  With
+    # pv dropped from the primes of g and g^2*I before the divisors are
+    # expanded, the enumeration is the full sandwich less every triple with
+    # pv | a or pv | c, and the candidate count is still the full sandwich
+    shipped = [
+        analyze_weil_class(load_config(str(path)).weil)
+        for path in sorted((REPO / "configs").glob("*.json"))
+    ]
+    split = [a for a in [*instance_pool, *shipped] if a.local.pv_divides_a2]
+    assert any(a in split for a in shipped)
+    pruned = 0
     for analysis in split:
         W = analysis.weil
-        want = [
-            o for o in _candidates(analysis) if v_maximality(o, W, analysis.local)
-        ]
+        full = _candidates(analysis)
+        want = [o for o in full if not W.pv.divides(o.a) and not W.pv.divides(o.c)]
+        assert want == [o for o in full if v_maximality(o, W, analysis.local)]
         assert _candidates(analysis, W.pv) == want
+        assert analysis.candidate_count == len(full)
+        pruned += len(want) < len(full)
+    assert pruned
 
 
 def _content_family(p, u, e, mu, m):
