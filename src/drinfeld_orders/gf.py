@@ -33,9 +33,11 @@ Extension arithmetic runs in one of two regimes, chosen per field object:
   element of order q - 1): a product packs the F_p-coordinates of each
   operand into one int, makes one big-int multiply (Kronecker substitution
   in z and y; von zur Gathen and Gerhard, *Modern Computer Algebra*, section
-  8.4) and folds the digits outside the basis back with packed rows built
-  once per field (``Packing``).  ``skew`` folds a sum of many products at
-  once.  Building the tables multiplies the same way.  Sums, differences
+  8.4), folds the digits outside the basis back with packed rows built
+  once per field and takes every digit mod p in one multiply-shift step
+  (``Packing``), with digits wide enough for that step.  ``skew`` folds a
+  sum of many products at once, and keeps what it reduces packed.
+  Building the tables multiplies the same way.  Sums, differences
   and negatives go coordinatewise through the base field.
 
 Powers come from ``power_ladder``, the one square-and-multiply loop, in
@@ -211,22 +213,33 @@ class Packing:
     Two packed elements multiply as polynomials in z and y (Kronecker
     substitution in two variables), and digit (i, j) of the product,
     i < 2n - 1 and j < 2e - 1, stays in place; it is at most ne (p-1)^2.
-    ``fold`` takes a sum of up to `terms` such products (or of smaller
+    ``reduce`` takes a sum of up to `terms` such products (or of smaller
     summands: reduced elements, or ones scaled by B), keeps the ne basis
-    digits (i < n, j < e), adds each of the R = (2n-1)(2e-1) - ne others back
-    times its packed row z^i y^j reduced, and unpacks once, one reduction mod
-    p per coordinate.  A folded digit adds at most p - 1 times its own bound
-    to a basis digit, so no digit exceeds terms ne (p-1)^2 (1 + R(p-1)) < 2^w
-    or carries into its neighbour.  A sum without digits outside the basis
-    needs only ``unpack``.  For e = 1 a coefficient is one digit, and the
-    rows are z^(n+k) mod f.
+    digits (i < n, j < e) and adds each of the R = (2n-1)(2e-1) - ne others
+    back times its packed row z^i y^j reduced.  A folded digit adds at most
+    p - 1 times its own bound to a basis digit, so no basis digit exceeds
+    bound = terms ne (p-1)^2 (1 + R(p-1)).  One step then takes every digit
+    mod p at once, r - p ((r M >> K) & qmask), and ``reduce`` returns the
+    canonical packed element.  With K = bits(bound) + bits(p) and
+    M = ceil(2^K / p) (``qshift`` and ``qmul``), d M >> K = d // p for
+    every d <= bound (Granlund and Montgomery, PLDI 1994); qmask keeps the
+    low w - K bits of each basis digit, where that quotient lands.  The
+    width is w = bits(bound M), so no d M overflows its digit, no quotient
+    overlaps the next digit and no difference borrows.  ``fold`` is
+    ``reduce`` with the digits extracted, and ``unpack`` takes the same
+    mod-p step and extracts, for a sum that has no digits outside the
+    basis.  For e = 1 a coefficient is one digit, and the rows are
+    z^(n+k) mod f.
     """
 
     def __init__(self, L, terms: int):
         p, n, e = L.p, L.e, L.base.degree
         span = 2 * e - 1  # digits per coefficient of a product
         outside = (2 * n - 1) * span - n * e
-        w = (terms * n * e * (p - 1) ** 2 * (1 + outside * (p - 1))).bit_length()
+        bound = terms * n * e * (p - 1) ** 2 * (1 + outside * (p - 1))
+        qshift = bound.bit_length() + p.bit_length()
+        qmul = -(-(1 << qshift) // p)
+        w = (bound * qmul).bit_length()
         digit = (1 << w) - 1
         if e == 1:
             shifts = range(0, w * n, w)
@@ -238,8 +251,8 @@ class Packing:
                     x = x << w | d
                 return x
 
-            def unpack(c):
-                return tuple([(c >> s & digit) % p for s in shifts])
+            def digits(r):
+                return tuple([r >> s & digit for s in shifts])
 
             tops = [[-m % p for m in L.modulus[:n]]]
         else:
@@ -255,8 +268,8 @@ class Packing:
                         x = x << w | d
                 return x
 
-            def unpack(c):
-                return tuple([tuple([(c >> s & digit) % p for s in b]) for b in blocks])
+            def digits(r):
+                return tuple([tuple([r >> s & digit for s in b]) for b in blocks])
 
             g = L.base.modulus
 
@@ -297,20 +310,24 @@ class Packing:
                     element = row if e == 1 else [row[b : b + e] for b in range(0, n * e, e)]
                     folds.append((w * (span * i + j), pack(element)))
 
-        def fold(c):
+        # basis // digit is 1 at the foot of each basis digit, so qmask keeps
+        # the low w - qshift bits of each
+        qmask = basis // digit * ((1 << w - qshift) - 1)
+
+        def reduce(c):
             r = c & basis
             for s, row in folds:
                 r += (c >> s & digit) * row
-            if e == 1:  # unpack, inlined
-                return tuple([(r >> s & digit) % p for s in shifts])
-            return unpack(r)
+            return r - p * (r * qmul >> qshift & qmask)
+
+        def unpack(c):  # the step of reduce, inlined there
+            return digits(c - p * (c * qmul >> qshift & qmask))
+
+        def fold(c):
+            return digits(reduce(c))
 
         self.w, self.terms = w, terms
-        self.pack, self.unpack, self.fold = pack, unpack, fold
-
-    def reduce(self, c) -> int:
-        """The packed reduced element of a foldable sum: one summand."""
-        return self.pack(self.fold(c))
+        self.pack, self.unpack, self.reduce, self.fold = pack, unpack, reduce, fold
 
 
 class PrimeField(FiniteField):

@@ -35,15 +35,20 @@ F_q = F_p or F_p[y]/(g)) and reduces late:
   sum_j phi_(a_j)*pi^j, a sum of reduced elements times scalars in F_q, is
   unpacked once over F_p and never folded; over F_p[y]/(g) a scalar is
   packed as an element of L and each sum is folded once;
-- right division folds only the top remainder coefficient at each step.
+- right division reduces only the top remainder coefficient at each step
+  (``Packing.reduce`` returns the canonical packed element, so zero is the
+  int 0), keeps each quotient coefficient packed and unpacks the quotient
+  once at the end.
 At most ``SKEW_TERMS`` products go into a sum before it is folded; a longer
 sum is first reduced to one summand.
 
-``survey_candidates`` is the one membership loop: it tests both generators
-of every accepted order, and ``identify_endo_ring`` reads End(phi) off its
-rows.  ``order_generator_kelems`` writes each generator over pi in one
-step, over the common denominator g^2*I of omega1 and omega2, and puts it
-in lowest terms once.
+``survey_candidates`` is the one membership loop: it decides both
+generators of every accepted order, and ``identify_endo_ring`` reads
+End(phi) off its rows.  A generator over d = 1 lies in A[pi], which is
+inside End(phi), so only the others go through the right division.
+``order_generator_kelems`` writes each generator over pi in one step, over
+the common denominator g^2*I of omega1 and omega2, and puts it in lowest
+terms once.
 """
 
 from __future__ import annotations
@@ -178,29 +183,28 @@ class SkewPoly:
             return SkewPoly(ring, ()), self
         # 1/lc(d)^(q^k) = (1/lc(d))^(q^k): one inversion, then twists
         inv_orbit = ring._packed_orbit(L.inv(d.coeffs[-1]))
-        # rem holds unfolded sums, and only the top one is folded at each
+        # rem holds unfolded sums, and only the top one is reduced at each
         # step; column r lists (-d_j)^(q^r) for j < dn (the top cancels)
-        pk, n, zero = ring._pk, ring.n, L.zero
-        fold, pack = pk.fold, pk.pack
+        pk, n = ring._pk, ring.n
+        reduce = pk.reduce
         orbits = [ring._packed_orbit(L.neg(c)) for c in d.coeffs[:dn]]
         columns = [[orbit[r] for orbit in orbits] for r in range(n)]
-        rem = [pack(c) for c in self.coeffs]
-        quo = [zero] * (len(rem) - dn)
+        rem = [pk.pack(c) for c in self.coeffs]
+        quo = [0] * (len(rem) - dn)  # packed
         terms = 1
         for k in range(len(quo) - 1, -1, -1):
-            c = fold(rem[k + dn])
-            if c == zero:
+            c = reduce(rem[k + dn])
+            if not c:
                 continue
             if terms == pk.terms:
-                rem[: k + dn] = map(pk.reduce, rem[: k + dn])
+                rem[: k + dn] = map(reduce, rem[: k + dn])
                 terms = 1
             terms += 1
             r = k % n
-            qk = fold(pack(c) * inv_orbit[r])
-            quo[k] = qk
+            qk = quo[k] = reduce(c * inv_orbit[r])
             end = k + dn
-            rem[k:end] = map(add, rem[k:end], map(mul, columns[r], repeat(pack(qk))))
-        return SkewPoly(ring, quo), SkewPoly(ring, [fold(c) for c in rem[:dn]])
+            rem[k:end] = map(add, rem[k:end], map(mul, columns[r], repeat(qk)))
+        return SkewPoly(ring, map(pk.unpack, quo)), SkewPoly(ring, map(pk.fold, rem[:dn]))
 
     def __repr__(self):
         return f"SkewPoly({self.coeffs})"
@@ -368,13 +372,14 @@ def survey_candidates(
     sf: StandardForm,
     mo: MaximalOrderData,
 ) -> List[MembershipSurvey]:
-    """Both generator verdicts of every candidate, in the given order."""
+    """Both generator verdicts of every candidate, in the given order.  A
+    generator over d = 1 lies in A[pi], inside End(phi): it is a member
+    without a test."""
     out = []
     for order in candidates:
-        gen1, gen2 = order_generator_kelems(order, sf, mo)
-        verdicts = (
-            element_membership(D, gen1) is not None,
-            element_membership(D, gen2) is not None,
+        verdicts = tuple(
+            gen.d.is_one or element_membership(D, gen) is not None
+            for gen in order_generator_kelems(order, sf, mo)
         )
         out.append(MembershipSurvey(order=order, generator_verdicts=verdicts))
     return out

@@ -596,6 +596,25 @@ def weil_relation_oracle(D, W: WeilCubic) -> bool:
     return not acc
 
 
+def _charpoly(m):
+    """(a1, a2, a0) of the characteristic polynomial x^3 + a1 x^2 + a2 x + a0
+    of a 3x3 polynomial matrix: minus the trace, the sum of the principal
+    2-minors and minus the determinant."""
+    zero = Poly.zero(m[0][0].field)
+    minors = sum(
+        (m[i][i] * m[j][j] - m[i][j] * m[j][i] for i, j in ((0, 1), (0, 2), (1, 2))),
+        start=zero,
+    )
+    det = sum(
+        (
+            m[0][k] * (m[1][(k + 1) % 3] * m[2][(k + 2) % 3] - m[1][(k + 2) % 3] * m[2][(k + 1) % 3])
+            for k in range(3)
+        ),
+        start=zero,
+    )
+    return -(m[0][0] + m[1][1] + m[2][2]), minors, -det
+
+
 def descended_module(L, g, c):
     """(phi_T coefficients, WeilCubic) of a module with its class, for L of
     degree n over F_q, g = (g0, g1, g2) in F_q and c in L*.
@@ -618,33 +637,55 @@ def descended_module(L, g, c):
     m = identity_matrix(F)
     for _ in range(n):
         m = mat_mul(m, comp)
-    minors = sum(
-        (m[i][i] * m[j][j] - m[i][j] * m[j][i] for i, j in ((0, 1), (0, 2), (1, 2))),
-        start=zero,
-    )
-    det = sum(
-        (
-            m[0][k] * (m[1][(k + 1) % 3] * m[2][(k + 2) % 3] - m[1][(k + 2) % 3] * m[2][(k + 1) % 3])
-            for k in range(3)
-        ),
-        start=zero,
-    )
+    a1, a2, a0 = _charpoly(m)
     pv = T - gamma
-    assert det == pv**n
-    W = WeilCubic(
-        field=F,
-        a1=-(m[0][0] + m[1][1] + m[2][2]),
-        a2=minors,
-        mu=F.neg(F.one),
-        pv=pv,
-        m=n,
-    )
+    assert a0 == -(pv**n)
+    W = WeilCubic(field=F, a1=a1, a2=a2, mu=F.neg(F.one), pv=pv, m=n)
     c_inv = L.inv(c)
     phi_t = [
         L.mul(L.mul(L.embed(gi), c), frobenius_power(L, c_inv, i))
         for i, gi in enumerate((*g, F.one))
     ]
     return phi_t, W
+
+
+def motive_class(L, phi_t) -> WeilCubic:
+    """The class of phi_T = g0 + g1 tau + g2 tau^2 + g3 tau^3 over L of
+    degree n over F_q, for g0 in F_q: the characteristic polynomial of pi
+    on the motive of phi, by linear algebra over L[T] alone.
+
+    The motive L{tau} is free over L[T], with T acting by right
+    multiplication by phi_T, on the basis 1, tau, tau^2.  Left multiplication
+    by tau is q-semilinear with the matrix
+    A = [[0, 0, (T - g0)/g3], [1, 0, -g1/g3], [0, 1, -g2/g3]], so pi = tau^n
+    acts L[T]-linearly by B = A A^(1) ... A^(n-1), where A^(k) raises every
+    coefficient to q^k.  By Cayley-Hamilton its characteristic polynomial
+    annihilates pi; its coefficients lie in F_q[T], and its constant term is
+    -det B = -(T - g0)^n / N(g3), N the norm to F_q (Anderson, Duke Math. J.
+    53, 1986; Musleh and Schost, ISSAC 2019)."""
+    F, n = L.base, L.e
+    g0, g1, g2, g3 = phi_t
+    u = L.inv(g3)
+    top = (L.neg(L.mul(g0, u)), u, L.neg(L.mul(g1, u)), L.neg(L.mul(g2, u)))
+    zero, one = Poly.zero(L), Poly.one(L)
+    b = identity_matrix(L)
+    for k in range(n):
+        t = [frobenius_power(L, c, k) for c in top]
+        a = (
+            (zero, zero, Poly(L, t[:2])),
+            (one, zero, Poly(L, t[2:3])),
+            (zero, one, Poly(L, t[3:])),
+        )
+        b = mat_mul(b, a)
+
+    def descend(f):
+        assert all(L.embed(c[0]) == c for c in f.coeffs), "a coefficient is not in F_q"
+        return Poly(F, [c[0] for c in f.coeffs])
+
+    a1, a2, a0 = map(descend, _charpoly(b))
+    pv = Poly.x(F) - descend(Poly(L, (g0,)))
+    assert a0 == (pv**n).scale(a0.lc)
+    return WeilCubic(field=F, a1=a1, a2=a2, mu=a0.lc, pv=pv, m=n)
 
 
 # -- finite-field arithmetic from the definition ------------------------------

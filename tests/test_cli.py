@@ -15,6 +15,7 @@ import drinfeld_orders.skew as skew
 from drinfeld_orders import Poly, make_extension_field
 from drinfeld_orders.cli import main
 from drinfeld_orders.gf import ExtensionField, FiniteField, PrimeField
+from drinfeld_orders.skew import MembershipSurvey
 
 from oracles import descended_module
 
@@ -175,7 +176,9 @@ def test_prime_field_array_entries_checked(tmp_path, capsys, where, entry):
 
 
 def test_analyze_runs_each_membership_once(monkeypatch, capsys):
-    # End is read off the survey: 2 in-class modules x 2 orders x 2 generators
+    # End is read off the survey: of the 2 in-class modules x 2 orders x 2
+    # generators, only the generator of O_max over d = T is tested; the
+    # others lie in A[pi] and are members without a division
     calls = []
     real = skew.element_membership
 
@@ -186,7 +189,9 @@ def test_analyze_runs_each_membership_once(monkeypatch, capsys):
     monkeypatch.setattr(skew, "element_membership", counted)
     assert main(["analyze", str(GOLDEN)]) == 0
     capsys.readouterr()
-    assert len(calls) == 8
+    assert len(calls) == 2
+    assert not any(e.d.is_one for e in calls)
+    assert all(e.d == Poly.x(e.d.field) for e in calls)
 
 
 def test_analyze_builds_l_once(monkeypatch, capsys):
@@ -271,7 +276,12 @@ def test_reducible_l_checked_after_class(tmp_path):
 
 
 def test_no_all_member_order_exits_4(monkeypatch, capsys):
-    monkeypatch.setattr(skew, "element_membership", lambda D, e: None)
+    # A[pi] is always a row with both verdicts True, so the inconsistency
+    # is reached only through a survey with no all-member row
+    def no_members(D, candidates, sf, mo):
+        return [MembershipSurvey(order, (False, False)) for order in candidates]
+
+    monkeypatch.setattr(cli, "survey_candidates", no_members)
     assert main(["check-module", str(GOLDEN), "--name", "phi"]) == 4
     assert "no candidate order" in capsys.readouterr().err
 

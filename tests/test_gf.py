@@ -5,7 +5,7 @@ import random
 import pytest
 
 from drinfeld_orders import DomainError, Poly, PrimeField, make_extension_field
-from drinfeld_orders.gf import MR_BOUND, TABLE_CAP, ExtensionField, is_prime
+from drinfeld_orders.gf import MR_BOUND, TABLE_CAP, ExtensionField, Packing, is_prime
 
 from oracles import (
     field_poly_divmod_oracle,
@@ -308,6 +308,44 @@ def test_packed_product_makes_no_prime_field_call(monkeypatch):
     a, b = (1, 2, 3, 4, 5, 6), (6, 5, 4, 3, 2, 1)  # schoolbook: 36 calls and more
     assert L.mul(a, b) == schoolbook_ops(L)[2](a, b)
     assert calls[0] == 0
+
+
+@pytest.mark.parametrize("terms", [1, 64])
+@pytest.mark.parametrize("name", PACKED)
+def test_reduce_matches_schoolbook_at_the_digit_bound(name, terms):
+    # reduce folds the digits outside the basis back, then takes every digit
+    # mod p in one step whose quotient is exact only up to the bound on a
+    # basis digit; feed it every digit of a sum of `terms` products at its
+    # largest, and basis digits at the bound itself with residues p-1, p-2, ...
+    L = PACKED[name]()
+    pk = Packing(L, terms)
+    add, _, mul = schoolbook_ops(L)
+    n, e, p, w = L.e, L.base.degree, L.p, pk.w
+    span = 2 * e - 1
+    outside = (2 * n - 1) * span - n * e
+    bound = terms * n * e * (p - 1) ** 2 * (1 + outside * (p - 1))
+    # y, or 0 over F_p, where no digit has j > 0
+    z, y = L.generator(), L.embed(L.base.element(p % L.base.q))
+    monomials = {}  # (i, j) -> z^i y^j
+    for i in range(2 * n - 1):
+        x = schoolbook_pow(mul, L.one, z, i)
+        for j in range(span):
+            monomials[i, j] = x
+            x = mul(x, y)
+
+    def check(values):
+        c, want = 0, L.zero
+        for (i, j), v in values.items():
+            c += v << w * (span * i + j)
+            want = add(want, mul(L.from_int(v), monomials[i, j]))
+        assert pk.reduce(c) == pk.pack(want)
+        assert pk.fold(c) == want
+        return c, want
+
+    check(dict.fromkeys(monomials, terms * n * e * (p - 1) ** 2))
+    basis = [(i, j) for i in range(n) for j in range(e)]
+    c, want = check({ij: bound - (bound + 1 + s) % p for s, ij in enumerate(basis)})
+    assert pk.unpack(c) == want
 
 
 # -- polynomial kernels on the log tables -----------------------------------------

@@ -17,6 +17,8 @@ from drinfeld_orders import (
     survey_candidates,
 )
 
+from oracles import motive_class
+
 
 def test_supersingular_pure_cubic_end_to_end():
     # M = x^3 + T over F5: a1 = a2 = 0 exercises the b1 = 0 branch of the
@@ -71,6 +73,7 @@ def test_module_as_printed_in_its_own_class():
     ring = SkewRing(L)
     module = DrinfeldModule(ring, ring.poly([L.zero, L.one, L.one, L.one]))
     assert verify_weil_action(module, W)
+    assert motive_class(L, module.phi_t.coeffs) == W  # the motive agrees
     end = identify_endo_ring(
         survey_candidates(
             module, [r.order for r in analysis.orders], analysis.sf, analysis.mo

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
 from drinfeld_orders import (
     DomainError,
     DrinfeldModule,
+    WeilValidationError,
+    analyze_weil_class,
     KElem,
     NoCandidateError,
     Poly,
@@ -25,6 +28,7 @@ from drinfeld_orders.gf import ExtensionField
 from drinfeld_orders.orders import OrderHNF
 from drinfeld_orders.skew import MembershipSurvey, SkewRing
 
+import drinfeld_orders.cli as cli
 import drinfeld_orders.gf as gf
 import drinfeld_orders.skew as skew
 from oracles import (
@@ -34,6 +38,7 @@ from oracles import (
     frobenius_power,
     gamma,
     gamma_t,
+    motive_class,
     phi_horner_oracle,
     skew_constant,
     skew_add_oracle,
@@ -352,6 +357,82 @@ def test_identify_worked_example(module_phi, module_psi_star, example_analysis):
     ) == OrderHNF(a=T, b=zero, c=one)
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def full_survey(D, candidates, sf, mo):
+    """The survey with every generator decided by right division, those in
+    A[pi] included."""
+    return [
+        MembershipSurvey(
+            order,
+            tuple(
+                element_membership(D, gen) is not None
+                for gen in order_generator_kelems(order, sf, mo)
+            ),
+        )
+        for order in candidates
+    ]
+
+
+def shipped_surveys(monkeypatch):
+    """The arguments (module, candidates, sf, mo) of every survey that
+    `analyze` makes on the shipped configs."""
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return survey_candidates(*args)
+
+    monkeypatch.setattr(cli, "survey_candidates", recorded)
+    for path in sorted(CONFIGS.glob("*.json")):
+        assert cli.main(["analyze", str(path)]) == 0
+    monkeypatch.undo()
+    return calls
+
+
+def seeded_surveys(L, draws, seed):
+    """Survey arguments for modules drawn over L with gamma in F_q and
+    heights 1, 2, 3 in turn, each in its class from the motive; a draw
+    whose class fails validation is skipped."""
+    ring, F = SkewRing(L), L.base
+    rng = random.Random(seed)
+    calls = []
+    for i in range(draws):
+        g = [L.embed(F.element(rng.randrange(F.q)))]
+        g += [L.element(rng.randrange(L.q)) for _ in range(2)]
+        g += [L.element(rng.randrange(1, L.q))]
+        g[1 : 1 + i % 3] = [L.zero] * (i % 3)
+        W = motive_class(L, g)
+        try:
+            analysis = analyze_weil_class(W)
+        except WeilValidationError:
+            continue
+        D = DrinfeldModule(ring, ring.poly(g))
+        assert verify_weil_action(D, W)
+        calls.append((D, [r.order for r in analysis.orders], analysis.sf, analysis.mo))
+    return calls
+
+
+def test_a_pi_shortcut_never_changes_a_verdict(monkeypatch, f125):
+    # survey_candidates answers a generator over d = 1 without a division;
+    # deciding every generator by right division gives the same rows
+    calls = shipped_surveys(monkeypatch)
+    calls += seeded_surveys(f125, 60, 67)
+    calls += seeded_surveys(large_ring("7^6").L, 12, 71)
+    kinds = {}
+    for D, candidates, sf, mo in calls:
+        rows = survey_candidates(D, candidates, sf, mo)
+        assert rows == full_survey(D, candidates, sf, mo)
+        for row in rows:
+            gens = order_generator_kelems(row.order, sf, mo)
+            for gen, verdict in zip(gens, row.generator_verdicts):
+                kinds[gen.d.is_one, verdict] = kinds.get((gen.d.is_one, verdict), 0) + 1
+    # generators in A[pi], and tested ones both ways
+    assert (True, False) not in kinds
+    assert kinds[True, True] and kinds[False, True] and kinds[False, False]
+
+
 def test_membership_monotone_over_candidates(
     module_phi, module_psi_star, example_analysis
 ):
@@ -616,13 +697,13 @@ def test_packed_sums_stay_within_the_digit_bound(name, monkeypatch):
     # the digit width is sized for sums of at most `terms` summands whose
     # digits are at most n e (p-1)^2, n = [L : F_q] and e = [F_q : F_p] (a
     # product before its fold); record the largest digit of every sum handed
-    # to fold or unpack, on digits wide enough not to overflow, with
+    # to fold, reduce or unpack, on digits wide enough not to overflow, with
     # terms = 2 so that most sums are reduced
     seen = []
 
     def wide(L, terms):
         pk = gf.Packing(L, 2**40)
-        fold, unpack, w = pk.fold, pk.unpack, pk.w
+        fold, reduce, unpack, w = pk.fold, pk.reduce, pk.unpack, pk.w
         span = 2 * L.base.degree - 1
         shifts = range(0, w * (2 * L.e - 1) * span, w)
 
@@ -631,6 +712,7 @@ def test_packed_sums_stay_within_the_digit_bound(name, monkeypatch):
             return c
 
         pk.fold = lambda c: fold(largest_digit(c))
+        pk.reduce = lambda c: reduce(largest_digit(c))
         pk.unpack = lambda c: unpack(largest_digit(c))
         pk.terms = terms
         return pk
