@@ -5,8 +5,10 @@ Two commands over a JSON problem description:
     analyze CONFIG [--format json|text] [--candidate-bound N]
     check-module CONFIG --name NAME
 
-Both take one path, ``run``: load the config, resolve the candidate bound,
-analyse the class, identify its modules, build the report and render it.
+Both take one path, ``run``: load -> bound -> analysis -> identification
+-> render.  ``load_config`` is the only parser: it checks the size limits,
+builds F_q and, when the config lists modules, L (tested irreducible) and
+every phi_T in L, so a config error exits 2 before any class arithmetic.
 ``check-module`` is ``analyze`` restricted to the named module; it prints
 that module's ``analyze`` line without the name prefix.
 
@@ -84,18 +86,12 @@ EXITS = (
 
 
 @dataclass
-class ModuleSpec:
-    name: str
-    phi_t_coeffs: list
-
-
-@dataclass
 class ProblemConfig:
-    weil: WeilCubic
-    l_modulus: Optional[Poly]
-    modules: list
-    candidate_bound: Optional[int]
-    output_format: Optional[str]
+    weil: WeilCubic  # M(x) over F_q[T], with pv and m
+    L: Optional[ExtensionField]  # F_q[x]/(L), irreducible; None without modules
+    modules: list  # (name, phi_T coefficients in L), in config order
+    candidate_bound: Optional[int]  # options.candidate_bound, None when unset
+    output_format: Optional[str]  # options.output_format, None when unset
 
 
 def _require(cond: bool, message: str) -> None:
@@ -149,6 +145,13 @@ def _parse_poly(F: FiniteField, obj, where: str) -> Poly:
     return Poly(F, (_parse_elem(F, o, where) for o in obj))
 
 
+def _extension(base: FiniteField, modulus: Poly, where: str) -> ExtensionField:
+    try:
+        return make_extension_field(base, modulus)
+    except DomainError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def load_config(path: str) -> ProblemConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -178,10 +181,7 @@ def load_config(path: str) -> ProblemConfig:
             isinstance(mod, list) and len(mod) == e + 1,
             "'field.modulus' must list e+1 coefficients when e > 1",
         )
-        try:
-            F = make_extension_field(base, _parse_poly(base, mod, "field.modulus"))
-        except DomainError as exc:
-            raise ConfigError(f"field.modulus: {exc}") from exc
+        F = _extension(base, _parse_poly(base, mod, "field.modulus"), "field.modulus")
 
     pv = _parse_poly(F, raw.get("pv"), "pv")
     m = raw.get("m")
@@ -202,31 +202,6 @@ def load_config(path: str) -> ProblemConfig:
     if raw.get("L") is not None:
         l_modulus = _parse_poly(F, raw["L"], "L")
 
-    modules = []
-    if raw.get("modules") is not None:
-        _require(isinstance(raw["modules"], list), "'modules' must be an array")
-        _require(l_modulus is not None, "'modules' requires 'L'")
-        _require(
-            l_modulus.degree == m * pv.degree,
-            "the degree of L must equal m * deg(pv)",
-        )
-        seen = set()
-        for entry in raw["modules"]:
-            _require(isinstance(entry, dict), "module entries must be objects")
-            name = entry.get("name")
-            _require(isinstance(name, str) and name, "module entries need a 'name'")
-            _require(name not in seen, f"duplicate module name '{name}'")
-            seen.add(name)
-            _require(
-                isinstance(entry.get("phi_T"), list),
-                f"module '{name}' needs a 'phi_T' coefficient array",
-            )
-            _require(
-                len(entry["phi_T"]) <= MAX_POLY_DEGREE + 1,
-                f"module '{name}' phi_T: degree above the limit {MAX_POLY_DEGREE}",
-            )
-            modules.append(ModuleSpec(name=name, phi_t_coeffs=entry["phi_T"]))
-
     options = raw.get("options", {})
     _require(isinstance(options, dict), "'options' must be an object")
     bound = _positive_int(options.get("candidate_bound"), "'options.candidate_bound'")
@@ -235,9 +210,30 @@ def load_config(path: str) -> ProblemConfig:
         fmt in (None, "json", "text"),
         "'options.output_format' must be 'json' or 'text'",
     )
+
+    # L is tested only when modules need it, after every cheaper check
+    L, modules = None, []
+    if raw.get("modules") is not None:
+        _require(isinstance(raw["modules"], list), "'modules' must be an array")
+        _require(l_modulus is not None, "'modules' requires 'L'")
+        _require(
+            l_modulus.degree == m * pv.degree,
+            "the degree of L must equal m * deg(pv)",
+        )
+        L = _extension(F, l_modulus, "L")
+        seen = set()
+        for entry in raw["modules"]:
+            _require(isinstance(entry, dict), "module entries must be objects")
+            name = entry.get("name")
+            _require(isinstance(name, str) and name, "module entries need a 'name'")
+            _require(name not in seen, f"duplicate module name '{name}'")
+            seen.add(name)
+            phi_t = _parse_poly(L, entry.get("phi_T"), f"module '{name}' phi_T")
+            modules.append((name, phi_t.coeffs))
+
     return ProblemConfig(
         weil=WeilCubic(field=F, a1=a1, a2=a2, mu=mu, pv=pv, m=m),
-        l_modulus=l_modulus,
+        L=L,
         modules=modules,
         candidate_bound=bound,
         output_format=fmt,
@@ -256,26 +252,16 @@ def resolve_candidate_bound(cfg: ProblemConfig, flag: Optional[int]) -> int:
     )
 
 
-def build_skew_ring(cfg: ProblemConfig) -> SkewRing:
-    """L{tau} for the config's L; its modulus is checked here, once for all
-    the config's modules."""
-    try:
-        return SkewRing(make_extension_field(cfg.weil.field, cfg.l_modulus))
-    except DomainError as exc:
-        raise ConfigError(f"L: {exc}") from exc
-
-
-def identify_module(ring: SkewRing, spec: ModuleSpec, analysis: ClassAnalysis) -> dict:
-    """Build one module, check it lies in the class, survey the accepted
+def identify_module(ring: SkewRing, name: str, phi_t, analysis: ClassAnalysis) -> dict:
+    """Build one module from its phi_T coefficients (parsed by
+    ``load_config``), check it lies in the class, survey the accepted
     orders and read End(phi) off the survey."""
-    where = f"module '{spec.name}' phi_T"
     try:
-        coeffs = [_parse_elem(ring.L, c, where) for c in spec.phi_t_coeffs]
-        module = DrinfeldModule(ring, ring.poly(coeffs))
-    except DomainError:
-        return {"module": spec.name, "in_class": False, "rank_mismatch": True}
+        module = DrinfeldModule(ring, ring.poly(phi_t))
+    except DomainError:  # phi_T is not of tau-degree 3
+        return {"module": name, "in_class": False, "rank_mismatch": True}
     if not verify_weil_action(module, analysis.weil):
-        return {"module": spec.name, "in_class": False}
+        return {"module": name, "in_class": False}
     survey = survey_candidates(
         module,
         [rep.order for rep in analysis.orders],
@@ -283,7 +269,7 @@ def identify_module(ring: SkewRing, spec: ModuleSpec, analysis: ClassAnalysis) -
         analysis.mo,
     )
     return {
-        "module": spec.name,
+        "module": name,
         "in_class": True,
         "order": identify_endo_ring(survey),
         "survey": survey,
@@ -430,12 +416,12 @@ def run(args) -> str:
     cfg = load_config(args.config)
     modules = cfg.modules
     if args.name is not None:
-        modules = [spec for spec in modules if spec.name == args.name]
+        modules = [(name, phi_t) for name, phi_t in modules if name == args.name]
         _require(modules, f"module '{args.name}' not found in config")
     bound = resolve_candidate_bound(cfg, args.candidate_bound)
     analysis = analyze_weil_class(cfg.weil, candidate_bound=bound)
-    ring = build_skew_ring(cfg) if modules else None
-    identifications = [identify_module(ring, spec, analysis) for spec in modules]
+    ring = SkewRing(cfg.L) if modules else None
+    identifications = [identify_module(ring, name, phi_t, analysis) for name, phi_t in modules]
     report = build_report(analysis, identifications)
     if args.name is not None:
         mismatch = " (rank mismatch)" if identifications[0].get("rank_mismatch") else ""

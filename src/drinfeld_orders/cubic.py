@@ -359,7 +359,8 @@ def integral_basis(sf: StandardForm, index_factors) -> Tuple[Poly, Poly]:
     (2 c1) mod each P^k with P not dividing c1, and beta2 = 0 mod each P
     dividing c1 (then P | c2, and k = 1 as (c1, c2) is standard).  So
     beta2 = -3 c2 u mod I with u = 1/(2 c1) mod the product I1 of the
-    former, and it is checked against both congruences.
+    former, and it is checked against both congruences.  The first gives
+    alpha2 = -(2/3)(3 beta2^2 + c1) + 2 c1/3 = 2 c1/3 mod I, as p != 3.
     """
     F = sf.c1.field
     if not index_factors:
@@ -378,9 +379,6 @@ def integral_basis(sf: StandardForm, index_factors) -> Tuple[Poly, Poly]:
             "inconsistent with the standard form"
         )
     alpha2 = ((beta2 * beta2).scale_int(-2)) % I
-    two_thirds = F.div(F.from_int(2), F.from_int(3))
-    if not ((alpha2 - c1.scale(two_thirds)) % I).is_zero:
-        raise InternalInconsistencyError("alpha2 is not congruent to 2*c1/3 mod I")
     return alpha2, beta2
 
 

@@ -138,9 +138,6 @@ class FiniteField:
     zero = None
     one = None
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def pow(self, a, n: int):
         if n < 0:
             a, n = self.inv(a), -n

@@ -159,11 +159,25 @@ def test_boolean_integers_rejected(tmp_path, capsys, path):
     assert f"'{'.'.join(path)}'" in capsys.readouterr().err
 
 
+# x^3 - T^3 over F_5 has the root T in A: analysing it exits 3
+ROOT_IN_A = {"a1": [], "a2": [], "mu": 4}
+
+
 @pytest.mark.parametrize("entry", ["a", [1], True], ids=["str", "nested", "bool"])
-@pytest.mark.parametrize("where", ["weil.mu", "phi_T"])
-def test_prime_field_array_entries_checked(tmp_path, capsys, where, entry):
-    # [x] is the prime-field element x; x must be a non-boolean integer
+@pytest.mark.parametrize(
+    "where, fault",
+    [("weil.mu", None), ("phi_T", None), ("phi_T", "root"), ("phi_T", "bound")],
+    ids=["weil.mu", "phi_T", "phi_T-root-in-A", "phi_T-bound-1"],
+)
+def test_prime_field_array_entries_checked(tmp_path, monkeypatch, capsys, where, fault, entry):
+    # [x] is the prime-field element x; x must be a non-boolean integer.
+    # Entries are checked when the config loads, before a class that fails
+    # (a root in A, exit 3; a candidate bound it exceeds, exit 5) is analysed
     cfg = json.loads(GOLDEN.read_text())
+    if fault == "root":
+        cfg["weil"] = ROOT_IN_A
+    elif fault == "bound":
+        monkeypatch.setenv(cli.ENV_CANDIDATE_BOUND, "1")
     if where == "weil.mu":
         cfg["weil"]["mu"] = [entry]
     else:  # an element of L over F_5, its first coordinate given as [x]
@@ -260,7 +274,7 @@ def test_twist_raises_each_element_at_most_n_minus_1_times(monkeypatch, capsys):
     assert raised and max(raised.values()) <= 3 - 1
 
 
-def test_reducible_l_checked_after_class(tmp_path):
+def test_reducible_l_checked_before_class(tmp_path):
     cfg = json.loads(GOLDEN.read_text())
     cfg["L"] = [0, 0, 0, 1]  # x^3, reducible
     path = tmp_path / "reducible_l.json"
@@ -268,11 +282,52 @@ def test_reducible_l_checked_after_class(tmp_path):
     for args in (["analyze", str(path)], ["check-module", str(path), "--name", "phi"]):
         proc = run_cli(args)
         assert proc.returncode == 2 and "config: L:" in proc.stderr
-    # a bad class is reported first (exit 3), as before L is looked at
-    cfg["weil"] = {"a1": [], "a2": [], "mu": 4}  # x^3 - T^3 has root T
+    # L is tested when the config loads, so a bad class is never analysed
+    cfg["weil"] = ROOT_IN_A
     path.write_text(json.dumps(cfg))
     proc = run_cli(["analyze", str(path)])
-    assert proc.returncode == 3 and "weil-validation:" in proc.stderr
+    assert proc.returncode == 2 and "config: L:" in proc.stderr
+
+
+def _psi_coefficient(entry):
+    """The golden modules with psi's tau-coefficient 1 replaced by entry."""
+    modules = json.loads(GOLDEN.read_text())["modules"]
+    assert modules[1]["name"] == "psi"
+    modules[1]["phi_T"][1] = entry
+    return {"modules": modules}
+
+
+@pytest.mark.parametrize(
+    "args", [["analyze"], ["check-module", "--name", "phi"]], ids=["analyze", "check-module"]
+)
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"L": [0, 0, 0, 1]}, "L: extension modulus is reducible"),
+        ({"L": [1, 1, 1]}, "the degree of L must equal"),
+        ({"L": None}, "'modules' requires 'L'"),
+        (_psi_coefficient(True), "module 'psi' phi_T: booleans"),
+        (_psi_coefficient("a"), "module 'psi' phi_T: expected an integer or an array"),
+        (_psi_coefficient([[[1]]]), "module 'psi' phi_T: expected an integer entry"),
+    ],
+    ids=["reducible-L", "L-degree", "no-L", "phi_T-bool", "phi_T-str", "phi_T-nested"],
+)
+def test_config_errors_exit_2_before_class_arithmetic(
+    tmp_path, monkeypatch, capsys, edit, message, args
+):
+    # every config error is raised by load_config; check-module --name phi
+    # is refused too when another module (psi) is malformed
+    def no_analysis(*_args, **_kwargs):
+        raise AssertionError("the class was analysed")
+
+    monkeypatch.setattr(cli, "analyze_weil_class", no_analysis)
+    cfg = json.loads(GOLDEN.read_text())
+    cfg.update(edit)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main([args[0], str(path), *args[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config: ") and message in err
 
 
 def test_no_all_member_order_exits_4(monkeypatch, capsys):

@@ -1,12 +1,15 @@
 """Every name a library module imports is used in that module, every
-private function, method or class it defines is named in it, and every
-parameter of its functions and lambdas is named in their bodies.
+private function, method or class it defines is named in it, every public
+one is named somewhere in the library, the tests or the benchmark, and
+every parameter of its functions and lambdas is named in their bodies.
 
 ``__init__.py`` is exempt: its imports are the package's exports.  An
 import line carrying ``# noqa: F401`` is exempt too, for a binding kept on
 purpose.  A private definition is one whose name starts with ``_`` and is
 not a dunder; another module has no business calling it, so a private
-definition its own module never names is dead.
+definition its own module never names is dead.  A public definition that
+no file of the repository names is dead too; the benchmark's tracer names
+the functions it wraps by dotted path strings, which count as names.
 """
 
 from __future__ import annotations
@@ -18,8 +21,10 @@ import pytest
 
 from drinfeld_orders.gf import ExtensionField, FiniteField, PrimeField
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "drinfeld_orders"
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "drinfeld_orders"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def unused_imports(source: str) -> list:
@@ -44,11 +49,10 @@ def unreferenced_private_defs(source: str) -> list:
     """(line, name) of each private def or class the module never names,
     as a variable or as an attribute."""
     tree = ast.parse(source)
-    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     private = [
         (node.lineno, node.name)
         for node in ast.walk(tree)
-        if isinstance(node, defs)
+        if isinstance(node, DEFS)
         and node.name.startswith("_")
         and not (node.name.startswith("__") and node.name.endswith("__"))
     ]
@@ -59,6 +63,44 @@ def unreferenced_private_defs(source: str) -> list:
         elif isinstance(node, ast.Attribute):
             named.add(node.attr)
     return [(line, name) for line, name in private if name not in named]
+
+
+def names_in(source: str) -> set:
+    """Every name the source mentions: variables, attributes and each
+    dotted part of an imported name."""
+    named = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.update(node.name.split("."))
+    return named
+
+
+def traced_names(source: str) -> set:
+    """Each dotted part of the attribute paths in the tracer's SPANS and
+    COUNTED tables of (layer, module, path) rows."""
+    named = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id in ("SPANS", "COUNTED") for t in node.targets
+        ):
+            for row in ast.literal_eval(node.value):
+                named.update(row[2].split("."))
+    return named
+
+
+def unreferenced_public_defs(library: dict, named: set) -> list:
+    """(file, line, name) of each public def or class in the library's
+    {file: source} that is not in ``named``."""
+    return sorted(
+        (path, node.lineno, node.name)
+        for path, source in library.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, DEFS) and not node.name.startswith("_") and node.name not in named
+    )
 
 
 def unused_parameters(source: str) -> list:
@@ -108,6 +150,31 @@ def test_detects_an_unreferenced_private_def():
         "    def __repr__(self):\n        return _called()\n"
     )
     assert unreferenced_private_defs(source) == [(1, "_dead"), (5, "_Unused"), (6, "_method")]
+
+
+def test_no_unreferenced_public_defs():
+    library = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    named = traced_names((REPO / "bench" / "tracer.py").read_text())
+    for top in ("src", "tests", "bench"):
+        for path in (REPO / top).rglob("*.py"):
+            named |= names_in(path.read_text())
+    assert unreferenced_public_defs(library, named) == []
+
+
+def test_detects_an_unreferenced_public_def():
+    library = {
+        "lib.py": (
+            "def dead():\n    pass\n"
+            "def called():\n    pass\n"
+            "class Field:\n    def div(self):\n        pass\n"
+            "    def traced(self):\n        pass\n"
+            "    def _private(self):\n        pass\n"
+        )
+    }
+    user = "from lib import called as c, Field\nc()\n"
+    tracer = 'SPANS = [("lib.traced", "lib", "Field.traced")]\nCOUNTED = []\n'
+    named = names_in(library["lib.py"]) | names_in(user) | traced_names(tracer)
+    assert unreferenced_public_defs(library, named) == [("lib.py", 1, "dead"), ("lib.py", 6, "div")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
