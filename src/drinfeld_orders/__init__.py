@@ -60,7 +60,6 @@ from .orders import (
     frobenius_order_hnf,
     mult_table,
     order_disc,
-    sandwich_divisors,
 )
 from .poly import Poly, poly_gcd, poly_gcdext, valuation
 from .skew import (

@@ -123,12 +123,10 @@ def _parse_elem(F: FiniteField, obj, where: str):
     if isinstance(obj, int):
         return F.from_int(obj)
     if isinstance(obj, list):
-        if isinstance(F, PrimeField):
-            _require(len(obj) <= 1, f"{where}: prime-field element array too long")
-            obj = obj[0] if obj else 0
-            _require(_is_int(obj), f"{where}: expected an integer entry")
-            return F.from_int(obj)
-        _require(isinstance(F, ExtensionField), f"{where}: unexpected field kind")
+        _require(
+            isinstance(F, ExtensionField),
+            f"{where}: expected an integer entry for a prime-field element",
+        )
         _require(len(obj) <= F.e, f"{where}: element array longer than the degree")
         coeffs = [_parse_elem(F.base, o, where) for o in obj]
         coeffs += [F.base.zero] * (F.e - len(coeffs))
@@ -158,7 +156,9 @@ def load_config(path: str) -> ProblemConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # ValueError covers JSONDecodeError, a file that is not UTF-8 and an
+    # integer literal over the digit limit; deep nesting raises RecursionError
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     _require(isinstance(raw, dict), "top level must be an object")
 

@@ -202,8 +202,6 @@ def factor(f: Poly) -> Factorization:
     if f.is_zero:
         raise DomainError("factorisation of zero")
     unit = f.lc
-    if f.degree == 0:
-        return Factorization(f.field, unit, ())
     rng = random.Random(_SPLIT_SEED)
     counts: dict[Poly, int] = {}
     decomp = squarefree_decompose(f)

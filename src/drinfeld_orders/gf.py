@@ -53,7 +53,6 @@ log indices when it has tables, and ``FiniteField`` loops through the field.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterator
 
 from .errors import DomainError
 
@@ -146,9 +145,6 @@ class FiniteField:
     def from_int(self, n: int):
         """The image of the integer n under Z -> F_p -> this field."""
         return self.element(n % self.p)
-
-    def elements(self) -> Iterator:
-        return (self.element(i) for i in range(self.q))
 
     def pth_root(self, a):
         """Inverse of the absolute Frobenius x -> x^p (always bijective)."""

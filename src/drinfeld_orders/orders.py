@@ -158,21 +158,6 @@ def _sandwich_exponents(sf: StandardForm, mo: MaximalOrderData) -> dict:
     return exps
 
 
-def sandwich_divisors(
-    sf: StandardForm, mo: MaximalOrderData, prime_to: Optional[Poly] = None
-) -> Tuple[list, list]:
-    """(divisors c of g, divisors a of g^2*I), from the stored primes of g
-    and I; nothing is factored.  A monic irreducible ``prime_to`` divides
-    such a divisor iff it is one of those primes, so dropping it from both
-    lists builds exactly the c and a it does not divide: with prime_to =
-    pv, every triple is maximal above v."""
-    F = sf.c1.field
-    exps = _sandwich_exponents(sf, mo).items()
-    cs = [(P, k) for P, k in sf.g_factors if P != prime_to]
-    as_ = [(P, k_a) for P, (_, k_a) in exps if P != prime_to]
-    return divisors(F, cs), divisors(F, as_)
-
-
 def _candidate_count(sf: StandardForm, mo: MaximalOrderData) -> int:
     """Size of the full sandwich, the sum over c | g and a | g^2*I of
     q^deg gcd(a, g/c): a product over P of the sums over i <= kg = v_P(g)
@@ -184,16 +169,23 @@ def _candidate_count(sf: StandardForm, mo: MaximalOrderData) -> int:
     )
 
 
-def enumerate_candidates(sf: StandardForm, sandwich: Tuple[list, list]) -> list:
+def enumerate_candidates(
+    sf: StandardForm, mo: MaximalOrderData, prime_to: Optional[Poly] = None
+) -> list:
     """Every admissible (a, b, c) triple over the divisors c | g and
-    a | g^2*I of ``sandwich_divisors``, canonically ordered: the whole
-    sandwich A[pi] <= O <= O_max, or its part maximal above v when those
-    divisors are prime to pv.  b is constrained by deg b < deg a together
-    with a | b*(g/c), so every triple contains the Frobenius.
+    a | g^2*I, canonically ordered: the whole sandwich A[pi] <= O <= O_max.
+    The divisors are built from the stored primes of g and I; nothing is
+    factored.  A monic irreducible ``prime_to`` divides such a divisor iff
+    it is one of those primes, so dropping it from both prime lists builds
+    exactly the c and a it does not divide: with prime_to = pv, the part of
+    the sandwich maximal above v.  b is constrained by deg b < deg a
+    together with a | b*(g/c), so every triple contains the Frobenius.
     """
     F = sf.c1.field
     g = sf.g
-    cs, as_ = sandwich
+    exps = _sandwich_exponents(sf, mo).items()
+    cs = divisors(F, [(P, k) for P, k in sf.g_factors if P != prime_to])
+    as_ = divisors(F, [(P, k_a) for P, (_, k_a) in exps if P != prime_to])
     triples = []
     for c in cs:
         t = g.exact_div(c)
@@ -234,7 +226,7 @@ def analyze_weil_class(
             f"candidate space has {total} triples, above the bound {candidate_bound}"
         )
     prime_to = W.pv if local.pv_divides_a2 else None
-    candidates = enumerate_candidates(sf, sandwich_divisors(sf, mo, prime_to))
+    candidates = enumerate_candidates(sf, mo, prime_to)
     reports = (assess_order(o, mo, m2) for o in candidates)
     accepted = tuple(r for r in reports if r is not None)
     if not accepted or accepted[0].order != OrderHNF(

@@ -39,7 +39,6 @@ from drinfeld_orders import (
     factor,
     make_extension_field,
     poly_gcd,
-    sandwich_divisors,
     squarefree_decompose,
 )
 from drinfeld_orders.factor import reduce_mod
@@ -259,9 +258,10 @@ def candidate_count_oracle(sf, mo) -> int:
     """Size of the full sandwich, one gcd per pair of divisors: the b with
     deg b < deg a and a | b*(g/c) number q^deg gcd(a, g/c) for each c | g
     and a | g^2*I."""
-    q, g = sf.g.field.q, sf.g
-    cs, as_ = sandwich_divisors(sf, mo)
-    return sum(q ** poly_gcd(a, g.exact_div(c)).degree for c in cs for a in as_)
+    F, g = sf.g.field, sf.g
+    cs = divisors(F, factor(g).factors)
+    as_ = divisors(F, factor(g * g * mo.index).factors)
+    return sum(F.q ** poly_gcd(a, g.exact_div(c)).degree for c in cs for a in as_)
 
 
 # -- 3x3 polynomial matrices -------------------------------------------------
@@ -692,6 +692,11 @@ def motive_class(L, phi_t) -> WeilCubic:
 # An element of F_p is an int mod p; one of base[y]/(f) is the tuple of its
 # coefficients, multiplied as polynomials and reduced by y^e = -(f - y^e).
 # Only the tower's p and moduli are read off the field object.
+
+
+def field_elements(F) -> list:
+    """Every element of F, in index order."""
+    return [F.element(i) for i in range(F.q)]
 
 
 def _prime_ops(p):

@@ -177,16 +177,14 @@ def test_criterion_5_weil_action_corrected_witness(module_psi_star, example_weil
 
 
 def test_criterion_6_closure_oracle_equivalence(instance_pool):
-    from drinfeld_orders import enumerate_candidates, sandwich_divisors
+    from drinfeld_orders import enumerate_candidates
 
     assert len(instance_pool) >= 20
     disagreements = 0
     triples = 0
     for analysis in instance_pool:
         m2 = mult_table(analysis.sf, analysis.mo)
-        for order in enumerate_candidates(
-            analysis.sf, sandwich_divisors(analysis.sf, analysis.mo)
-        ):
+        for order in enumerate_candidates(analysis.sf, analysis.mo):
             triples += 1
             if closure_check(order, m2) != closure_oracle(
                 order, analysis.sf, analysis.mo

@@ -142,6 +142,20 @@ def test_exit_code_config_error(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "content",
+    [b'{"m": "\xff"}', b"[" * 200_000 + b"]" * 200_000, b'{"m": ' + b"1" * 5000 + b"}"],
+    ids=["not-utf8", "nested-200000-deep", "int-5000-digits"],
+)
+def test_hostile_json_exits_2(tmp_path, capsys, content):
+    # the decoder raises UnicodeDecodeError, RecursionError and ValueError
+    # (the int digit limit) here, not JSONDecodeError
+    bad = tmp_path / "hostile.json"
+    bad.write_bytes(content)
+    assert main(["analyze", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("config: invalid JSON in ")
+
+
+@pytest.mark.parametrize(
     "path",
     [("field", "p"), ("field", "e"), ("m",), ("options", "candidate_bound")],
     ids=lambda path: ".".join(path),
@@ -163,16 +177,17 @@ def test_boolean_integers_rejected(tmp_path, capsys, path):
 ROOT_IN_A = {"a1": [], "a2": [], "mu": 4}
 
 
-@pytest.mark.parametrize("entry", ["a", [1], True], ids=["str", "nested", "bool"])
+@pytest.mark.parametrize("entry", ["a", [1], True, 3], ids=["str", "nested", "bool", "int"])
 @pytest.mark.parametrize(
     "where, fault",
     [("weil.mu", None), ("phi_T", None), ("phi_T", "root"), ("phi_T", "bound")],
     ids=["weil.mu", "phi_T", "phi_T-root-in-A", "phi_T-bound-1"],
 )
 def test_prime_field_array_entries_checked(tmp_path, monkeypatch, capsys, where, fault, entry):
-    # [x] is the prime-field element x; x must be a non-boolean integer.
-    # Entries are checked when the config loads, before a class that fails
-    # (a root in A, exit 3; a candidate bound it exceeds, exit 5) is analysed
+    # a prime-field element is a bare integer: an array [x] is rejected
+    # whatever x is.  Entries are checked when the config loads, before a
+    # class that fails (a root in A, exit 3; a candidate bound it exceeds,
+    # exit 5) is analysed
     cfg = json.loads(GOLDEN.read_text())
     if fault == "root":
         cfg["weil"] = ROOT_IN_A

@@ -7,6 +7,7 @@ import pytest
 
 from drinfeld_orders import (
     DomainError,
+    Factorization,
     Poly,
     PrimeField,
     divisors,
@@ -19,8 +20,8 @@ from drinfeld_orders import (
 from drinfeld_orders.factor import unit_roots
 from drinfeld_orders.poly import polys_below_degree
 
-from oracles import exact_sqrt, expand, residue_factor
-from test_gf import FIELDS
+from oracles import exact_sqrt, expand, field_elements, residue_factor
+from test_gf import FIELDS, build_field
 from test_poly import rand_poly
 
 # the module, not the function the package exports under its name
@@ -157,7 +158,7 @@ def test_factor_worked_examples():
     assert fac.factors == ((x, 1), (x3, 2))
     # T^2+4T+2 is irreducible over F5 (no roots, degree 2)
     quad = Poly.from_ints(F, [2, 4, 1])
-    assert all(quad.evaluate(c) != F.zero for c in F.elements())
+    assert all(quad.evaluate(c) != F.zero for c in field_elements(F))
     assert factor(quad).factors == ((quad, 1),)
     assert is_irreducible(quad)
 
@@ -179,7 +180,7 @@ def _independent_irreducible(f) -> bool:
         return False
     if n == 1:
         return True
-    if any(f.evaluate(c) == F.zero for c in F.elements()):
+    if any(f.evaluate(c) == F.zero for c in field_elements(F)):
         return False
     if n <= 3:
         return True  # rootless quadratics and cubics are irreducible
@@ -226,9 +227,18 @@ def test_ben_or_corner_inputs():
     assert is_irreducible(quad.scale(F.element(4)))
     assert is_irreducible((T + Poly.one(F)).scale(F.element(2)))
     assert not is_irreducible(Poly.zero(F))
-    assert not any(is_irreducible(Poly.const(F, c)) for c in F.elements())
+    assert not any(is_irreducible(Poly.const(F, c)) for c in field_elements(F))
     # the modulus of the shipped L = F_125
     assert is_irreducible(Poly.from_ints(F, [3, 3, 0, 1]))
+
+
+@pytest.mark.parametrize("q", [5, 4, 25])
+def test_factor_of_a_constant_is_its_unit(q):
+    # a unit c has no square-free parts, so the general path gives (c, ())
+    F = build_field(q)
+    for c in field_elements(F):
+        if c != F.zero:
+            assert factor(Poly.const(F, c)) == Factorization(F, c, ())
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=lambda F: f"q{F.q}")
@@ -253,7 +263,7 @@ def test_unit_roots_match_every_unit(F, bound, monkeypatch):
     if bound is not None:
         monkeypatch.setattr(factor_module, "ROOT_SCAN_MAX", bound)
     rng = random.Random(F.q * 107)
-    units = [u for u in F.elements() if u != F.zero]
+    units = [u for u in field_elements(F) if u != F.zero]
     x = Poly.x(F)
     polys = [rand_poly(F, 3, rng) for _ in range(20)]
     for _ in range(20):

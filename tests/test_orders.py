@@ -16,7 +16,6 @@ from drinfeld_orders import (
     mult_table,
     order_disc,
     poly_gcd,
-    sandwich_divisors,
     squarefree_decompose,
     validate_weil_necessary,
 )
@@ -37,8 +36,7 @@ REPO = Path(__file__).resolve().parent.parent
 
 
 def _candidates(analysis, prime_to=None):
-    sandwich = sandwich_divisors(analysis.sf, analysis.mo, prime_to)
-    return enumerate_candidates(analysis.sf, sandwich)
+    return enumerate_candidates(analysis.sf, analysis.mo, prime_to)
 
 
 def test_mult_table_trivial_shape(f5):

@@ -20,7 +20,6 @@ from drinfeld_orders import (
     make_extension_field,
     order_generator_kelems,
     poly_gcd,
-    sandwich_divisors,
     survey_candidates,
     verify_weil_action,
 )
@@ -458,7 +457,7 @@ def test_generator_kelems_match_companion_algebra(instance_pool):
         W, sf, mo = analysis.weil, analysis.sf, analysis.mo
         nontrivial_g += not sf.g.is_one
         nontrivial_index += not mo.index.is_one
-        for order in enumerate_candidates(sf, sandwich_divisors(sf, mo)):
+        for order in enumerate_candidates(sf, mo):
             gen1, gen2 = order_generator_kelems(order, sf, mo)
             assert kelem_matches_element(gen1, order.c, order.b, analysis)
             assert kelem_matches_element(gen2, Poly.zero(W.field), order.a, analysis)
