@@ -6,17 +6,18 @@ power of the characteristic prime pv.  This module validates that data,
 computes the height h and residue splitting at v, produces the depressed
 standard form x^3 + c1*x + c2, and from it the maximal-order data.
 
-The height, the Newton polygon at v and the residue splitting, read from
-M = x^h * R(x) mod pv, are closed forms; only the quadratic R of height 1
-needs a square test, by Euler's criterion mod pv in A itself.  The
-residual cubic of a supersingular shape with 3 | m splits iff it is not
-a cube and has a root in F_q[T]/(pv); that field is built only when
-deg pv >= 2, and is F_q, reached by evaluation, when deg pv = 1.  The
-standard form factors only the repeated part of disc(M) = g^6 disc(M0),
-the only factorisations of the class, and reads off the primes of the
-content g and of the repeated part of disc(M0); a prime dividing disc(M)
-once divides Delta once and neither g nor I, so the part of multiplicity
-1 is kept whole.
+The place infinity is checked first: every root of M has degree n/3, n =
+m deg pv, which bounds deg a1 and deg a2, and when 3 | n the residual
+cubic at infinity over F_q must not split.  The height, the Newton polygon
+at v and the residue splitting, read from M = x^h * R(x) mod pv, are then
+closed forms; only the quadratic R of height 1 needs a square test, by
+Euler's criterion mod pv in A itself.  Given the bounds, a supersingular
+shape with 3 | m is M(x) = pv^m r(x / pv^k) for the residual r at
+infinity, so no residue field is built.  The standard form factors only
+the repeated part of disc(M) = g^6 disc(M0), the only factorisations of
+the class, and reads off the primes of the content g and of the repeated
+part of disc(M0); a prime dividing disc(M) once divides Delta once and
+neither g nor I, so the part of multiplicity 1 is kept whole.
 For each prime P of disc(M0) the valuation criterion fixes v_P(Delta) in
 {0, 1, 2}, the index I has v_P(I) = (v_P(disc(M0)) - v_P(Delta)) / 2, and
 the integral-basis parameters (alpha2, beta2) with
@@ -31,11 +32,12 @@ discriminant collapses to c2^2, invalidating the valuation criterion
 (quadratic ramification is wild there).
 
 Validation is a necessary-conditions check.  Irreducibility over k and the
-constant-term shape are decided exactly, and so is the requirement that a
-single v-adic factor carries the zero of the Frobenius, except for one
-undecided corner (supersingular shape with 3 | m and a perfect-cube
-residual), which is accepted.  Callers should therefore report "necessary
-conditions passed" rather than a full certification.
+constant-term shape are decided exactly: given the bounds, a root of M in
+A is u pv^(m/3) for a unit u, which the test at v rejects.  So is the
+requirement that a single v-adic factor carries the zero of the
+Frobenius.  One corner stays undecided at infinity (h <= 2 and a
+perfect-cube residual there) and is accepted.  Callers should therefore
+report "necessary conditions passed" rather than a full certification.
 """
 
 from __future__ import annotations
@@ -53,13 +55,14 @@ from .errors import (
     NoSolutionError,
     NotWeilAtVError,
     ReducibleError,
+    WeilValidationError,
 )
-from .factor import factor, is_irreducible, reduce_mod, squarefree_decompose, unit_roots
+from .factor import factor, is_irreducible, squarefree_decompose, unit_roots
 
 # not called here any more; bench/tests/test_bench.py checks that the tracer
 # rewraps this binding, so it stays until that test names another one
 from .factor import divisors  # noqa: F401
-from .gf import ExtensionField, FiniteField
+from .gf import FiniteField
 from .poly import Poly, poly_gcd, poly_gcdext, valuation
 
 
@@ -161,32 +164,25 @@ def height(W: WeilCubic) -> int:
     return 1 if W.a2 % W.pv else 2 if W.a1 % W.pv else 3
 
 
-def _check_irreducible_over_k(W: WeilCubic) -> None:
-    """A monic cubic over A is reducible over k = F_q(T) iff it has a root
-    in A.  A root divides a0 = mu*pv^m, and pv is irreducible, so it is
-    u*pv^j for a unit u and 0 <= j <= m.
-
-    For r = u*pv^j the term a_i r^i of M(r) has degree deg a_i + i*j*deg pv
-    and, pv being monic, leading coefficient lc(a_i) u^i.  So M(r) = 0
-    forces the sum of lc(a_i) u^i over the terms of top degree to vanish;
-    only its roots u in F_q* get the full evaluation."""
+def _check_at_infinity(W: WeilCubic) -> None:
+    """k(pi) has one place above infinity, where |pi| = q^(n/3) with n =
+    m deg pv (Gekeler, Trans. AMS 360 (2008), section 5), so every root of
+    M has degree n/3: the Newton polygon at infinity is the one segment from
+    (0, n) to (3, 0), that is deg a1 <= n/3 and deg a2 <= 2n/3.  When 3 | n
+    its residual x^3 + [T^(n/3)]a1 x^2 + [T^(2n/3)]a2 x + mu over F_q must
+    not split; as at v, it splits iff it is not a cube and has a root."""
+    n = W.m * W.pv.degree
+    if 3 * W.a1.degree > n or 3 * W.a2.degree > 2 * n:
+        raise WeilValidationError("M(x) breaks the degree bound at infinity")
+    if n % 3:
+        return
     F = W.field
-    coeffs = W.coefficients()
-    a0, a2, a1, _ = coeffs
-    dv = W.pv.degree
-    for j in range(W.m + 1):
-        degs = [
-            None if c.is_zero else c.degree + i * j * dv
-            for i, c in enumerate(coeffs)
-        ]
-        top = max(d for d in degs if d is not None)
-        lead = Poly(F, (c.lc if d == top else F.zero for c, d in zip(coeffs, degs)))
-        if lead.degree < 1:  # a nonzero constant has no root
-            continue
-        for u in unit_roots(lead):
-            r = (W.pv**j).scale(u)
-            if (((r + a1) * r + a2) * r + a0).is_zero:
-                raise ReducibleError(f"M(x) has the root {r.to_str()} in A")
+    r2, r1, r0 = W.a1.coeff(n // 3), W.a2.coeff(2 * n // 3), W.mu
+    # (x + a)^3 has r2 = 3a, r1 = 3a^2 and r0 = a^3
+    cube = F.mul(F.from_int(3), r1) == F.mul(r2, r2)
+    cube = cube and F.mul(F.from_int(27), r0) == F.pow(r2, 3)
+    if not cube and unit_roots(Poly(F, (r0, r1, r2, F.one))):
+        raise WeilValidationError("the residual polynomial at infinity splits")
 
 
 def _is_square_mod(f: Poly, pv: Poly) -> bool:
@@ -198,7 +194,8 @@ def _is_square_mod(f: Poly, pv: Poly) -> bool:
 
 def _check_unique_local_zero(W: WeilCubic, h: int) -> None:
     """Reject shapes where more than one v-adic factor of M has constant
-    term divisible by pv.
+    term divisible by pv.  Relies on the bounds at infinity, which
+    ``validate_weil_necessary``, the only caller, checks first.
 
     For h = 1 the condition always holds: the single positive-valuation
     root sits in its own factor and the remaining constant terms are
@@ -206,12 +203,12 @@ def _check_unique_local_zero(W: WeilCubic, h: int) -> None:
     which (characteristic not 2) holds iff disc(M) is a non-square in the
     completion (disc(M) is that of the depressed cubic), decided exactly.
     For h = 3 the Newton polygon must be a single segment from (0, m) to
-    (3, 0), i.e. 3 v(a2) >= 2m and 3 v(a1) >= m, and the residual cubic
-    must not split (have more than one distinct factor).  It splits iff it
-    is not a perfect cube, a closed-form test, and it has a root, a unit as
-    r0 = a0/pv^m = mu is; a perfect-cube residual stays undecided at this
-    level and is accepted.  For pv = T - c the residue field is F_q, and
-    a1, a2 reduce by evaluation at c; it is built only for deg pv >= 2.
+    (3, 0), i.e. 3 v(a2) >= 2m and 3 v(a1) >= m.  When besides 3 | m, say
+    m = 3k, the bounds at infinity leave a1 = s2 pv^k and a2 = s1 pv^2k with
+    s1, s2 in F_q, so M(x) = pv^m r(x / pv^k) for the residual r at
+    infinity, which does not split there.  Either r = (x + a)^3, and M is
+    the cube of x + a pv^k, or r is irreducible over F_q, and then it splits
+    over F_q[T]/(pv) iff 3 | deg pv.
     """
     if h == 1:
         return
@@ -236,23 +233,11 @@ def _check_unique_local_zero(W: WeilCubic, h: int) -> None:
         raise NotWeilAtVError("v-adic zeros with distinct valuations")
     if m % 3:
         return
-    k = m // 3
-    F = W.field
-    s2 = W.a1.exact_div(pv**k) if v_a1 == k else Poly.zero(F)
-    s1 = W.a2.exact_div(pv ** (2 * k)) if v_a2 == 2 * k else Poly.zero(F)
-    if pv.degree == 1:  # pv = T - c: F_q[T]/(pv) is F_q, and f reduces to f(c)
-        R, c = F, F.neg(pv.coeffs[0])
-        r2, r1, r0 = s2.evaluate(c), s1.evaluate(c), W.mu
-    else:
-        R = ExtensionField(F, pv.coeffs)  # pv passed the irreducibility test
-        r2, r1, r0 = (reduce_mod(f, R) for f in (s2, s1, Poly.const(F, W.mu)))
-    # (x + a)^3 has r2 = 3a, r1 = 3a^2 and r0 = a^3
-    cube = R.mul(R.from_int(3), r1) == R.mul(r2, r2)
-    cube = cube and R.mul(R.from_int(27), r0) == R.pow(r2, 3)
-    if not cube and unit_roots(Poly(R, (r0, r1, r2, R.one))):
+    t, b1, b2 = W.depressed
+    if b1.is_zero and b2.is_zero:  # M(x) = (x + t)^3
+        raise ReducibleError(f"M(x) has the root {(-t).to_str()} in A")
+    if pv.degree % 3 == 0:
         raise NotWeilAtVError("the supersingular residual polynomial splits")
-    # an irreducible residual makes M irreducible over k_v; a perfect-cube
-    # residual is undecided at this level and accepted
 
 
 def _residue_pattern(W: WeilCubic, h: int) -> tuple:
@@ -275,8 +260,8 @@ def _residue_pattern(W: WeilCubic, h: int) -> tuple:
 
 
 def validate_weil_necessary(W: WeilCubic) -> LocalData:
-    """Check the necessary conditions for W to define an isogeny class and
-    return the local data at v."""
+    """Check the necessary conditions for W to define an isogeny class, at
+    infinity first, and return the local data at v."""
     F = W.field
     if F.p == 3:
         raise Char3UnsupportedError("characteristic 3 is not supported")
@@ -288,7 +273,7 @@ def validate_weil_necessary(W: WeilCubic) -> LocalData:
         raise BadConstantTermError("m must be a positive integer")
     if not W.pv.is_monic or W.pv.degree < 1 or not is_irreducible(W.pv):
         raise BadConstantTermError("pv must be monic irreducible of degree >= 1")
-    _check_irreducible_over_k(W)
+    _check_at_infinity(W)
     h = height(W)
     _check_unique_local_zero(W, h)
     return LocalData(height=h, residue_pattern=_residue_pattern(W, h))

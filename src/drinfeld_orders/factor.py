@@ -13,9 +13,8 @@ The irreducibility test is Ben-Or's: the same distinct-degree ladder,
 which stops at half the degree, and f is irreducible when it comes back
 whole (Ben-Or, FOCS 1981; Gao and Panario, 1997).
 
-Also here: the roots of a polynomial in F_q*, divisors from a given
-factorisation, and reduction of F_q[T]-coefficients into a residue field
-F_q[T]/(p).
+Also here: the roots of a polynomial in F_q*, and divisors from a given
+factorisation.
 """
 
 from __future__ import annotations
@@ -185,9 +184,6 @@ def unit_roots(f: Poly) -> list:
     split by equal-degree splitting, at a cost that grows with log q, not q
     (von zur Gathen and Gerhard, *Modern Computer Algebra*, section 14.3)."""
     F = f.field
-    _, f = _split_x_power(f)  # the factor u^k has no unit root
-    if f.degree < 1:
-        return []
     if F.q <= ROOT_SCAN_MAX:
         return [u for u in map(F.element, range(1, F.q)) if f.evaluate(u) == F.zero]
     g = poly_gcd(Poly.x(F).pow_mod(F.q - 1, f) - Poly.one(F), f)
@@ -248,10 +244,3 @@ def make_extension_field(base: FiniteField, modulus: Poly) -> ExtensionField:
         raise DomainError("extension modulus is reducible")
     return ExtensionField(base, modulus.coeffs)
 
-
-def reduce_mod(c: Poly, R: ExtensionField):
-    """Image of c in the residue field R = F_q[T]/(p)."""
-    p = Poly(R.base, R.modulus)
-    r = c % p
-    pad = (R.base.zero,) * (R.e - len(r.coeffs))
-    return r.coeffs + pad

@@ -23,17 +23,15 @@ from __future__ import annotations
 import random
 
 from drinfeld_orders import (
-    BadConstantTermError,
     CandidateBoundExceededError,
     ClassAnalysis,
     DomainError,
     Factorization,
-    NotWeilAtVError,
     OrderHNF,
     Poly,
     PrimeField,
-    ReducibleError,
     WeilCubic,
+    WeilValidationError,
     analyze_weil_class,
     divisors,
     factor,
@@ -41,17 +39,11 @@ from drinfeld_orders import (
     poly_gcd,
     squarefree_decompose,
 )
-from drinfeld_orders.factor import reduce_mod
 from drinfeld_orders.poly import polys_below_degree
 
 # instance generation may hit these; anything else (in particular
 # InternalInconsistencyError) is a bug and must propagate
-EXPECTED_REJECTIONS = (
-    ReducibleError,
-    BadConstantTermError,
-    NotWeilAtVError,
-    CandidateBoundExceededError,
-)
+EXPECTED_REJECTIONS = (WeilValidationError, CandidateBoundExceededError)
 
 # -- rational functions and the integral-basis reference ---------------------
 
@@ -198,6 +190,12 @@ def field_discriminant_oracle(sf) -> Poly:
     d24 = parts.get(2, Poly.one(F)) * parts.get(4, Poly.one(F))
     shared = poly_gcd(d24, sf.c2) if d24.degree >= 1 else Poly.one(F)
     return (odd_part * shared * shared).monic()
+
+
+def reduce_mod(c: Poly, R):
+    """Image of c in the residue field R = F_q[T]/(p)."""
+    r = c % Poly(R.base, R.modulus)
+    return r.coeffs + (R.base.zero,) * (R.e - len(r.coeffs))
 
 
 def residue_factor(coeffs, p: Poly):
@@ -894,36 +892,32 @@ def random_instance_pool(count=25, seed=20240, max_index_degree=2):
         pool.append(analysis)
         return True
 
-    # engineered coverage: the worked F5 instance, nontrivial g, h = 2, h = 3
+    # engineered coverage, inside the bounds at infinity: the worked F5
+    # instance, nontrivial g, h = 2 and h = 3, as (a1, a2, mu, pv, m)
     F5 = fields[5]
     T5 = Poly.x(F5)
+    quadratic = Poly.from_ints(F5, _IRREDUCIBLE_QUADRATIC[5])
+    engineered = [
+        ([1, 3], [2, 2, 4], 3, T5 + Poly.one(F5), 4),  # g = T
+        ([1, 2, 3], [3, 4, 4, 2, 4, 3], 4, quadratic, 4),  # g = T + 3
+        ([0, 1], [3, 1], 3, quadratic, 2),  # g = T + 1, which divides disc(M0) once
+        ([1], [0, 0, 1], 1, T5, 3),  # h = 2
+        ([], [0, 0, 1], 1, T5, 3),  # h = 3, g = pv: configs/example_f5_supersingular.json
+        ([], [4, 0, 4, 0, 1], 1, quadratic, 3),  # h = 3, g = pv quadratic
+        ([], [], 2, T5, 4),  # h = 3 with 3 not dividing m, b1 = 0, g = T
+    ]
     try_instance(paper_weil(F5))
-    try_instance(
-        WeilCubic(
+    for a1, a2, mu, pv, m in engineered:
+        W = WeilCubic(
             field=F5,
-            a1=T5,
-            a2=Poly.from_ints(F5, [3, 2, 2, 1]),
-            mu=F5.element(2),
-            pv=Poly.from_ints(F5, [2, 1]),
-            m=2,
+            a1=Poly.from_ints(F5, a1),
+            a2=Poly.from_ints(F5, a2),
+            mu=F5.element(mu),
+            pv=pv,
+            m=m,
         )
-    )
-    try_instance(
-        WeilCubic(
-            field=F5,
-            a1=T5,
-            a2=Poly.from_ints(F5, [4, 0, 0, 2]),
-            mu=F5.element(2),
-            pv=Poly.from_ints(F5, [2, 1]),
-            m=2,
-        )
-    )
-    try_instance(
-        WeilCubic(field=F5, a1=Poly.one(F5), a2=T5, mu=F5.element(2), pv=T5, m=1)
-    )
-    try_instance(
-        WeilCubic(field=F5, a1=T5, a2=T5, mu=F5.element(2), pv=T5, m=1)
-    )
+        if not try_instance(W):
+            raise RuntimeError(f"engineered instance {W} was not kept")
 
     attempts = 0
     while (

@@ -12,7 +12,13 @@ import pytest
 import drinfeld_orders.cli as cli
 import drinfeld_orders.errors as errors
 import drinfeld_orders.skew as skew
-from drinfeld_orders import Poly, make_extension_field
+from drinfeld_orders import (
+    Poly,
+    WeilCubic,
+    make_extension_field,
+    maximal_order_data,
+    standard_form,
+)
 from drinfeld_orders.cli import main
 from drinfeld_orders.gf import ExtensionField, FiniteField, PrimeField
 from drinfeld_orders.skew import MembershipSurvey
@@ -362,18 +368,38 @@ def test_exit_code_weil_validation(tmp_path):
     del cfg["L"]
     path = tmp_path / "reducible.json"
     cases = [
-        # x^3 + T x + 4(T+1) has the root 1
-        ({"a1": [], "a2": [0, 1], "mu": 4}, [1, 1], 1, "1"),
+        # x^3 + T x + 4(T+1) has the root 1, of degree 0, not n/3 = 1/3
+        ({"a1": [], "a2": [0, 1], "mu": 4}, [1, 1], 1, "M(x) breaks the degree bound at infinity"),
+        # (x + 2(T+1))^3 = x^3 + (T+1) x^2 + 2(T+1)^2 x + 3(T+1)^3
+        ({"a1": [1, 1], "a2": [2, 4, 2], "mu": 3}, [1, 1], 3, "M(x) has the root 3*T+3 in A"),
         # x^3 + 2T x^2 + 3T^2 x + 4T^3 has the root T: End(phi) (x) k is not
         # a field, outside the paper's theorem (README)
-        ({"a1": [0, 2], "a2": [0, 0, 3], "mu": 4}, [0, 1], 3, "T"),
+        ({"a1": [0, 2], "a2": [0, 0, 3], "mu": 4}, [0, 1], 3, "M(x) has the root T in A"),
+        # (x - T)(x^2 + (3T+1) x + T^2) has the root T and h = 2, whose test
+        # at v rejects it first
+        (
+            {"a1": [1, 2], "a2": [0, 4, 3], "mu": 4},
+            [0, 1],
+            3,
+            "the quadratic v-adic factor above the zero of the Frobenius splits",
+        ),
+        # x^3 + T^5 x^2 + x + 4T^3: deg a1 = 5 > n/3 = 1
+        (
+            {"a1": [0, 0, 0, 0, 0, 1], "a2": [1], "mu": 4},
+            [0, 1],
+            3,
+            "M(x) breaks the degree bound at infinity",
+        ),
+        # x^3 + x + T^3: the residual x^3 + 1 = (x + 1)(x^2 + 4x + 1) at
+        # infinity splits over F_5
+        ({"a1": [], "a2": [1], "mu": 1}, [0, 1], 3, "the residual polynomial at infinity splits"),
     ]
-    for weil, pv, m, root in cases:
+    for weil, pv, m, message in cases:
         cfg.update(weil=weil, pv=pv, m=m)
         path.write_text(json.dumps(cfg))
         proc = run_cli(["analyze", str(path)])
         assert proc.returncode == 3
-        assert f"weil-validation: M(x) has the root {root} in A" in proc.stderr
+        assert f"weil-validation: {message}" in proc.stderr
 
 
 def test_exit_code_char3(tmp_path):
@@ -542,7 +568,9 @@ def test_large_q_class_exits_fast(tmp_path, capsys, p, modulus):
 
 def test_high_degree_index_prime_exits_fast(tmp_path, capsys):
     # the index is irreducible of degree 10 over F_13; searching its
-    # 13^10 residues for beta2 ran for over 30 s, the closed form gives beta2 = T
+    # 13^10 residues for beta2 ran for over 30 s, the closed form gives beta2 = T.
+    # deg a2 = 21 breaks the bound 2n/3 = 2 at infinity, so the CLI exits 3
+    # and the layers below validation are called directly
     a2 = [1, 4, 3, 4, 5, 10, 6, 0, 1, 7, 8, 8, 12, 7, 9, 7, 8, 0, 5, 5, 11, 2]
     cfg = {
         "field": {"p": 13, "e": 1},
@@ -552,12 +580,17 @@ def test_high_degree_index_prime_exits_fast(tmp_path, capsys):
     }
     path = tmp_path / "index_degree_10.json"
     path.write_text(json.dumps(cfg))
+    assert main(["analyze", str(path)]) == 3
+    assert "degree bound at infinity" in capsys.readouterr().err
+    F = PrimeField(13)
+    W = WeilCubic(
+        field=F, a1=Poly.zero(F), a2=Poly.from_ints(F, a2), mu=F.element(2), pv=Poly.x(F), m=3
+    )
     t0 = time.perf_counter()
-    assert main(["analyze", str(path)]) == 0
+    mo = maximal_order_data(standard_form(W))
     assert time.perf_counter() - t0 < 5.0
-    out = capsys.readouterr().out
-    assert "index I  = T^10+10*T^9+2*T^8+4*T^7+7*T^6+4*T^5+T^4+2*T^3+8*T^2+9*T+2\n" in out
-    assert "alpha2 = 11*T^2, beta2 = T\n" in out
+    assert mo.index.to_str() == "T^10+10*T^9+2*T^8+4*T^7+7*T^6+4*T^5+T^4+2*T^3+8*T^2+9*T+2"
+    assert (mo.alpha2.to_str(), mo.beta2.to_str()) == ("11*T^2", "T")
 
 
 def test_char2_rejected(tmp_path):

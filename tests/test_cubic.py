@@ -19,6 +19,7 @@ from drinfeld_orders import (
     PrimeField,
     ReducibleError,
     WeilCubic,
+    WeilValidationError,
     analyze_weil_class,
     divisors,
     factor,
@@ -33,7 +34,7 @@ from drinfeld_orders import (
 )
 import drinfeld_orders.cubic as cubic_module
 from drinfeld_orders.cubic import (
-    _check_irreducible_over_k,
+    _check_at_infinity,
     _check_unique_local_zero,
     _is_square_mod,
     _residue_pattern,
@@ -68,8 +69,9 @@ def test_validate_worked_example(example_weil):
 
 
 def test_validate_supersingular_shape(f5):
+    # x^3 + T^2 x + T^3, the class of configs/example_f5_supersingular.json
     T = Poly.x(f5)
-    W = WeilCubic(field=f5, a1=T, a2=T, mu=f5.element(2), pv=T, m=1)
+    W = WeilCubic(field=f5, a1=Poly.zero(f5), a2=T * T, mu=f5.one, pv=T, m=3)
     local = validate_weil_necessary(W)
     assert local.height == 3
     assert local.supersingular
@@ -77,8 +79,12 @@ def test_validate_supersingular_shape(f5):
 
 
 def test_validate_height_two_shape(f5):
+    # x^3 + T^2 x^2 + (3T^4 + 2T^2 + 2) x + pv^3 with pv = T^2 + 2
     T = Poly.x(f5)
-    W = WeilCubic(field=f5, a1=Poly.one(f5), a2=T, mu=f5.element(2), pv=T, m=1)
+    pv = T * T + Poly.const(f5, f5.element(2))
+    W = WeilCubic(
+        field=f5, a1=T * T, a2=Poly.from_ints(f5, [2, 0, 2, 0, 3]), mu=f5.one, pv=pv, m=3
+    )
     local = validate_weil_necessary(W)
     assert local.height == 2
     assert local.pv_divides_a2 and not local.supersingular
@@ -87,35 +93,56 @@ def test_validate_height_two_shape(f5):
 
 def test_validate_rejects_reducible(f5):
     T = Poly.x(f5)
-    # (x - 1)(x^2 + x + (T+1)) = x^3 + T x + (4T + 4): root x = 1
-    a2 = T
-    a0 = Poly.from_ints(f5, [4, 4])
-    # pick mu, pv, m matching a0 = 4(T+1)
+    # (x - T)^3 = x^3 + 2T x^2 + 3T^2 x + 4T^3, the README's example
+    W = WeilCubic(
+        field=f5,
+        a1=T.scale(f5.element(2)),
+        a2=(T * T).scale(f5.element(3)),
+        mu=f5.element(4),
+        pv=T,
+        m=3,
+    )
+    assert W.a0 == (T**3).scale(f5.element(4))
+    with pytest.raises(ReducibleError, match="has the root T in A"):
+        validate_weil_necessary(W)
+    # (x - 1)(x^2 + x + (T+1)) = x^3 + T x + (4T + 4) has the unit root 1,
+    # whose degree 0 is not n/3 = 1/3: deg a2 = 1 breaks the bound 2n/3
     W = WeilCubic(
         field=f5,
         a1=Poly.zero(f5),
-        a2=a2,
+        a2=T,
         mu=f5.element(4),
         pv=Poly.from_ints(f5, [1, 1]),
         m=1,
     )
-    assert W.a0 == a0
-    with pytest.raises(ReducibleError):
+    assert W.a0 == Poly.from_ints(f5, [4, 4])
+    with pytest.raises(WeilValidationError, match="degree bound at infinity"):
         validate_weil_necessary(W)
 
 
 def sieve_verdict(W):
-    """The ReducibleError message of the leading-coefficient sieve, or None."""
+    """The verdict of validation on a cubic: None when it passes, the
+    ReducibleError message, or "rejected" for any other rejection."""
     try:
-        _check_irreducible_over_k(W)
+        validate_weil_necessary(W)
     except ReducibleError as exc:
         return str(exc)
+    except WeilValidationError:
+        return "rejected"
     return None
 
 
 def oracle_verdict(W):
     r = root_in_a_oracle(W)
     return None if r is None else f"M(x) has the root {r.to_str()} in A"
+
+
+def assert_root_verdict(W):
+    """Validation rejects every cubic with a root in A, and a ReducibleError
+    names the root that the oracle finds; returns validation's verdict."""
+    verdict, want = sieve_verdict(W), oracle_verdict(W)
+    assert verdict in ((want, "rejected") if want else (None, "rejected"))
+    return verdict
 
 
 def sieve_fields():
@@ -147,20 +174,34 @@ def planted_root_cubic(F, pv, m, j, rng):
     return W
 
 
+def cube_cubic(F, pv, k, a):
+    """(x + a pv^k)^3, with a in F_q*: in bounds, of height 3 and m = 3k."""
+    r = (pv**k).scale(a)
+    three = F.from_int(3)
+    return WeilCubic(
+        field=F, a1=r.scale(three), a2=(r * r).scale(three), mu=F.pow(a, 3), pv=pv, m=3 * k
+    )
+
+
 @pytest.mark.parametrize("name", ["F13", "F25", "F49"])
 def test_root_sieve_finds_constructed_roots(name):
+    # planted roots u pv^j are rejected, at infinity unless j = m/3 and the
+    # quadratic keeps the bounds; a cube (x + a pv^k)^3 is rejected as
+    # reducible, naming the oracle's root
     F = sieve_fields()[name]
     rng = random.Random(f"sieve/{name}")
     T = Poly.x(F)
-    m = 4
+    m = 3
     quadratics = [T * T + Poly.const(F, F.element(i)) for i in range(1, F.q)]
     quadratic = next(f for f in quadratics if is_irreducible(f))
     for pv in (T + Poly.const(F, F.element(3)), quadratic):
-        for j in (0, m // 2, m):
+        for j in (0, m // 3, m):
             W = planted_root_cubic(F, pv, m, j, rng)
-            verdict = sieve_verdict(W)
-            assert verdict is not None
-            assert verdict == oracle_verdict(W)
+            assert oracle_verdict(W) is not None
+            assert assert_root_verdict(W) is not None
+        for k in (1, 2):
+            W = cube_cubic(F, pv, k, F.element(rng.randrange(1, F.q)))
+            assert sieve_verdict(W) == oracle_verdict(W) is not None
 
 
 def test_root_sieve_by_gcd_matches_oracle(instance_pool, monkeypatch):
@@ -173,37 +214,45 @@ def test_root_sieve_by_gcd_matches_oracle(instance_pool, monkeypatch):
 
 
 def test_root_sieve_candidate_rejected_by_full_check():
-    # over F_13, x^3 + x^2 - T^3 with pv = T: at j = 1 the top-degree terms
-    # u^3 T^3 - T^3 cancel for u = 1, but M(T) = T^2 is not zero
+    # over F_13, x^3 + x^2 - T^3 with pv = T: u = 1 is a root of the residual
+    # x^3 - 1 at infinity, which splits there, but M(T) = T^2 is not zero;
+    # the class is rejected at infinity, not as reducible
     F = PrimeField(13)
     T = Poly.x(F)
     W = WeilCubic(field=F, a1=Poly.one(F), a2=Poly.zero(F), mu=F.element(12), pv=T, m=3)
     a0, a2, a1, _ = W.coefficients()
     assert ((T + a1) * T + a2) * T + a0 == T * T
-    assert sieve_verdict(W) == oracle_verdict(W) is None
+    assert oracle_verdict(W) is None
+    with pytest.raises(WeilValidationError, match="residual polynomial at infinity splits"):
+        _check_at_infinity(W)
 
 
 @pytest.mark.parametrize("name", ["F13", "F25", "F49"])
 def test_root_sieve_matches_exhaustive_scan_on_random_cubics(name):
-    # random cubics, every other one with a planted root at a random j
+    # random cubics inside the bounds at infinity, every other one with a
+    # planted root at a random j, and every third a cube
     F = sieve_fields()[name]
     rng = random.Random(f"sieve-random/{name}")
     T = Poly.x(F)
+    reducible = 0
     for k in range(60):
         pv = T + Poly.const(F, F.element(rng.randrange(F.q)))
-        m = rng.randrange(1, 4)
-        if k % 2:
+        m = rng.randrange(1, 7)
+        if k % 3 == 0:
+            W = cube_cubic(F, pv, rng.randrange(1, 3), F.element(rng.randrange(1, F.q)))
+        elif k % 2:
             W = planted_root_cubic(F, pv, m, rng.randrange(m + 1), rng)
         else:
             a1, a2 = (
-                Poly(F, [F.element(rng.randrange(F.q)) for _ in range(rng.randrange(4))])
-                for _ in range(2)
+                Poly(F, [F.element(rng.randrange(F.q)) for _ in range(d + 1)])
+                for d in (m // 3, 2 * m // 3)
             )
             mu = F.element(rng.randrange(1, F.q))
             W = WeilCubic(field=F, a1=a1, a2=a2, mu=mu, pv=pv, m=m)
-        verdict = sieve_verdict(W)
-        assert verdict == oracle_verdict(W)
+        verdict = assert_root_verdict(W)
         assert k % 2 == 0 or verdict is not None
+        reducible += verdict is not None and verdict.startswith("M(x) has the root")
+    assert reducible >= 20  # every cube
 
 
 def test_validate_rejects_char3():
@@ -231,16 +280,17 @@ def test_validate_rejects_bad_constant_data(f5):
 
 
 def test_validate_rejects_split_local_factor(f5):
-    # x^3 + x^2 + 2T x + T^3 is irreducible over k but has v-adic zeros of
-    # valuations 1 and 2 (Newton slopes -1 and -2 above the unit root), so
-    # two v-adic factors carry pv in their constant terms.
-    from drinfeld_orders import NotWeilAtVError
-
+    # x^3 + x^2 + (T^2 + 2T) x + T^3 is irreducible over k and passes at
+    # infinity (residual x^3 + x + 1), but has v-adic zeros of valuations 1
+    # and 2 (Newton slopes -1 and -2 above the unit root), so two v-adic
+    # factors carry pv in their constant terms.
     F = f5
     T = Poly.x(F)
     W = WeilCubic(
-        field=F, a1=Poly.one(F), a2=T.scale(F.element(2)), mu=F.element(1), pv=T, m=3
+        field=F, a1=Poly.one(F), a2=Poly.from_ints(F, [0, 2, 1]), mu=F.element(1), pv=T, m=3
     )
+    assert root_in_a_oracle(W) is None
+    _check_at_infinity(W)
     with pytest.raises(NotWeilAtVError):
         validate_weil_necessary(W)
 
@@ -277,110 +327,125 @@ def test_newton_polygon_closed_form_matches_hull(f5):
                 assert raised == (len(newton_vertices(points)) > 2), (m, v_a1, v_a2)
 
 
-def _residual_verdict(W):
-    """(raised "splits", the oracle's count of distinct factors) for a class
-    of supersingular shape with m = 3k and v(a1), v(a2) >= k, 2k."""
-    pv, k = W.pv, W.m // 3
-    one = Poly.one(W.field)
-    residual = [
-        W.a0.exact_div(pv**W.m), W.a2.exact_div(pv ** (2 * k)), W.a1.exact_div(pv**k), one
-    ]
-    _, fac = residue_factor(residual, pv)
+def residual_class(F, pv, k, r2, r1, mu):
+    """x^3 + r2 pv^k x^2 + r1 pv^2k x + mu pv^3k for r2, r1, mu in F_q: in
+    bounds, of height 3, and pv^3k r(x / pv^k) for the residual at infinity
+    r = x^3 + r2 x^2 + r1 x + mu."""
+    return WeilCubic(
+        field=F,
+        a1=(pv**k).scale(F.element(r2)),
+        a2=(pv ** (2 * k)).scale(F.element(r1)),
+        mu=F.element(mu),
+        pv=pv,
+        m=3 * k,
+    )
+
+
+def count_field_builds(monkeypatch):
+    """The argument tuples of every ExtensionField built from now on."""
+    built = []
+    init = ExtensionField.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(ExtensionField, "__init__", counting)
+    return built
+
+
+def _residual_verdict(W, built):
+    """(validation's verdict, the one it should give by the oracles) for a
+    class from residual_class: the residual at infinity splits iff factor
+    finds two or more distinct factors over F_q; an F_q-cube makes M a cube,
+    reducible with the oracle's root; an irreducible one is tested at v by
+    residue_factor over F_q[T]/(pv).  Validation builds no field."""
+    F, pv, k = W.field, W.pv, W.m // 3
+    n = k * pv.degree
+    r = Poly(F, (W.mu, W.a2.coeff(2 * n), W.a1.coeff(n), F.one))
+    at_infinity = factor(r).factors
+    residual = [W.a0.exact_div(pv**W.m), W.a2.exact_div(pv ** (2 * k)), W.a1.exact_div(pv**k)]
+    _, at_v = residue_factor(residual + [Poly.one(F)], pv)
+    if len(at_infinity) > 1:
+        want = "the residual polynomial at infinity splits"
+    elif at_infinity[0][0].degree == 1:
+        want = oracle_verdict(W)
+    elif len(at_v.factors) > 1:
+        want = "the supersingular residual polynomial splits"
+    else:
+        want = None
+    before = len(built)
     try:
-        _check_unique_local_zero(W, 3)
-        raised = False
-    except NotWeilAtVError as exc:
-        assert "residual polynomial splits" in str(exc)
-        raised = True
-    return raised, len(fac.factors)
-
-
-def _no_residue_field(*args):
-    raise AssertionError("a residue field was built for deg pv = 1")
+        validate_weil_necessary(W)
+        verdict = None
+    except WeilValidationError as exc:
+        verdict = str(exc)
+    assert len(built) == before
+    return verdict, want
 
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_residual_split_matches_factorisation_exhaustive(p, monkeypatch):
-    # every x^3 + r2 pv^k x^2 + r1 pv^2k x + mu pv^3k over F_p, plus terms
-    # of higher pv-order in a1 and a2, for pv = T and T - 2 and k = 1, 2:
-    # the residual x^3 + r2 x^2 + r1 x + mu splits iff it has two or more
-    # distinct factors.  Over F_p the residual is reduced by evaluation at
-    # the root of pv, with no residue field built.
-    monkeypatch.setattr(cubic_module, "ExtensionField", _no_residue_field)
+    # every x^3 + r2 pv^k x^2 + r1 pv^2k x + mu pv^3k over F_p for pv = T
+    # and T - 2 and k = 1, 2: the class is rejected at infinity iff the
+    # residual x^3 + r2 x^2 + r1 x + mu has two or more distinct factors,
+    # as reducible iff it is a cube, and otherwise passes, as deg pv = 1
+    built = count_field_builds(monkeypatch)
     F = PrimeField(p)
     T = Poly.x(F)
-    rng = random.Random(f"residual/{p}")
     for pv, k in product((T, T - Poly.const(F, F.element(2))), (1, 2)):
         cubes = 0
         for r2, r1, mu in product(range(p), range(p), range(1, p)):
-            e1, e2 = (Poly(F, [F.element(rng.randrange(p)) for _ in range(2)]) for _ in range(2))
-            W = WeilCubic(
-                field=F,
-                a1=(Poly.const(F, F.element(r2)) + e1 * pv) * pv**k,
-                a2=(Poly.const(F, F.element(r1)) + e2 * pv) * pv ** (2 * k),
-                mu=F.element(mu),
-                pv=pv,
-                m=3 * k,
-            )
-            raised, distinct = _residual_verdict(W)
-            assert raised == (distinct > 1), (pv.to_str(), k, r2, r1, mu)
-            cubes += distinct == 1 and not is_irreducible(
-                Poly.from_ints(F, [mu, r1, r2, 1])
-            )
+            W = residual_class(F, pv, k, r2, r1, mu)
+            verdict, want = _residual_verdict(W, built)
+            assert verdict == want, (pv.to_str(), k, r2, r1, mu)
+            cubes += verdict is not None and verdict.startswith("M(x) has the root")
         assert cubes == p - 1  # (x + a)^3 for each a in F_p*
 
 
 def test_residual_split_matches_factorisation_over_f25(monkeypatch):
-    # deg pv = 2 over F_5, so the residual lives over R = F_25: a seeded
-    # sample, plus every perfect cube (x + a)^3 with a^3 in F_5*, the only
-    # ones a unit mu can give
-    built = []
-    monkeypatch.setattr(
-        cubic_module, "ExtensionField", lambda *args: built.append(args) or ExtensionField(*args)
-    )
+    # deg pv = 2 over F_5, so the residual at v lives over R = F_25: every
+    # residual over F_5, of which an irreducible one stays irreducible over
+    # F_25, and the 4 cubes (x + a)^3 with a in F_5*
+    built = count_field_builds(monkeypatch)
     F = PrimeField(5)
     T = Poly.x(F)
     pv = T * T + Poly.const(F, F.element(2))
-    R = make_extension_field(F, pv)
-    rng = random.Random(17)
-    triples = [
-        (R.element(rng.randrange(R.q)), R.element(rng.randrange(R.q)), rng.randrange(1, 5))
-        for _ in range(150)
-    ]
-    for a in map(R.element, range(1, R.q)):
-        a3 = R.pow(a, 3)
-        mu = next((u for u in range(1, 5) if R.from_int(u) == a3), None)
-        if mu is not None:
-            three = R.from_int(3)
-            triples.append((R.mul(three, a), R.mul(three, R.mul(a, a)), mu))
-    splits = cubes = 0
-    for r2, r1, mu in triples:
-        extra = Poly(F, [F.element(rng.randrange(5)) for _ in range(2)])
-        W = WeilCubic(
-            field=F,
-            a1=Poly(F, r2) * pv + extra * pv * pv,
-            a2=Poly(F, r1) * pv * pv,
-            mu=F.element(mu),
-            pv=pv,
-            m=3,
-        )
-        raised, distinct = _residual_verdict(W)
-        assert raised == (distinct > 1), (r2, r1, mu)
-        splits += raised
-        cubes += distinct == 1 and not is_irreducible(
-            Poly(R, (R.from_int(mu), r1, r2, R.one))
-        )
-    assert splits and cubes >= 4
-    assert len(built) == len(triples)  # one residue field F_25 per class
+    verdicts = []
+    for r2, r1, mu in product(range(5), range(5), range(1, 5)):
+        verdict, want = _residual_verdict(residual_class(F, pv, 1, r2, r1, mu), built)
+        assert verdict == want, (r2, r1, mu)
+        verdicts.append(verdict)
+    cubes = sum(v is not None and v.startswith("M(x) has the root") for v in verdicts)
+    assert cubes == 4 and None in verdicts
+    assert "the residual polynomial at infinity splits" in verdicts
+    assert len(built) == len(verdicts)  # one F_25 per class, all by the oracle
+
+
+def test_residual_splits_at_v_iff_three_divides_deg_pv(monkeypatch):
+    # deg pv = 3 over F_5: an irreducible residual over F_5 splits over
+    # F_q[T]/(pv) = F_125, so no class of height 3 with 3 | m passes
+    built = count_field_builds(monkeypatch)
+    F = PrimeField(5)
+    T = Poly.x(F)
+    cubics = (T**3 + T + Poly.const(F, F.element(c)) for c in range(1, 5))
+    pv = next(f for f in cubics if is_irreducible(f))
+    split_at_v = 0
+    for r2, r1, mu in product(range(5), range(5), range(1, 5)):
+        verdict, want = _residual_verdict(residual_class(F, pv, 1, r2, r1, mu), built)
+        assert verdict == want is not None, (r2, r1, mu)
+        split_at_v += verdict == "the supersingular residual polynomial splits"
+    assert split_at_v
 
 
 def test_residual_root_search_by_gcd_matches_factorisation(monkeypatch):
-    # the two tests above with every root search by gcd, as for q above
-    # the scan bound
+    # the tests above with every root search by gcd, as for q above the
+    # scan bound
     monkeypatch.setattr(factor_module, "ROOT_SCAN_MAX", 1)
     for p in (5, 7):
         test_residual_split_matches_factorisation_exhaustive(p, monkeypatch)
     test_residual_split_matches_factorisation_over_f25(monkeypatch)
+    test_residual_splits_at_v_iff_three_divides_deg_pv(monkeypatch)
 
 
 def test_standard_form_depressed_input(f5):
@@ -571,13 +636,17 @@ def test_integral_basis_lifting_path_matches_exhaustive(instance_pool):
 
 def test_integral_basis_mixed_branches_match_oracle(f5):
     # x^3 + 4x^2 + (T^4+2T^2+4T)x + 3T^2 over F_5: I = T(T+3), where T + 3
-    # divides c1 (beta2 = 0 mod T+3) and T does not (beta2 = -3c2/(2c1) mod T)
+    # divides c1 (beta2 = 0 mod T+3) and T does not (beta2 = -3c2/(2c1) mod T).
+    # deg a2 = 4 breaks the bound 2n/3 = 4/3 at infinity, so the layers
+    # below validation are called directly
     T = Poly.x(f5)
     W = WeilCubic(
         field=f5, a1=Poly.from_ints(f5, [4]), a2=Poly.from_ints(f5, [0, 4, 2, 0, 1]),
         mu=f5.element(3), pv=T, m=2,
     )
-    assert validate_weil_necessary(W).height == 2
+    with pytest.raises(WeilValidationError, match="degree bound at infinity"):
+        validate_weil_necessary(W)
+    assert height(W) == 2
     sf = standard_form(W)
     mo = maximal_order_data(sf)
     three = Poly.from_ints(f5, [3])
@@ -837,32 +906,39 @@ def test_is_square_mod_brute_force(q):
             assert _is_square_mod(r + pv * T, pv) == (r in squares)
 
 
+def height_two_quadratic_pv(F):
+    """x^3 + T^2 x^2 + (3T^4 + 2T^2 + 2) x + pv^3 over F_5, pv = T^2 + 2:
+    h = 2, inside the bounds at infinity, with residual x^3 + x^2 + 3x + 1."""
+    T = Poly.x(F)
+    pv = T * T + Poly.const(F, F.element(2))
+    return WeilCubic(
+        field=F, a1=T * T, a2=Poly.from_ints(F, [2, 0, 2, 0, 3]), mu=F.one, pv=pv, m=3
+    )
+
+
 def test_degree_three_index_one_crt_no_residue_field(monkeypatch):
-    # over F_7: pv = T, m = 1, a1 = 1, a2 = 2T^3+2T^2+5T+5, mu = 3 has h = 1
-    # and the irreducible index I = T^3+5T^2+6T+4, whose q^(deg I) = 343
-    # residues mod I must not be enumerated
+    # over F_7: pv = T, m = 6, a1 = 4T^2 + 3, a2 = 3T^4+6T^3+T^2+6T+2, mu = 1
+    # has h = 1 and the irreducible index I = T^3+5T^2+4T+2, whose
+    # q^(deg I) = 343 residues mod I must not be enumerated
     F = PrimeField(7)
     T = Poly.x(F)
-    a2 = Poly.from_ints(F, [5, 5, 2, 2])
-    W = WeilCubic(field=F, a1=Poly.one(F), a2=a2, mu=F.element(3), pv=T, m=1)
-    residue_fields = []
-    real_field = cubic_module.ExtensionField
-    monkeypatch.setattr(
-        cubic_module,
-        "ExtensionField",
-        lambda *args: residue_fields.append(args) or real_field(*args),
-    )
+    a1 = Poly.from_ints(F, [3, 0, 4])
+    a2 = Poly.from_ints(F, [2, 6, 1, 6, 3])
+    W = WeilCubic(field=F, a1=a1, a2=a2, mu=F.one, pv=T, m=6)
+    residue_fields = count_field_builds(monkeypatch)
     assert validate_weil_necessary(W).height == 1
-    mo = maximal_order_data(standard_form(W))
-    assert mo.index == Poly.from_ints(F, [4, 6, 5, 1]) and is_irreducible(mo.index)
-    assert mo.alpha2 == Poly.from_ints(F, [4, 0, 4])
-    assert mo.beta2 == Poly.from_ints(F, [2, 5, 1])
-    # h = 2 needs no residue field either: x^3 + T x^2 + T(T^2+2) x + (T^2+2)
-    f5 = PrimeField(5)
-    T = Poly.x(f5)
-    pv = T * T + Poly.const(f5, f5.element(2))
-    W = WeilCubic(field=f5, a1=T, a2=T * pv, mu=f5.one, pv=pv, m=1)
-    assert validate_weil_necessary(W).height == 2
+    sf = standard_form(W)
+    mo = maximal_order_data(sf)
+    I = mo.index
+    assert I == Poly.from_ints(F, [2, 4, 5, 1]) and is_irreducible(I)
+    assert mo.alpha2 == Poly.from_ints(F, [3, 2, 1])
+    assert mo.beta2 == Poly.from_ints(F, [4, 1, 6])
+    b2 = mo.beta2
+    assert not ((b2 * b2).scale_int(3) + sf.c1) % I
+    assert not (b2**3 + sf.c1 * b2 + sf.c2) % (I * I)
+    assert not (mo.alpha2 + (b2 * b2).scale_int(2)) % I
+    # h = 2 with deg pv = 2 needs no residue field either
+    assert validate_weil_necessary(height_two_quadratic_pv(PrimeField(5))).height == 2
     assert residue_fields == []
 
 
@@ -881,11 +957,9 @@ def test_depressed_coefficients_derived_once_per_height_two_class(
     counted = cached_property(counting)
     counted.__set_name__(WeilCubic, "depressed")
     monkeypatch.setattr(WeilCubic, "depressed", counted)
-    # x^3 + T x^2 + T(T^2 + 2) x + (T^2 + 2) over F_5, and the pool's h = 2
-    # classes, copied so that nothing is cached yet
-    T = Poly.x(f5)
-    pv = T * T + Poly.const(f5, f5.element(2))
-    classes = [WeilCubic(field=f5, a1=T, a2=T * pv, mu=f5.one, pv=pv, m=1)]
+    # the class above with pv = T^2 + 2, and the pool's h = 2 classes,
+    # copied so that nothing is cached yet
+    classes = [height_two_quadratic_pv(f5)]
     classes += [replace(a.weil) for a in instance_pool if a.local.height == 2]
     for W in classes:
         calls.clear()
@@ -894,10 +968,8 @@ def test_depressed_coefficients_derived_once_per_height_two_class(
 
 
 def test_pv_tested_for_irreducibility_once_per_class(f5, monkeypatch):
-    # h = 2 and deg pv = 2: x^3 + T x^2 + T(T^2 + 2) x + (T^2 + 2) over F_5
-    T = Poly.x(f5)
-    pv = T * T + Poly.const(f5, f5.element(2))
-    W = WeilCubic(field=f5, a1=T, a2=T * pv, mu=f5.one, pv=pv, m=1)
+    # h = 2 and deg pv = 2
+    W = height_two_quadratic_pv(f5)
     # the package exports a function named factor, so import the module by path
     factor_module = importlib.import_module("drinfeld_orders.factor")
     calls = []
@@ -912,4 +984,42 @@ def test_pv_tested_for_irreducibility_once_per_class(f5, monkeypatch):
     monkeypatch.setattr(cubic_module, "is_irreducible", counting)
     analysis = analyze_weil_class(W)
     assert analysis.local.height == 2 and analysis.local.pv_divides_a2
-    assert calls == [pv]
+    assert calls == [W.pv]
+
+
+def test_box_f5_cube_against_independent_oracles():
+    # every cubic of the 5^3 box over F_5 (pv = T, m = 3, deg a1 <= 1,
+    # deg a2 <= 2): 4,616 pass, the 4,552 classes of its modules and 64 of
+    # the 416 passing cubics whose residual at infinity is a perfect cube
+    # (h <= 2), which have none.  No cubic that passes has a root in A, a
+    # ReducibleError names the root the oracle finds, and the rejections at
+    # infinity are exactly the cubics that break the bounds or whose
+    # residual there has two or more distinct factors
+    F = PrimeField(5)
+    T = Poly.x(F)
+    n = 3
+    distinct = {}
+    accepted = reducible = 0
+    for a1c, a2c, mu in product(
+        product(range(5), repeat=2), product(range(5), repeat=3), range(1, 5)
+    ):
+        a1, a2 = Poly.from_ints(F, list(a1c)), Poly.from_ints(F, list(a2c))
+        W = WeilCubic(field=F, a1=a1, a2=a2, mu=F.element(mu), pv=T, m=3)
+        key = (a1.coeff(n // 3), a2.coeff(2 * n // 3), mu)
+        if key not in distinct:
+            r = Poly(F, (F.element(mu), key[1], key[0], F.one))
+            distinct[key] = len(factor(r).factors)
+        in_bounds = 3 * a1.degree <= n and 3 * a2.degree <= 2 * n
+        try:
+            validate_weil_necessary(W)
+        except ReducibleError as exc:
+            reducible += 1
+            assert str(exc) == oracle_verdict(W)
+        except WeilValidationError as exc:
+            at_infinity = type(exc) is WeilValidationError
+            assert at_infinity == (not in_bounds or distinct[key] > 1), W
+        else:
+            accepted += 1
+            assert in_bounds and distinct[key] == 1
+            assert root_in_a_oracle(W) is None
+    assert accepted == 4616 and reducible == 4

@@ -192,7 +192,7 @@ def test_v_maximality_cases(f5, example_analysis):
     for order in _candidates(example_analysis):
         assert v_maximality(order, example_analysis.weil, example_analysis.local)
     # pv | a2: gcd(pv, ac) = 1 required
-    W = WeilCubic(field=f5, a1=Poly.one(f5), a2=T, mu=f5.element(2), pv=T, m=1)
+    W = WeilCubic(field=f5, a1=Poly.one(f5), a2=T * T, mu=f5.element(1), pv=T, m=3)
     local = validate_weil_necessary(W)
     assert local.pv_divides_a2
     assert not v_maximality(OrderHNF(a=T, b=zero, c=one), W, local)
@@ -307,15 +307,15 @@ def test_v_maximality_filters_divisors_before_closure(monkeypatch):
 
 
 def test_candidate_count_matches_pairwise_gcd_oracle():
-    # x^3 + u T^e x + mu T^m over F_5 and F_7; x^3 + T^4 x + T^5 over F_5
+    # x^3 + u T^e x + mu T^m over F_5 and F_7; x^3 + T^5 over F_5 (u = 0)
     # has g = I = T, so the prime T enters both c | g and a | g^2*I
-    W = _content_family(5, 1, 4, 1, 5)
+    W = _content_family(5, 0, 0, 1, 5)
     analysis = analyze_weil_class(W)
     assert analysis.sf.g == analysis.mo.index == Poly.x(W.field)
     assert analysis.candidate_count == 20 == candidate_count_oracle(analysis.sf, analysis.mo)
     shared = 0
     for p in (5, 7):
-        for u in (1, 2):
+        for u in (0, 1, 2):
             for e in range(7):
                 for m in range(1, 8):
                     try:
@@ -336,7 +336,7 @@ def test_large_sandwich_single_order():
     assert [r.order for r in analysis.orders] == [_maximal(W.field)]
 
 
-CONTENT_FAMILY = [(7, 1, 3, 1, 4), (11, 3, 4, 2, 6), (13, 2, 4, 2, 6), (7, 1, 8, 1, 12)]
+CONTENT_FAMILY = [(7, 0, 0, 1, 5), (11, 3, 4, 2, 6), (13, 2, 4, 2, 6), (7, 1, 8, 1, 12)]
 
 
 def test_enumerated_triples_pass_the_tests_they_skip(instance_pool):
