@@ -57,7 +57,7 @@ from .errors import (
     ReducibleError,
     WeilValidationError,
 )
-from .factor import factor, is_irreducible, squarefree_decompose, unit_roots
+from .factor import is_irreducible, squarefree_decompose, squarefree_factors, unit_roots
 
 # not called here any more; bench/tests/test_bench.py checks that the tracer
 # rewraps this binding, so it stays until that test names another one
@@ -309,7 +309,7 @@ def standard_form(W: WeilCubic) -> StandardForm:
         if v == 1:
             disc_m0_factors.append((part, 1))
         else:
-            repeated += [(prime, v) for prime, _ in factor(part).factors]
+            repeated += [(prime, v) for prime in squarefree_factors(part)]
     for prime, v in sorted(repeated, key=lambda t: t[0].sort_key()):
         k = valuation(b2, prime) // 3
         if not b1.is_zero:

@@ -5,8 +5,10 @@ joins the part of multiplicity k, then runs Yun's loop on the cofactor.
 It is characteristic-p aware: when the derivative vanishes the polynomial
 is a p-th power and the algorithm recurses on the exact p-th root, taken
 coefficient-wise through the inverse Frobenius.
-Full factorisation is distinct-degree splitting followed by equal-degree
-splitting; the equal-degree stage draws its random elements from a PRNG
+Full factorisation splits each square-free part by distinct-degree
+splitting followed by equal-degree splitting (``squarefree_factors``, which
+a caller holding a square-free part calls directly, with no second Yun
+pass); the equal-degree stage draws its random elements from a PRNG
 seeded with a fixed constant, so output is reproducible run to run.
 
 The irreducibility test is Ben-Or's: the same distinct-degree ladder,
@@ -193,22 +195,29 @@ def unit_roots(f: Poly) -> list:
     return sorted((F.neg(h.coeffs[0]) for h in linear), key=F.index)
 
 
+def squarefree_factors(f: Poly, rng=None) -> list:
+    """The monic irreducible factors of a monic square-free f of degree
+    >= 1, in the order the splitting finds them; without ``rng`` the
+    equal-degree stage draws from a PRNG with the fixed seed."""
+    rng = rng or random.Random(_SPLIT_SEED)
+    return [
+        prime for piece, d in _distinct_degree(f) for prime in _equal_degree(piece, d, rng)
+    ]
+
+
 def factor(f: Poly) -> Factorization:
     """Complete factorisation into monic irreducibles over the field."""
     if f.is_zero:
         raise DomainError("factorisation of zero")
-    unit = f.lc
     rng = random.Random(_SPLIT_SEED)
-    counts: dict[Poly, int] = {}
-    decomp = squarefree_decompose(f)
-    for part, mult in decomp.parts:
-        for piece, d in _distinct_degree(part):
-            for prime in _equal_degree(piece, d, rng):
-                counts[prime] = counts.get(prime, 0) + mult
-    ordered = tuple(
-        (p, counts[p]) for p in sorted(counts, key=lambda t: t.sort_key())
-    )
-    return Factorization(f.field, unit, ordered)
+    # the parts are pairwise coprime, so each prime comes from one part
+    found = [
+        (prime, mult)
+        for part, mult in squarefree_decompose(f).parts
+        for prime in squarefree_factors(part, rng)
+    ]
+    ordered = tuple(sorted(found, key=lambda t: t[0].sort_key()))
+    return Factorization(f.field, f.lc, ordered)
 
 
 def is_irreducible(f: Poly) -> bool:

@@ -217,20 +217,18 @@ class Poly:
         return (self.degree, tuple(idx(c) for c in reversed(self.coeffs)))
 
     def to_str(self) -> str:
-        if self.is_zero:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
-        F = self.field
+        zero, one = self.field.zero, self.field.one
         parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeff(i)
-            if c == F.zero:
-                continue
-            cs = elem_str(c)
-            if i == 0:
-                parts.append(cs)
-            else:
-                head = "" if c == F.one else cs + "*"
+        for i in range(len(coeffs) - 1, 0, -1):
+            c = coeffs[i]
+            if c != zero:
+                head = "" if c == one else elem_str(c) + "*"
                 parts.append(f"{head}T" if i == 1 else f"{head}T^{i}")
+        if coeffs[0] != zero:
+            parts.append(elem_str(coeffs[0]))
         return "+".join(parts)
 
     def __repr__(self):

@@ -543,6 +543,80 @@ def test_extension_base_report_golden(tmp_path, capsys, fmt):
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
+def _stdlib_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [*sorted(p.name for p in (REPO / "configs").glob("*.json")), "f49", "tower"],
+)
+def test_report_writer_matches_stdlib_encoder(tmp_path, monkeypatch, capsys, config):
+    # the in-process report of every shipped config and of the F_49 and
+    # tower classes: prime-field ints, element tuples nested two deep,
+    # booleans, survey rows
+    if config == "f49":
+        path = tmp_path / "f49.json"
+        path.write_text(json.dumps(F49_CLASS))
+    elif config == "tower":
+        path = tmp_path / "tower.json"
+        path.write_text(json.dumps(tower_config()))
+    else:
+        path = REPO / "configs" / config
+    reports = []
+    real = cli.build_report
+
+    def kept(*args):
+        reports.append(real(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "build_report", kept)
+    assert main(["analyze", str(path), "--format", "json"]) == 0
+    (report,) = reports
+    assert cli._json_text(report) == _stdlib_json(report)
+    assert capsys.readouterr().out == _stdlib_json(report) + "\n"
+
+
+AWKWARD = ['"', "\\", "\n", "\x00", "φ", "\ud800", 'a "b" \\ c\n\x00φ\ud800', ""]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {}, [], (), {"a": {}}, [[]], [()], ((),), {"a": [], "b": (), "c": {}},
+        [[[], {}], ({"x": ()},)],
+        [(1, 2), (3, (4, 5)), ((0, 1), (1, 0))],
+        [1, True, 0, False, None], (True,), {"t": True, "f": False, "n": None},
+        None, True, False, 0, -1, -(10**100), 10**100, [-7, 10**100],
+        *AWKWARD,
+        {key: key for key in AWKWARD},
+        [{"z": 1, "a": [2, "x"], "m": {"k": (None,)}}],
+    ],
+)
+def test_report_writer_matches_stdlib_encoder_on_edge_values(value):
+    assert cli._json_text(value) == _stdlib_json(value)
+
+
+@pytest.mark.parametrize(
+    "value", [1.5, [0.0], {1, 2}, b"x", {1: 2}, {(1,): 2}, {"a": [{2: 0}]}]
+)
+def test_report_writer_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
+
+
+def test_module_named_phi_letter_escaped_like_stdlib(tmp_path):
+    cfg = json.loads(GOLDEN.read_text())
+    cfg["modules"][0]["name"] = "φ"
+    path = tmp_path / "phi_letter.json"
+    path.write_text(json.dumps(cfg, ensure_ascii=False), encoding="utf-8")
+    proc = run_cli(["analyze", str(path), "--format", "json"])
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout
+    assert '"module": "\\u03c6"' in out
+    assert out == _stdlib_json(json.loads(out)) + "\n"
+
+
 @pytest.mark.parametrize(
     "p, modulus",
     [(7, [4, 0, 2, 0, 0, 0, 5, 4, 1]), (5, [1, 4, 0, 2, 0, 3, 3, 3, 3, 1, 0, 3, 0, 3, 3, 4, 1])],

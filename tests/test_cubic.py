@@ -308,14 +308,23 @@ def test_height_characterisation(instance_pool):
 
 def test_newton_polygon_closed_form_matches_hull(f5):
     # h = 3 with pv = T: "distinct valuations" is raised exactly when the
-    # lower hull of (0, m), (1, v(a2)), (2, v(a1)), (3, 0) has a break
+    # lower hull of (0, m), (1, v(a2)), (2, v(a1)), (3, 0) has a break.
+    # _check_unique_local_zero relies on the degree bounds at infinity
+    # (deg a1 <= m/3, deg a2 <= 2m/3), so only the cubics inside them go to
+    # it; validation rejects the others at infinity, before any check at v
     T = Poly.x(f5)
+    verdicts, outside = set(), 0
     for m in range(1, 13):
         for v_a1 in [None, *range(1, m + 3)]:
             for v_a2 in [None, *range(1, m + 3)]:
                 a1 = Poly.zero(f5) if v_a1 is None else T**v_a1
                 a2 = Poly.zero(f5) if v_a2 is None else T**v_a2
                 W = WeilCubic(field=f5, a1=a1, a2=a2, mu=f5.element(2), pv=T, m=m)
+                if 3 * a1.degree > m or 3 * a2.degree > 2 * m:
+                    outside += 1
+                    with pytest.raises(WeilValidationError, match="degree bound at infinity"):
+                        validate_weil_necessary(W)
+                    continue
                 points = [(0, m), (3, 0)]
                 points += [(1, v_a2)] if v_a2 is not None else []
                 points += [(2, v_a1)] if v_a1 is not None else []
@@ -325,6 +334,8 @@ def test_newton_polygon_closed_form_matches_hull(f5):
                 except NotWeilAtVError as exc:
                     raised = "distinct valuations" in str(exc)
                 assert raised == (len(newton_vertices(points)) > 2), (m, v_a1, v_a2)
+                verdicts.add(raised)
+    assert verdicts == {True, False} and outside
 
 
 def residual_class(F, pv, k, r2, r1, mu):

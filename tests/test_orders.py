@@ -357,34 +357,47 @@ def test_enumerated_triples_pass_the_tests_they_skip(instance_pool):
 
 def test_factor_runs_only_on_the_repeated_part(monkeypatch, instance_pool):
     # a prime dividing disc(M) once divides neither g nor I, so standard_form
-    # factors only the parts of multiplicity >= 2 of disc(M), one call each;
-    # validation factors nothing, the residual cubic of a supersingular class
-    # with 3 | m included
+    # splits only the parts of multiplicity >= 2 of disc(M), one call each,
+    # and runs one square-free decomposition, of disc(M) itself: the parts it
+    # splits are square-free already.  Validation factors nothing, the
+    # residual cubic of a supersingular class with 3 | m included
     import sys
 
     # the package exports a function named factor, so take the module by name
-    original = sys.modules["drinfeld_orders.factor"].factor
-    calls = []
+    factor_module = sys.modules["drinfeld_orders.factor"]
+    calls, decomposed = [], []
 
-    def counting_factor(f):
-        calls.append(f)
-        return original(f)
+    def recording(original, log):
+        def wrapper(f, *rest):
+            log.append(f)
+            return original(f, *rest)
 
-    for name, module in list(sys.modules.items()):
-        if name == "drinfeld_orders" or name.startswith("drinfeld_orders."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counting_factor)
+        return wrapper
+
+    # factor() reaches both through the factor module's globals, so its
+    # calls are recorded too
+    for original, log in (
+        (factor_module.squarefree_factors, calls),
+        (factor_module.squarefree_decompose, decomposed),
+    ):
+        wrapper = recording(original, log)
+        for name, module in list(sys.modules.items()):
+            if name == "drinfeld_orders" or name.startswith("drinfeld_orders."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, wrapper)
     classes = [a.weil for a in instance_pool]
     classes += [_content_family(*args) for args in CONTENT_FAMILY]
     residuals = factored = 0
     for W in classes:
         calls.clear()
+        decomposed.clear()
         local = validate_weil_necessary(W)
-        assert calls == []
+        assert calls == [] and decomposed == []
         residuals += local.supersingular and W.m % 3 == 0
         sf = analyze_weil_class(W).sf
         d = sf.g**6 * sf.disc_m0
+        assert decomposed == [d]
         repeated = [part for part, v in squarefree_decompose(d).parts if v >= 2]
         assert calls == repeated
         factored += len(calls)
