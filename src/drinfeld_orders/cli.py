@@ -365,8 +365,9 @@ def _json_text(obj, indent: str = "") -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)`` for the types a report
     holds, byte for byte: dicts with string keys, lists, tuples, strings,
     ints, booleans and None.  Any other value, or a key that is not a
-    string, raises TypeError.  Python 3.10-3.12 have no C encoder for
-    ``indent``; there this one pass is 1.7-2 times as fast as theirs."""
+    string, raises TypeError.  Before Python 3.13, ``indent`` turns off
+    json's C encoder; on 3.11 this one pass is about 1.7 times as fast as
+    the pure-Python one."""
     kind = type(obj)
     if kind is int:
         return int.__repr__(obj)

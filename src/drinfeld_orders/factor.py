@@ -195,11 +195,10 @@ def unit_roots(f: Poly) -> list:
     return sorted((F.neg(h.coeffs[0]) for h in linear), key=F.index)
 
 
-def squarefree_factors(f: Poly, rng=None) -> list:
+def squarefree_factors(f: Poly) -> list:
     """The monic irreducible factors of a monic square-free f of degree
-    >= 1, in the order the splitting finds them; without ``rng`` the
-    equal-degree stage draws from a PRNG with the fixed seed."""
-    rng = rng or random.Random(_SPLIT_SEED)
+    >= 1, in the order the splitting finds them."""
+    rng = random.Random(_SPLIT_SEED)
     return [
         prime for piece, d in _distinct_degree(f) for prime in _equal_degree(piece, d, rng)
     ]
@@ -209,12 +208,11 @@ def factor(f: Poly) -> Factorization:
     """Complete factorisation into monic irreducibles over the field."""
     if f.is_zero:
         raise DomainError("factorisation of zero")
-    rng = random.Random(_SPLIT_SEED)
     # the parts are pairwise coprime, so each prime comes from one part
     found = [
         (prime, mult)
         for part, mult in squarefree_decompose(f).parts
-        for prime in squarefree_factors(part, rng)
+        for prime in squarefree_factors(part)
     ]
     ordered = tuple(sorted(found, key=lambda t: t[0].sort_key()))
     return Factorization(f.field, f.lc, ordered)

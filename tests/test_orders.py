@@ -368,9 +368,9 @@ def test_factor_runs_only_on_the_repeated_part(monkeypatch, instance_pool):
     calls, decomposed = [], []
 
     def recording(original, log):
-        def wrapper(f, *rest):
+        def wrapper(f):
             log.append(f)
-            return original(f, *rest)
+            return original(f)
 
         return wrapper
 
