@@ -32,12 +32,13 @@ discriminant collapses to c2^2, invalidating the valuation criterion
 (quadratic ramification is wild there).
 
 Validation is a necessary-conditions check.  Irreducibility over k and the
-constant-term shape are decided exactly: given the bounds, a root of M in
-A is u pv^(m/3) for a unit u, which the test at v rejects.  So is the
-requirement that a single v-adic factor carries the zero of the
-Frobenius.  One corner stays undecided at infinity (h <= 2 and a
-perfect-cube residual there) and is accepted.  Callers should therefore
-report "necessary conditions passed" rather than a full certification.
+constant-term shape are decided exactly: given the bounds, the one
+candidate root of M in A is -a pv^(m/3) for a residual (x + a)^3 at
+infinity, where the test at infinity evaluates M.  So is the requirement
+that a single v-adic factor carries the zero of the Frobenius.  One corner
+stays undecided at infinity (h <= 2, a cube residual there and no root in
+A) and is accepted.  Callers should therefore report "necessary
+conditions passed" rather than a full certification.
 """
 
 from __future__ import annotations
@@ -170,7 +171,9 @@ def _check_at_infinity(W: WeilCubic) -> None:
     M has degree n/3: the Newton polygon at infinity is the one segment from
     (0, n) to (3, 0), that is deg a1 <= n/3 and deg a2 <= 2n/3.  When 3 | n
     its residual x^3 + [T^(n/3)]a1 x^2 + [T^(2n/3)]a2 x + mu over F_q must
-    not split; as at v, it splits iff it is not a cube and has a root."""
+    not split; as at v, it splits iff it is not a cube and has a root.  A
+    root of M in A is u pv^(m/3) with r(u) = 0 (it divides mu pv^m and has
+    degree n/3), so r = (x + a)^3 and -a pv^(m/3) is the one candidate."""
     n = W.m * W.pv.degree
     if 3 * W.a1.degree > n or 3 * W.a2.degree > 2 * n:
         raise WeilValidationError("M(x) breaks the degree bound at infinity")
@@ -183,6 +186,10 @@ def _check_at_infinity(W: WeilCubic) -> None:
     cube = cube and F.mul(F.from_int(27), r0) == F.pow(r2, 3)
     if not cube and unit_roots(Poly(F, (r0, r1, r2, F.one))):
         raise WeilValidationError("the residual polynomial at infinity splits")
+    if cube and W.m % 3 == 0:
+        root = (W.pv ** (W.m // 3)).scale(F.mul(r2, F.inv(F.from_int(-3))))
+        if (((root + W.a1) * root + W.a2) * root + W.a0).is_zero:
+            raise ReducibleError(f"M(x) has the root {root.to_str()} in A")
 
 
 def _is_square_mod(f: Poly, pv: Poly) -> bool:
@@ -203,12 +210,12 @@ def _check_unique_local_zero(W: WeilCubic, h: int) -> None:
     which (characteristic not 2) holds iff disc(M) is a non-square in the
     completion (disc(M) is that of the depressed cubic), decided exactly.
     For h = 3 the Newton polygon must be a single segment from (0, m) to
-    (3, 0), i.e. 3 v(a2) >= 2m and 3 v(a1) >= m.  When besides 3 | m, say
+    (3, 0), i.e. pv^ceil(2m/3) | a2 and pv^ceil(m/3) | a1.  When 3 | m, say
     m = 3k, the bounds at infinity leave a1 = s2 pv^k and a2 = s1 pv^2k with
     s1, s2 in F_q, so M(x) = pv^m r(x / pv^k) for the residual r at
-    infinity, which does not split there.  Either r = (x + a)^3, and M is
-    the cube of x + a pv^k, or r is irreducible over F_q, and then it splits
-    over F_q[T]/(pv) iff 3 | deg pv.
+    infinity, which does not split there.  Nor is r = (x + a)^3, for M would
+    be the cube of x + a pv^k, whose root the test at infinity rejects; so r
+    is irreducible over F_q, and it splits over F_q[T]/(pv) iff 3 | deg pv.
     """
     if h == 1:
         return
@@ -227,16 +234,9 @@ def _check_unique_local_zero(W: WeilCubic, h: int) -> None:
         return
 
     # h == 3: supersingular shape, M must be irreducible over k_v
-    v_a2 = None if W.a2.is_zero else valuation(W.a2, pv)
-    v_a1 = None if W.a1.is_zero else valuation(W.a1, pv)
-    if (v_a2 is not None and 3 * v_a2 < 2 * m) or (v_a1 is not None and 3 * v_a1 < m):
+    if W.a1 % pv ** -(-m // 3) or W.a2 % pv ** -(-2 * m // 3):
         raise NotWeilAtVError("v-adic zeros with distinct valuations")
-    if m % 3:
-        return
-    t, b1, b2 = W.depressed
-    if b1.is_zero and b2.is_zero:  # M(x) = (x + t)^3
-        raise ReducibleError(f"M(x) has the root {(-t).to_str()} in A")
-    if pv.degree % 3 == 0:
+    if m % 3 == 0 and pv.degree % 3 == 0:
         raise NotWeilAtVError("the supersingular residual polynomial splits")
 
 

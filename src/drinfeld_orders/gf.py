@@ -9,8 +9,8 @@ values themselves are inert, hashable and directly comparable, so they can
 be used as dict keys without wrapping.
 
 Towers nest two levels deep: F_9 = F_3[y]/(y^2+1) has int coefficients, and
-a residue field F_q[T]/(p) built on top of an extension F_q has tuple
-coefficients; the base of an extension is F_p or an extension of F_p.
+the field L = F_q[z]/(f) of the modules, built over an extension F_q, has
+tuple coefficients; the base of an extension is F_p or an extension of F_p.
 Field equality is structural, so the same tower built twice compares equal.
 
 Constructors here check only shape (primality, monic modulus).  Whether a
@@ -34,11 +34,11 @@ Extension arithmetic runs in one of two regimes, chosen per field object:
   operand into one int, makes one big-int multiply (Kronecker substitution
   in z and y; von zur Gathen and Gerhard, *Modern Computer Algebra*, section
   8.4), folds the digits outside the basis back with packed rows built
-  once per field and takes every digit mod p in one multiply-shift step
-  (``Packing``), with digits wide enough for that step.  ``skew`` folds a
-  sum of many products at once, and keeps what it reduces packed.
-  Building the tables multiplies the same way.  Sums, differences
-  and negatives go coordinatewise through the base field.
+  once per field on the base field's kernels and takes every digit mod p
+  in one multiply-shift step (``Packing``), with digits wide enough for
+  that step.  ``skew`` folds a sum of many products at once, and keeps what
+  it reduces packed.  Building the tables multiplies the same way.  Sums,
+  differences and negatives go coordinatewise through the base field.
 
 Powers come from ``power_ladder``, the one square-and-multiply loop, in
 every field (over ``mul``, so a tabled field squares on its tables), and
@@ -222,7 +222,9 @@ class Packing:
     ``reduce`` with the digits extracted, and ``unpack`` takes the same
     mod-p step and extracts, for a sum that has no digits outside the
     basis.  For e = 1 a coefficient is one digit, and the rows are
-    z^(n+k) mod f.
+    z^(n+k) mod f.  B's own kernels build the rows: z^i is z^(i-1) shifted,
+    reduced by one ``poly_divmod`` step by f once i >= n, and B.mul takes
+    each coefficient times y^j.
     """
 
     def __init__(self, L, terms: int):
@@ -246,8 +248,6 @@ class Packing:
 
             def digits(r):
                 return tuple([r >> s & digit for s in shifts])
-
-            tops = [[-m % p for m in L.modulus[:n]]]
         else:
             blocks = [range(w * span * i, w * (span * i + e), w) for i in range(n)]
             basis = sum(digit << s for block in blocks for s in block)
@@ -264,44 +264,20 @@ class Packing:
             def digits(r):
                 return tuple([tuple([r >> s & digit for s in b]) for b in blocks])
 
-            g = L.base.modulus
-
-            def times_y(x):
-                out = []
-                for b in range(0, n * e, e):
-                    t = x[b + e - 1]
-                    out += [(a - t * m) % p for a, m in zip([0] + x[b : b + e - 1], g)]
-                return out
-
-            tops = [[-d % p for c in L.modulus[:n] for d in c]]
-            for _ in range(e - 1):  # z^n y^k for k < e
-                tops.append(times_y(tops[-1]))
-
-        # the rows are built on flat lists of F_p-coordinates, index e i + j;
-        # tops[k] is z^n y^k
-        def times_z(x):
-            out = [0] * e + x[:-e]
-            for t, row in zip(x[-e:], tops):
-                if t:
-                    out = [(a + t * r) % p for a, r in zip(out, row)]
-            return out
-
         # (shift of digit (i, j), z^i y^j reduced and packed) for the digits
-        # outside the basis; over F_p these all have i >= n
+        # outside the basis; over F_p only j = 0 occurs, so no B.mul is made
+        B, f = L.base, L.modulus
+        ys = [B.one] + [B.pow(B.generator(), j) for j in range(1, span)]
         folds = []
-        first = n - 1 if e == 1 else 0
-        x = [0] * (n * e)
-        x[first * e] = 1
-        for i in range(first, 2 * n - 1):
-            if i > first:
-                x = times_z(x)
-            row = x
-            for j in range(span):
-                if j:
-                    row = times_y(row)
+        x = [B.one] + [B.zero] * (n - 1)
+        for i in range(2 * n - 1):
+            if i:
+                x = [B.zero] + x
+                x = B.poly_divmod(x, f)[1] if i >= n else x[:n]
+            for j, y in enumerate(ys):
                 if i >= n or j >= e:
-                    element = row if e == 1 else [row[b : b + e] for b in range(0, n * e, e)]
-                    folds.append((w * (span * i + j), pack(element)))
+                    row = [B.mul(c, y) for c in x] if j else x
+                    folds.append((w * (span * i + j), pack(row)))
 
         # basis // digit is 1 at the foot of each basis digit, so qmask keeps
         # the low w - qshift bits of each

@@ -1002,10 +1002,12 @@ def test_box_f5_cube_against_independent_oracles():
     # every cubic of the 5^3 box over F_5 (pv = T, m = 3, deg a1 <= 1,
     # deg a2 <= 2): 4,616 pass, the 4,552 classes of its modules and 64 of
     # the 416 passing cubics whose residual at infinity is a perfect cube
-    # (h <= 2), which have none.  No cubic that passes has a root in A, a
-    # ReducibleError names the root the oracle finds, and the rejections at
-    # infinity are exactly the cubics that break the bounds or whose
-    # residual there has two or more distinct factors
+    # (h <= 2), which have none.  No cubic that passes has a root in A, each
+    # of the 20 ReducibleErrors (the 4 cubes (x + aT)^3 and the 16
+    # (x - uT)(x^2 + bx + u^2 T^2) of height 2) names the root the oracle
+    # finds, and the rejections at infinity are exactly the cubics that
+    # break the bounds or whose residual there has two or more distinct
+    # factors
     F = PrimeField(5)
     T = Poly.x(F)
     n = 3
@@ -1033,4 +1035,4 @@ def test_box_f5_cube_against_independent_oracles():
             accepted += 1
             assert in_bounds and distinct[key] == 1
             assert root_in_a_oracle(W) is None
-    assert accepted == 4616 and reducible == 4
+    assert accepted == 4616 and reducible == 20

@@ -206,10 +206,14 @@ PACKED = {
     "f25e3": lambda: tower_field(5, [2, 0, 1], [(0, 1), (0, 1), (0, 0), (1, 0)]),
     "f49e2": lambda: tower_field(7, [1, 0, 1], [(1, 0), (1, 1), (1, 0)]),
     "f2401e2": f2401_tower,
+    # z + y + 3 over F_25: n = 1, so its only rows have i < n and j >= e
+    "f25e1": lambda: tower_field(5, [2, 0, 1], [(3, 1), (1, 0)]),
 }
+# f25e1 is below the cap, so its products in L run on tables
+ABOVE_CAP = [name for name in PACKED if name != "f25e1"]
 
 
-@pytest.mark.parametrize("name", PACKED)
+@pytest.mark.parametrize("name", ABOVE_CAP)
 def test_packed_fields_match_schoolbook(name):
     L = PACKED[name]()
     assert L.q > TABLE_CAP
@@ -228,6 +232,16 @@ def test_packed_fields_match_schoolbook(name):
             assert mul(a, L.inv(a)) == L.one
             assert L.pow(a, -3) == schoolbook_pow(mul, L.one, L.inv(a), 3)
     assert not L._log
+
+
+def test_degree_one_tower_packed_product_matches_schoolbook():
+    L = PACKED["f25e1"]()
+    pk = Packing(L, 1)
+    mul = schoolbook_ops(L)[2]
+    elems = field_elements(L)
+    for a in elems:
+        for b in elems:
+            assert pk.fold(pk.pack(a) * pk.pack(b)) == mul(a, b)
 
 
 def test_reducible_modulus_runs_packed():
