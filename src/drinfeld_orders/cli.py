@@ -7,8 +7,10 @@ Two commands over a JSON problem description:
 
 Both take one path, ``run``: load -> bound -> analysis -> identification
 -> render.  ``load_config`` is the only parser: it checks the size limits,
-builds F_q and, when the config lists modules, L (tested irreducible) and
-every phi_T in L, so a config error exits 2 before any class arithmetic.
+builds F_q and, when the config lists modules, the one ring L{tau} that
+every module then uses, tests L's modulus on that ring's Frobenius (Rabin's
+criterion, ``SkewRing.is_field``) and parses every phi_T in L, so a config
+error exits 2 before any class arithmetic.
 ``check-module`` is ``analyze`` restricted to the named module; it prints
 that module's ``analyze`` line without the name prefix.
 
@@ -91,7 +93,7 @@ EXITS = (
 @dataclass
 class ProblemConfig:
     weil: WeilCubic  # M(x) over F_q[T], with pv and m
-    L: Optional[ExtensionField]  # F_q[x]/(L), irreducible; None without modules
+    ring: Optional[SkewRing]  # L{tau}, L = F_q[z]/(f) a field; None without modules
     modules: list  # (name, phi_T coefficients in L), in config order
     candidate_bound: Optional[int]  # options.candidate_bound, None when unset
     output_format: Optional[str]  # options.output_format, None when unset
@@ -146,13 +148,6 @@ def _parse_poly(F: FiniteField, obj, where: str) -> Poly:
     return Poly(F, (_parse_elem(F, o, where) for o in obj))
 
 
-def _extension(base: FiniteField, modulus: Poly, where: str) -> ExtensionField:
-    try:
-        return make_extension_field(base, modulus)
-    except DomainError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
 def load_config(path: str) -> ProblemConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -184,7 +179,10 @@ def load_config(path: str) -> ProblemConfig:
             isinstance(mod, list) and len(mod) == e + 1,
             "'field.modulus' must list e+1 coefficients when e > 1",
         )
-        F = _extension(base, _parse_poly(base, mod, "field.modulus"), "field.modulus")
+        try:
+            F = make_extension_field(base, _parse_poly(base, mod, "field.modulus"))
+        except DomainError as exc:
+            raise ConfigError(f"field.modulus: {exc}") from exc
 
     pv = _parse_poly(F, raw.get("pv"), "pv")
     m = raw.get("m")
@@ -214,8 +212,9 @@ def load_config(path: str) -> ProblemConfig:
         "'options.output_format' must be 'json' or 'text'",
     )
 
-    # L is tested only when modules need it, after every cheaper check
-    L, modules = None, []
+    # L is tested only when modules need it, after every cheaper check, on
+    # the Frobenius of the one ring L{tau} that the modules then use
+    ring, modules = None, []
     if raw.get("modules") is not None:
         _require(isinstance(raw["modules"], list), "'modules' must be an array")
         _require(l_modulus is not None, "'modules' requires 'L'")
@@ -223,7 +222,12 @@ def load_config(path: str) -> ProblemConfig:
             l_modulus.degree == m * pv.degree,
             "the degree of L must equal m * deg(pv)",
         )
-        L = _extension(F, l_modulus, "L")
+        _require(
+            l_modulus.is_monic and l_modulus.degree >= 1,
+            "L: extension modulus must be monic of degree >= 1",
+        )
+        ring = SkewRing(ExtensionField(F, l_modulus.coeffs))
+        _require(ring.is_field(), "L: extension modulus is reducible")
         seen = set()
         for entry in raw["modules"]:
             _require(isinstance(entry, dict), "module entries must be objects")
@@ -231,12 +235,12 @@ def load_config(path: str) -> ProblemConfig:
             _require(isinstance(name, str) and name, "module entries need a 'name'")
             _require(name not in seen, f"duplicate module name '{name}'")
             seen.add(name)
-            phi_t = _parse_poly(L, entry.get("phi_T"), f"module '{name}' phi_T")
+            phi_t = _parse_poly(ring.L, entry.get("phi_T"), f"module '{name}' phi_T")
             modules.append((name, phi_t.coeffs))
 
     return ProblemConfig(
         weil=WeilCubic(field=F, a1=a1, a2=a2, mu=mu, pv=pv, m=m),
-        L=L,
+        ring=ring,
         modules=modules,
         candidate_bound=bound,
         output_format=fmt,
@@ -450,8 +454,9 @@ def run(args) -> str:
         _require(modules, f"module '{args.name}' not found in config")
     bound = resolve_candidate_bound(cfg, args.candidate_bound)
     analysis = analyze_weil_class(cfg.weil, candidate_bound=bound)
-    ring = SkewRing(cfg.L) if modules else None
-    identifications = [identify_module(ring, name, phi_t, analysis) for name, phi_t in modules]
+    identifications = [
+        identify_module(cfg.ring, name, phi_t, analysis) for name, phi_t in modules
+    ]
     report = build_report(analysis, identifications)
     if args.name is not None:
         mismatch = " (rank mismatch)" if identifications[0].get("rank_mismatch") else ""

@@ -13,7 +13,10 @@ seeded with a fixed constant, so output is reproducible run to run.
 
 The irreducibility test is Ben-Or's: the same distinct-degree ladder,
 which stops at half the degree, and f is irreducible when it comes back
-whole (Ben-Or, FOCS 1981; Gao and Panario, 1997).
+whole (Ben-Or, FOCS 1981; Gao and Panario, 1997).  It serves pv and the
+modulus of F_q (``make_extension_field``); the modulus of the modules'
+field L is tested by Rabin's criterion on the Frobenius that its skew ring
+builds anyway (``skew.SkewRing.is_field``).
 
 Also here: the roots of a polynomial in F_q*, and divisors from a given
 factorisation.

@@ -14,8 +14,9 @@ tuple coefficients; the base of an extension is F_p or an extension of F_p.
 Field equality is structural, so the same tower built twice compares equal.
 
 Constructors here check only shape (primality, monic modulus).  Whether a
-modulus is irreducible is a factorisation question; use
-``factor.make_extension_field`` when that guarantee is needed.
+modulus is irreducible is decided by Ben-Or's test in
+``factor.make_extension_field`` for F_q, and for the modules' field L by
+Rabin's criterion on the Frobenius of its skew ring (``skew``).
 
 Extension arithmetic runs in one of two regimes, chosen per field object:
 

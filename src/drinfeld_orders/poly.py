@@ -284,15 +284,19 @@ def polys_below_degree(field: FiniteField, d: int) -> Iterator[Poly]:
 
 
 def valuation(f: Poly, p: Poly) -> int:
-    """Exact power of p dividing f (f nonzero, deg p >= 1)."""
+    """Exact power of p dividing f (f nonzero, deg p >= 1): one
+    ``poly_divmod`` of coefficient tuples per power, with no Poly built on
+    the way."""
     if f.is_zero:
         raise DomainError("valuation of zero polynomial")
     if p.degree < 1:
         raise DomainError("valuation at a constant")
+    F, a, b = f.field, f.coeffs, p.coeffs
+    zeros = [F.zero] * p.degree
     v = 0
-    while True:
-        q, r = divmod(f, p)
-        if r:
+    while len(a) >= len(b):
+        a, rem = F.poly_divmod(a, b)
+        if rem != zeros:
             return v
-        f = q
         v += 1
+    return v

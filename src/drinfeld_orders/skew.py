@@ -30,7 +30,8 @@ F_q = F_p or F_p[y]/(g)) and reduces late:
   and the packed orbits of the v_j (cached per ring), and folded once;
 - the orbit itself is F_p-linear: F_q is fixed by the q-Frobenius, so
   x^q = sum_(i,j) x_ij y^j (z^q)^i over the F_p-coordinates x_ij of x, and
-  it needs no power in L;
+  it needs no power in L; z^q and the rows y^j (z^q)^i are products on the
+  ring's own packing, built once per ring;
 - phi_{T^k} is kept packed and reduced, so a coefficient of
   sum_j phi_(a_j)*pi^j, a sum of reduced elements times scalars in F_q, is
   unpacked once over F_p and never folded; over F_p[y]/(g) a scalar is
@@ -40,7 +41,11 @@ F_q = F_p or F_p[y]/(g)) and reduces late:
   int 0), keeps each quotient coefficient packed and unpacks the quotient
   once at the end.
 At most ``SKEW_TERMS`` products go into a sum before it is folded; a longer
-sum is first reduced to one summand.
+sum is first reduced to one summand.  Right division inverts lc(d) by the
+extended Euclidean algorithm on the base field's kernels, so L builds
+neither log tables nor a second ``Packing``.  The orbit of z also decides
+whether L is a field (``SkewRing.is_field``, Rabin's criterion), so
+``cli`` tests L on the one ring per config that its modules then use.
 
 ``survey_candidates`` is the one membership loop: it decides both
 generators of every accepted order, and ``identify_endo_ring`` reads
@@ -60,7 +65,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .cubic import MaximalOrderData, StandardForm, WeilCubic
 from .errors import DomainError, NoCandidateError
-from .gf import ExtensionField, Packing
+from .gf import ExtensionField, Packing, power_ladder
 from .orders import OrderHNF
 from .poly import Poly, poly_gcd
 
@@ -81,35 +86,59 @@ class SkewRing:
         self._pk = pk = Packing(L, SKEW_TERMS)
         self._packed_orbits = {}  # lam -> the orbit of lam, packed
         # y^j (z^q)^i packed, listed as the F_p-coordinates x_ij of an
-        # element are: (y^j z^i)^q = y^j (z^q)^i, as y^q = y
-        zq = L.pow(L.generator(), self.q)
-        ys = [L.embed(L.base.element(L.p**j)) for j in range(1, L.base.degree)]
-        rows, x = [], L.one
+        # element are: (y^j z^i)^q = y^j (z^q)^i, as y^q = y; z^q and the
+        # rows are products on this packing, none made by L itself
+        reduce = pk.reduce
+        zq = power_ladder(pk.pack(L.generator()), self.q, lambda a, b: reduce(a * b))
+        ys = [pk.pack(L.embed(L.base.element(L.p**j))) for j in range(1, L.base.degree)]
+        rows, x = [], pk.pack(L.one)
         for i in range(self.n):
             if i:
-                x = L.mul(x, zq)
-            rows.append(pk.pack(x))
-            rows += [pk.pack(L.mul(x, y)) for y in ys]
+                x = reduce(x * zq)
+            rows.append(x)
+            rows += [reduce(x * y) for y in ys]
         self._frobenius_rows = rows
+
+    def is_field(self) -> bool:
+        """Whether L's modulus f is irreducible, by Rabin's criterion
+        (Rabin, SIAM J. Comput. 9, 1980): z^(q^n) = z, and
+        gcd(prod over the primes r | n of (z^(q^(n/r)) - z), f) = 1 with
+        the product taken in L.  For a reducible f, L is a ring and
+        x -> x^q still its F_q-linear Frobenius, so the orbit of z means
+        the same there."""
+        L, pk, n = self.L, self._pk, self.n
+        z = L.generator()
+        orbit = self._packed_orbit(z)
+        if self._frobenius(pk.unpack(orbit[-1])) != z:
+            return False
+        minus_z, prod = pk.pack(L.neg(z)), pk.pack(L.one)
+        for r in range(2, n + 1):
+            if n % r == 0 and all(r % s for s in range(2, r)):
+                prod = pk.reduce(prod * pk.reduce(orbit[n // r] + minus_z))
+        B = self.base
+        return poly_gcd(Poly(B, pk.unpack(prod)), Poly(B, L.modulus)).is_one
 
     def twist(self, lam, k: int):
         """lam^(q^k); the k-th power of the relative Frobenius."""
         k %= self.n
         return self._pk.unpack(self._packed_orbit(lam)[k]) if k else lam
 
+    def _frobenius(self, x):
+        """x^q: one sum of the Frobenius rows times the F_p-coordinates of
+        x, unpacked without a fold."""
+        coords = chain.from_iterable(x) if self.base.degree > 1 else x
+        return self._pk.unpack(sum(map(mul, coords, self._frobenius_rows)))
+
     def _packed_orbit(self, lam):
-        """[lam, lam^q, ..., lam^(q^(n-1))] packed, each step one sum of
-        the Frobenius rows times the F_p-coordinates, unpacked without a
-        fold."""
+        """[lam, lam^q, ..., lam^(q^(n-1))] packed, built once per element
+        and ring."""
         orbit = self._packed_orbits.get(lam)
         if orbit is None:
-            pk, rows = self._pk, self._frobenius_rows
-            tower = self.L.base.degree > 1
-            x = lam
-            orbit = [pk.pack(x)]
+            pack, x = self._pk.pack, lam
+            orbit = [pack(x)]
             for _ in range(self.n - 1):
-                x = pk.unpack(sum(map(mul, chain.from_iterable(x) if tower else x, rows)))
-                orbit.append(pk.pack(x))
+                x = self._frobenius(x)
+                orbit.append(pack(x))
             self._packed_orbits[lam] = orbit
         return orbit
 
@@ -181,8 +210,10 @@ class SkewPoly:
         dn = d.degree
         if len(self.coeffs) - 1 < dn:
             return SkewPoly(ring, ()), self
-        # 1/lc(d)^(q^k) = (1/lc(d))^(q^k): one inversion, then twists
-        inv_orbit = ring._packed_orbit(L.inv(d.coeffs[-1]))
+        # 1/lc(d)^(q^k) = (1/lc(d))^(q^k): one inversion, by the extended
+        # Euclidean algorithm on the base field's kernels (no tables for L),
+        # then twists
+        inv_orbit = ring._packed_orbit(L._inv(d.coeffs[-1]))
         # rem holds unfolded sums, and only the top one is reduced at each
         # step; column r lists (-d_j)^(q^r) for j < dn (the top cancels)
         pk, n = ring._pk, ring.n

@@ -12,7 +12,8 @@ counted with one gcd per pair of divisors, the integral basis is found
 by scanning every residue mod I^2, a root of M in A by scanning every unit
 times every divisor of a0, field arithmetic is redone on coefficient tuples
 without calling the field object (and polynomials over F_p and
-primality by plain integer loops), skew products are taken in full from
+primality by plain integer loops), irreducibility by a root scan and
+Frobenius fixed points, skew products are taken in full from
 the twist rule with Frobenius powers from ``L.pow``, and the endomorphism-ring
 enumeration is cross-checked against a brute-force sweep over every HNF
 lattice between A[pi] and the maximal order.
@@ -695,6 +696,36 @@ def motive_class(L, phi_t) -> WeilCubic:
 def field_elements(F) -> list:
     """Every element of F, in index order."""
     return [F.element(i) for i in range(F.q)]
+
+
+def monic_polys(F, max_deg: int):
+    """Every monic polynomial over F of degree at most max_deg."""
+    x = Poly.x(F)
+    for n in range(max_deg + 1):
+        lead = x**n
+        for u in polys_below_degree(F, n):
+            yield lead + u
+
+
+def irreducible_oracle(f) -> bool:
+    """Root scan for cubics and below, Frobenius fixed-point counting for
+    higher degrees."""
+    F = f.field
+    n = f.degree
+    if n <= 0:
+        return False
+    if n == 1:
+        return True
+    if any(f.evaluate(c) == F.zero for c in field_elements(F)):
+        return False
+    if n <= 3:
+        return True  # rootless quadratics and cubics are irreducible
+    x = Poly.x(F)
+    for d in range(2, n):
+        h = x.pow_mod(F.q**d, f) - x
+        if h.is_zero or not poly_gcd(h, f).is_one:
+            return False
+    return (x.pow_mod(F.q**n, f) - x).is_zero
 
 
 def _prime_ops(p):

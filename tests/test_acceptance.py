@@ -37,8 +37,7 @@ from drinfeld_orders import (
     survey_candidates,
 )
 
-from oracles import closure_oracle, exact_sqrt, expand, paper_weil
-from test_factor import _independent_irreducible
+from oracles import closure_oracle, exact_sqrt, expand, irreducible_oracle, paper_weil
 from test_gf import build_field
 from test_poly import rand_poly
 
@@ -258,7 +257,7 @@ def test_criterion_8_algebra_substrate():
             fac = factor(f)
             assert expand(fac) == f
             for prime, _ in fac.factors:
-                assert _independent_irreducible(prime)
+                assert irreducible_oracle(prime)
 
     rng = random.Random(803)
     for F in fields:

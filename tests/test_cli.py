@@ -20,10 +20,11 @@ from drinfeld_orders import (
     standard_form,
 )
 from drinfeld_orders.cli import main
-from drinfeld_orders.gf import ExtensionField, FiniteField, PrimeField
+from drinfeld_orders.gf import ExtensionField, Packing, PrimeField
 from drinfeld_orders.skew import MembershipSurvey
 
 from oracles import descended_module
+from test_skew import RABIN_REDUCIBLE
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = REPO / "configs" / "example_f5.json"
@@ -230,18 +231,30 @@ def test_analyze_runs_each_membership_once(monkeypatch, capsys):
 
 
 def test_analyze_builds_l_once(monkeypatch, capsys):
-    # three modules share one L; its irreducibility test runs once
-    calls = []
-    real = cli.make_extension_field
+    # three modules share one L: load_config builds one ring and tests L on
+    # its Frobenius, the ring makes the one packing of L, and L, whose
+    # products and inverse all go through the ring, builds no log tables
+    counts = {"rings": 0, "packings": 0, "tables": 0}
 
-    def counted(base, modulus):
-        calls.append(modulus)
-        return real(base, modulus)
+    def counted(name, cls, key):
+        real = getattr(cls, key)
 
-    monkeypatch.setattr(cli, "make_extension_field", counted)
+        def wrapper(self, *args):
+            counts[name] += 1
+            return real(self, *args)
+
+        return wrapper
+
+    for name, cls, key in (
+        ("rings", skew.SkewRing, "__init__"),
+        ("packings", Packing, "__init__"),
+        ("tables", ExtensionField, "_primitive_powers"),
+    ):
+        monkeypatch.setattr(cls, key, counted(name, cls, key))
     assert main(["analyze", str(GOLDEN)]) == 0
-    capsys.readouterr()
-    assert [m.degree for m in calls] == [3]
+    golden = REPO / "tests" / "golden" / "example_f5.analyze.text.out"
+    assert capsys.readouterr().out == golden.read_text()
+    assert counts == {"rings": 1, "packings": 1, "tables": 0}
 
 
 F49_CLASS = {
@@ -280,19 +293,27 @@ def test_f49_class_multiplies_in_f7_only_to_build_tables(tmp_path, monkeypatch, 
 
 
 def test_twist_raises_each_element_at_most_n_minus_1_times(monkeypatch, capsys):
-    # the Frobenius orbit of an element of L is computed once per ring
-    raised = {}
+    # the Frobenius orbit of an element of L is built once per ring, by
+    # n - 1 Frobenius steps; the test of L adds one step past the orbit of z
+    built, steps = {}, [0]
+    real_orbit, real_step = skew.SkewRing._packed_orbit, skew.SkewRing._frobenius
 
-    def counted(field, a, n):
-        if n == field.base.q:
-            key = (id(field), a)
-            raised[key] = raised.get(key, 0) + 1
-        return FiniteField.pow(field, a, n)
+    def orbit(ring, lam):
+        if lam not in ring._packed_orbits:
+            key = (id(ring), lam)
+            built[key] = built.get(key, 0) + 1
+        return real_orbit(ring, lam)
 
-    monkeypatch.setattr(ExtensionField, "pow", counted)
+    def step(ring, x):
+        steps[0] += 1
+        return real_step(ring, x)
+
+    monkeypatch.setattr(skew.SkewRing, "_packed_orbit", orbit)
+    monkeypatch.setattr(skew.SkewRing, "_frobenius", step)
     assert main(["check-module", str(GOLDEN), "--name", "phi"]) == 0
     assert capsys.readouterr().out == "in class: yes; End = O_max(1,0,1)\n"
-    assert raised and max(raised.values()) <= 3 - 1
+    assert built and max(built.values()) == 1
+    assert steps[0] == (3 - 1) * len(built) + 1
 
 
 def test_reducible_l_checked_before_class(tmp_path):
@@ -308,6 +329,32 @@ def test_reducible_l_checked_before_class(tmp_path):
     path.write_text(json.dumps(cfg))
     proc = run_cli(["analyze", str(path)])
     assert proc.returncode == 2 and "config: L:" in proc.stderr
+
+
+# L of each reducible kind, whose degree m follows, and L of the wrong shape
+INVALID_L = {
+    **{
+        name: ({"L": list(f.coeffs), "m": f.degree}, "is reducible")
+        for name, (f, _) in RABIN_REDUCIBLE.items()
+    },
+    "x^3": ({"L": [0, 0, 0, 1]}, "is reducible"),
+    "non-monic": ({"L": [3, 3, 0, 2]}, "must be monic of degree >= 1"),
+    "constant": ({"L": [1], "pv": [1], "m": 1}, "must be monic of degree >= 1"),
+}
+
+
+@pytest.mark.parametrize(
+    "args", [["analyze"], ["check-module", "--name", "phi"]], ids=["analyze", "check-module"]
+)
+@pytest.mark.parametrize("name", INVALID_L)
+def test_invalid_l_exits_2_with_the_modulus_message(tmp_path, capsys, name, args):
+    edit, message = INVALID_L[name]
+    cfg = json.loads(GOLDEN.read_text())
+    cfg.update(edit)
+    path = tmp_path / "bad_l.json"
+    path.write_text(json.dumps(cfg))
+    assert main([args[0], str(path), *args[1:]]) == 2
+    assert capsys.readouterr() == ("", f"config: L: extension modulus {message}\n")
 
 
 def _psi_coefficient(entry):

@@ -20,7 +20,14 @@ from drinfeld_orders import (
 from drinfeld_orders.factor import unit_roots
 from drinfeld_orders.poly import polys_below_degree
 
-from oracles import exact_sqrt, expand, field_elements, residue_factor
+from oracles import (
+    exact_sqrt,
+    expand,
+    field_elements,
+    irreducible_oracle,
+    monic_polys,
+    residue_factor,
+)
 from test_gf import FIELDS, build_field
 from test_poly import rand_poly
 
@@ -169,49 +176,17 @@ def test_factor_irreducible_input():
     assert factor(f).factors == ((f, 1),)
 
 
-def _independent_irreducible(f) -> bool:
-    """Test-side check: root scan for cubics and below, Frobenius fixed-point
-    counting for higher degrees."""
-    from drinfeld_orders import poly_gcd
-
-    F = f.field
-    n = f.degree
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    if any(f.evaluate(c) == F.zero for c in field_elements(F)):
-        return False
-    if n <= 3:
-        return True  # rootless quadratics and cubics are irreducible
-    x = Poly.x(F)
-    for d in range(2, n):
-        h = x.pow_mod(F.q**d, f) - x
-        if h.is_zero or not poly_gcd(h, f).is_one:
-            return False
-    return (x.pow_mod(F.q**n, f) - x).is_zero
-
-
-def _monic_polys(F, max_deg: int):
-    """Every monic polynomial over F of degree at most max_deg."""
-    x = Poly.x(F)
-    for n in range(max_deg + 1):
-        lead = x**n
-        for u in polys_below_degree(F, n):
-            yield lead + u
-
-
 def test_ben_or_matches_independent_oracle():
     # every monic polynomial of small degree over F_5, F_7 and the tabled
     # F_25, and a non-monic multiple of each one over F_5
     F5 = PrimeField(5)
     F25 = make_extension_field(F5, Poly.from_ints(F5, [2, 0, 1]))
     for F, max_deg in ((F5, 4), (PrimeField(7), 3), (F25, 2)):
-        for f in _monic_polys(F, max_deg):
-            assert is_irreducible(f) == _independent_irreducible(f), f.to_str()
-    for f in _monic_polys(F5, 4):
+        for f in monic_polys(F, max_deg):
+            assert is_irreducible(f) == irreducible_oracle(f), f.to_str()
+    for f in monic_polys(F5, 4):
         g = f.scale(F5.element(3))
-        assert is_irreducible(g) == _independent_irreducible(f), g.to_str()
+        assert is_irreducible(g) == irreducible_oracle(f), g.to_str()
 
 
 def test_ben_or_corner_inputs():
@@ -252,7 +227,7 @@ def test_factor_roundtrip_and_irreducibility_random(F):
         assert expand(fac) == f
         for prime, mult in fac.factors:
             assert prime.is_monic and mult >= 1
-            assert _independent_irreducible(prime)
+            assert irreducible_oracle(prime)
 
 
 @pytest.mark.parametrize("bound", [None, 1], ids=["scan", "gcd"])

@@ -280,6 +280,43 @@ def test_valuation():
     assert valuation(f, T + Poly.from_ints(F, [2])) == 0
 
 
+def _valuation_by_divmod(f, p) -> int:
+    """The definition: divide by p as a Poly until a remainder is nonzero."""
+    v = 0
+    while True:
+        q, r = divmod(f, p)
+        if r:
+            return v
+        f, v = q, v + 1
+
+
+VALUATION_FIELDS = {
+    "F13": lambda: PrimeField(13),
+    "F25": TABLED["F25"],  # on its tables
+    "f25e3": PACKED["f25e3"],  # a tower over F_25, on packed products
+}
+
+
+@pytest.mark.parametrize("name", VALUATION_FIELDS)
+def test_valuation_matches_repeated_division(name):
+    # f = p^k g for p of degree 1 to 3, monic or not, and g of degree 0 to
+    # 4, which p may divide again; g constant and k = 0 puts deg f < deg p
+    F = VALUATION_FIELDS[name]()
+    rng = random.Random(name)
+    seen = set()
+    for _ in range(80):
+        p = rand_poly(F, rng.randrange(1, 4), rng)
+        g = rand_poly(F, rng.randrange(5), rng)
+        if p.degree < 1 or g.is_zero:
+            continue
+        k = rng.randrange(4)
+        f = p**k * g
+        v = valuation(f, p)
+        assert v == _valuation_by_divmod(f, p) >= k
+        seen.add(v)
+    assert seen >= {0, 1, 2, 3}
+
+
 def test_evaluate_and_derivative():
     F = PrimeField(7)
     f = Poly.from_ints(F, [1, 0, 3, 2])  # 2T^3+3T^2+1

@@ -17,6 +17,7 @@ from drinfeld_orders import (
     element_membership,
     identify_endo_ring,
     enumerate_candidates,
+    is_irreducible,
     make_extension_field,
     order_generator_kelems,
     poly_gcd,
@@ -24,6 +25,7 @@ from drinfeld_orders import (
     verify_weil_action,
 )
 from drinfeld_orders.gf import ExtensionField
+from drinfeld_orders.poly import polys_below_degree
 from drinfeld_orders.orders import OrderHNF
 from drinfeld_orders.skew import MembershipSurvey, SkewRing
 
@@ -37,6 +39,8 @@ from oracles import (
     frobenius_power,
     gamma,
     gamma_t,
+    irreducible_oracle,
+    monic_polys,
     motive_class,
     phi_horner_oracle,
     skew_constant,
@@ -46,7 +50,7 @@ from oracles import (
     skew_tau,
     weil_relation_oracle,
 )
-from test_gf import PACKED
+from test_gf import PACKED, TABLED
 
 
 # L = F_{7^6} and F_{5^9}, the two sizes of the module benchmark
@@ -737,3 +741,107 @@ def test_packed_sums_stay_within_the_digit_bound(name, monkeypatch):
     assert quo == top and rem.is_zero
     assert quo1 == ones and rem1.is_zero
     assert phi_a.coeffs == phi_horner_oracle(D, a)
+
+
+# -- Rabin's test of L's modulus ---------------------------------------------
+
+
+def rabin(f) -> bool:
+    """SkewRing.is_field for L = F[z]/(f), f monic of degree >= 1."""
+    return SkewRing(ExtensionField(f.field, f.coeffs)).is_field()
+
+
+def rabin_conditions(f):
+    """(z^(q^n) = z, gcd(prod over primes r | n of z^(q^(n/r)) - z, f) = 1)
+    on Poly powers mod f, with no ring."""
+    F, n = f.field, f.degree
+    x = Poly.x(F)
+    prod = Poly.one(F)
+    for r in (r for r in range(2, n + 1) if n % r == 0 and all(r % s for s in range(2, r))):
+        prod = prod * (x.pow_mod(F.q ** (n // r), f) - x) % f
+    return x.pow_mod(F.q**n, f) == x % f, poly_gcd(prod, f).is_one
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rabin_matches_ben_or_and_the_oracle_over_prime_fields(p):
+    # every monic modulus of degree 1 to 4
+    F = PrimeField(p)
+    for f in monic_polys(F, 4):
+        if f.degree >= 1:
+            assert rabin(f) == is_irreducible(f) == irreducible_oracle(f), f.to_str()
+
+
+def test_rabin_matches_ben_or_and_the_oracle_over_the_f25_tower():
+    # every monic modulus of degree 1 and 2 over F_25 = F_5[y]/(y^2 + 2), and
+    # a seeded sample of 2,000 of the 15,625 monic cubics (all of them would
+    # add about 8 s); F_25 runs on its tables, L on the ring's packing
+    F25 = TABLED["F25"]()
+    x = Poly.x(F25)
+    moduli = [f for f in monic_polys(F25, 2) if f.degree >= 1]
+    cubics = list(polys_below_degree(F25, 3))
+    moduli += [x**3 + u for u in random.Random(25).sample(cubics, 2000)]
+    verdicts = [rabin(f) for f in moduli]
+    assert verdicts == [is_irreducible(f) for f in moduli]
+    assert verdicts == [irreducible_oracle(f) for f in moduli]
+    assert 0 < sum(verdicts) < len(moduli)
+
+
+# L's moduli of the module-ident benchmark at seed 1: sixteen of degree 6
+# over F_7 and four of degree 9 over F_5
+MODULE_IDENT_MODULI = [
+    (7, [4, 1, 0, 5, 4, 1, 1]),
+    (7, [5, 3, 1, 5, 2, 5, 1]),
+    (7, [6, 6, 0, 5, 3, 1, 1]),
+    (7, [3, 4, 0, 5, 4, 0, 1]),
+    (7, [1, 4, 0, 2, 1, 3, 1]),
+    (7, [6, 3, 6, 6, 4, 6, 1]),
+    (7, [4, 5, 6, 5, 3, 6, 1]),
+    (7, [1, 2, 3, 4, 4, 5, 1]),
+    (7, [6, 4, 4, 6, 4, 2, 1]),
+    (7, [3, 1, 3, 4, 0, 3, 1]),
+    (7, [1, 0, 3, 1, 1, 3, 1]),
+    (7, [6, 5, 1, 1, 6, 5, 1]),
+    (7, [6, 2, 4, 4, 5, 0, 1]),
+    (7, [4, 4, 2, 3, 4, 5, 1]),
+    (7, [1, 3, 0, 5, 5, 4, 1]),
+    (7, [4, 0, 3, 5, 4, 6, 1]),
+    (5, [2, 2, 1, 2, 0, 3, 0, 1, 4, 1]),
+    (5, [4, 4, 3, 3, 3, 2, 3, 4, 2, 1]),
+    (5, [1, 3, 3, 1, 3, 1, 4, 4, 1, 1]),
+    (5, [4, 0, 2, 3, 1, 2, 3, 3, 0, 1]),
+]
+
+
+@pytest.mark.parametrize("p, modulus", MODULE_IDENT_MODULI, ids=lambda v: str(v))
+def test_rabin_accepts_the_module_ident_moduli(p, modulus):
+    F = PrimeField(p)
+    f = Poly.from_ints(F, modulus)
+    assert rabin(f) and is_irreducible(f) and irreducible_oracle(f)
+    # and times x + 1 it is rejected
+    assert not rabin(f * Poly.from_ints(F, [1, 1]))
+
+
+def _f5(*coeffs):
+    return Poly.from_ints(PrimeField(5), coeffs)
+
+
+# reducible moduli over F_5 and which of Rabin's two conditions they pass:
+# with irreducible x + 1, x^2 + 2, x^2 + 3, x^3 + 3x + 3, x^3 + x + 1 and
+# x^5 - x - 1; each condition alone is needed, and a square fails both
+RABIN_REDUCIBLE = {
+    # n = 5 is prime and no factor is linear, so the gcd with z^q - z is 1:
+    # only z^(q^5) = z fails, on the quadratic factor
+    "quadratic*cubic": (_f5(2, 0, 1) * _f5(3, 3, 0, 1), (False, True)),
+    # z^(q^6) = z holds: only the gcd with z^(q^3) - z catches it
+    "cubic*cubic": (_f5(3, 3, 0, 1) * _f5(1, 1, 0, 1), (True, False)),
+    "quadratic*quadratic": (_f5(2, 0, 1) * _f5(3, 0, 1), (True, False)),
+    "cubic^2": (_f5(3, 3, 0, 1) ** 2, (False, False)),
+    "linear*quintic": (_f5(1, 1) * _f5(4, 4, 0, 0, 0, 1), (False, False)),
+}
+
+
+@pytest.mark.parametrize("name", RABIN_REDUCIBLE)
+def test_rabin_rejects_each_kind_of_reducible_modulus(name):
+    f, conditions = RABIN_REDUCIBLE[name]
+    assert rabin_conditions(f) == conditions
+    assert not rabin(f) and not is_irreducible(f) and not irreducible_oracle(f)
