@@ -200,11 +200,12 @@ def unit_roots(f: Poly) -> list:
 
 def squarefree_factors(f: Poly) -> list:
     """The monic irreducible factors of a monic square-free f of degree
-    >= 1, in the order the splitting finds them."""
-    rng = random.Random(_SPLIT_SEED)
-    return [
-        prime for piece, d in _distinct_degree(f) for prime in _equal_degree(piece, d, rng)
-    ]
+    >= 1, in the order the splitting finds them.  The PRNG is seeded only
+    when a piece holds two or more primes, as only then does the
+    equal-degree stage draw."""
+    pieces = _distinct_degree(f)
+    rng = random.Random(_SPLIT_SEED) if any(g.degree > d for g, d in pieces) else None
+    return [prime for piece, d in pieces for prime in _equal_degree(piece, d, rng)]
 
 
 def factor(f: Poly) -> Factorization:

@@ -12,7 +12,10 @@ O is a ring iff its generators' squares and product pass that test.  An
 order is an endomorphism ring exactly when it stays maximal above v
 (when pv divides a2, gcd(pv, a*c) = 1), contains the Frobenius, and is a
 ring.  The first two hold by construction of the enumerated triples, so
-closure is the only test run per triple.
+closure is the only test run per proper triple.  The maximal order
+(1, 0, 1) passes it whatever the table says, since a = c = 1 divides
+everything, so it is accepted without one, and the multiplication table
+is built only for a class with a proper triple to test.
 
 The full sandwich between A[pi] and the maximal order has c running over
 divisors of g, a over divisors of g^2*I (the a-entry of A[pi] itself),
@@ -80,8 +83,14 @@ def mult_table(sf: StandardForm, mo: MaximalOrderData) -> tuple:
     """The nine structure constants of the integral basis: rows express
     (omega1^2, omega2^2, omega1*omega2) over (1, omega1, omega2).
 
-    Exact divisibility by I and I^2 is asserted entry-wise; failure means
-    (alpha2, beta2) do not satisfy their congruences.
+    Every exact division follows from the two congruences that
+    ``integral_basis`` checks, 3*beta^2 + c1 = 0 mod I and
+    beta^3 + c1*beta + c2 = 0 mod I^2, with alpha = -2*beta^2 + k*I
+    (alpha = alpha2, beta = beta2): x22's numerator is
+    -(beta^3 + c1*beta + c2), and x21's is
+    -2*beta*(beta^3 + c1*beta + c2) + k*I*(c1 + 3*beta^2) - k^2*I^2.
+    So a division that is not exact means (alpha2, beta2) do not satisfy
+    their congruences, and it is reported as an internal inconsistency.
     """
     c1, c2 = sf.c1, sf.c2
     I, a2, b2 = mo.index, mo.alpha2, mo.beta2
@@ -214,30 +223,35 @@ def analyze_weil_class(
     W: WeilCubic,
     candidate_bound: int = DEFAULT_CANDIDATE_BOUND,
 ) -> ClassAnalysis:
-    """Validate, build the maximal-order data, and enumerate endomorphism
-    rings for one isogeny class."""
+    """Validate, build the maximal-order data, check the candidate count
+    against the bound, and enumerate endomorphism rings for one isogeny
+    class.  The first triple enumerated is the maximal order, accepted
+    without a closure test; the multiplication table is built, and closure
+    tested, only for the proper triples that follow it."""
     local = validate_weil_necessary(W)
     sf = standard_form(W)
     mo = maximal_order_data(sf)
-    m2 = mult_table(sf, mo)
     total = _candidate_count(sf, mo)
     if total > candidate_bound:
         raise CandidateBoundExceededError(
             f"candidate space has {total} triples, above the bound {candidate_bound}"
         )
     prime_to = W.pv if local.pv_divides_a2 else None
-    candidates = enumerate_candidates(sf, mo, prime_to)
-    reports = (assess_order(o, mo, m2) for o in candidates)
-    accepted = tuple(r for r in reports if r is not None)
-    if not accepted or accepted[0].order != OrderHNF(
-        a=Poly.one(W.field), b=Poly.zero(W.field), c=Poly.one(W.field)
-    ):
+    o_max, *proper = enumerate_candidates(sf, mo, prime_to)
+    one = Poly.one(W.field)
+    if o_max != OrderHNF(a=one, b=Poly.zero(W.field), c=one):
         raise InternalInconsistencyError("the maximal order was not accepted")
+    disc, conductor_norm = order_disc(o_max, mo.delta)
+    accepted = [OrderReport(o_max, disc, conductor_norm, is_endo_ring=True)]
+    if proper:
+        m2 = mult_table(sf, mo)
+        reports = (assess_order(o, mo, m2) for o in proper)
+        accepted += [r for r in reports if r is not None]
     return ClassAnalysis(
         weil=W,
         local=local,
         sf=sf,
         mo=mo,
         candidate_count=total,
-        orders=accepted,
+        orders=tuple(accepted),
     )

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -249,6 +250,49 @@ def test_unit_roots_match_every_unit(F, bound, monkeypatch):
     for f in polys:
         if not f.is_zero:
             assert unit_roots(f) == [u for u in units if f.evaluate(u) == F.zero]
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=lambda F: f"q{F.q}")
+def test_squarefree_factors_split_as_with_one_seeded_prng(F):
+    # the factors, in order, of one PRNG seeded up front and shared by every
+    # piece, on square-free products that need equal-degree splitting
+    rng = random.Random(F.q * 109)
+    split = 0
+    for _ in range(30):
+        f = rand_poly(F, 9, rng, monic=True)
+        if f.degree < 1 or not poly_gcd(f, f.derivative()).is_one:
+            continue
+        shared = random.Random(factor_module._SPLIT_SEED)
+        pieces = factor_module._distinct_degree(f)
+        want = [
+            prime
+            for piece, d in pieces
+            for prime in factor_module._equal_degree(piece, d, shared)
+        ]
+        assert factor_module.squarefree_factors(f) == want
+        split += any(piece.degree > d for piece, d in pieces)
+    assert split
+
+
+def test_squarefree_factors_seed_no_prng_for_a_prime(monkeypatch):
+    # a prime of degree d comes back from the ladder as one piece of degree
+    # d, so nothing is drawn and no PRNG is built; a product of two primes of
+    # one degree builds exactly one
+    seeded = []
+
+    def counting(seed):
+        seeded.append(seed)
+        return random.Random(seed)
+
+    monkeypatch.setattr(factor_module, "random", SimpleNamespace(Random=counting))
+    F = PrimeField(5)
+    x, one = Poly.x(F), Poly.one(F)
+    for prime in (x, x + one, Poly.from_ints(F, [2, 0, 1]), Poly.from_ints(F, [3, 3, 0, 1])):
+        assert factor_module.squarefree_factors(prime) == [prime]
+    assert seeded == []
+    split = factor_module.squarefree_factors(x * (x + one))
+    assert sorted(split, key=Poly.sort_key) == [x, x + one]
+    assert seeded == [factor_module._SPLIT_SEED]
 
 
 def test_factor_deterministic():

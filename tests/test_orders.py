@@ -13,13 +13,17 @@ from drinfeld_orders import (
     closure_check,
     enumerate_candidates,
     frobenius_order_hnf,
+    make_extension_field,
+    maximal_order_data,
     mult_table,
     order_disc,
     poly_gcd,
     squarefree_decompose,
+    standard_form,
     validate_weil_necessary,
 )
 from drinfeld_orders.cli import load_config
+from drinfeld_orders.orders import assess_order
 
 from oracles import (
     EXPECTED_REJECTIONS,
@@ -41,8 +45,6 @@ def _candidates(analysis, prime_to=None):
 
 def test_mult_table_trivial_shape(f5):
     # I = 1, alpha2 = beta2 = 0: rows encode pi~^3 = -c1 pi~ - c2
-    from drinfeld_orders import maximal_order_data, standard_form
-
     T = Poly.x(f5)
     W = WeilCubic(field=f5, a1=Poly.zero(f5), a2=Poly.one(f5), mu=f5.element(1), pv=T, m=1)
     sf = standard_form(W)
@@ -286,24 +288,104 @@ def _maximal(F):
     return OrderHNF(a=Poly.one(F), b=Poly.zero(F), c=Poly.one(F))
 
 
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that logs its calls; returns the log."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def test_v_maximality_filters_divisors_before_closure(monkeypatch):
     # x^3 + 3T^4 x + 2T^6 over F_11: pv = T divides a2 and every proper
-    # candidate has T | a*c, so only O_max reaches the closure test
+    # candidate has T | a*c, so only O_max is enumerated, and it is accepted
+    # with neither a closure test nor a multiplication table
     import drinfeld_orders.orders as orders_module
 
     W = _content_family(11, 3, 4, 2, 6)
-    calls = []
-
-    def counting_closure(order, m2):
-        calls.append(order)
-        return closure_check(order, m2)
-
-    monkeypatch.setattr(orders_module, "closure_check", counting_closure)
+    closures = _counting(monkeypatch, orders_module, "closure_check")
+    tables = _counting(monkeypatch, orders_module, "mult_table")
     analysis = analyze_weil_class(W)
     assert analysis.local.pv_divides_a2
     assert analysis.candidate_count == 425
     assert [r.order for r in analysis.orders] == [_maximal(W.field)]
-    assert len(calls) == 1
+    assert closures == [] and tables == []
+
+
+def test_maximal_order_closes_under_any_table():
+    # a = c = 1 divides every entry, so closure_check accepts O_max whatever
+    # the nine entries of the table are
+    import random
+
+    rng = random.Random(30)
+    f5 = PrimeField(5)
+    f25 = make_extension_field(f5, Poly.from_ints(f5, [2, 0, 1]))
+    for F in (f5, PrimeField(13), f25):
+        o_max = _maximal(F)
+        for _ in range(40):
+            m2 = tuple(
+                tuple(
+                    Poly(F, [F.element(rng.randrange(F.q)) for _ in range(rng.randrange(5))])
+                    for _ in range(3)
+                )
+                for _ in range(3)
+            )
+            assert closure_check(o_max, m2)
+
+
+def _closure_pipeline(analysis):
+    """The accepted orders as every enumerated triple, O_max included, that
+    passes assess_order against the class's multiplication table."""
+    W, sf, mo = analysis.weil, analysis.sf, analysis.mo
+    prime_to = W.pv if analysis.local.pv_divides_a2 else None
+    m2 = mult_table(sf, mo)
+    reports = (assess_order(o, mo, m2) for o in enumerate_candidates(sf, mo, prime_to))
+    return tuple(r for r in reports if r is not None)
+
+
+def test_accepted_orders_match_the_closure_pipeline(instance_pool):
+    # shipped configs, the random pool and the class-sandwich shape
+    # x^3 + u*T^(2m/3)*x + mu*T^m over F_11 and F_13
+    analyses = [
+        analyze_weil_class(load_config(str(path)).weil)
+        for path in sorted((REPO / "configs").glob("*.json"))
+    ]
+    analyses += list(instance_pool)
+    analyses += [
+        analyze_weil_class(_content_family(p, u, 2 * m // 3, mu, m))
+        for p, u, mu, m in [(11, 3, 2, 6), (11, 1, 4, 6), (13, 2, 2, 6), (13, 10, 1, 9)]
+    ]
+    analyses += [analyze_weil_class(_content_family(*args)) for args in CONTENT_FAMILY]
+    proper = 0
+    for analysis in analyses:
+        assert analysis.orders == _closure_pipeline(analysis)
+        proper += len(analysis.orders) > 1
+    assert proper
+
+
+def test_mult_table_built_only_for_proper_triples(monkeypatch, example_weil, instance_pool):
+    import drinfeld_orders.orders as orders_module
+
+    tables = _counting(monkeypatch, orders_module, "mult_table")
+    analysis = analyze_weil_class(example_weil)
+    assert len(analysis.orders) == 2 and len(tables) == 1
+    lone = 0
+    for W in [a.weil for a in instance_pool] + [_content_family(*a) for a in CONTENT_FAMILY]:
+        sf = standard_form(W)
+        mo = maximal_order_data(sf)
+        prime_to = W.pv if validate_weil_necessary(W).pv_divides_a2 else None
+        if len(enumerate_candidates(sf, mo, prime_to)) > 1:
+            continue
+        tables.clear()
+        analyze_weil_class(W)
+        assert tables == []
+        lone += 1
+    assert lone
 
 
 def test_candidate_count_matches_pairwise_gcd_oracle():
