@@ -61,7 +61,7 @@ from .orders import (
     mult_table,
     order_disc,
 )
-from .poly import Poly, poly_gcd, poly_gcdext, valuation
+from .poly import Poly, poly_gcd, valuation
 from .skew import (
     DrinfeldModule,
     KElem,

@@ -222,11 +222,10 @@ def load_config(path: str) -> ProblemConfig:
             l_modulus.degree == m * pv.degree,
             "the degree of L must equal m * deg(pv)",
         )
-        _require(
-            l_modulus.is_monic and l_modulus.degree >= 1,
-            "L: extension modulus must be monic of degree >= 1",
-        )
-        ring = SkewRing(ExtensionField(F, l_modulus.coeffs))
+        try:
+            ring = SkewRing(ExtensionField(F, l_modulus.coeffs))
+        except DomainError as exc:
+            raise ConfigError(f"L: {exc}") from exc
         _require(ring.is_field(), "L: extension modulus is reducible")
         seen = set()
         for entry in raw["modules"]:

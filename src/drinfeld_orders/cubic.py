@@ -63,8 +63,8 @@ from .factor import is_irreducible, squarefree_decompose, squarefree_factors, un
 # not called here any more; bench/tests/test_bench.py checks that the tracer
 # rewraps this binding, so it stays until that test names another one
 from .factor import divisors  # noqa: F401
-from .gf import FiniteField
-from .poly import Poly, poly_gcd, poly_gcdext, valuation
+from .gf import FiniteField, inverse_mod
+from .poly import Poly, poly_gcd, valuation
 
 
 @dataclass(frozen=True)
@@ -90,6 +90,11 @@ class WeilCubic:
         b1 = self.a2 - (t * t).scale_int(3)
         b2 = (t**3).scale_int(2) - t * self.a2 + self.a0
         return t, b1, b2
+
+    @cached_property
+    def disc(self) -> Poly:
+        """disc(M), that of the depressed cubic x^3 + b1 x + b2."""
+        return _depressed_disc(*self.depressed[1:])
 
     def coefficients(self) -> Tuple[Poly, Poly, Poly, Poly]:
         """Ascending coefficients of M(x)."""
@@ -222,7 +227,7 @@ def _check_unique_local_zero(W: WeilCubic, h: int) -> None:
     pv = W.pv
     m = W.m
     if h == 2:
-        d = _depressed_disc(*W.depressed[1:])
+        d = W.disc
         v = valuation(d, pv)
         if v % 2:
             return
@@ -298,7 +303,7 @@ def standard_form(W: WeilCubic) -> StandardForm:
         raise InternalInconsistencyError(
             "depressed cubic has zero constant term; M(x) is reducible"
         )
-    d = _depressed_disc(b1, b2)
+    d = W.disc
     if d.is_zero:
         raise InternalInconsistencyError("standard form is not separable")
     g = Poly.one(F)
@@ -344,7 +349,8 @@ def integral_basis(sf: StandardForm, index_factors) -> Tuple[Poly, Poly]:
     (2 c1) mod each P^k with P not dividing c1, and beta2 = 0 mod each P
     dividing c1 (then P | c2, and k = 1 as (c1, c2) is standard).  So
     beta2 = -3 c2 u mod I with u = 1/(2 c1) mod the product I1 of the
-    former, and it is checked against both congruences.  The first gives
+    former (``gf.inverse_mod``, of degree < deg I1; u = 0 when I1 = 1),
+    and it is checked against both congruences.  The first gives
     alpha2 = -(2/3)(3 beta2^2 + c1) + 2 c1/3 = 2 c1/3 mod I, as p != 3.
     """
     F = sf.c1.field
@@ -356,7 +362,9 @@ def integral_basis(sf: StandardForm, index_factors) -> Tuple[Poly, Poly]:
         I = I * prime**k
         if c1 % prime:
             I1 = I1 * prime**k
-    u = poly_gcdext(c1.scale_int(2), I1)[1]
+    u = Poly.zero(F)
+    if I1.degree:
+        u = Poly(F, inverse_mod(F, (c1.scale_int(2) % I1).coeffs, I1.coeffs))
     beta2 = (c2 * u).scale_int(-3) % I
     if ((beta2 * beta2).scale_int(3) + c1) % I or (beta2**3 + c1 * beta2 + c2) % (I * I):
         raise NoSolutionError(

@@ -248,10 +248,10 @@ def divisors(field: FiniteField, factors) -> list:
 
 
 def make_extension_field(base: FiniteField, modulus: Poly) -> ExtensionField:
-    """Extension of base by a checked monic irreducible modulus."""
-    if not modulus.is_monic or modulus.degree < 1:
-        raise DomainError("extension modulus must be monic of degree >= 1")
+    """Extension of base by a monic irreducible modulus: ExtensionField
+    checks its shape, then Ben-Or's test its irreducibility."""
+    F = ExtensionField(base, modulus.coeffs)
     if not is_irreducible(modulus):
         raise DomainError("extension modulus is reducible")
-    return ExtensionField(base, modulus.coeffs)
+    return F
 

@@ -13,10 +13,11 @@ the field L = F_q[z]/(f) of the modules, built over an extension F_q, has
 tuple coefficients; the base of an extension is F_p or an extension of F_p.
 Field equality is structural, so the same tower built twice compares equal.
 
-Constructors here check only shape (primality, monic modulus).  Whether a
-modulus is irreducible is decided by Ben-Or's test in
-``factor.make_extension_field`` for F_q, and for the modules' field L by
-Rabin's criterion on the Frobenius of its skew ring (``skew``).
+Constructors here check only shape: primality, and a modulus monic of
+degree >= 1, checked by ``ExtensionField`` alone.  Whether a modulus is
+irreducible is decided by Ben-Or's test in ``factor.make_extension_field``
+for F_q, and for the modules' field L by Rabin's criterion on the
+Frobenius of its skew ring (``skew``).
 
 Extension arithmetic runs in one of two regimes, chosen per field object:
 
@@ -43,12 +44,14 @@ Extension arithmetic runs in one of two regimes, chosen per field object:
 
 Powers come from ``power_ladder``, the one square-and-multiply loop, in
 every field (over ``mul``, so a tabled field squares on its tables), and
-``poly.Poly`` shares it.  Outside the tables, inverses come from the
-extended Euclidean algorithm in base[y], run on the base field's
-polynomial kernels.  ``poly.Poly`` combines coefficients only through the
-kernels here (``vec_add``, ``vec_sub``, ``poly_mul``, ``poly_divmod``):
-``PrimeField`` runs them on ints, ``ExtensionField`` its polynomial ones on
-log indices when it has tables, and ``FiniteField`` loops through the field.
+``poly.Poly`` shares it.  F_p inverts by ``pow``; outside the tables, an
+extension inverts by ``inverse_mod``, the one extended Euclidean
+algorithm, run on the base field's polynomial kernels, which ``skew``
+(lc(d) in L) and ``cubic`` (2 c1 modulo part of the index) call too.
+``poly.Poly`` combines coefficients only through the kernels here
+(``vec_add``, ``vec_sub``, ``poly_mul``, ``poly_divmod``): ``PrimeField``
+runs them on ints, ``ExtensionField`` its polynomial ones on log indices
+when it has tables, and ``FiniteField`` loops through the field.
 """
 
 from __future__ import annotations
@@ -122,6 +125,34 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def inverse_mod(B, a, f):
+    """The inverse of a modulo f over the field B, as deg f entries, for
+    coefficient sequences with len(a) < len(f).  The extended Euclidean
+    algorithm on a and f in B[y] (von zur Gathen and Gerhard, *Modern
+    Computer Algebra*, section 3.2), on B's polynomial kernels, keeping s
+    with s*a = r mod f for each remainder r."""
+    zero = B.zero
+
+    def trim(c):
+        while c and c[-1] == zero:
+            c.pop()
+        return c
+
+    r0, r1 = list(f), trim(list(a))
+    if not r1:
+        raise ZeroDivisionError("inverse of zero")
+    s0, s1 = [], [B.one]
+    while len(r1) > 1:
+        quo, rem = B.poly_divmod(r0, r1)
+        qs = B.poly_mul(quo, s1)  # longer than s0: deg s grows each step
+        r0, r1 = r1, trim(rem)
+        s0, s1 = s1, list(B.vec_sub(s0 + [zero] * (len(qs) - len(s0)), qs))
+    if not r1:
+        raise ZeroDivisionError(f"{a} is a zero divisor (reducible modulus)")
+    s = B.poly_mul((B.inv(r1[0]),), s1)
+    return tuple(s + [zero] * (len(f) - 1 - len(s)))
 
 
 class FiniteField:
@@ -327,7 +358,7 @@ class PrimeField(FiniteField):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def element(self, i: int):
         if not 0 <= i < self.p:
@@ -407,10 +438,8 @@ class ExtensionField(FiniteField):
     def __init__(self, base: FiniteField, modulus):
         modulus = tuple(modulus)
         e = len(modulus) - 1
-        if e < 1:
-            raise DomainError("extension degree must be at least 1")
-        if modulus[-1] != base.one:
-            raise DomainError("extension modulus must be monic")
+        if e < 1 or modulus[-1] != base.one:
+            raise DomainError("extension modulus must be monic of degree >= 1")
         if isinstance(base, ExtensionField) and not isinstance(base.base, PrimeField):
             raise DomainError("the base of an extension must be F_p or an extension of F_p")
         self.base = base
@@ -512,7 +541,7 @@ class ExtensionField(FiniteField):
     def inv(self, a):
         log = self._log
         if not log:
-            return self._inv(a)
+            return inverse_mod(self.base, a, self.modulus)
         la = log[a]
         if la is None:
             raise ZeroDivisionError("inverse of zero")
@@ -589,33 +618,6 @@ class ExtensionField(FiniteField):
         pk = Packing(self, 1)
         pack, fold = pk.pack, pk.fold
         return lambda a, b: fold(pack(a) * pack(b))
-
-    def _inv(self, a):
-        """Inverse by the extended Euclidean algorithm on a and the modulus
-        in base[y] (von zur Gathen and Gerhard, *Modern Computer Algebra*,
-        section 3.2), on the base field's polynomial kernels, keeping s with
-        s*a = r mod the modulus for each remainder r."""
-        base = self.base
-        zero = base.zero
-
-        def trim(c):
-            while c and c[-1] == zero:
-                c.pop()
-            return c
-
-        r0, r1 = list(self.modulus), trim(list(a))
-        if not r1:
-            raise ZeroDivisionError("inverse of zero")
-        s0, s1 = [], [base.one]
-        while len(r1) > 1:
-            quo, rem = base.poly_divmod(r0, r1)
-            qs = base.poly_mul(quo, s1)  # longer than s0: deg s grows each step
-            r0, r1 = r1, trim(rem)
-            s0, s1 = s1, list(base.vec_sub(s0 + [zero] * (len(qs) - len(s0)), qs))
-        if not r1:
-            raise ZeroDivisionError(f"{a} is a zero divisor (reducible modulus)")
-        s = base.poly_mul((base.inv(r1[0]),), s1)
-        return tuple(s + [zero] * (self.e - len(s)))
 
     def element(self, i: int):
         if not 0 <= i < self.q:

@@ -26,7 +26,7 @@ the field.
 from __future__ import annotations
 
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import DomainError
 from .gf import FiniteField, elem_str, power_ladder
@@ -65,15 +65,6 @@ class Poly:
     @classmethod
     def x(cls, field: FiniteField) -> "Poly":
         return cls(field, (field.zero, field.one))
-
-    @classmethod
-    def const(cls, field: FiniteField, c) -> "Poly":
-        return cls(field, (c,))
-
-    @classmethod
-    def from_ints(cls, field: FiniteField, ints: Sequence[int]) -> "Poly":
-        """Ascending integer coefficients, reduced into the prime field."""
-        return cls(field, (field.from_int(n) for n in ints))
 
     # -- basic queries -----------------------------------------------------
 
@@ -252,23 +243,6 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     while g:
         f, g = g, f % g
     return f.monic()
-
-
-def poly_gcdext(f: Poly, g: Poly):
-    """(d, s, t) with d = s*f + t*g, d the monic gcd."""
-    if f.is_zero and g.is_zero:
-        raise DomainError("gcd of two zero polynomials")
-    F = f.field
-    r0, r1 = f, g
-    s0, s1 = Poly.one(F), Poly.zero(F)
-    t0, t1 = Poly.zero(F), Poly.one(F)
-    while r1:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    u = F.inv(r0.lc)
-    return r0.scale(u), s0.scale(u), t0.scale(u)
 
 
 def polys_below_degree(field: FiniteField, d: int) -> Iterator[Poly]:

@@ -41,9 +41,9 @@ F_q = F_p or F_p[y]/(g)) and reduces late:
   int 0), keeps each quotient coefficient packed and unpacks the quotient
   once at the end.
 At most ``SKEW_TERMS`` products go into a sum before it is folded; a longer
-sum is first reduced to one summand.  Right division inverts lc(d) by the
-extended Euclidean algorithm on the base field's kernels, so L builds
-neither log tables nor a second ``Packing``.  The orbit of z also decides
+sum is first reduced to one summand.  Right division inverts lc(d) by
+``gf.inverse_mod`` on the base field's kernels, so L builds neither log
+tables nor a second ``Packing``.  The orbit of z also decides
 whether L is a field (``SkewRing.is_field``, Rabin's criterion), so
 ``cli`` tests L on the one ring per config that its modules then use.
 
@@ -65,7 +65,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .cubic import MaximalOrderData, StandardForm, WeilCubic
 from .errors import DomainError, NoCandidateError
-from .gf import ExtensionField, Packing, power_ladder
+from .gf import ExtensionField, Packing, inverse_mod, power_ladder
 from .orders import OrderHNF
 from .poly import Poly, poly_gcd
 
@@ -210,10 +210,9 @@ class SkewPoly:
         dn = d.degree
         if len(self.coeffs) - 1 < dn:
             return SkewPoly(ring, ()), self
-        # 1/lc(d)^(q^k) = (1/lc(d))^(q^k): one inversion, by the extended
-        # Euclidean algorithm on the base field's kernels (no tables for L),
-        # then twists
-        inv_orbit = ring._packed_orbit(L._inv(d.coeffs[-1]))
+        # 1/lc(d)^(q^k) = (1/lc(d))^(q^k): one inversion, by inverse_mod on
+        # the base field's kernels (no tables for L), then twists
+        inv_orbit = ring._packed_orbit(inverse_mod(L.base, d.coeffs[-1], L.modulus))
         # rem holds unfolded sums, and only the top one is reduced at each
         # step; column r lists (-d_j)^(q^r) for j < dn (the top cancels)
         pk, n = ring._pk, ring.n
@@ -339,8 +338,8 @@ class KElem:
             g = poly_gcd(g, t)
         if not g.is_one:
             n0, n1, n2, d = (x.exact_div(g) for x in (n0, n1, n2, d))
-        u = d.field.inv(d.lc)
         if d.lc != d.field.one:
+            u = d.field.inv(d.lc)
             n0, n1, n2, d = (x.scale(u) for x in (n0, n1, n2, d))
         return KElem(n0, n1, n2, d)
 

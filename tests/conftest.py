@@ -7,9 +7,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from oracles import paper_weil, random_instance_pool  # noqa: E402
+from oracles import int_poly, paper_weil, random_instance_pool  # noqa: E402
 
-from drinfeld_orders import PrimeField, Poly, analyze_weil_class, make_extension_field  # noqa: E402
+from drinfeld_orders import PrimeField, analyze_weil_class, make_extension_field  # noqa: E402
 from drinfeld_orders.cli import ENV_CANDIDATE_BOUND  # noqa: E402
 from drinfeld_orders.skew import DrinfeldModule, SkewRing  # noqa: E402
 
@@ -38,7 +38,7 @@ def example_analysis(example_weil):
 
 @pytest.fixture(scope="session")
 def f125(f5):
-    return make_extension_field(f5, Poly.from_ints(f5, [3, 3, 0, 1]))
+    return make_extension_field(f5, int_poly(f5, [3, 3, 0, 1]))
 
 
 @pytest.fixture(scope="session")

@@ -46,6 +46,18 @@ from drinfeld_orders.poly import polys_below_degree
 # InternalInconsistencyError) is a bug and must propagate
 EXPECTED_REJECTIONS = (WeilValidationError, CandidateBoundExceededError)
 
+
+def int_poly(F, ints) -> Poly:
+    """The polynomial over F with ascending integer coefficients, each
+    reduced into the prime field."""
+    return Poly(F, [F.from_int(n) for n in ints])
+
+
+def const_poly(F, c) -> Poly:
+    """The constant polynomial c over F."""
+    return Poly(F, (c,))
+
+
 # -- rational functions and the integral-basis reference ---------------------
 
 
@@ -137,7 +149,7 @@ def integral_basis_oracle(sf, I: Poly):
 def expand(fac) -> Poly:
     """unit * prod(P^k) of a Factorization or a SquarefreeDecomp."""
     pairs = fac.factors if isinstance(fac, Factorization) else fac.parts
-    out = Poly.const(fac.field, fac.unit)
+    out = const_poly(fac.field, fac.unit)
     for part, mult in pairs:
         out = out * part**mult
     return out
@@ -627,11 +639,11 @@ def descended_module(L, g, c):
     g_i c^(1 - q^i), is isomorphic to psi, so it lies in the same class."""
     F, n = L.base, L.e
     T, zero, one = Poly.x(F), Poly.zero(F), Poly.one(F)
-    gamma = Poly.const(F, g[0])
+    gamma = const_poly(F, g[0])
     comp = (
         (zero, zero, T - gamma),
-        (one, zero, Poly.const(F, F.neg(g[1]))),
-        (zero, one, Poly.const(F, F.neg(g[2]))),
+        (one, zero, const_poly(F, F.neg(g[1]))),
+        (zero, one, const_poly(F, F.neg(g[2]))),
     )
     m = identity_matrix(F)
     for _ in range(n):
@@ -875,8 +887,8 @@ def paper_weil(F=None) -> WeilCubic:
     F = F or PrimeField(5)
     return WeilCubic(
         field=F,
-        a1=Poly.from_ints(F, [1, 1]),
-        a2=Poly.from_ints(F, [4, 3, 1]),
+        a1=int_poly(F, [1, 1]),
+        a2=int_poly(F, [4, 3, 1]),
         mu=F.element(4),
         pv=Poly.x(F),
         m=3,
@@ -927,7 +939,7 @@ def random_instance_pool(count=25, seed=20240, max_index_degree=2):
     # instance, nontrivial g, h = 2 and h = 3, as (a1, a2, mu, pv, m)
     F5 = fields[5]
     T5 = Poly.x(F5)
-    quadratic = Poly.from_ints(F5, _IRREDUCIBLE_QUADRATIC[5])
+    quadratic = int_poly(F5, _IRREDUCIBLE_QUADRATIC[5])
     engineered = [
         ([1, 3], [2, 2, 4], 3, T5 + Poly.one(F5), 4),  # g = T
         ([1, 2, 3], [3, 4, 4, 2, 4, 3], 4, quadratic, 4),  # g = T + 3
@@ -941,8 +953,8 @@ def random_instance_pool(count=25, seed=20240, max_index_degree=2):
     for a1, a2, mu, pv, m in engineered:
         W = WeilCubic(
             field=F5,
-            a1=Poly.from_ints(F5, a1),
-            a2=Poly.from_ints(F5, a2),
+            a1=int_poly(F5, a1),
+            a2=int_poly(F5, a2),
             mu=F5.element(mu),
             pv=pv,
             m=m,
@@ -960,9 +972,9 @@ def random_instance_pool(count=25, seed=20240, max_index_degree=2):
         q = rng.choice((5, 7))
         F = fields[q]
         if rng.random() < 0.25:
-            pv = Poly.from_ints(F, _IRREDUCIBLE_QUADRATIC[q])
+            pv = int_poly(F, _IRREDUCIBLE_QUADRATIC[q])
         else:
-            pv = Poly.from_ints(F, [rng.randrange(q), 1])
+            pv = int_poly(F, [rng.randrange(q), 1])
         m = rng.choice((1, 1, 2, 3))
         mu = F.element(rng.randrange(1, q))
         if rng.random() < 0.5:

@@ -37,7 +37,14 @@ from drinfeld_orders import (
     survey_candidates,
 )
 
-from oracles import closure_oracle, exact_sqrt, expand, irreducible_oracle, paper_weil
+from oracles import (
+    closure_oracle,
+    exact_sqrt,
+    expand,
+    int_poly,
+    irreducible_oracle,
+    paper_weil,
+)
 from test_gf import build_field
 from test_poly import rand_poly
 
@@ -55,8 +62,8 @@ def test_criterion_1_discriminants_and_index():
     analysis = analyze_weil_class(W)
     elapsed = time.perf_counter() - t0
     T = Poly.x(F)
-    t4 = Poly.from_ints(F, [4, 1])
-    quad = Poly.from_ints(F, [2, 4, 1])
+    t4 = int_poly(F, [4, 1])
+    quad = int_poly(F, [2, 4, 1])
     ok = (
         analysis.mo.disc_m0 == T * T * t4 * t4 * quad
         and analysis.mo.delta == (t4 * t4 * quad).monic()
@@ -75,7 +82,7 @@ def test_criterion_1_discriminants_and_index():
 def test_criterion_2_integral_basis(example_analysis):
     mo = example_analysis.mo
     F = example_analysis.weil.field
-    ok = mo.beta2 == Poly.from_ints(F, [4]) and mo.alpha2 == Poly.from_ints(F, [3])
+    ok = mo.beta2 == int_poly(F, [4]) and mo.alpha2 == int_poly(F, [3])
     _report(
         "2 (integral basis)",
         ok,

@@ -23,7 +23,7 @@ from drinfeld_orders.cli import main
 from drinfeld_orders.gf import ExtensionField, Packing, PrimeField
 from drinfeld_orders.skew import MembershipSurvey
 
-from oracles import descended_module
+from oracles import descended_module, int_poly
 from test_skew import RABIN_REDUCIBLE
 
 REPO = Path(__file__).resolve().parent.parent
@@ -357,6 +357,26 @@ def test_invalid_l_exits_2_with_the_modulus_message(tmp_path, capsys, name, args
     assert capsys.readouterr() == ("", f"config: L: extension modulus {message}\n")
 
 
+@pytest.mark.parametrize(
+    "modulus, message",
+    [
+        ([2, 0, 2], "must be monic of degree >= 1"),
+        ([1, 0, 0], "must be monic of degree >= 1"),  # the constant 1
+        ([4, 0, 1], "is reducible"),  # y^2 - 1
+    ],
+    ids=["non-monic", "constant", "reducible"],
+)
+def test_invalid_field_modulus_exits_2_with_the_modulus_message(
+    tmp_path, capsys, modulus, message
+):
+    cfg = json.loads(GOLDEN.read_text())
+    cfg["field"] = {"p": 5, "e": 2, "modulus": modulus}
+    path = tmp_path / "bad_field.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"config: field.modulus: extension modulus {message}\n")
+
+
 def _psi_coefficient(entry):
     """The golden modules with psi's tau-coefficient 1 replaced by entry."""
     modules = json.loads(GOLDEN.read_text())["modules"]
@@ -533,7 +553,7 @@ def tower_config():
     15,625 elements (above the table cap): an in-class module from
     descended_module and a perturbed one."""
     F5 = PrimeField(5)
-    F25 = make_extension_field(F5, Poly.from_ints(F5, [2, 0, 1]))
+    F25 = make_extension_field(F5, int_poly(F5, [2, 0, 1]))
     L = make_extension_field(F25, Poly(F25, ((0, 1), (0, 1), (0, 0), (1, 0))))
     g = ((4, 0), (3, 3), (4, 4))
     phi_t, W = descended_module(L, g, ((4, 1), (1, 3), (1, 0)))
@@ -700,7 +720,7 @@ def test_high_degree_index_prime_exits_fast(tmp_path, capsys):
     assert "degree bound at infinity" in capsys.readouterr().err
     F = PrimeField(13)
     W = WeilCubic(
-        field=F, a1=Poly.zero(F), a2=Poly.from_ints(F, a2), mu=F.element(2), pv=Poly.x(F), m=3
+        field=F, a1=Poly.zero(F), a2=int_poly(F, a2), mu=F.element(2), pv=Poly.x(F), m=3
     )
     t0 = time.perf_counter()
     mo = maximal_order_data(standard_form(W))

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import importlib
 import random
+import sys
 from dataclasses import replace
 from functools import cached_property
 from itertools import product
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -39,14 +41,17 @@ from drinfeld_orders.cubic import (
     _is_square_mod,
     _residue_pattern,
 )
+from drinfeld_orders.cli import load_config
 from drinfeld_orders.factor import make_extension_field
 from drinfeld_orders.gf import ExtensionField
 from drinfeld_orders.poly import polys_below_degree, valuation
 
 from oracles import (
     RatFunc,
+    const_poly,
     content_oracle,
     field_discriminant_oracle,
+    int_poly,
     integral_basis_oracle,
     newton_vertices,
     residue_factor,
@@ -81,9 +86,9 @@ def test_validate_supersingular_shape(f5):
 def test_validate_height_two_shape(f5):
     # x^3 + T^2 x^2 + (3T^4 + 2T^2 + 2) x + pv^3 with pv = T^2 + 2
     T = Poly.x(f5)
-    pv = T * T + Poly.const(f5, f5.element(2))
+    pv = T * T + const_poly(f5, f5.element(2))
     W = WeilCubic(
-        field=f5, a1=T * T, a2=Poly.from_ints(f5, [2, 0, 2, 0, 3]), mu=f5.one, pv=pv, m=3
+        field=f5, a1=T * T, a2=int_poly(f5, [2, 0, 2, 0, 3]), mu=f5.one, pv=pv, m=3
     )
     local = validate_weil_necessary(W)
     assert local.height == 2
@@ -112,10 +117,10 @@ def test_validate_rejects_reducible(f5):
         a1=Poly.zero(f5),
         a2=T,
         mu=f5.element(4),
-        pv=Poly.from_ints(f5, [1, 1]),
+        pv=int_poly(f5, [1, 1]),
         m=1,
     )
-    assert W.a0 == Poly.from_ints(f5, [4, 4])
+    assert W.a0 == int_poly(f5, [4, 4])
     with pytest.raises(WeilValidationError, match="degree bound at infinity"):
         validate_weil_necessary(W)
 
@@ -150,8 +155,8 @@ def sieve_fields():
     F5 = PrimeField(5)
     return {
         "F13": PrimeField(13),
-        "F25": make_extension_field(F5, Poly.from_ints(F5, [2, 0, 1])),
-        "F49": make_extension_field(F7, Poly.from_ints(F7, [1, 0, 1])),
+        "F25": make_extension_field(F5, int_poly(F5, [2, 0, 1])),
+        "F49": make_extension_field(F7, int_poly(F7, [1, 0, 1])),
     }
 
 
@@ -192,9 +197,9 @@ def test_root_sieve_finds_constructed_roots(name):
     rng = random.Random(f"sieve/{name}")
     T = Poly.x(F)
     m = 3
-    quadratics = [T * T + Poly.const(F, F.element(i)) for i in range(1, F.q)]
+    quadratics = [T * T + const_poly(F, F.element(i)) for i in range(1, F.q)]
     quadratic = next(f for f in quadratics if is_irreducible(f))
-    for pv in (T + Poly.const(F, F.element(3)), quadratic):
+    for pv in (T + const_poly(F, F.element(3)), quadratic):
         for j in (0, m // 3, m):
             W = planted_root_cubic(F, pv, m, j, rng)
             assert oracle_verdict(W) is not None
@@ -236,7 +241,7 @@ def test_root_sieve_matches_exhaustive_scan_on_random_cubics(name):
     T = Poly.x(F)
     reducible = 0
     for k in range(60):
-        pv = T + Poly.const(F, F.element(rng.randrange(F.q)))
+        pv = T + const_poly(F, F.element(rng.randrange(F.q)))
         m = rng.randrange(1, 7)
         if k % 3 == 0:
             W = cube_cubic(F, pv, rng.randrange(1, 3), F.element(rng.randrange(1, F.q)))
@@ -287,7 +292,7 @@ def test_validate_rejects_split_local_factor(f5):
     F = f5
     T = Poly.x(F)
     W = WeilCubic(
-        field=F, a1=Poly.one(F), a2=Poly.from_ints(F, [0, 2, 1]), mu=F.element(1), pv=T, m=3
+        field=F, a1=Poly.one(F), a2=int_poly(F, [0, 2, 1]), mu=F.element(1), pv=T, m=3
     )
     assert root_in_a_oracle(W) is None
     _check_at_infinity(W)
@@ -404,7 +409,7 @@ def test_residual_split_matches_factorisation_exhaustive(p, monkeypatch):
     built = count_field_builds(monkeypatch)
     F = PrimeField(p)
     T = Poly.x(F)
-    for pv, k in product((T, T - Poly.const(F, F.element(2))), (1, 2)):
+    for pv, k in product((T, T - const_poly(F, F.element(2))), (1, 2)):
         cubes = 0
         for r2, r1, mu in product(range(p), range(p), range(1, p)):
             W = residual_class(F, pv, k, r2, r1, mu)
@@ -421,7 +426,7 @@ def test_residual_split_matches_factorisation_over_f25(monkeypatch):
     built = count_field_builds(monkeypatch)
     F = PrimeField(5)
     T = Poly.x(F)
-    pv = T * T + Poly.const(F, F.element(2))
+    pv = T * T + const_poly(F, F.element(2))
     verdicts = []
     for r2, r1, mu in product(range(5), range(5), range(1, 5)):
         verdict, want = _residual_verdict(residual_class(F, pv, 1, r2, r1, mu), built)
@@ -439,7 +444,7 @@ def test_residual_splits_at_v_iff_three_divides_deg_pv(monkeypatch):
     built = count_field_builds(monkeypatch)
     F = PrimeField(5)
     T = Poly.x(F)
-    cubics = (T**3 + T + Poly.const(F, F.element(c)) for c in range(1, 5))
+    cubics = (T**3 + T + const_poly(F, F.element(c)) for c in range(1, 5))
     pv = next(f for f in cubics if is_irreducible(f))
     split_at_v = 0
     for r2, r1, mu in product(range(5), range(5), range(1, 5)):
@@ -471,14 +476,14 @@ def test_standard_form_depressed_input(f5):
 def test_standard_form_worked_example(example_analysis):
     sf = example_analysis.sf
     F = sf.c1.field
-    assert sf.b1 == Poly.from_ints(F, [2, 4, 4])
-    assert sf.b2 == Poly.from_ints(F, [3, 4, 0, 3])
+    assert sf.b1 == int_poly(F, [2, 4, 4])
+    assert sf.b2 == int_poly(F, [3, 4, 0, 3])
     assert sf.g.is_one
     assert sf.c1 == sf.b1 and sf.c2 == sf.b2
     # disc(M0) = T^2 (T+4)^2 (T^2+4T+2)
     T = Poly.x(F)
-    t4 = Poly.from_ints(F, [4, 1])
-    quad = Poly.from_ints(F, [2, 4, 1])
+    t4 = int_poly(F, [4, 1])
+    quad = int_poly(F, [2, 4, 1])
     assert sf.disc_m0 == T * T * t4 * t4 * quad
 
 
@@ -489,13 +494,13 @@ def test_standard_form_strips_content(f5):
     W = WeilCubic(
         field=F,
         a1=T,
-        a2=Poly.from_ints(F, [3, 2, 2, 1]),
+        a2=int_poly(F, [3, 2, 2, 1]),
         mu=F.element(2),
-        pv=Poly.from_ints(F, [2, 1]),
+        pv=int_poly(F, [2, 1]),
         m=2,
     )
     sf = standard_form(W)
-    s = Poly.from_ints(F, [1, 1])
+    s = int_poly(F, [1, 1])
     assert sf.g == s
     assert sf.c1 * s * s == sf.b1
     assert sf.c2 * s**3 == sf.b2
@@ -508,8 +513,8 @@ def test_standard_form_strips_content(f5):
 def test_field_discriminant_worked_example(example_analysis):
     mo = example_analysis.mo
     F = mo.delta.field
-    t4 = Poly.from_ints(F, [4, 1])
-    quad = Poly.from_ints(F, [2, 4, 1])
+    t4 = int_poly(F, [4, 1])
+    quad = int_poly(F, [2, 4, 1])
     assert mo.delta == t4 * t4 * quad
 
 
@@ -572,8 +577,8 @@ def test_index_against_divisor_search(instance_pool):
 def test_integral_basis_worked_example(example_analysis):
     mo = example_analysis.mo
     F = mo.delta.field
-    assert mo.beta2 == Poly.from_ints(F, [4])
-    assert mo.alpha2 == Poly.from_ints(F, [3])
+    assert mo.beta2 == int_poly(F, [4])
+    assert mo.alpha2 == int_poly(F, [3])
 
 
 def test_integral_basis_trivial_when_index_one(f5):
@@ -652,7 +657,7 @@ def test_integral_basis_mixed_branches_match_oracle(f5):
     # below validation are called directly
     T = Poly.x(f5)
     W = WeilCubic(
-        field=f5, a1=Poly.from_ints(f5, [4]), a2=Poly.from_ints(f5, [0, 4, 2, 0, 1]),
+        field=f5, a1=int_poly(f5, [4]), a2=int_poly(f5, [0, 4, 2, 0, 1]),
         mu=f5.element(3), pv=T, m=2,
     )
     with pytest.raises(WeilValidationError, match="degree bound at infinity"):
@@ -660,10 +665,46 @@ def test_integral_basis_mixed_branches_match_oracle(f5):
     assert height(W) == 2
     sf = standard_form(W)
     mo = maximal_order_data(sf)
-    three = Poly.from_ints(f5, [3])
+    three = int_poly(f5, [3])
     assert mo.index_factors == ((T, 1), (T + three, 1))
     assert sf.c1 % T and not sf.c1 % (T + three)
     assert integral_basis(sf, mo.index_factors) == integral_basis_oracle(sf, mo.index)
+
+
+def test_integral_basis_inverts_2c1_modulo_its_part_of_the_index(instance_pool, monkeypatch):
+    # u = 1/(2 c1) mod I1, I1 the product of the P^k of I with P not dividing
+    # c1, is inverse_mod's answer of degree < deg I1, and beta2 = -3 c2 u mod
+    # I; with I1 = 1 no inverse is taken
+    real = cubic_module.inverse_mod
+    calls = []
+
+    def recording(B, a, f):
+        calls.append((a, f, real(B, a, f)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(cubic_module, "inverse_mod", recording)
+    configs = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+    shipped = [analyze_weil_class(load_config(str(path)).weil) for path in configs]
+    inverted = 0
+    for analysis in [*instance_pool, *shipped]:
+        sf, mo = analysis.sf, analysis.mo
+        F, two_c1 = sf.c1.field, sf.c1.scale_int(2)
+        I1 = Poly.one(F)
+        for prime, k in mo.index_factors:
+            if sf.c1 % prime:
+                I1 = I1 * prime**k
+        calls.clear()
+        assert integral_basis(sf, mo.index_factors) == (mo.alpha2, mo.beta2)
+        if I1.is_one:
+            assert calls == []
+            continue
+        [(a, f, s)] = calls
+        assert a == (two_c1 % I1).coeffs and f == I1.coeffs and len(s) == I1.degree
+        u = Poly(F, s)
+        assert (two_c1 * u % I1).is_one
+        assert mo.beta2 == (sf.c2 * u).scale_int(-3) % mo.index
+        inverted += 1
+    assert inverted >= 5
 
 
 def test_conductor_generator_product_worked_example(example_analysis):
@@ -710,11 +751,11 @@ def test_conductor_generator_product_worked_example(example_analysis):
         ),
         one / RatFunc.from_poly(mo.index),
     )
-    shift = RatFunc.from_poly(Poly.from_ints(F, [3, 2]))  # -3T + 3 over F5
+    shift = RatFunc.from_poly(int_poly(F, [3, 2]))  # -3T + 3 over F5
     left = rmul(radd(c_m, rscale(eye, shift)), w2)
     want = radd(
-        rscale(c_m, RatFunc.from_poly(Poly.from_ints(F, [1, 1]))),
-        rscale(eye, RatFunc.from_poly(Poly.from_ints(F, [3, 4, 4]))),
+        rscale(c_m, RatFunc.from_poly(int_poly(F, [1, 1]))),
+        rscale(eye, RatFunc.from_poly(int_poly(F, [3, 4, 4]))),
     )
     assert all(left[i][j] == want[i][j] for i in range(3) for j in range(3))
 
@@ -776,7 +817,7 @@ def content_classes():
     content prime of degree 2, and a disc(M) whose exponent p divides."""
     F = PrimeField(5)
     T = Poly.x(F)
-    P = T * T + Poly.const(F, F.element(2))  # irreducible over F_5
+    P = T * T + const_poly(F, F.element(2))  # irreducible over F_5
     zero = Poly.zero(F)
     return [
         # x^3 + T: b1 = 0, g = 1
@@ -836,13 +877,13 @@ def test_residue_pattern_matches_factorisation_on_pool(instance_pool):
 
 def residue_shape_fields():
     F5 = PrimeField(5)
-    F25 = make_extension_field(F5, Poly.from_ints(F5, [2, 0, 1]))
+    F25 = make_extension_field(F5, int_poly(F5, [2, 0, 1]))
     out = []
     for F in (F5, F25):
         T = Poly.x(F)
-        quadratics = (T * T + Poly.const(F, F.element(i)) for i in range(1, F.q))
+        quadratics = (T * T + const_poly(F, F.element(i)) for i in range(1, F.q))
         quadratic = next(f for f in quadratics if is_irreducible(f))
-        out += [(F, T + Poly.const(F, F.element(2))), (F, quadratic)]
+        out += [(F, T + const_poly(F, F.element(2))), (F, quadratic)]
     return out
 
 
@@ -906,9 +947,9 @@ def test_is_square_mod_brute_force(q):
     # Euler's criterion mod pv against the squares of F_q[T]/(pv), over every
     # residue (0 included) and one unreduced representative of each
     F5 = PrimeField(5)
-    F = make_extension_field(F5, Poly.from_ints(F5, [2, 0, 1])) if q == 25 else PrimeField(q)
+    F = make_extension_field(F5, int_poly(F5, [2, 0, 1])) if q == 25 else PrimeField(q)
     T = Poly.x(F)
-    quadratics = (T * T + Poly.const(F, F.element(i)) for i in range(1, F.q))
+    quadratics = (T * T + const_poly(F, F.element(i)) for i in range(1, F.q))
     for pv in (T + Poly.one(F), next(f for f in quadratics if is_irreducible(f))):
         residues = list(polys_below_degree(F, pv.degree))
         squares = {(r * r) % pv for r in residues}
@@ -921,9 +962,9 @@ def height_two_quadratic_pv(F):
     """x^3 + T^2 x^2 + (3T^4 + 2T^2 + 2) x + pv^3 over F_5, pv = T^2 + 2:
     h = 2, inside the bounds at infinity, with residual x^3 + x^2 + 3x + 1."""
     T = Poly.x(F)
-    pv = T * T + Poly.const(F, F.element(2))
+    pv = T * T + const_poly(F, F.element(2))
     return WeilCubic(
-        field=F, a1=T * T, a2=Poly.from_ints(F, [2, 0, 2, 0, 3]), mu=F.one, pv=pv, m=3
+        field=F, a1=T * T, a2=int_poly(F, [2, 0, 2, 0, 3]), mu=F.one, pv=pv, m=3
     )
 
 
@@ -933,17 +974,17 @@ def test_degree_three_index_one_crt_no_residue_field(monkeypatch):
     # q^(deg I) = 343 residues mod I must not be enumerated
     F = PrimeField(7)
     T = Poly.x(F)
-    a1 = Poly.from_ints(F, [3, 0, 4])
-    a2 = Poly.from_ints(F, [2, 6, 1, 6, 3])
+    a1 = int_poly(F, [3, 0, 4])
+    a2 = int_poly(F, [2, 6, 1, 6, 3])
     W = WeilCubic(field=F, a1=a1, a2=a2, mu=F.one, pv=T, m=6)
     residue_fields = count_field_builds(monkeypatch)
     assert validate_weil_necessary(W).height == 1
     sf = standard_form(W)
     mo = maximal_order_data(sf)
     I = mo.index
-    assert I == Poly.from_ints(F, [2, 4, 5, 1]) and is_irreducible(I)
-    assert mo.alpha2 == Poly.from_ints(F, [3, 2, 1])
-    assert mo.beta2 == Poly.from_ints(F, [4, 1, 6])
+    assert I == int_poly(F, [2, 4, 5, 1]) and is_irreducible(I)
+    assert mo.alpha2 == int_poly(F, [3, 2, 1])
+    assert mo.beta2 == int_poly(F, [4, 1, 6])
     b2 = mo.beta2
     assert not ((b2 * b2).scale_int(3) + sf.c1) % I
     assert not (b2**3 + sf.c1 * b2 + sf.c2) % (I * I)
@@ -976,6 +1017,26 @@ def test_depressed_coefficients_derived_once_per_height_two_class(
         calls.clear()
         assert analyze_weil_class(W).local.height == 2
         assert calls == [W]
+
+
+def test_disc_computed_once_per_height_two_class(f5, monkeypatch, instance_pool):
+    # for h = 2 the square test at v and standard_form both read disc(M); it
+    # is computed once per class, by WeilCubic.disc, and the only other
+    # discriminant taken is that of the standard form
+    real = cubic_module._depressed_disc
+    callers = []
+
+    def counting(e1, e2):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(e1, e2)
+
+    monkeypatch.setattr(cubic_module, "_depressed_disc", counting)
+    classes = [height_two_quadratic_pv(f5)]
+    classes += [replace(a.weil) for a in instance_pool if a.local.height == 2]
+    for W in classes:
+        callers.clear()
+        assert analyze_weil_class(W).local.height == 2
+        assert callers.count("disc") == 1 and set(callers) <= {"disc", "disc_m0"}
 
 
 def test_pv_tested_for_irreducibility_once_per_class(f5, monkeypatch):
@@ -1016,7 +1077,7 @@ def test_box_f5_cube_against_independent_oracles():
     for a1c, a2c, mu in product(
         product(range(5), repeat=2), product(range(5), repeat=3), range(1, 5)
     ):
-        a1, a2 = Poly.from_ints(F, list(a1c)), Poly.from_ints(F, list(a2c))
+        a1, a2 = int_poly(F, list(a1c)), int_poly(F, list(a2c))
         W = WeilCubic(field=F, a1=a1, a2=a2, mu=F.element(mu), pv=T, m=3)
         key = (a1.coeff(n // 3), a2.coeff(2 * n // 3), mu)
         if key not in distinct:

@@ -22,9 +22,11 @@ from drinfeld_orders.factor import unit_roots
 from drinfeld_orders.poly import polys_below_degree
 
 from oracles import (
+    const_poly,
     exact_sqrt,
     expand,
     field_elements,
+    int_poly,
     irreducible_oracle,
     monic_polys,
     residue_factor,
@@ -40,8 +42,8 @@ def test_squarefree_worked_example():
     # over F5: T^2 (T+4)^2 (T^2+4T+2) -> D1 = T^2+4T+2, D2 = T(T+4)
     F = PrimeField(5)
     T = Poly.x(F)
-    t4 = Poly.from_ints(F, [4, 1])
-    quad = Poly.from_ints(F, [2, 4, 1])
+    t4 = int_poly(F, [4, 1])
+    quad = int_poly(F, [2, 4, 1])
     f = T * T * t4 * t4 * quad
     decomp = squarefree_decompose(f)
     assert decomp.unit == F.one
@@ -51,7 +53,7 @@ def test_squarefree_worked_example():
 
 def test_squarefree_already_squarefree():
     F = PrimeField(5)
-    f = Poly.from_ints(F, [2, 4, 1])
+    f = int_poly(F, [2, 4, 1])
     decomp = squarefree_decompose(f)
     assert decomp.unit == F.one
     assert decomp.parts == ((f, 1),)
@@ -106,7 +108,7 @@ def _x_power_inputs():
     for p in (5, 7):
         F = PrimeField(p)
         x = Poly.x(F)
-        g = Poly.from_ints(F, [2, 1, 1])  # g(0) = 2
+        g = int_poly(F, [2, 1, 1])  # g(0) = 2
         for k in range(1, 5):
             out += [x**k, (x**k).scale(F.element(3)), x**k * g, (x * g) ** k]
             out.append((x**k * g * g * (x + Poly.one(F)) ** 3).scale(F.element(2)))
@@ -159,13 +161,13 @@ def test_squarefree_roundtrip_random(F):
 def test_factor_worked_examples():
     F = PrimeField(5)
     x = Poly.x(F)
-    x3 = Poly.from_ints(F, [3, 1])
+    x3 = int_poly(F, [3, 1])
     f = x * x3 * x3
     fac = factor(f)
     assert fac.unit == F.one
     assert fac.factors == ((x, 1), (x3, 2))
     # T^2+4T+2 is irreducible over F5 (no roots, degree 2)
-    quad = Poly.from_ints(F, [2, 4, 1])
+    quad = int_poly(F, [2, 4, 1])
     assert all(quad.evaluate(c) != F.zero for c in field_elements(F))
     assert factor(quad).factors == ((quad, 1),)
     assert is_irreducible(quad)
@@ -173,7 +175,7 @@ def test_factor_worked_examples():
 
 def test_factor_irreducible_input():
     F = PrimeField(5)
-    f = Poly.from_ints(F, [2, 4, 1])
+    f = int_poly(F, [2, 4, 1])
     assert factor(f).factors == ((f, 1),)
 
 
@@ -181,7 +183,7 @@ def test_ben_or_matches_independent_oracle():
     # every monic polynomial of small degree over F_5, F_7 and the tabled
     # F_25, and a non-monic multiple of each one over F_5
     F5 = PrimeField(5)
-    F25 = make_extension_field(F5, Poly.from_ints(F5, [2, 0, 1]))
+    F25 = make_extension_field(F5, int_poly(F5, [2, 0, 1]))
     for F, max_deg in ((F5, 4), (PrimeField(7), 3), (F25, 2)):
         for f in monic_polys(F, max_deg):
             assert is_irreducible(f) == irreducible_oracle(f), f.to_str()
@@ -193,8 +195,8 @@ def test_ben_or_matches_independent_oracle():
 def test_ben_or_corner_inputs():
     F = PrimeField(5)
     T = Poly.x(F)
-    quad = T * T + Poly.const(F, F.element(2))
-    other = T * T + Poly.const(F, F.element(3))
+    quad = T * T + const_poly(F, F.element(2))
+    other = T * T + const_poly(F, F.element(3))
     assert is_irreducible(quad) and is_irreducible(other)
     # P^2 and P*Q with deg P = deg Q = n/2: the ladder meets them last
     assert not is_irreducible(quad * quad)
@@ -203,9 +205,9 @@ def test_ben_or_corner_inputs():
     assert is_irreducible(quad.scale(F.element(4)))
     assert is_irreducible((T + Poly.one(F)).scale(F.element(2)))
     assert not is_irreducible(Poly.zero(F))
-    assert not any(is_irreducible(Poly.const(F, c)) for c in field_elements(F))
+    assert not any(is_irreducible(const_poly(F, c)) for c in field_elements(F))
     # the modulus of the shipped L = F_125
-    assert is_irreducible(Poly.from_ints(F, [3, 3, 0, 1]))
+    assert is_irreducible(int_poly(F, [3, 3, 0, 1]))
 
 
 @pytest.mark.parametrize("q", [5, 4, 25])
@@ -214,7 +216,7 @@ def test_factor_of_a_constant_is_its_unit(q):
     F = build_field(q)
     for c in field_elements(F):
         if c != F.zero:
-            assert factor(Poly.const(F, c)) == Factorization(F, c, ())
+            assert factor(const_poly(F, c)) == Factorization(F, c, ())
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=lambda F: f"q{F.q}")
@@ -245,7 +247,7 @@ def test_unit_roots_match_every_unit(F, bound, monkeypatch):
     for _ in range(20):
         f = x ** rng.randrange(3)
         for _ in range(rng.randrange(1, 4)):
-            f = f * (x - Poly.const(F, rng.choice(units)))
+            f = f * (x - const_poly(F, rng.choice(units)))
         polys.append(f.scale(rng.choice(units)))
     for f in polys:
         if not f.is_zero:
@@ -287,7 +289,7 @@ def test_squarefree_factors_seed_no_prng_for_a_prime(monkeypatch):
     monkeypatch.setattr(factor_module, "random", SimpleNamespace(Random=counting))
     F = PrimeField(5)
     x, one = Poly.x(F), Poly.one(F)
-    for prime in (x, x + one, Poly.from_ints(F, [2, 0, 1]), Poly.from_ints(F, [3, 3, 0, 1])):
+    for prime in (x, x + one, int_poly(F, [2, 0, 1]), int_poly(F, [3, 3, 0, 1])):
         assert factor_module.squarefree_factors(prime) == [prime]
     assert seeded == []
     split = factor_module.squarefree_factors(x * (x + one))
@@ -338,7 +340,7 @@ def test_divisors_worked_examples():
     T = Poly.x(F)
     one = Poly.one(F)
     assert divisors(F, factor(T).factors) == [one, T]
-    t4 = Poly.from_ints(F, [4, 1])
+    t4 = int_poly(F, [4, 1])
     assert divisors(F, factor(T * t4).factors) == [one, T, t4, T * t4]
     assert divisors(F, factor(one).factors) == [one]
 
@@ -386,7 +388,7 @@ def test_residue_factor_quadratic_prime(example_weil):
     # the whole reduction is (x+4)^3
     F = PrimeField(5)
     W = example_weil
-    p = Poly.from_ints(F, [4, 1])
+    p = int_poly(F, [4, 1])
     R, fac = residue_factor(list(W.coefficients()), p)
     assert R.q == 5
     want = Poly(R, [(F.element(c),) for c in (4, 3, 2, 1)])

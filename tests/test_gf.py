@@ -4,13 +4,21 @@ import random
 
 import pytest
 
-from drinfeld_orders import DomainError, Poly, PrimeField, make_extension_field
-from drinfeld_orders.gf import MR_BOUND, TABLE_CAP, ExtensionField, Packing, is_prime
+from drinfeld_orders import DomainError, Poly, PrimeField, make_extension_field, poly_gcd
+from drinfeld_orders.gf import (
+    MR_BOUND,
+    TABLE_CAP,
+    ExtensionField,
+    Packing,
+    inverse_mod,
+    is_prime,
+)
 
 from oracles import (
     field_elements,
     field_poly_divmod_oracle,
     field_poly_mul_oracle,
+    int_poly,
     is_prime_oracle,
     schoolbook_ops,
     schoolbook_pow,
@@ -31,7 +39,7 @@ def build_field(q):
     base = PrimeField(p)
     if mod is None:
         return base
-    return make_extension_field(base, Poly.from_ints(base, mod))
+    return make_extension_field(base, int_poly(base, mod))
 
 
 FIELDS = [build_field(q) for q in (2, 3, 4, 5, 7, 9)]
@@ -70,7 +78,24 @@ def test_pth_root_inverts_frobenius(F):
 def test_extension_modulus_must_be_irreducible():
     F3 = PrimeField(3)
     with pytest.raises(DomainError):
-        make_extension_field(F3, Poly.from_ints(F3, [2, 0, 1]))  # T^2+2 = (T+1)(T+2)
+        make_extension_field(F3, int_poly(F3, [2, 0, 1]))  # T^2+2 = (T+1)(T+2)
+
+
+MODULUS_SHAPE = "extension modulus must be monic of degree >= 1"
+
+
+@pytest.mark.parametrize(
+    "coeffs", [(2, 0, 2), (1, 3), (1,), (4,), ()], ids=["deg2", "deg1", "one", "unit", "zero"]
+)
+def test_modulus_shape_has_one_message(coeffs):
+    # not monic, or of degree < 1: ExtensionField raises, and
+    # make_extension_field reaches it before Ben-Or's test
+    F5 = PrimeField(5)
+    with pytest.raises(DomainError) as direct:
+        ExtensionField(F5, coeffs)
+    with pytest.raises(DomainError) as checked:
+        make_extension_field(F5, Poly(F5, coeffs))
+    assert str(direct.value) == str(checked.value) == MODULUS_SHAPE
 
 
 def test_tower_residue_field_arithmetic():
@@ -99,7 +124,7 @@ def test_from_int_is_prime_subfield_embedding():
 
 def ext_field(p, modulus):
     F = PrimeField(p)
-    return make_extension_field(F, Poly.from_ints(F, modulus))
+    return make_extension_field(F, int_poly(F, modulus))
 
 
 def tower_field(p, base_modulus, modulus):
@@ -292,6 +317,61 @@ def test_inverse_on_base_kernels_matches_schoolbook_pow(name):
     assert units > 40
     if name == "f25-reducible":
         assert units < len(samples)  # z + 1 and z - 1 at least
+
+
+# inverse_mod over every base of the tables above: prime, tabled, above the
+# cap, and towers
+INVERSE_BASES = {
+    **{f"q{F.q}": (lambda F=F: F) for F in FIELDS},
+    **TABLED,
+    **PACKED,
+    "F625/F25": f625_over_f25,
+}
+
+
+@pytest.mark.parametrize("name", INVERSE_BASES)
+def test_inverse_mod_inverts_or_names_a_zero_divisor(name):
+    B = INVERSE_BASES[name]()
+    _, _, mul = schoolbook_ops(B)
+    rng = random.Random(name)
+
+    def coeffs(length):
+        return tuple(B.element(rng.randrange(B.q)) for _ in range(length))
+
+    def unit():
+        return B.element(rng.randrange(1, B.q))
+
+    cases = []
+    for _ in range(20):
+        f = coeffs(rng.randrange(1, 4)) + (B.one,)
+        cases.append((coeffs(rng.randrange(1, len(f))), f))
+    # f = g h and a = c g: a zero divisor; and a = 0, written two ways
+    g, h = coeffs(1) + (B.one,), coeffs(rng.randrange(1, 3)) + (B.one,)
+    f, c = tuple(field_poly_mul_oracle(B, g, h)), unit()
+    cases += [(tuple(mul(c, x) for x in g), f), ((B.zero,) * 2, f), ((), f)]
+    units = 0
+    for a, f in cases:
+        try:
+            s = inverse_mod(B, a, f)
+        except ZeroDivisionError as exc:
+            assert not poly_gcd(Poly(B, a), Poly(B, f)).is_one
+            zero = all(x == B.zero for x in a)
+            want = "inverse of zero" if zero else f"{a} is a zero divisor (reducible modulus)"
+            assert str(exc) == want
+            continue
+        assert len(s) == len(f) - 1
+        prod = field_poly_mul_oracle(B, a, s)
+        prod += [B.zero] * (len(f) - len(prod))
+        assert field_poly_divmod_oracle(B, prod, f)[1] == [B.one] + [B.zero] * (len(f) - 2)
+        units += 1
+    assert units >= 10 and len(cases) - units >= 3  # the planted three at least
+
+
+@pytest.mark.parametrize("name", TABLED)
+def test_inverse_mod_matches_the_log_tables(name):
+    L = TABLED[name]()
+    for a in field_elements(L)[1:]:
+        assert inverse_mod(L.base, a, L.modulus) == L.inv(a)
 
 
 @pytest.mark.parametrize(

@@ -32,6 +32,7 @@ from oracles import (
     contains_frobenius,
     element_in_lattice,
     frobenius_coords,
+    int_poly,
     sandwich_endo_oracle,
     v_maximality,
 )
@@ -61,8 +62,8 @@ def test_mult_table_worked_example(example_analysis):
     F = example_analysis.weil.field
     m2 = mult_table(example_analysis.sf, example_analysis.mo)
     T = Poly.x(F)
-    assert m2[0] == (Poly.from_ints(F, [2]), Poly.from_ints(F, [1]), T)
-    assert m2[2][2] == Poly.from_ints(F, [4])
+    assert m2[0] == (int_poly(F, [2]), int_poly(F, [1]), T)
+    assert m2[2][2] == int_poly(F, [4])
 
 
 def test_mult_table_against_companion_matrices(instance_pool):
@@ -277,7 +278,7 @@ def _content_family(p, u, e, mu, m):
     return WeilCubic(
         field=F,
         a1=Poly.zero(F),
-        a2=Poly.from_ints(F, [0] * e + [u]),
+        a2=int_poly(F, [0] * e + [u]),
         mu=F.element(mu),
         pv=Poly.x(F),
         m=m,
@@ -324,7 +325,7 @@ def test_maximal_order_closes_under_any_table():
 
     rng = random.Random(30)
     f5 = PrimeField(5)
-    f25 = make_extension_field(f5, Poly.from_ints(f5, [2, 0, 1]))
+    f25 = make_extension_field(f5, int_poly(f5, [2, 0, 1]))
     for F in (f5, PrimeField(13), f25):
         o_max = _maximal(F)
         for _ in range(40):

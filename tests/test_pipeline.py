@@ -17,7 +17,7 @@ from drinfeld_orders import (
     survey_candidates,
 )
 
-from oracles import motive_class
+from oracles import const_poly, int_poly, motive_class
 
 
 def test_supersingular_pure_cubic_end_to_end():
@@ -60,8 +60,8 @@ def test_module_as_printed_in_its_own_class():
     T = Poly.x(F)
     W = WeilCubic(
         field=F,
-        a1=Poly.from_ints(F, [3, 2]),
-        a2=Poly.from_ints(F, [1, 3, 3]),
+        a1=int_poly(F, [3, 2]),
+        a2=int_poly(F, [1, 3, 3]),
         mu=F.element(4),
         pv=T,
         m=3,
@@ -69,7 +69,7 @@ def test_module_as_printed_in_its_own_class():
     analysis = analyze_weil_class(W)
     assert analysis.mo.index == T
     assert len(analysis.orders) == 2
-    L = make_extension_field(F, Poly.from_ints(F, [3, 3, 0, 1]))
+    L = make_extension_field(F, int_poly(F, [3, 3, 0, 1]))
     ring = SkewRing(L)
     module = DrinfeldModule(ring, ring.poly([L.zero, L.one, L.one, L.one]))
     assert verify_weil_action(module, W)
@@ -105,7 +105,7 @@ def test_supersingular_constant_standard_form_end_to_end():
         OrderHNF(a=Poly.one(F), b=Poly.zero(F), c=Poly.one(F))
     ]
 
-    L = make_extension_field(F, Poly.from_ints(F, [3, 3, 0, 1]))
+    L = make_extension_field(F, int_poly(F, [3, 3, 0, 1]))
     ring = SkewRing(L)
     lc = (F.element(3), F.element(4), F.element(0))
     module = DrinfeldModule(ring, ring.poly([L.zero, L.zero, L.zero, lc]))
@@ -124,11 +124,11 @@ def test_extension_base_field_end_to_end():
     # A-field is F_25 itself in a degree-1 presentation and the Frobenius
     # is tau.  phi_T = -(tau^3 + w tau) satisfies M(pi) = 0.
     F5 = PrimeField(5)
-    F25 = make_extension_field(F5, Poly.from_ints(F5, [2, 0, 1]))
+    F25 = make_extension_field(F5, int_poly(F5, [2, 0, 1]))
     w = F25.generator()
     T = Poly.x(F25)
     W = WeilCubic(
-        field=F25, a1=Poly.zero(F25), a2=Poly.const(F25, w), mu=F25.one, pv=T, m=1
+        field=F25, a1=Poly.zero(F25), a2=const_poly(F25, w), mu=F25.one, pv=T, m=1
     )
     analysis = analyze_weil_class(W)
     assert analysis.mo.index.is_one

@@ -34,17 +34,19 @@ import drinfeld_orders.gf as gf
 import drinfeld_orders.skew as skew
 from oracles import (
     commutes_with,
+    const_poly,
     descended_module,
     frobenius,
     frobenius_power,
     gamma,
     gamma_t,
+    int_poly,
     irreducible_oracle,
     monic_polys,
     motive_class,
     phi_horner_oracle,
-    skew_constant,
     skew_add_oracle,
+    skew_constant,
     skew_mul_oracle,
     skew_sum,
     skew_tau,
@@ -63,7 +65,7 @@ LARGE_FIELDS = {
 def large_ring(name):
     p, modulus = LARGE_FIELDS[name]
     F = PrimeField(p)
-    return SkewRing(make_extension_field(F, Poly.from_ints(F, modulus)))
+    return SkewRing(make_extension_field(F, int_poly(F, modulus)))
 
 
 def rand_skew(ring, max_deg, rng):
@@ -162,7 +164,7 @@ def test_skew_arithmetic_over_tower():
     # L = F_625 over base F_25: the twist is the 25-power Frobenius acting
     # on tuple-of-tuple elements
     F5 = PrimeField(5)
-    F25 = make_extension_field(F5, Poly.from_ints(F5, [2, 0, 1]))
+    F25 = make_extension_field(F5, int_poly(F5, [2, 0, 1]))
     w = F25.generator()
     L = make_extension_field(F25, Poly(F25, (F25.neg(w), F25.zero, F25.one)))
     assert L.q == 625
@@ -200,7 +202,7 @@ def test_phi_homomorphism(module_phi, f5):
 def test_phi_scalars_and_degree_law(module_phi, f5):
     L = module_phi.ring.L
     for c in range(5):
-        assert module_phi.phi(Poly.const(f5, f5.element(c))).coeffs == (
+        assert module_phi.phi(const_poly(f5, f5.element(c))).coeffs == (
             (L.embed(f5.element(c)),) if c else ()
         )
     rng = random.Random(17)
@@ -214,7 +216,7 @@ def test_phi_scalars_and_degree_law(module_phi, f5):
 def test_phi_shift_rule(module_phi, f5):
     # phi_{T+2} = phi_T + 2
     T = Poly.x(f5)
-    two = Poly.const(f5, f5.element(2))
+    two = const_poly(f5, f5.element(2))
     assert module_phi.phi(T + two) == skew_sum(module_phi.phi(T), module_phi.phi(two))
 
 
@@ -279,12 +281,12 @@ def test_omega_kelems_worked_example(example_analysis):
     omega1, omega2 = basis_kelems(sf, mo)
     # pi~ = pi + 2T + 2 over denominator 1
     assert omega1.d.is_one
-    assert omega1.n0 == Poly.from_ints(F, [2, 2])
+    assert omega1.n0 == int_poly(F, [2, 2])
     assert omega1.n1.is_one and omega1.n2.is_zero
     # omega2 = (4T^2 + T + (4T+3) pi + pi^2) / T
     assert omega2.d == Poly.x(F)
-    assert omega2.n0 == Poly.from_ints(F, [0, 1, 4])
-    assert omega2.n1 == Poly.from_ints(F, [3, 4])
+    assert omega2.n0 == int_poly(F, [0, 1, 4])
+    assert omega2.n1 == int_poly(F, [3, 4])
     assert omega2.n2.is_one
 
 
@@ -513,7 +515,7 @@ def test_phi_matches_horner_oracle(module_phi, f5):
 def test_phi_matches_horner_oracle_over_tower():
     # base F_25: the a_k are tuples, and so are the coefficients they scale
     F5 = PrimeField(5)
-    F25 = make_extension_field(F5, Poly.from_ints(F5, [2, 0, 1]))
+    F25 = make_extension_field(F5, int_poly(F5, [2, 0, 1]))
     w = F25.generator()
     L = make_extension_field(F25, Poly(F25, (F25.neg(w), F25.zero, F25.one)))
     ring = SkewRing(L)
@@ -566,14 +568,14 @@ def test_verify_weil_action_matches_full_product(
 
 def tower_field():
     F5 = PrimeField(5)
-    F25 = make_extension_field(F5, Poly.from_ints(F5, [2, 0, 1]))
+    F25 = make_extension_field(F5, int_poly(F5, [2, 0, 1]))
     w = F25.generator()
     return make_extension_field(F25, Poly(F25, (F25.neg(w), F25.zero, F25.one)))
 
 
 def f125_field():
     F5 = PrimeField(5)
-    return make_extension_field(F5, Poly.from_ints(F5, [3, 3, 0, 1]))
+    return make_extension_field(F5, int_poly(F5, [3, 3, 0, 1]))
 
 
 KERNEL_FIELDS = {**PACKED, "F_125": f125_field, "tower": tower_field}
@@ -815,14 +817,14 @@ MODULE_IDENT_MODULI = [
 @pytest.mark.parametrize("p, modulus", MODULE_IDENT_MODULI, ids=lambda v: str(v))
 def test_rabin_accepts_the_module_ident_moduli(p, modulus):
     F = PrimeField(p)
-    f = Poly.from_ints(F, modulus)
+    f = int_poly(F, modulus)
     assert rabin(f) and is_irreducible(f) and irreducible_oracle(f)
     # and times x + 1 it is rejected
-    assert not rabin(f * Poly.from_ints(F, [1, 1]))
+    assert not rabin(f * int_poly(F, [1, 1]))
 
 
 def _f5(*coeffs):
-    return Poly.from_ints(PrimeField(5), coeffs)
+    return int_poly(PrimeField(5), coeffs)
 
 
 # reducible moduli over F_5 and which of Rabin's two conditions they pass:
