@@ -135,7 +135,9 @@ class StandardForm:
     (P, k) with disc(M0) = unit * prod P^k; both are read off the repeated
     part of disc(M) = g^6 disc(M0).  An entry with k >= 2 is a prime; an
     entry with k = 1 may be a product of primes, each dividing disc(M0)
-    exactly once.  Invariant: c1 = b1/g^2 and c2 = b2/g^3 exactly.
+    exactly once.  Invariants: c1 = b1/g^2 and c2 = b2/g^3 exactly, and
+    disc_m0 = -4 c1^3 - 27 c2^2 = disc(M)/g^6, so for g = 1 it is disc(M)
+    itself.
     """
 
     t: Poly
@@ -146,11 +148,7 @@ class StandardForm:
     c2: Poly
     g_factors: tuple
     disc_m0_factors: tuple
-
-    @property
-    def disc_m0(self) -> Poly:
-        """Discriminant -4 c1^3 - 27 c2^2 of the standard form."""
-        return _depressed_disc(self.c1, self.c2)
+    disc_m0: Poly
 
 
 @dataclass(frozen=True)
@@ -334,10 +332,11 @@ def standard_form(W: WeilCubic) -> StandardForm:
     return StandardForm(
         t=t, b1=b1, b2=b2, g=g, c1=c1, c2=c2,
         g_factors=tuple(g_factors), disc_m0_factors=tuple(disc_m0_factors),
+        disc_m0=d if g.is_one else _depressed_disc(c1, c2),
     )
 
 
-def integral_basis(sf: StandardForm, index_factors) -> Tuple[Poly, Poly]:
+def integral_basis(sf: StandardForm, I: Poly, index_factors) -> Tuple[Poly, Poly]:
     """(alpha2, beta2) for I = prod P^k over index_factors ((P, k), ...):
 
         3 beta2^2 + c1          = 0 mod I
@@ -357,9 +356,8 @@ def integral_basis(sf: StandardForm, index_factors) -> Tuple[Poly, Poly]:
     if not index_factors:
         return Poly.zero(F), Poly.zero(F)
     c1, c2 = sf.c1, sf.c2
-    I = I1 = Poly.one(F)
+    I1 = Poly.one(F)
     for prime, k in index_factors:
-        I = I * prime**k
         if c1 % prime:
             I1 = I1 * prime**k
     u = Poly.zero(F)
@@ -422,7 +420,7 @@ def maximal_order_data(sf: StandardForm) -> MaximalOrderData:
         )
     delta = delta * simple
     index_factors = tuple(index_factors)
-    alpha2, beta2 = integral_basis(sf, index_factors)
+    alpha2, beta2 = integral_basis(sf, index, index_factors)
     return MaximalOrderData(
         delta=delta,
         index=index,

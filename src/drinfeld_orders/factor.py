@@ -18,8 +18,10 @@ modulus of F_q (``make_extension_field``); the modulus of the modules'
 field L is tested by Rabin's criterion on the Frobenius that its skew ring
 builds anyway (``skew.SkewRing.is_field``).
 
-Also here: the roots of a polynomial in F_q*, and divisors from a given
-factorisation.
+Both ladders run on ``Poly.pow_mod`` and ``poly_gcd``, one ``gf`` kernel
+call each.  Also here: the roots of a polynomial in F_q* (up to
+``ROOT_SCAN_MAX`` one kernel call, ``poly_unit_roots``), and divisors from
+a given factorisation.
 """
 
 from __future__ import annotations
@@ -34,10 +36,11 @@ from .poly import Poly, poly_gcd
 
 _SPLIT_SEED = 0x5EED
 
-# Up to this q, ``unit_roots`` evaluates f at every unit: for a cubic over
-# F_13 that is 6 times faster than the gcd, and the two meet between q = 49
-# and q = 125 (measured on a 2-vCPU Xeon).
-ROOT_SCAN_MAX = 100
+# Up to this q, ``unit_roots`` evaluates f at every unit (``poly_unit_roots``):
+# for a cubic that is 9 times faster than the gcd over F_13, 2.7 times over
+# F_125 and 2 times over F_211; the two meet between q = 289 and q = 343
+# (measured on a 2-vCPU Xeon).
+ROOT_SCAN_MAX = 256
 
 
 @dataclass(frozen=True)
@@ -184,13 +187,14 @@ def _equal_degree(f: Poly, d: int, rng: random.Random) -> list:
 
 
 def unit_roots(f: Poly) -> list:
-    """The roots in F_q* of a nonzero f, in canonical order.  Above
-    ``ROOT_SCAN_MAX`` they are the linear factors of gcd(f, u^(q-1) - 1),
-    split by equal-degree splitting, at a cost that grows with log q, not q
-    (von zur Gathen and Gerhard, *Modern Computer Algebra*, section 14.3)."""
+    """The roots in F_q* of a nonzero f, in canonical order: one scan of
+    every unit (``gf``'s kernel) up to ``ROOT_SCAN_MAX``.  Above it they
+    are the linear factors of gcd(f, u^(q-1) - 1), split by equal-degree
+    splitting, at a cost that grows with log q, not q (von zur Gathen and
+    Gerhard, *Modern Computer Algebra*, section 14.3)."""
     F = f.field
     if F.q <= ROOT_SCAN_MAX:
-        return [u for u in map(F.element, range(1, F.q)) if f.evaluate(u) == F.zero]
+        return F.poly_unit_roots(f.coeffs)
     g = poly_gcd(Poly.x(F).pow_mod(F.q - 1, f) - Poly.one(F), f)
     if g.degree < 1:
         return []

@@ -25,12 +25,11 @@ Extension arithmetic runs in one of two regimes, chosen per field object:
   field builds the tables of a primitive element g: exp[k] = g^k,
   log[g^k] = k and the Zech logarithms log(1 + g^k) (Huber, IEEE Trans. IT
   36, 1990; Lidl and Niederreiter, *Finite Fields*, ch. 9).  Products and
-  inverses are then index arithmetic and sums one Zech lookup.
-  Products and divisions of polynomials over such a field (``poly_mul``,
-  ``poly_divmod``) map each operand to logs once and run the schoolbook
-  loops on ints, with no field call per coefficient.  The tables are a
-  write-once cache: built at most once per field object and never changed
-  after.
+  inverses are then index arithmetic and sums one Zech lookup.  g is the
+  first element of order q - 1 from index base.q on (the elements before
+  it lie in the base field), found by walking orbits on packed products
+  (``Packing``).  The tables are a write-once cache: built at most once
+  per field object and never changed after.
 * packed ints, above the cap (and for a reducible modulus, which has no
   element of order q - 1): a product packs the F_p-coordinates of each
   operand into one int, makes one big-int multiply (Kronecker substitution
@@ -48,15 +47,26 @@ every field (over ``mul``, so a tabled field squares on its tables), and
 extension inverts by ``inverse_mod``, the one extended Euclidean
 algorithm, run on the base field's polynomial kernels, which ``skew``
 (lc(d) in L) and ``cubic`` (2 c1 modulo part of the index) call too.
-``poly.Poly`` combines coefficients only through the kernels here
-(``vec_add``, ``vec_sub``, ``poly_mul``, ``poly_divmod``): ``PrimeField``
-runs them on ints, ``ExtensionField`` its polynomial ones on log indices
-when it has tables, and ``FiniteField`` loops through the field.
+
+``poly.Poly`` combines coefficients only through the kernels here, on
+coefficient sequences: ``vec_add``, ``vec_sub``, ``vec_int_mul``,
+``poly_mul``, ``poly_divmod``, and the three chained loops ``poly_gcd``
+(Euclid on remainders), ``poly_pow_mod`` (``power_ladder`` over a product
+and a remainder) and ``poly_unit_roots`` (Horner at every unit).  The
+polynomial kernels run in the field's working form (``_form``): ints over
+F_p, logs over an extension with tables, the elements otherwise.  Each
+call converts its operands into it once and its result out of it once;
+in between, ``poly_gcd`` and ``poly_pow_mod`` run on the form's one
+product core and one division core, with no field call and no conversion
+per step.  The scan has a loop of its own per form: on ints, Horner at
+all units at once, one list per coefficient; on logs, Horner at each unit
+with one Zech lookup per coefficient.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import repeat
 
 from .errors import DomainError
 
@@ -159,8 +169,9 @@ class FiniteField:
     """Shared interface of PrimeField and ExtensionField.
 
     Subclasses provide p, q, degree (over the prime field), zero, one and
-    the core operations add/sub/neg/mul/inv, plus the canonical enumeration:
-    element(i) is the i-th element for 0 <= i < q, and index(a) its inverse.
+    the core operations add/sub/neg/mul/inv and ``vec_int_mul``, plus the
+    canonical enumeration: element(i) is the i-th element for 0 <= i < q,
+    and index(a) its inverse.
     """
 
     p: int
@@ -183,9 +194,44 @@ class FiniteField:
         return self.pow(a, self.p ** (self.degree - 1))
 
     # -- kernels on coefficient sequences -----------------------------------
-    # Loops through the field's own operations; PrimeField overrides each
-    # with integer arithmetic, ExtensionField the polynomial ones with loops
-    # on log indices when it has tables.
+    # The polynomial kernels convert their operands into the working form
+    # once and the result out of it once, and loop on its two cores.
+
+    @cached_property
+    def _form(self):
+        """(to, back, zero, mul, div) of the working form: to and back
+        convert a coefficient sequence into a new list of it and out of it,
+        mul(F, a, b) is the product core, and the division core div(F, a, b)
+        divides the list a in place by b (whose last entry is nonzero), and
+        returns it with the remainder in its first len(b) - 1 entries and
+        the quotient after them.  The cores are plain functions, called
+        with the field, so that the cached form holds no reference back to
+        it and a field is freed as soon as its last user drops it.  Here the
+        elements themselves, through the field's own operations."""
+        return list, list, self.zero, FiniteField._elem_mul, FiniteField._elem_div
+
+    def _elem_mul(self, a, b):
+        zero, add, mul = self.zero, self.add, self.mul
+        out = [zero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x == zero:
+                continue
+            for j, y in enumerate(b, i):
+                if y != zero:
+                    out[j] = add(out[j], mul(x, y))
+        return out
+
+    def _elem_div(self, a, b):
+        zero, sub, mul = self.zero, self.sub, self.mul
+        n = len(b) - 1
+        inv_lc, low = self.inv(b[-1]), b[:n]
+        for i in range(len(a) - n - 1, -1, -1):
+            c = a[i + n]
+            if c != zero:
+                c = a[i + n] = mul(c, inv_lc)
+                for j, y in enumerate(low, i):
+                    a[j] = sub(a[j], mul(c, y))
+        return a
 
     def vec_add(self, a, b):
         """Coordinatewise a + b of two tuples, up to the end of the shorter."""
@@ -199,34 +245,65 @@ class FiniteField:
     def poly_mul(self, a, b):
         """Coefficients (ascending, a list) of the product of two nonempty
         coefficient sequences."""
-        zero, add, mul = self.zero, self.add, self.mul
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x == zero:
-                continue
-            for j, y in enumerate(b, i):
-                if y != zero:
-                    out[j] = add(out[j], mul(x, y))
-        return out
+        to, back, _, mul, _ = self._form
+        return back(mul(self, to(a), to(b)))
 
     def poly_divmod(self, a, b):
         """(quotient, remainder) coefficient lists of a divided by b, for
         len(a) >= len(b) and a nonzero last entry of b; the remainder has
         len(b) - 1 entries."""
-        zero, sub, mul = self.zero, self.sub, self.mul
+        to, back, _, _, div = self._form
         n = len(b) - 1
-        inv_lc = self.inv(b[-1])
-        rem = list(a)
-        quo = [zero] * (len(a) - n)
-        for i in range(len(quo) - 1, -1, -1):
-            c = rem[i + n]
-            if c == zero:
-                continue
-            c = mul(c, inv_lc)
-            quo[i] = c
-            for j, y in enumerate(b, i):
-                rem[j] = sub(rem[j], mul(c, y))
-        return quo, rem[:n]
+        r = div(self, to(a), to(b))
+        return back(r[n:]), back(r[:n])
+
+    def poly_gcd(self, a, b):
+        """The monic gcd of two coefficient sequences, not both zero:
+        Euclid on the remainders alone, with no quotient kept (von zur
+        Gathen and Gerhard, *Modern Computer Algebra*, section 3.2)."""
+        to, back, zero, mul, div = self._form
+        a, b = _trim(to(a), zero), _trim(to(b), zero)
+        if len(a) < len(b):
+            a, b = b, a
+        while b:
+            a, b = b, _trim(div(self, a, b)[: len(b) - 1], zero)
+        if not a:
+            raise DomainError("gcd of two zero polynomials")
+        lc = back(a[-1:])[0]
+        return back(a if lc == self.one else mul(self, a, to((self.inv(lc),))))
+
+    def poly_pow_mod(self, a, n: int, f):
+        """a^n mod f, for n >= 0 and a nonzero last entry of f, as deg f
+        entries or fewer: ``power_ladder`` over one product and one
+        remainder per step (von zur Gathen and Gerhard, section 4.3)."""
+        to, back, _, mul, div = self._form
+        m, f = len(f) - 1, to(f)
+        x = div(self, to(a) if n else to((self.one,)), f)[:m]
+        if n and x:
+            x = power_ladder(x, n, lambda u, v: div(self, mul(self, u, v), f)[:m])
+        return back(x)
+
+    def poly_unit_roots(self, a):
+        """The roots in F_q* of the nonzero polynomial a, in canonical
+        order: Horner at every unit.  ``PrimeField`` and an
+        ``ExtensionField`` with tables run it in their working form."""
+        zero, add, mul = self.zero, self.add, self.mul
+        roots = []
+        for u in map(self.element, range(1, self.q)):
+            v = zero
+            for c in reversed(a):
+                v = add(mul(v, u), c)
+            if v == zero:
+                roots.append(u)
+        return roots
+
+
+def _trim(c, zero):
+    """c without its trailing zeros."""
+    k = len(c)
+    while k and c[k - 1] == zero:
+        k -= 1
+    return c[:k]
 
 
 class Packing:
@@ -250,13 +327,14 @@ class Packing:
     every d <= bound (Granlund and Montgomery, PLDI 1994); qmask keeps the
     low w - K bits of each basis digit, where that quotient lands.  The
     width is w = bits(bound M), so no d M overflows its digit, no quotient
-    overlaps the next digit and no difference borrows.  ``fold`` is
-    ``reduce`` with the digits extracted, and ``unpack`` takes the same
-    mod-p step and extracts, for a sum that has no digits outside the
-    basis.  For e = 1 a coefficient is one digit, and the rows are
-    z^(n+k) mod f.  B's own kernels build the rows: z^i is z^(i-1) shifted,
-    reduced by one ``poly_divmod`` step by f once i >= n, and B.mul takes
-    each coefficient times y^j.
+    overlaps the next digit and no difference borrows.  ``digits``
+    extracts the element from a canonical packed int, ``fold`` is
+    ``reduce`` followed by it, and ``unpack`` takes the same mod-p step and
+    extracts, for a sum that has no digits outside the basis.  For e = 1 a
+    coefficient is one digit, and the rows are z^(n+k) mod f.  B's own
+    kernels build the rows: z^i is z^(i-1) shifted, reduced by one
+    ``poly_divmod`` step by f once i >= n, and B.mul takes each
+    coefficient times y^j.
     """
 
     def __init__(self, L, terms: int):
@@ -329,6 +407,7 @@ class Packing:
 
         self.w, self.terms = w, terms
         self.pack, self.unpack, self.reduce, self.fold = pack, unpack, reduce, fold
+        self.digits = digits
 
 
 class PrimeField(FiniteField):
@@ -368,6 +447,11 @@ class PrimeField(FiniteField):
     def index(self, a) -> int:
         return a
 
+    @cached_property
+    def _form(self):
+        # ints: poly_mul is the product core
+        return list, list, 0, PrimeField.poly_mul, PrimeField._div
+
     def vec_add(self, a, b):
         p = self.p
         return tuple([(x + y) % p for x, y in zip(a, b)])
@@ -375,6 +459,12 @@ class PrimeField(FiniteField):
     def vec_sub(self, a, b):
         p = self.p
         return tuple([(x - y) % p for x, y in zip(a, b)])
+
+    def vec_int_mul(self, a, ns):
+        """Coordinatewise n * x of a tuple a and ints ns; an extension
+        multiplies each coordinate over its base."""
+        p = self.p
+        return tuple([n * x % p for n, x in zip(ns, a)])
 
     def poly_mul(self, a, b):
         p = self.p
@@ -399,20 +489,31 @@ class PrimeField(FiniteField):
         return out
 
     def poly_divmod(self, a, b):
-        # the entries of rem stay unreduced until they are read
+        n = len(b) - 1
+        r = self._div(list(a), b)
+        return r[n:], r[:n]
+
+    def poly_unit_roots(self, a):
+        # Horner at all units at once
+        p, units = self.p, range(1, self.p)
+        v = [a[-1]] * (p - 1)
+        for c in a[-2::-1]:
+            v = [(x * u + c) % p for x, u in zip(v, units)]
+        return [u for u, x in zip(units, v) if not x]
+
+    def _div(self, a, b):
+        # the entries stay unreduced until they are read
         p = self.p
         n = len(b) - 1
-        inv_lc = pow(b[-1], -1, p)
-        low = b[:n]
-        rem = list(a)
-        quo = [0] * (len(a) - n)
-        for i in range(len(quo) - 1, -1, -1):
-            c = rem[i + n] * inv_lc % p
+        inv_lc, low = pow(b[-1], -1, p), b[:n]
+        for i in range(len(a) - n - 1, -1, -1):
+            c = a[i + n] = a[i + n] * inv_lc % p
             if c:
-                quo[i] = c
                 for j, y in enumerate(low, i):
-                    rem[j] -= c * y
-        return quo, [x % p for x in rem[:n]]
+                    a[j] -= c * y
+        for j in range(min(n, len(a))):
+            a[j] %= p
+        return a
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -468,34 +569,47 @@ class ExtensionField(FiniteField):
         """log[g^k] = k and log[zero] = None for a primitive element g; also
         sets _exp, _zech and _log_neg_one.  Empty when the field has no
         tables (q > TABLE_CAP or a reducible modulus)."""
-        exp = self._primitive_powers() if self.q <= TABLE_CAP else None
-        if exp is None:
+        if self.q > TABLE_CAP:
             return {}
-        n = self.q - 1
+        pk = Packing(self, 1)
+        powers = self._primitive_powers(pk)
+        if powers is None:
+            return {}
+        n, p = self.q - 1, self.p
+        exp = list(map(pk.digits, powers))
         log = {x: k for k, x in enumerate(exp)}
         log[self.zero] = None
-        zech = [log[self.base.vec_add(self.one, x)] for x in exp]
+        # 1 + g^k adds 1 to the first F_p-coordinate: digit 0 of the packed
+        # g^k, which wraps to 0 from p - 1; the packed 0 is no power, so
+        # 1 + g^k = 0 gets None
+        index, low = {x: k for k, x in enumerate(powers)}, (1 << pk.w) - 1
+        zech = [index.get(x + 1 if x & low != p - 1 else x - p + 1) for x in powers]
         # both doubled, so that a sum of two logs, or a difference of two
         # (a negative index wraps), needs no reduction mod n
         self._exp = exp + exp
         self._zech = zech + zech
-        self._log_neg_one = n // 2 if self.p != 2 else 0
+        self._log_neg_one = n // 2 if p != 2 else 0
         return log
 
-    def _primitive_powers(self):
-        """[g^0, ..., g^(q-2)] for the first element g of order q - 1, or
-        None when some element is not a unit (a reducible modulus)."""
-        one = self.one
-        for i in range(1, self.q):
-            g = self.element(i)
-            powers, seen, x = [one], {one}, g
-            while x not in seen:
+    def _primitive_powers(self, pk):
+        """[g^0, ..., g^(q-2)], packed by pk, for the first element g of
+        order q - 1, or None when some element is not a unit (a reducible
+        modulus).  For e > 1 the search starts at index base.q, as the
+        elements before it lie in the base field, whose units have order
+        dividing base.q - 1.  Each orbit is walked on packed products, with
+        g packed once: a walk of q - 1 steps that misses 1 has met a
+        non-unit."""
+        pack, reduce = pk.pack, pk.reduce
+        one, n = pack(self.one), self.q - 1
+        for i in range(self.base.q if self.e > 1 else 1, self.q):
+            g = pack(self.element(i))
+            powers, x = [one], g
+            while x != one and len(powers) < n:
                 powers.append(x)
-                seen.add(x)
-                x = self._mul(x, g)
+                x = reduce(x * g)
             if x != one:
                 return None
-            if len(powers) == self.q - 1:
+            if len(powers) == n:
                 return powers
         return None
 
@@ -529,6 +643,10 @@ class ExtensionField(FiniteField):
     def neg(self, a):
         return self.base.vec_sub(self.zero, a)
 
+    def vec_int_mul(self, a, ns):
+        B = self.base
+        return tuple([B.vec_int_mul(x, repeat(n)) for n, x in zip(ns, a)])
+
     def mul(self, a, b):
         log = self._log
         if not log:
@@ -547,67 +665,82 @@ class ExtensionField(FiniteField):
             raise ZeroDivisionError("inverse of zero")
         return self._exp[-la]
 
-    # -- kernels on coefficient sequences -----------------------------------
-    # With tables, each operand is mapped to logs once and the loops run on
-    # ints: a term is a sum of two logs, and adding g^t to g^o gives
-    # g^(o + zech[t - o]).  A log is kept below 2(q - 1), the length of the
-    # doubled tables, so a sum of two reduced logs, or the difference of two
-    # kept ones, indexes them as it is; a sum that may reach 2(q - 1) (after
-    # a Zech step, for a quotient term or a log of -b) is reduced mod q - 1.
+    # -- the log form -------------------------------------------------------
+    # With tables the working form is logs, None for zero, each below
+    # q - 1: a term is a sum of two logs, and adding g^t to g^o gives
+    # g^(o + zech[t - o]); the sum and the difference index the doubled
+    # tables as they are, and every log stored is reduced mod q - 1.
 
-    def poly_mul(self, a, b):
+    @cached_property
+    def _form(self):
         log = self._log
         if not log:
-            return super().poly_mul(a, b)
+            return super()._form
+        # the n logs and None in one dict, so that both conversions are maps
+        exp = dict(enumerate(self._exp[: self.q - 1]))
+        exp[None] = self.zero
+        to, back = log.__getitem__, exp.__getitem__
+        return (lambda a: list(map(to, a)), lambda w: list(map(back, w)), None,
+                ExtensionField._log_mul, ExtensionField._log_div)
+
+    def _log_mul(self, a, b):
         n, zech = self.q - 1, self._zech
-        la = [log[x] for x in a]
-        terms = [(j, y) for j, y in enumerate(map(log.__getitem__, b)) if y is not None]
+        terms = [(j, y) for j, y in enumerate(b) if y is not None]
         out = [None] * (len(a) + len(b) - 1)
-        for i, x in enumerate(la):
+        for i, x in enumerate(a):
             if x is None:
                 continue
             for j, y in terms:
                 t, k = x + y, i + j
                 o = out[k]
                 if o is None:
-                    out[k] = t
+                    out[k] = t % n
                 else:
                     z = zech[t - o]
                     out[k] = None if z is None else (o + z) % n
-        return self._exps(out)
+        return out
 
-    def poly_divmod(self, a, b):
-        log = self._log
-        if not log:
-            return super().poly_divmod(a, b)
+    def _log_div(self, a, b):
         n, zech, neg = self.q - 1, self._zech, self._log_neg_one
         dn = len(b) - 1
-        inv_lc = n - log[b[-1]]
+        inv_lc = n - b[-1]
         # the logs of -b below its leading term
-        lb = map(log.__getitem__, b[:dn])
-        terms = [(j, (y + neg) % n) for j, y in enumerate(lb) if y is not None]
-        rem = [log[x] for x in a]
-        quo = [None] * (len(a) - dn)
-        for i in range(len(quo) - 1, -1, -1):
-            c = rem[i + dn]
+        terms = [(j, (y + neg) % n) for j, y in enumerate(b[:dn]) if y is not None]
+        for i in range(len(a) - dn - 1, -1, -1):
+            c = a[i + dn]
             if c is None:
                 continue
-            c = (c + inv_lc) % n
-            quo[i] = c
+            c = a[i + dn] = (c + inv_lc) % n
             for j, y in terms:
                 t, k = c + y, i + j
-                o = rem[k]
+                o = a[k]
                 if o is None:
-                    rem[k] = t
+                    a[k] = t % n
                 else:
                     z = zech[t - o]
-                    rem[k] = None if z is None else (o + z) % n
-        return self._exps(quo), self._exps(rem[:dn])
+                    a[k] = None if z is None else (o + z) % n
+        return a
 
-    def _exps(self, logs):
-        """The elements with the given logs, None giving zero."""
-        exp, zero = self._exp, self.zero
-        return [zero if k is None else exp[k] for k in logs]
+    def poly_unit_roots(self, a):
+        log = self._log
+        if not log:
+            return super().poly_unit_roots(a)
+        n, zech = self.q - 1, self._zech
+        la = [log[x] for x in reversed(a)]
+        hits = []
+        for k in range(n):  # at g^k, Horner on the logs of a
+            v = None
+            for c in la:
+                if v is None:
+                    v = c
+                elif c is None:
+                    v = (v + k) % n
+                else:
+                    z = zech[c - v - k]
+                    v = None if z is None else (v + k + z) % n
+            if v is None:
+                hits.append(self._exp[k])
+        return sorted(hits, key=self.index)
 
     # -- arithmetic on coefficient tuples ---------------------------------
 

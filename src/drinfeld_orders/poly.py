@@ -4,11 +4,14 @@ Coefficients are stored ascending with trailing zeros stripped, so the
 empty tuple is the zero polynomial and its degree is the sentinel -1.
 Polynomials are immutable and hashable; all arithmetic is exact.
 
-Every coefficient operation except ``evaluate`` (Horner) and ``derivative``
-runs on the field's kernels, so the two regimes of ``gf`` apply here too:
-sums, differences and negatives on ``vec_add``/``vec_sub``, scalar multiples
+Every coefficient operation runs on the field's kernels, so the two
+regimes of ``gf`` apply here too: sums, differences and negatives on
+``vec_add``/``vec_sub``, the derivative on ``vec_int_mul``, scalar multiples
 and products on ``poly_mul``, division on ``poly_divmod``, powers on
-``gf.power_ladder``.  Over F_p these are integer loops: division reduces each
+``gf.power_ladder``, and ``pow_mod`` and ``poly_gcd`` on one kernel call
+each (``poly_pow_mod``, ``poly_gcd``), which converts the operands once and
+runs the whole chain of products and remainders in the field's working
+form.  Over F_p these are integer loops: division reduces each
 coefficient mod p once, when it is read, and a product of two polynomials
 with at least ``gf.KRONECKER_MIN`` nonzero coefficients each is packed
 (Kronecker substitution, 2^w > n (p-1)^2 for w-bit digits, n the smaller
@@ -174,9 +177,10 @@ class Poly:
     def pow_mod(self, n: int, modulus: "Poly") -> "Poly":
         if n < 0:
             raise DomainError("negative exponent in pow_mod")
-        if not n:
-            return Poly.one(self.field) % modulus
-        return power_ladder(self % modulus, n, lambda a, b: a * b % modulus)
+        if modulus.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        F = self.field
+        return Poly(F, F.poly_pow_mod(self.coeffs, n, modulus.coeffs))
 
     def monic(self) -> "Poly":
         if self.is_zero:
@@ -185,20 +189,9 @@ class Poly:
             return self
         return self.scale(self.field.inv(self.lc))
 
-    def evaluate(self, x):
-        """Value at a field element x (Horner)."""
-        F = self.field
-        acc = F.zero
-        for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, x), c)
-        return acc
-
     def derivative(self) -> "Poly":
-        F = self.field
-        return Poly(
-            F,
-            (F.mul(F.from_int(i), c) for i, c in enumerate(self.coeffs) if i),
-        )
+        F, c = self.field, self.coeffs
+        return Poly(F, F.vec_int_mul(c[1:], range(1, len(c))))
 
     # -- ordering, formatting ----------------------------------------------
 
@@ -237,12 +230,9 @@ class Poly:
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic greatest common divisor.  gcd(f, 0) is monic(f)."""
-    if f.is_zero and g.is_zero:
-        raise DomainError("gcd of two zero polynomials")
-    while g:
-        f, g = g, f % g
-    return f.monic()
+    """Monic greatest common divisor (``gf``'s kernel).  gcd(f, 0) is
+    monic(f); gcd(0, 0) raises DomainError."""
+    return Poly._exact(f.field, f.field.poly_gcd(f.coeffs, g.coeffs))
 
 
 def polys_below_degree(field: FiniteField, d: int) -> Iterator[Poly]:

@@ -12,8 +12,11 @@ counted with one gcd per pair of divisors, the integral basis is found
 by scanning every residue mod I^2, a root of M in A by scanning every unit
 times every divisor of a0, field arithmetic is redone on coefficient tuples
 without calling the field object (and polynomials over F_p and
-primality by plain integer loops), irreducibility by a root scan and
-Frobenius fixed points, skew products are taken in full from
+primality by plain integer loops), the gcd and ``pow_mod`` kernels by
+Euclid and square-and-multiply on Poly remainders and products, the Zech
+tables by an orbit walk under schoolbook products, values by Horner's rule
+through the field, irreducibility by a root scan and Frobenius fixed
+points, skew products are taken in full from
 the twist rule with Frobenius powers from ``L.pow``, and the endomorphism-ring
 enumeration is cross-checked against a brute-force sweep over every HNF
 lattice between A[pi] and the maximal order.
@@ -728,16 +731,16 @@ def irreducible_oracle(f) -> bool:
         return False
     if n == 1:
         return True
-    if any(f.evaluate(c) == F.zero for c in field_elements(F)):
+    if any(poly_value(f, c) == F.zero for c in field_elements(F)):
         return False
     if n <= 3:
         return True  # rootless quadratics and cubics are irreducible
     x = Poly.x(F)
     for d in range(2, n):
-        h = x.pow_mod(F.q**d, f) - x
-        if h.is_zero or not poly_gcd(h, f).is_one:
+        h = pow_mod_oracle(x, F.q**d, f) - x
+        if h.is_zero or not poly_gcd_oracle(h, f).is_one:
             return False
-    return (x.pow_mod(F.q**n, f) - x).is_zero
+    return (pow_mod_oracle(x, F.q**n, f) - x).is_zero
 
 
 def _prime_ops(p):
@@ -809,6 +812,51 @@ def field_poly_divmod_oracle(F, a, b):
         for j, y in enumerate(b):
             rem[k + j] = sub(rem[k + j], mul(c, y))
     return quo, rem[:n]
+
+
+def poly_value(f: Poly, x):
+    """f(x) by Horner's rule through the field's add and mul."""
+    F = f.field
+    acc = F.zero
+    for c in reversed(f.coeffs):
+        acc = F.add(F.mul(acc, x), c)
+    return acc
+
+
+def poly_gcd_oracle(f: Poly, g: Poly) -> Poly:
+    """Monic gcd by Euclid on Poly remainders; gcd(f, 0) is monic(f)."""
+    if f.is_zero and g.is_zero:
+        raise DomainError("gcd of two zero polynomials")
+    while g:
+        f, g = g, f % g
+    return f.monic()
+
+
+def pow_mod_oracle(f: Poly, n: int, m: Poly) -> Poly:
+    """f^n mod m by square and multiply on Poly products and remainders."""
+    return schoolbook_pow(lambda a, b: a * b % m, Poly.one(f.field) % m, f % m, n)
+
+
+def log_tables_oracle(F):
+    """(exp, zech, log) of F's tables, both lists doubled, from the first
+    element g in index order whose orbit under schoolbook products has
+    q - 1 elements; None when an orbit misses 1 (a reducible modulus)."""
+    add, _, mul = schoolbook_ops(F)
+    for i in range(1, F.q):
+        g = F.element(i)
+        powers, seen, x = [F.one], {F.one}, g
+        while x not in seen:
+            powers.append(x)
+            seen.add(x)
+            x = mul(x, g)
+        if x != F.one:
+            return None
+        if len(powers) == F.q - 1:
+            log = {x: k for k, x in enumerate(powers)}
+            log[F.zero] = None
+            zech = [log[add(F.one, x)] for x in powers]
+            return powers * 2, zech * 2, log
+    return None
 
 
 def is_prime_oracle(n: int) -> bool:

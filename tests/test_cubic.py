@@ -585,12 +585,12 @@ def test_integral_basis_trivial_when_index_one(f5):
     T = Poly.x(f5)
     W = WeilCubic(field=f5, a1=Poly.zero(f5), a2=T, mu=f5.element(1), pv=T, m=1)
     sf = standard_form(W)
-    alpha2, beta2 = integral_basis(sf, ())
+    alpha2, beta2 = integral_basis(sf, Poly.one(f5), ())
     assert alpha2.is_zero and beta2.is_zero
     # T divides disc(M0) = -4T^3 - 27T^2 but not the index: no residue of
     # beta2 mod T meets both congruences
     with pytest.raises(NoSolutionError):
-        integral_basis(sf, ((T, 1),))
+        integral_basis(sf, T, ((T, 1),))
 
 
 def test_integral_basis_congruences_hold(instance_pool):
@@ -639,7 +639,7 @@ def test_integral_basis_lifting_path_matches_exhaustive(instance_pool):
         sf, I = analysis.sf, analysis.mo.index
         if I.degree < 1:
             continue
-        assert integral_basis(sf, factor(I).factors) == integral_basis_oracle(sf, I)
+        assert integral_basis(sf, I, factor(I).factors) == integral_basis_oracle(sf, I)
         checked += 1
         if len(factor(I).factors) > 1:
             multi_prime += 1
@@ -668,7 +668,7 @@ def test_integral_basis_mixed_branches_match_oracle(f5):
     three = int_poly(f5, [3])
     assert mo.index_factors == ((T, 1), (T + three, 1))
     assert sf.c1 % T and not sf.c1 % (T + three)
-    assert integral_basis(sf, mo.index_factors) == integral_basis_oracle(sf, mo.index)
+    assert integral_basis(sf, mo.index, mo.index_factors) == integral_basis_oracle(sf, mo.index)
 
 
 def test_integral_basis_inverts_2c1_modulo_its_part_of_the_index(instance_pool, monkeypatch):
@@ -694,7 +694,7 @@ def test_integral_basis_inverts_2c1_modulo_its_part_of_the_index(instance_pool, 
             if sf.c1 % prime:
                 I1 = I1 * prime**k
         calls.clear()
-        assert integral_basis(sf, mo.index_factors) == (mo.alpha2, mo.beta2)
+        assert integral_basis(sf, mo.index, mo.index_factors) == (mo.alpha2, mo.beta2)
         if I1.is_one:
             assert calls == []
             continue
@@ -1037,6 +1037,29 @@ def test_disc_computed_once_per_height_two_class(f5, monkeypatch, instance_pool)
         callers.clear()
         assert analyze_weil_class(W).local.height == 2
         assert callers.count("disc") == 1 and set(callers) <= {"disc", "disc_m0"}
+
+
+def test_standard_form_takes_disc_m0_once(monkeypatch, instance_pool):
+    # disc(M0) = disc(M) / g^6: for g = 1 standard_form takes no
+    # discriminant beyond WeilCubic.disc, otherwise one of (c1, c2), and
+    # reading disc_m0 computes nothing; it is -4 c1^3 - 27 c2^2 exactly
+    real = cubic_module._depressed_disc
+    calls = []
+
+    def counting(e1, e2):
+        calls.append((e1, e2))
+        return real(e1, e2)
+
+    monkeypatch.setattr(cubic_module, "_depressed_disc", counting)
+    contents = set()
+    for analysis in instance_pool:
+        calls.clear()
+        sf = standard_form(replace(analysis.weil))
+        d0 = sf.disc_m0
+        assert calls[1:] == ([] if sf.g.is_one else [(sf.c1, sf.c2)])
+        assert d0 == (sf.c1**3).scale_int(-4) + (sf.c2 * sf.c2).scale_int(-27)
+        contents.add(sf.g.is_one)
+    assert contents == {True, False}
 
 
 def test_pv_tested_for_irreducibility_once_per_class(f5, monkeypatch):

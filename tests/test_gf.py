@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -15,11 +17,16 @@ from drinfeld_orders.gf import (
 )
 
 from oracles import (
+    const_poly,
     field_elements,
     field_poly_divmod_oracle,
     field_poly_mul_oracle,
     int_poly,
     is_prime_oracle,
+    log_tables_oracle,
+    poly_gcd_oracle,
+    poly_value,
+    pow_mod_oracle,
     schoolbook_ops,
     schoolbook_pow,
 )
@@ -546,6 +553,175 @@ def test_log_kernels_make_no_field_op_calls(monkeypatch):
         v * v
     with pytest.raises(FieldOpCalled):
         divmod(ux, u)
+
+
+# -- the chained kernels: gcd, pow_mod and the unit-root scan ---------------------
+
+CHAIN_FIELDS = {
+    "F5": lambda: PrimeField(5),
+    "F7": lambda: PrimeField(7),
+    **{name: TABLED[name] for name in ("F9", "F25", "F49", "F125")},
+    "p3e7": PACKED["p3e7"],  # above the cap
+    "F625/F25": f625_over_f25,  # a tabled tower
+    "reducible": lambda: ExtensionField(PrimeField(7), (6, 0, 1)),  # no tables
+}
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type of the exception it raises: over a reducible
+    modulus a remainder can have a zero divisor as its leading entry."""
+    try:
+        return fn(*args)
+    except (ZeroDivisionError, DomainError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", CHAIN_FIELDS)
+def test_chain_kernels_match_the_poly_oracles(name):
+    F = CHAIN_FIELDS[name]()
+    assert bool(F.q > TABLE_CAP or name == "reducible") == (
+        isinstance(F, ExtensionField) and not F._log
+    )
+    rng = random.Random(name)
+
+    def poly(length, monic=False):
+        coeffs = [F.element(rng.randrange(F.q)) for _ in range(length)]
+        return Poly(F, coeffs + [F.one] if monic else coeffs)
+
+    checked = 0
+    for _ in range(25):
+        h = poly(rng.randrange(0, 3), monic=rng.random() < 0.5)
+        f, g = poly(rng.randrange(5)) * h, poly(rng.randrange(5)) * h
+        for x, y in ((f, g), (g, f), (f, Poly.zero(F)), (Poly.zero(F), g)):
+            got = _outcome(lambda: Poly(F, F.poly_gcd(x.coeffs, y.coeffs)))
+            assert got == _outcome(poly_gcd_oracle, x, y)
+        m = poly(rng.randrange(0, 5), monic=True)
+        for n in (0, 1, 2, 5, F.q, F.q**2 - 1, 10**9 + 7):
+            got = Poly(F, F.poly_pow_mod(f.coeffs, n, m.coeffs))
+            assert got == pow_mod_oracle(f, n, m)
+            checked += 1
+        if not f.is_zero and F.q <= 3000:
+            units = field_elements(F)[1:]
+            want = [u for u in units if poly_value(f, u) == F.zero]
+            assert F.poly_unit_roots(f.coeffs) == want
+    assert checked == 175
+
+
+@pytest.mark.parametrize("name", CHAIN_FIELDS)
+def test_chain_kernel_edges(name):
+    F = CHAIN_FIELDS[name]()
+    rng = random.Random(name)
+    c = F.element(rng.randrange(2, F.q))
+    f = Poly(F, [F.element(rng.randrange(F.q)) for _ in range(3)] + [c])
+    # gcd(f, 0) = gcd(0, f) = monic f; gcd(0, 0) has no answer
+    assert F.poly_gcd(f.coeffs, ()) == F.poly_gcd((), f.coeffs) == list(f.monic().coeffs)
+    assert F.poly_gcd(f.coeffs, (F.zero, F.zero)) == list(f.monic().coeffs)
+    with pytest.raises(DomainError, match="gcd of two zero polynomials"):
+        F.poly_gcd((), ())
+    with pytest.raises(DomainError, match="gcd of two zero polynomials"):
+        F.poly_gcd((F.zero,), ())
+    # n = 0 gives 1 mod m; a constant operand, a constant modulus, zero
+    m = Poly(F, (F.one, F.zero, F.one))
+    assert Poly(F, F.poly_pow_mod(f.coeffs, 0, m.coeffs)).is_one
+    assert Poly(F, F.poly_pow_mod((c,), 7, m.coeffs)) == const_poly(F, F.pow(c, 7))
+    for n in (0, 1, 9):
+        assert F.poly_pow_mod(f.coeffs, n, (c,)) == []  # everything is 0 mod a unit
+    assert Poly(F, F.poly_pow_mod((), 3, m.coeffs)).is_zero
+    assert Poly(F, F.poly_pow_mod((), 0, m.coeffs)).is_one
+    # a constant has no roots, and x^k has none in F_q*
+    if F.q <= 3000:
+        assert F.poly_unit_roots((c,)) == []
+        assert F.poly_unit_roots((F.zero, F.zero, F.one)) == []
+
+
+@pytest.mark.parametrize(
+    "name", ["F9", "F25", "F49", "F125", "F625/F25", "F64/F4", "F4", "F1024"]
+)
+def test_table_walk_matches_the_orbit_oracle(name):
+    F = {**TABLED, **LOG_KERNEL_FIELDS}[name]()
+    exp, zech, log = log_tables_oracle(F)
+    assert F._log == log
+    assert F._exp == exp and F._zech == zech
+    assert F._log_neg_one == log[F.neg(F.one)]
+
+
+def test_table_walk_of_a_reducible_modulus_is_empty():
+    for R in (
+        ExtensionField(PrimeField(7), (6, 0, 1)),  # (y - 1)(y + 1)
+        ExtensionField(PrimeField(5), (0, 0, 1)),  # y^2: y is nilpotent
+        f25_reducible(),  # over a tabled base
+    ):
+        assert log_tables_oracle(R) is None
+        assert R._log == {}
+
+
+@pytest.mark.parametrize("name", ["F7", "F25", "F625/F25"])
+def test_chain_kernels_make_no_per_step_field_calls(name, monkeypatch):
+    # pow_mod, gcd and the scan convert once and run on ints or logs: no
+    # add, sub or mul of the field, and one inverse at most, for the gcd's
+    # leading coefficient
+    F = {"F7": lambda: PrimeField(7), **TABLED, **LOG_KERNEL_FIELDS}[name]()
+    rng = random.Random(name)
+    h = Poly(F, [F.element(rng.randrange(F.q)) for _ in range(2)] + [F.one])
+    f = Poly(F, [F.element(rng.randrange(F.q)) for _ in range(4)]) * h
+    g = Poly(F, [F.element(rng.randrange(1, F.q)) for _ in range(5)]) * h
+    want = (poly_gcd_oracle(f, g), pow_mod_oracle(f, 10**6, g), f.derivative())
+    want_roots = [u for u in field_elements(F)[1:] if poly_value(f, u) == F.zero]
+    cls = type(F)
+    inverses = []
+    real_inv = cls.inv
+
+    def forbidden(*args):
+        raise FieldOpCalled
+
+    def counted_inv(field, a):
+        inverses.append(a)
+        return real_inv(field, a)
+
+    for op in ("mul", "add", "sub"):
+        monkeypatch.setattr(cls, op, forbidden)
+    monkeypatch.setattr(cls, "inv", counted_inv)
+    assert poly_gcd(f, g) == want[0] and len(inverses) <= 1
+    assert f.pow_mod(10**6, g) == want[1]
+    assert f.derivative() == want[2]
+    assert F.poly_unit_roots(f.coeffs) == want_roots
+    assert len(inverses) <= 1
+
+
+@pytest.mark.parametrize("name", ["F7", "F25", "F625/F25", "p3e7", "reducible"])
+def test_a_field_is_freed_by_reference_counting(name):
+    # each config builds its own fields; the cached working form must not
+    # point back at its field, or every dead field and its tables would wait
+    # for the cycle collector
+    F = CHAIN_FIELDS[name]()
+    f = Poly(F, [F.element(i % F.q) for i in (3, 1, 4, 1)] + [F.one])
+    g = f * Poly.x(F) + Poly.one(F)
+    poly_gcd(f, g), f.pow_mod(5, g), divmod(g, f), f.derivative()
+    if F.q <= 3000:
+        F.poly_unit_roots(f.coeffs)
+    ref = weakref.ref(F)
+    gc.disable()
+    try:
+        del F, f, g
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("name", ["F7", "F25", "F625/F25", "p7e6", "f25e3"])
+def test_vec_int_mul_is_repeated_addition(name):
+    F = {"F7": lambda: PrimeField(7), **TABLED, **LOG_KERNEL_FIELDS, **PACKED}[name]()
+    add = schoolbook_ops(F)[0]
+    rng = random.Random(name)
+    a = tuple(F.element(rng.randrange(F.q)) for _ in range(12))
+    ns = list(range(12))
+    want = []
+    for n, x in zip(ns, a):
+        acc = F.zero
+        for _ in range(n):
+            acc = add(acc, x)
+        want.append(acc)
+    assert F.vec_int_mul(a, ns) == tuple(want)
 
 
 # -- primality ------------------------------------------------------------------

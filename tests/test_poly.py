@@ -12,7 +12,10 @@ from oracles import (
     const_poly,
     int_poly,
     poly_divmod_oracle,
+    poly_gcd_oracle,
     poly_mul_oracle,
+    poly_value,
+    pow_mod_oracle,
     schoolbook_ops,
 )
 from test_gf import FIELDS, LOG_KERNEL_FIELDS, PACKED, TABLED, FieldOpCalled
@@ -199,6 +202,26 @@ def test_powers_match_repeated_products(name):
         f.pow_mod(-2, m)
 
 
+@pytest.mark.parametrize("name", SUM_FIELDS)
+def test_gcd_and_pow_mod_match_the_poly_level_oracles(name):
+    # poly_gcd and Poly.pow_mod are one kernel call each; the oracles are
+    # the Euclid and ladder loops on Poly remainders and products
+    F = SUM_FIELDS[name]()
+    rng = random.Random(name)
+    for _ in range(15):
+        h = rand_poly(F, rng.randrange(3), rng, monic=True)
+        f, g = rand_poly(F, 4, rng) * h, rand_poly(F, 3, rng) * h
+        if not (f.is_zero and g.is_zero):
+            assert poly_gcd(f, g) == poly_gcd_oracle(f, g)
+        m = rand_poly(F, rng.randrange(4), rng)
+        if m.is_zero:
+            continue
+        for n in (0, 1, 3, F.q, 2**40 + 1):
+            assert f.pow_mod(n, m) == pow_mod_oracle(f, n, m)
+    with pytest.raises(ZeroDivisionError):
+        Poly.x(F).pow_mod(3, Poly.zero(F))
+
+
 def test_division_by_zero():
     F = PrimeField(5)
     with pytest.raises(ZeroDivisionError):
@@ -314,7 +337,7 @@ def test_valuation_matches_repeated_division(name):
 def test_evaluate_and_derivative():
     F = PrimeField(7)
     f = int_poly(F, [1, 0, 3, 2])  # 2T^3+3T^2+1
-    assert f.evaluate(F.element(2)) == F.element((2 * 8 + 3 * 4 + 1) % 7)
+    assert poly_value(f, F.element(2)) == F.element((2 * 8 + 3 * 4 + 1) % 7)
     assert f.derivative() == int_poly(F, [0, 6, 6])
 
 
