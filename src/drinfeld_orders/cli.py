@@ -355,7 +355,7 @@ def build_report(analysis: ClassAnalysis, identifications) -> dict:
             **_polys_json(g=sf.g, c1=sf.c1, c2=sf.c2),
         },
         **_polys_json(
-            disc_m0=mo.disc_m0, delta=mo.delta, index=mo.index,
+            disc_m0=sf.disc_m0, delta=mo.delta, index=mo.index,
             alpha2=mo.alpha2, beta2=mo.beta2,
         ),
         "candidate_count": analysis.candidate_count,

@@ -58,7 +58,7 @@ from .errors import (
     ReducibleError,
     WeilValidationError,
 )
-from .factor import is_irreducible, squarefree_decompose, squarefree_factors, unit_roots
+from .factor import is_irreducible, squarefree_decompose, squarefree_factors
 
 # not called here any more; bench/tests/test_bench.py checks that the tracer
 # rewraps this binding, so it stays until that test names another one
@@ -158,7 +158,6 @@ class MaximalOrderData:
     index_factors: tuple  # ((P, k), ...): I = prod P^k, canonical order
     alpha2: Poly
     beta2: Poly
-    disc_m0: Poly
 
 
 def height(W: WeilCubic) -> int:
@@ -174,9 +173,10 @@ def _check_at_infinity(W: WeilCubic) -> None:
     M has degree n/3: the Newton polygon at infinity is the one segment from
     (0, n) to (3, 0), that is deg a1 <= n/3 and deg a2 <= 2n/3.  When 3 | n
     its residual x^3 + [T^(n/3)]a1 x^2 + [T^(2n/3)]a2 x + mu over F_q must
-    not split; as at v, it splits iff it is not a cube and has a root.  A
-    root of M in A is u pv^(m/3) with r(u) = 0 (it divides mu pv^m and has
-    degree n/3), so r = (x + a)^3 and -a pv^(m/3) is the one candidate."""
+    not split; as at v, it splits iff it is not a cube and is reducible
+    (``is_irreducible``, the test of pv too).  A root of M in A is
+    u pv^(m/3) with r(u) = 0 (it divides mu pv^m and has degree n/3), so
+    r = (x + a)^3 and -a pv^(m/3) is the one candidate."""
     n = W.m * W.pv.degree
     if 3 * W.a1.degree > n or 3 * W.a2.degree > 2 * n:
         raise WeilValidationError("M(x) breaks the degree bound at infinity")
@@ -187,7 +187,7 @@ def _check_at_infinity(W: WeilCubic) -> None:
     # (x + a)^3 has r2 = 3a, r1 = 3a^2 and r0 = a^3
     cube = F.mul(F.from_int(3), r1) == F.mul(r2, r2)
     cube = cube and F.mul(F.from_int(27), r0) == F.pow(r2, 3)
-    if not cube and unit_roots(Poly(F, (r0, r1, r2, F.one))):
+    if not cube and not is_irreducible(Poly(F, (r0, r1, r2, F.one))):
         raise WeilValidationError("the residual polynomial at infinity splits")
     if cube and W.m % 3 == 0:
         root = (W.pv ** (W.m // 3)).scale(F.mul(r2, F.inv(F.from_int(-3))))
@@ -388,8 +388,7 @@ def maximal_order_data(sf: StandardForm) -> MaximalOrderData:
     once and not I, unless P | c1 and P | c2, which would give v_P(Delta)
     = 2 and a rest of -1.  One gcd of the k = 1 entries with c1 and c2
     checks that no such P exists, and the entries go into Delta whole."""
-    d0 = sf.disc_m0
-    F = d0.field
+    F = sf.disc_m0.field
     delta = index = simple = Poly.one(F)
     index_factors = []
     for prime, v in sf.disc_m0_factors:
@@ -427,5 +426,4 @@ def maximal_order_data(sf: StandardForm) -> MaximalOrderData:
         index_factors=index_factors,
         alpha2=alpha2,
         beta2=beta2,
-        disc_m0=d0,
     )

@@ -11,17 +11,19 @@ a caller holding a square-free part calls directly, with no second Yun
 pass); the equal-degree stage draws its random elements from a PRNG
 seeded with a fixed constant, so output is reproducible run to run.
 
-The irreducibility test is Ben-Or's: the same distinct-degree ladder,
-which stops at half the degree, and f is irreducible when it comes back
-whole (Ben-Or, FOCS 1981; Gao and Panario, 1997).  It serves pv and the
-modulus of F_q (``make_extension_field``); the modulus of the modules'
-field L is tested by Rabin's criterion on the Frobenius that its skew ring
-builds anyway (``skew.SkewRing.is_field``).
+The irreducibility test ``is_irreducible`` is the one test for pv, the
+modulus of F_q (``make_extension_field``) and the residual cubic at
+infinity (``cubic``).  In degree 2 and 3 a polynomial is reducible iff it
+has a root in F_q, so up to ``ROOT_SCAN_MAX`` it is one scan of the units
+(``gf``'s ``poly_has_unit_root``) after a look at f(0).  Otherwise it is
+Ben-Or's test: the same distinct-degree ladder, which stops at half the
+degree, and f is irreducible when it comes back whole (Ben-Or, FOCS 1981;
+Gao and Panario, 1997).  The modulus of the modules' field L is tested by
+Rabin's criterion on the Frobenius that its skew ring builds anyway
+(``skew.SkewRing.is_field``).
 
 Both ladders run on ``Poly.pow_mod`` and ``poly_gcd``, one ``gf`` kernel
-call each.  Also here: the roots of a polynomial in F_q* (up to
-``ROOT_SCAN_MAX`` one kernel call, ``poly_unit_roots``), and divisors from
-a given factorisation.
+call each.  Also here: divisors from a given factorisation.
 """
 
 from __future__ import annotations
@@ -36,10 +38,11 @@ from .poly import Poly, poly_gcd
 
 _SPLIT_SEED = 0x5EED
 
-# Up to this q, ``unit_roots`` evaluates f at every unit (``poly_unit_roots``):
-# for a cubic that is 9 times faster than the gcd over F_13, 2.7 times over
-# F_125 and 2 times over F_211; the two meet between q = 289 and q = 343
-# (measured on a 2-vCPU Xeon).
+# Up to this q, ``is_irreducible`` scans the units in degree 2 and 3.  Per
+# random polynomial, scan against Ben-Or, in degree 2 and then 3 (2-vCPU
+# Xeon, Python 3.11): F_13 3.6 and 4.7 against 31 and 36 us, F_125 21 and
+# 29 against 54 and 70, F_251 38 and 55 against 52 and 75; over F_289 and
+# F_343 the two are level within the noise in both degrees.
 ROOT_SCAN_MAX = 256
 
 
@@ -186,22 +189,6 @@ def _equal_degree(f: Poly, d: int, rng: random.Random) -> list:
     return _equal_degree(c, d, rng) + _equal_degree(f.exact_div(c), d, rng)
 
 
-def unit_roots(f: Poly) -> list:
-    """The roots in F_q* of a nonzero f, in canonical order: one scan of
-    every unit (``gf``'s kernel) up to ``ROOT_SCAN_MAX``.  Above it they
-    are the linear factors of gcd(f, u^(q-1) - 1), split by equal-degree
-    splitting, at a cost that grows with log q, not q (von zur Gathen and
-    Gerhard, *Modern Computer Algebra*, section 14.3)."""
-    F = f.field
-    if F.q <= ROOT_SCAN_MAX:
-        return F.poly_unit_roots(f.coeffs)
-    g = poly_gcd(Poly.x(F).pow_mod(F.q - 1, f) - Poly.one(F), f)
-    if g.degree < 1:
-        return []
-    linear = _equal_degree(g, 1, random.Random(_SPLIT_SEED))
-    return sorted((F.neg(h.coeffs[0]) for h in linear), key=F.index)
-
-
 def squarefree_factors(f: Poly) -> list:
     """The monic irreducible factors of a monic square-free f of degree
     >= 1, in the order the splitting finds them.  The PRNG is seeded only
@@ -227,13 +214,17 @@ def factor(f: Poly) -> Factorization:
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Ben-Or's test: the distinct-degree ladder, which stops at deg f / 2,
+    """For deg f in {2, 3} and q <= ROOT_SCAN_MAX: f(0) != 0 and no unit
+    is a root, as a reducible f then has a linear factor.  Otherwise
+    Ben-Or's test: the distinct-degree ladder, which stops at deg f / 2,
     finds no factor.  A reducible f has an irreducible factor P with
     deg P <= deg f / 2, repeated or not, and the gcd with x^(q^deg P) - x
     picks it up, so no square-free step is needed."""
-    n = f.degree
+    n, F = f.degree, f.field
     if n <= 1:
         return n == 1
+    if n <= 3 and F.q <= ROOT_SCAN_MAX:
+        return f.coeffs[0] != F.zero and not F.poly_has_unit_root(f.coeffs)
     return _distinct_degree(f) == [(f, n)]
 
 

@@ -50,17 +50,19 @@ algorithm, run on the base field's polynomial kernels, which ``skew``
 
 ``poly.Poly`` combines coefficients only through the kernels here, on
 coefficient sequences: ``vec_add``, ``vec_sub``, ``vec_int_mul``,
-``poly_mul``, ``poly_divmod``, and the three chained loops ``poly_gcd``
-(Euclid on remainders), ``poly_pow_mod`` (``power_ladder`` over a product
-and a remainder) and ``poly_unit_roots`` (Horner at every unit).  The
-polynomial kernels run in the field's working form (``_form``): ints over
-F_p, logs over an extension with tables, the elements otherwise.  Each
-call converts its operands into it once and its result out of it once;
-in between, ``poly_gcd`` and ``poly_pow_mod`` run on the form's one
-product core and one division core, with no field call and no conversion
-per step.  The scan has a loop of its own per form: on ints, Horner at
-all units at once, one list per coefficient; on logs, Horner at each unit
-with one Zech lookup per coefficient.
+``poly_mul``, ``poly_divmod``, and the two chained loops ``poly_gcd``
+(Euclid on remainders) and ``poly_pow_mod`` (``power_ladder`` over a
+product and a remainder).  The polynomial kernels run in the field's
+working form (``_form``): ints over F_p, logs over an extension with
+tables, the elements otherwise.  Each call converts its operands into it
+once and its result out of it once; in between, ``poly_gcd`` and
+``poly_pow_mod`` run on the form's one product core and one division
+core, with no field call and no conversion per step.  One more kernel,
+``poly_has_unit_root``, answers whether a polynomial has a root in F_q*,
+the test behind ``factor.is_irreducible`` in degree 2 and 3.  It exists
+in two forms only: on ints, Horner at all units at once, one list per
+coefficient; on logs, Horner at each unit with one Zech lookup per
+coefficient, up to the first root.
 """
 
 from __future__ import annotations
@@ -144,20 +146,14 @@ def inverse_mod(B, a, f):
     Computer Algebra*, section 3.2), on B's polynomial kernels, keeping s
     with s*a = r mod f for each remainder r."""
     zero = B.zero
-
-    def trim(c):
-        while c and c[-1] == zero:
-            c.pop()
-        return c
-
-    r0, r1 = list(f), trim(list(a))
+    r0, r1 = list(f), _trim(a, zero)
     if not r1:
         raise ZeroDivisionError("inverse of zero")
     s0, s1 = [], [B.one]
     while len(r1) > 1:
         quo, rem = B.poly_divmod(r0, r1)
         qs = B.poly_mul(quo, s1)  # longer than s0: deg s grows each step
-        r0, r1 = r1, trim(rem)
+        r0, r1 = r1, _trim(rem, zero)
         s0, s1 = s1, list(B.vec_sub(s0 + [zero] * (len(qs) - len(s0)), qs))
     if not r1:
         raise ZeroDivisionError(f"{a} is a zero divisor (reducible modulus)")
@@ -282,20 +278,6 @@ class FiniteField:
         if n and x:
             x = power_ladder(x, n, lambda u, v: div(self, mul(self, u, v), f)[:m])
         return back(x)
-
-    def poly_unit_roots(self, a):
-        """The roots in F_q* of the nonzero polynomial a, in canonical
-        order: Horner at every unit.  ``PrimeField`` and an
-        ``ExtensionField`` with tables run it in their working form."""
-        zero, add, mul = self.zero, self.add, self.mul
-        roots = []
-        for u in map(self.element, range(1, self.q)):
-            v = zero
-            for c in reversed(a):
-                v = add(mul(v, u), c)
-            if v == zero:
-                roots.append(u)
-        return roots
 
 
 def _trim(c, zero):
@@ -493,13 +475,15 @@ class PrimeField(FiniteField):
         r = self._div(list(a), b)
         return r[n:], r[:n]
 
-    def poly_unit_roots(self, a):
-        # Horner at all units at once
+    def poly_has_unit_root(self, a):
+        """Whether the nonzero polynomial a has a root in F_q*: Horner at
+        all units at once.  An ``ExtensionField`` has the same kernel on
+        its logs, and only with tables."""
         p, units = self.p, range(1, self.p)
         v = [a[-1]] * (p - 1)
         for c in a[-2::-1]:
             v = [(x * u + c) % p for x, u in zip(v, units)]
-        return [u for u, x in zip(units, v) if not x]
+        return 0 in v
 
     def _div(self, a, b):
         # the entries stay unreduced until they are read
@@ -721,14 +705,14 @@ class ExtensionField(FiniteField):
                     a[k] = None if z is None else (o + z) % n
         return a
 
-    def poly_unit_roots(self, a):
+    def poly_has_unit_root(self, a):
+        """Only with tables, which every field that asks has: an F_q with
+        q <= ``factor.ROOT_SCAN_MAX`` <= TABLE_CAP has them whenever its
+        modulus is irreducible."""
         log = self._log
-        if not log:
-            return super().poly_unit_roots(a)
         n, zech = self.q - 1, self._zech
         la = [log[x] for x in reversed(a)]
-        hits = []
-        for k in range(n):  # at g^k, Horner on the logs of a
+        for k in range(n):  # at g^k, Horner on the logs of a, to the first root
             v = None
             for c in la:
                 if v is None:
@@ -739,8 +723,8 @@ class ExtensionField(FiniteField):
                     z = zech[c - v - k]
                     v = None if z is None else (v + k + z) % n
             if v is None:
-                hits.append(self._exp[k])
-        return sorted(hits, key=self.index)
+                return True
+        return False
 
     # -- arithmetic on coefficient tuples ---------------------------------
 

@@ -65,7 +65,7 @@ def test_criterion_1_discriminants_and_index():
     t4 = int_poly(F, [4, 1])
     quad = int_poly(F, [2, 4, 1])
     ok = (
-        analysis.mo.disc_m0 == T * T * t4 * t4 * quad
+        analysis.sf.disc_m0 == T * T * t4 * t4 * quad
         and analysis.mo.delta == (t4 * t4 * quad).monic()
         and analysis.mo.index == T
         and elapsed < 1.0
@@ -73,7 +73,7 @@ def test_criterion_1_discriminants_and_index():
     _report(
         "1 (discriminants, index, <1s)",
         ok,
-        f"disc(M0)={analysis.mo.disc_m0.to_str()}, Delta={analysis.mo.delta.to_str()}, "
+        f"disc(M0)={analysis.sf.disc_m0.to_str()}, Delta={analysis.mo.delta.to_str()}, "
         f"I={analysis.mo.index.to_str()}, {elapsed * 1000:.0f} ms",
     )
     assert ok
@@ -212,7 +212,7 @@ def test_criterion_7_identity_suite(instance_pool):
         mo = analysis.mo
         W = analysis.weil
         # disc(M0) = I^2 * Delta up to a unit
-        assert mo.disc_m0.monic() == (mo.index * mo.index * mo.delta).monic()
+        assert analysis.sf.disc_m0.monic() == (mo.index * mo.index * mo.delta).monic()
         # disc(O) = (ac)^2 * Delta for every emitted order
         for rep in analysis.orders:
             n = rep.order.a * rep.order.c

@@ -210,8 +210,8 @@ def test_root_sieve_finds_constructed_roots(name):
 
 
 def test_root_sieve_by_gcd_matches_oracle(instance_pool, monkeypatch):
-    # the two tests above with every root search by gcd, as for q above
-    # the scan bound
+    # the two tests above with every irreducibility test by Ben-Or, as for
+    # q above the scan bound
     monkeypatch.setattr(factor_module, "ROOT_SCAN_MAX", 1)
     test_root_sieve_matches_exhaustive_scan_on_pool(instance_pool)
     for name in sieve_fields():
@@ -455,8 +455,8 @@ def test_residual_splits_at_v_iff_three_divides_deg_pv(monkeypatch):
 
 
 def test_residual_root_search_by_gcd_matches_factorisation(monkeypatch):
-    # the tests above with every root search by gcd, as for q above the
-    # scan bound
+    # the tests above with every irreducibility test by Ben-Or, as for q
+    # above the scan bound
     monkeypatch.setattr(factor_module, "ROOT_SCAN_MAX", 1)
     for p in (5, 7):
         test_residual_split_matches_factorisation_exhaustive(p, monkeypatch)
@@ -539,7 +539,7 @@ def test_field_discriminant_valuation_two_case(instance_pool):
         sf, mo = analysis.sf, analysis.mo
         from drinfeld_orders import factor
 
-        for prime, _ in factor(mo.disc_m0).factors:
+        for prime, _ in factor(sf.disc_m0).factors:
             v1 = None if sf.c1.is_zero else valuation(sf.c1, prime)
             v2 = valuation(sf.c2, prime)
             if (v1 is None or v1 >= v2) and v2 >= 1:
@@ -566,7 +566,7 @@ def test_index_against_divisor_search(instance_pool):
     # I is the unique monic divisor d of disc(M0) with d^2 * delta = disc(M0)
     for analysis in instance_pool[:12]:
         sf, mo = analysis.sf, analysis.mo
-        target = mo.disc_m0.monic()
+        target = sf.disc_m0.monic()
         hits = [
             d for d in divisors(target.field, factor(target).factors)
             if d * d * mo.delta == target
@@ -764,7 +764,7 @@ def test_disc_identity_and_trace_form(instance_pool):
     for analysis in instance_pool:
         mo = analysis.mo
         # disc(M0) = I^2 * delta up to the leading unit
-        assert mo.disc_m0.monic() == (mo.index * mo.index * mo.delta).monic()
+        assert analysis.sf.disc_m0.monic() == (mo.index * mo.index * mo.delta).monic()
     for analysis in instance_pool[:8]:
         got = trace_form_discriminant(analysis.sf, analysis.mo)
         assert got.monic() == analysis.mo.delta
@@ -1074,12 +1074,13 @@ def test_pv_tested_for_irreducibility_once_per_class(f5, monkeypatch):
         calls.append(f)
         return original(f)
 
-    # every binding through which the pipeline may reach Ben-Or's test
+    # every binding through which the pipeline may reach the irreducibility
+    # test: pv once, then the residual x^3 + x^2 + 3x + 1 at infinity
     monkeypatch.setattr(factor_module, "is_irreducible", counting)
     monkeypatch.setattr(cubic_module, "is_irreducible", counting)
     analysis = analyze_weil_class(W)
     assert analysis.local.height == 2 and analysis.local.pv_divides_a2
-    assert calls == [W.pv]
+    assert calls == [W.pv, int_poly(f5, [1, 3, 1, 1])]
 
 
 def test_box_f5_cube_against_independent_oracles():

@@ -1,9 +1,11 @@
 """The README stays in step with the code it documents: its config example
-is the shipped example config, and its exit-code table lists every row of
-``cli.EXITS`` with that row's code and stderr prefix."""
+is the shipped example config, its exit-code table lists every row of
+``cli.EXITS`` with that row's code and stderr prefix, and every dotted name
+in its library layout table exists in the package."""
 
 from __future__ import annotations
 
+import ast
 import json
 import re
 from pathlib import Path
@@ -14,6 +16,7 @@ from drinfeld_orders.cli import EXITS
 
 REPO = Path(__file__).resolve().parent.parent
 README = (REPO / "README.md").read_text()
+PACKAGE = REPO / "src" / "drinfeld_orders"
 
 
 def test_readme_config_example_is_the_shipped_config():
@@ -33,3 +36,53 @@ def test_readme_exit_table_lists_each_exit(error, code, prefix):
         and cells[1].strip() == str(code)
         and cells[2].strip() == f"`{prefix}:`"
     ]
+
+
+def _bound_here(node):
+    """The names that one statement binds in its own scope."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
+            names.add(sub.id)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.asname or sub.name.split(".")[0])
+    return names
+
+
+def _package_names():
+    """The dotted names the package defines: drinfeld_orders.<module>,
+    <module>.<name> for a name bound at a module's top level,
+    <Class>.<name> for a name bound in a class body or as self.<name>, and
+    <module>.<name> for each name a module imports from another module."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        module = path.stem
+        found.add(f"drinfeld_orders.{module}")
+        tree = ast.parse(path.read_text())
+        found |= {f"{module}.{name}" for stmt in tree.body for name in _bound_here(stmt)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                found |= {f"{node.module}.{alias.name}" for alias in node.names}
+            elif isinstance(node, ast.ClassDef):
+                members = {name for stmt in node.body for name in _bound_here(stmt)}
+                members |= {
+                    sub.attr
+                    for sub in ast.walk(node)
+                    if isinstance(sub, ast.Attribute)
+                    and isinstance(sub.ctx, ast.Store)
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "self"
+                }
+                found |= {f"{node.name}.{name}" for name in members}
+    return found
+
+
+def test_readme_layout_names_exist_in_the_package():
+    # a kernel deleted from the code cannot stay documented in the layout
+    table = README.split("## Library layout", 1)[1]
+    rows = [line for line in table.splitlines() if line.startswith("| `drinfeld_orders.")]
+    dotted = set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", "\n".join(rows)))
+    assert len(dotted) >= 10
+    assert sorted(dotted - _package_names()) == []

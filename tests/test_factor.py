@@ -18,7 +18,6 @@ from drinfeld_orders import (
     poly_gcd,
     squarefree_decompose,
 )
-from drinfeld_orders.factor import unit_roots
 from drinfeld_orders.poly import polys_below_degree
 
 from oracles import (
@@ -32,7 +31,7 @@ from oracles import (
     poly_value,
     residue_factor,
 )
-from test_gf import FIELDS, build_field
+from test_gf import FIELDS, PACKED, TABLED, build_field, f625_over_f25
 from test_poly import rand_poly
 
 # the module, not the function the package exports under its name
@@ -234,25 +233,48 @@ def test_factor_roundtrip_and_irreducibility_random(F):
             assert irreducible_oracle(prime)
 
 
-@pytest.mark.parametrize("bound", [None, 1], ids=["scan", "gcd"])
+@pytest.mark.parametrize("bound", [None, 1], ids=["scan", "ben-or"])
 @pytest.mark.parametrize("F", FIELDS, ids=lambda F: f"q{F.q}")
-def test_unit_roots_match_every_unit(F, bound, monkeypatch):
-    # both root searches (bound 1 sends every field to the gcd) on random
-    # polynomials and on products of linear factors times a power of u
+def test_small_degree_irreducibility_matches_the_oracle(F, bound, monkeypatch):
+    # every polynomial of degree 2 and 3, non-monic ones and f(0) = 0
+    # included, by the unit scan and (bound 1) by Ben-Or's test
     if bound is not None:
         monkeypatch.setattr(factor_module, "ROOT_SCAN_MAX", bound)
-    rng = random.Random(F.q * 107)
-    units = [u for u in field_elements(F) if u != F.zero]
+    units = field_elements(F)[1:]
+    verdicts = set()
+    for f in monic_polys(F, 3):
+        if f.degree >= 2:
+            want = irreducible_oracle(f)
+            verdicts.add((f.degree, want))
+            for u in units:
+                assert is_irreducible(f.scale(u)) == want, f.scale(u).to_str()
+    assert verdicts == {(2, True), (2, False), (3, True), (3, False)}
+
+
+@pytest.mark.parametrize("name", ["F25", "F49", "F257", "F625/F25", "p3e7"])
+def test_irreducibility_samples_match_the_oracle(name, monkeypatch):
+    # seeded quadratics and cubics, and products of a linear factor with a
+    # random one, by the unit scan (up to q = 256) and by Ben-Or's test;
+    # F_257 is the first prime above the scan bound, and p3e7 lies above
+    # the table cap
+    F = {**TABLED, **PACKED, "F257": lambda: PrimeField(257), "F625/F25": f625_over_f25}[name]()
+    rng = random.Random(f"irreducible/{name}")
     x = Poly.x(F)
-    polys = [rand_poly(F, 3, rng) for _ in range(20)]
-    for _ in range(20):
-        f = x ** rng.randrange(3)
-        for _ in range(rng.randrange(1, 4)):
-            f = f * (x - const_poly(F, rng.choice(units)))
-        polys.append(f.scale(rng.choice(units)))
-    for f in polys:
-        if not f.is_zero:
-            assert unit_roots(f) == [u for u in units if poly_value(f, u) == F.zero]
+
+    def rand(n):
+        lead = F.element(rng.randrange(1, F.q))
+        return Poly(F, [F.element(rng.randrange(F.q)) for _ in range(n)] + [lead])
+
+    polys = [rand(n) for n in (2, 3) for _ in range(15)]
+    for n in (1, 2):
+        for _ in range(5):
+            root = const_poly(F, F.element(rng.randrange(F.q)))
+            polys.append((x - root) * rand(n))
+    want = [irreducible_oracle(f) for f in polys]
+    assert True in want and False in want
+    for bound in (factor_module.ROOT_SCAN_MAX, 1):
+        monkeypatch.setattr(factor_module, "ROOT_SCAN_MAX", bound)
+        assert [is_irreducible(f) for f in polys] == want
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=lambda F: f"q{F.q}")

@@ -555,7 +555,7 @@ def test_log_kernels_make_no_field_op_calls(monkeypatch):
         divmod(ux, u)
 
 
-# -- the chained kernels: gcd, pow_mod and the unit-root scan ---------------------
+# -- the chained kernels gcd and pow_mod, and the unit-root scan ------------------
 
 CHAIN_FIELDS = {
     "F5": lambda: PrimeField(5),
@@ -579,9 +579,8 @@ def _outcome(fn, *args):
 @pytest.mark.parametrize("name", CHAIN_FIELDS)
 def test_chain_kernels_match_the_poly_oracles(name):
     F = CHAIN_FIELDS[name]()
-    assert bool(F.q > TABLE_CAP or name == "reducible") == (
-        isinstance(F, ExtensionField) and not F._log
-    )
+    tableless = isinstance(F, ExtensionField) and not F._log
+    assert tableless == (F.q > TABLE_CAP or name == "reducible")
     rng = random.Random(name)
 
     def poly(length, monic=False):
@@ -600,10 +599,10 @@ def test_chain_kernels_match_the_poly_oracles(name):
             got = Poly(F, F.poly_pow_mod(f.coeffs, n, m.coeffs))
             assert got == pow_mod_oracle(f, n, m)
             checked += 1
-        if not f.is_zero and F.q <= 3000:
+        if not f.is_zero and not tableless:
             units = field_elements(F)[1:]
-            want = [u for u in units if poly_value(f, u) == F.zero]
-            assert F.poly_unit_roots(f.coeffs) == want
+            want = any(poly_value(f, u) == F.zero for u in units)
+            assert F.poly_has_unit_root(f.coeffs) == want
     assert checked == 175
 
 
@@ -628,10 +627,40 @@ def test_chain_kernel_edges(name):
         assert F.poly_pow_mod(f.coeffs, n, (c,)) == []  # everything is 0 mod a unit
     assert Poly(F, F.poly_pow_mod((), 3, m.coeffs)).is_zero
     assert Poly(F, F.poly_pow_mod((), 0, m.coeffs)).is_one
-    # a constant has no roots, and x^k has none in F_q*
-    if F.q <= 3000:
-        assert F.poly_unit_roots((c,)) == []
-        assert F.poly_unit_roots((F.zero, F.zero, F.one)) == []
+    # a constant has no roots, and x^k has none in F_q*; the scan has no
+    # form for a field without tables
+    if not (isinstance(F, ExtensionField) and not F._log):
+        assert not F.poly_has_unit_root((c,))
+        assert not F.poly_has_unit_root((F.zero, F.zero, F.one))
+
+
+@pytest.mark.parametrize("name", [n for n in CHAIN_FIELDS if n not in ("p3e7", "reducible")])
+def test_unit_root_scan_matches_poly_value(name):
+    # the boolean scan against Horner through the field's add and mul at
+    # every unit: on random polynomials, and on (x - u) h x^k for a rootless
+    # quadratic h, so that u is the one root, for every unit u up to q = 49
+    # (the log form stops at its first root, so each place in its order is
+    # hit) and for 40 sampled ones above
+    F = CHAIN_FIELDS[name]()
+    rng = random.Random(f"scan/{name}")
+    units = field_elements(F)[1:]
+    x = Poly.x(F)
+
+    def has_root(f):
+        return any(poly_value(f, u) == F.zero for u in units)
+
+    quadratics = (x * x + const_poly(F, c) * x + Poly.one(F) for c in units)
+    h = next(g for g in quadratics if not has_root(g))
+    polys = [
+        Poly(F, [F.element(rng.randrange(F.q)) for _ in range(rng.randrange(6))] + [F.one])
+        for _ in range(40)
+    ]
+    for u in units if F.q <= 49 else rng.sample(units, 40):
+        f = (x - const_poly(F, u)) * h * x ** rng.randrange(3)
+        polys.append(f.scale(rng.choice(units)))
+    verdicts = [F.poly_has_unit_root(f.coeffs) for f in polys]
+    assert verdicts == [has_root(f) for f in polys]
+    assert all(verdicts[40:]) and not all(verdicts[:40])
 
 
 @pytest.mark.parametrize(
@@ -666,7 +695,7 @@ def test_chain_kernels_make_no_per_step_field_calls(name, monkeypatch):
     f = Poly(F, [F.element(rng.randrange(F.q)) for _ in range(4)]) * h
     g = Poly(F, [F.element(rng.randrange(1, F.q)) for _ in range(5)]) * h
     want = (poly_gcd_oracle(f, g), pow_mod_oracle(f, 10**6, g), f.derivative())
-    want_roots = [u for u in field_elements(F)[1:] if poly_value(f, u) == F.zero]
+    want_root = any(poly_value(f, u) == F.zero for u in field_elements(F)[1:])
     cls = type(F)
     inverses = []
     real_inv = cls.inv
@@ -684,7 +713,7 @@ def test_chain_kernels_make_no_per_step_field_calls(name, monkeypatch):
     assert poly_gcd(f, g) == want[0] and len(inverses) <= 1
     assert f.pow_mod(10**6, g) == want[1]
     assert f.derivative() == want[2]
-    assert F.poly_unit_roots(f.coeffs) == want_roots
+    assert F.poly_has_unit_root(f.coeffs) == want_root
     assert len(inverses) <= 1
 
 
@@ -697,8 +726,8 @@ def test_a_field_is_freed_by_reference_counting(name):
     f = Poly(F, [F.element(i % F.q) for i in (3, 1, 4, 1)] + [F.one])
     g = f * Poly.x(F) + Poly.one(F)
     poly_gcd(f, g), f.pow_mod(5, g), divmod(g, f), f.derivative()
-    if F.q <= 3000:
-        F.poly_unit_roots(f.coeffs)
+    if not (isinstance(F, ExtensionField) and not F._log):
+        F.poly_has_unit_root(f.coeffs)
     ref = weakref.ref(F)
     gc.disable()
     try:

@@ -183,6 +183,6 @@ def test_systematic_sweep_never_internally_inconsistent():
                     continue
                 analyzed += 1
                 mo = analysis.mo
-                assert mo.disc_m0.monic() == (mo.index * mo.index * mo.delta).monic()
+                assert analysis.sf.disc_m0.monic() == (mo.index * mo.index * mo.delta).monic()
                 assert analysis.orders[0].order.a.is_one
     assert analyzed >= 100 and rejected >= 1
