@@ -6,12 +6,13 @@ at v in closed form, split disc(M) = g^6 disc(M0) once by its square-free
 decomposition for the standard form, factoring only the parts of
 multiplicity >= 2 (they hold the primes of g and of the index) and keeping
 the part of multiplicity 1 whole, read the maximal-order data off them
-(field discriminant, index, integral basis), build the multiplication
-table, enumerate the suborders that contain the Frobenius and stay maximal
-above v by construction, keep those that pass the closure test, and optionally
-identify the endomorphism ring of concrete modules given by phi_T through
-skew right-division.  The candidate count and bound are the size of the
-full sandwich A[pi] <= O <= O_max.
+(field discriminant, index, integral basis), enumerate the suborders that
+contain the Frobenius and stay maximal above v by construction, accept
+O_max without a closure test, build the multiplication table only when a
+proper triple exists and keep the proper triples that pass the closure
+test, and optionally identify the endomorphism ring of concrete modules
+given by phi_T through skew right-division.  The candidate count and bound
+are the size of the full sandwich A[pi] <= O <= O_max.
 """
 
 from .cubic import (

@@ -39,9 +39,8 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .cubic import WeilCubic
 from .errors import (
@@ -90,8 +89,7 @@ EXITS = (
 )
 
 
-@dataclass
-class ProblemConfig:
+class ProblemConfig(NamedTuple):
     weil: WeilCubic  # M(x) over F_q[T], with pv and m
     ring: Optional[SkewRing]  # L{tau}, L = F_q[z]/(f) a field; None without modules
     modules: list  # (name, phi_T coefficients in L), in config order

@@ -43,9 +43,8 @@ conditions passed" rather than a full certification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .errors import (
     BadConstantTermError,
@@ -67,16 +66,18 @@ from .gf import FiniteField, inverse_mod
 from .poly import Poly, poly_gcd, valuation
 
 
-@dataclass(frozen=True)
-class WeilCubic:
-    """Descriptor of the isogeny class: M(x) = x^3 + a1 x^2 + a2 x + mu*pv^m."""
-
+class _WeilFields(NamedTuple):
     field: FiniteField
     a1: Poly
     a2: Poly
     mu: object
     pv: Poly
     m: int
+
+
+# a subclass: cached_property needs the instance dict a NamedTuple lacks
+class WeilCubic(_WeilFields):
+    """Descriptor of the isogeny class: M(x) = x^3 + a1 x^2 + a2 x + mu*pv^m."""
 
     @cached_property
     def a0(self) -> Poly:
@@ -101,8 +102,7 @@ class WeilCubic:
         return (self.a0, self.a2, self.a1, Poly.one(self.field))
 
 
-@dataclass(frozen=True)
-class LocalData:
+class LocalData(NamedTuple):
     height: int
     residue_pattern: tuple  # sorted ((factor degree, multiplicity), ...)
 
@@ -124,8 +124,7 @@ def _depressed_disc(e1: Poly, e2: Poly) -> Poly:
     return (e1**3).scale_int(-4) + (e2 * e2).scale_int(-27)
 
 
-@dataclass(frozen=True)
-class StandardForm:
+class StandardForm(NamedTuple):
     """The shift t = a1/3, the depressed data b1, b2 with M(x - t) =
     x^3 + b1 x + b2, and the reduction to the standard c1, c2.
 
@@ -151,8 +150,7 @@ class StandardForm:
     disc_m0: Poly
 
 
-@dataclass(frozen=True)
-class MaximalOrderData:
+class MaximalOrderData(NamedTuple):
     delta: Poly  # field discriminant, monic
     index: Poly  # monic I with I^2 * delta = disc_m0 up to a unit
     index_factors: tuple  # ((P, k), ...): I = prod P^k, canonical order

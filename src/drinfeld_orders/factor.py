@@ -29,8 +29,8 @@ call each.  Also here: divisors from a given factorisation.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .errors import DomainError
 from .gf import ExtensionField, FiniteField
@@ -46,8 +46,7 @@ _SPLIT_SEED = 0x5EED
 ROOT_SCAN_MAX = 256
 
 
-@dataclass(frozen=True)
-class SquarefreeDecomp:
+class SquarefreeDecomp(NamedTuple):
     """f = unit * prod(part^mult); parts monic, square-free, pairwise coprime."""
 
     field: FiniteField
@@ -55,8 +54,7 @@ class SquarefreeDecomp:
     parts: tuple  # ((Poly, int), ...), multiplicities strictly increasing
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """f = unit * prod(factor^mult); factors monic irreducible, canonical order."""
 
     field: FiniteField

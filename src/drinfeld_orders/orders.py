@@ -31,9 +31,8 @@ while the count stays that of the full sandwich.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .cubic import (
     LocalData,
@@ -55,8 +54,7 @@ from .poly import Poly, poly_gcd, polys_below_degree
 DEFAULT_CANDIDATE_BOUND = 10**6
 
 
-@dataclass(frozen=True)
-class OrderHNF:
+class OrderHNF(NamedTuple):
     """O = A + A*(c*omega1 + b*omega2) + A*(a*omega2)."""
 
     a: Poly
@@ -71,8 +69,7 @@ class OrderHNF:
         return f"OrderHNF(a={self.a.to_str()}, b={self.b.to_str()}, c={self.c.to_str()})"
 
 
-@dataclass(frozen=True)
-class OrderReport:
+class OrderReport(NamedTuple):
     order: OrderHNF
     disc: Poly
     conductor_norm: Poly
@@ -146,8 +143,7 @@ def frobenius_order_hnf(sf: StandardForm, mo: MaximalOrderData) -> OrderHNF:
     return OrderHNF(a=g * g * mo.index, b=Poly.zero(g.field), c=g)
 
 
-@dataclass(frozen=True)
-class ClassAnalysis:
+class ClassAnalysis(NamedTuple):
     """Everything the pipeline derives from one isogeny-class descriptor."""
 
     weil: WeilCubic

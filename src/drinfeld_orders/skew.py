@@ -58,10 +58,9 @@ terms once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, cycle, repeat
 from operator import add, mul
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .cubic import MaximalOrderData, StandardForm, WeilCubic
 from .errors import DomainError, NoCandidateError
@@ -319,8 +318,7 @@ def verify_weil_action(D: DrinfeldModule, W: WeilCubic) -> bool:
     return D.phi_combination(W.coefficients()).is_zero
 
 
-@dataclass(frozen=True)
-class KElem:
+class KElem(NamedTuple):
     """(n0 + n1*pi + n2*pi^2) / d with entries in A, gcd of all four 1 and
     d monic."""
 
@@ -384,8 +382,7 @@ def order_generator_kelems(
     return gen1, gen2
 
 
-@dataclass(frozen=True)
-class MembershipSurvey:
+class MembershipSurvey(NamedTuple):
     """Per-candidate generator verdicts for one module."""
 
     order: OrderHNF

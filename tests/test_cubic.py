@@ -3,7 +3,6 @@ from __future__ import annotations
 import importlib
 import random
 import sys
-from dataclasses import replace
 from functools import cached_property
 from itertools import product
 from pathlib import Path
@@ -1012,7 +1011,7 @@ def test_depressed_coefficients_derived_once_per_height_two_class(
     # the class above with pv = T^2 + 2, and the pool's h = 2 classes,
     # copied so that nothing is cached yet
     classes = [height_two_quadratic_pv(f5)]
-    classes += [replace(a.weil) for a in instance_pool if a.local.height == 2]
+    classes += [a.weil._replace() for a in instance_pool if a.local.height == 2]
     for W in classes:
         calls.clear()
         assert analyze_weil_class(W).local.height == 2
@@ -1032,7 +1031,7 @@ def test_disc_computed_once_per_height_two_class(f5, monkeypatch, instance_pool)
 
     monkeypatch.setattr(cubic_module, "_depressed_disc", counting)
     classes = [height_two_quadratic_pv(f5)]
-    classes += [replace(a.weil) for a in instance_pool if a.local.height == 2]
+    classes += [a.weil._replace() for a in instance_pool if a.local.height == 2]
     for W in classes:
         callers.clear()
         assert analyze_weil_class(W).local.height == 2
@@ -1054,7 +1053,7 @@ def test_standard_form_takes_disc_m0_once(monkeypatch, instance_pool):
     contents = set()
     for analysis in instance_pool:
         calls.clear()
-        sf = standard_form(replace(analysis.weil))
+        sf = standard_form(analysis.weil._replace())
         d0 = sf.disc_m0
         assert calls[1:] == ([] if sf.g.is_one else [(sf.c1, sf.c2)])
         assert d0 == (sf.c1**3).scale_int(-4) + (sf.c2 * sf.c2).scale_int(-27)
