@@ -58,7 +58,6 @@ from .orders import (
     analyze_weil_class,
     closure_check,
     enumerate_candidates,
-    frobenius_order_hnf,
     mult_table,
     order_disc,
 )

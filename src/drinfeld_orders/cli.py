@@ -14,12 +14,10 @@ error exits 2 before any class arithmetic.
 ``check-module`` is ``analyze`` restricted to the named module; it prints
 that module's ``analyze`` line without the name prefix.
 
-``build_report`` encodes each polynomial once, as its ascending
-coefficient tuple ``name`` and its text ``name_str`` (the input and
-depressed coefficients a1, a2, b1, b2 as tuples only), and each accepted
-order once: the orders list, every identified ring and every survey row
-share that entry.  ``_json_text`` writes it in one pass, byte for byte
-as ``json.dumps(report, sort_keys=True, indent=2)`` would.
+``build_report`` writes the JSON report in one pass over the analysis and
+identification records, byte for byte what ``json.dumps(report,
+sort_keys=True, indent=2)`` gives for the report object; ``render_text``
+and ``check-module``'s line read the same records.
 
 ``main`` turns an error into an exit code and a stderr prefix through one
 table, ``EXITS``: 0 success, 2 config error, 3 validation of the
@@ -40,7 +38,7 @@ import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .cubic import WeilCubic
 from .errors import (
@@ -56,8 +54,8 @@ from .gf import ExtensionField, FiniteField, PrimeField, elem_str
 from .orders import (
     DEFAULT_CANDIDATE_BOUND,
     ClassAnalysis,
+    OrderHNF,
     analyze_weil_class,
-    frobenius_order_hnf,
 )
 from .poly import Poly
 from .skew import (
@@ -256,189 +254,198 @@ def resolve_candidate_bound(cfg: ProblemConfig, flag: Optional[int]) -> int:
     )
 
 
-def identify_module(ring: SkewRing, name: str, phi_t, analysis: ClassAnalysis) -> dict:
+class Identification(NamedTuple):
+    """One module's verdict; in the class, End(phi) and the survey it was read off."""
+
+    module: str
+    in_class: bool
+    order: Optional[OrderHNF] = None  # End(phi)
+    survey: Sequence = ()  # MembershipSurvey rows, one per accepted order, in order
+    rank_mismatch: bool = False  # phi_T is not of tau-degree 3
+
+    @property
+    def end_index(self) -> int:
+        """The position of End(phi) among the accepted orders."""
+        return [row.order for row in self.survey].index(self.order)
+
+
+def identify_module(ring: SkewRing, name: str, phi_t, analysis: ClassAnalysis) -> Identification:
     """Build one module from its phi_T coefficients (parsed by
     ``load_config``), check it lies in the class, survey the accepted
     orders and read End(phi) off the survey."""
     try:
         module = DrinfeldModule(ring, ring.poly(phi_t))
     except DomainError:  # phi_T is not of tau-degree 3
-        return {"module": name, "in_class": False, "rank_mismatch": True}
+        return Identification(name, False, rank_mismatch=True)
     if not verify_weil_action(module, analysis.weil):
-        return {"module": name, "in_class": False}
-    survey = survey_candidates(
-        module,
-        [rep.order for rep in analysis.orders],
-        analysis.sf,
-        analysis.mo,
-    )
-    return {
-        "module": name,
-        "in_class": True,
-        "order": identify_endo_ring(survey),
-        "survey": survey,
-    }
+        return Identification(name, False)
+    orders = [rep.order for rep in analysis.orders]
+    survey = survey_candidates(module, orders, analysis.sf, analysis.mo)
+    return Identification(name, True, identify_endo_ring(survey), survey)
 
 
-# -- report assembly ---------------------------------------------------------
+# -- reports -----------------------------------------------------------------
+
+JSON_BOOL = ("false", "true")  # indexed by a bool
 
 
-def _polys_json(**polys: Poly) -> dict:
-    """Each named polynomial as ``name``, its ascending coefficient tuple,
-    and ``name_str``, its text."""
-    out = {}
-    for name, f in polys.items():
-        out[name] = f.coeffs
-        out[f"{name}_str"] = f.to_str()
-    return out
+def _labels(analysis: ClassAnalysis) -> list:
+    """The label of each accepted order.  O_max is accepted first.  A
+    sandwich triple has c | g and a | g^2*I, so A[pi] = (g^2*I, 0, g) is the
+    one with deg a + deg c = 3 deg g + deg I, and it sorts last."""
+    labels = ["O_max"] + [""] * (len(analysis.orders) - 1)
+    last = analysis.orders[-1].order
+    if last.a.degree + last.c.degree == 3 * analysis.sf.g.degree + analysis.mo.index.degree:
+        labels[-1] = "A[pi]" if len(labels) > 1 else "O_max=A[pi]"
+    return labels
 
 
-def build_report(analysis: ClassAnalysis, identifications) -> dict:
-    W, sf, mo = analysis.weil, analysis.sf, analysis.mo
-    # analyze_weil_class accepts O_max first; O_max also carries A[pi]'s
-    # label when the two are equal
-    maximal = analysis.orders[0].order
-    frob = frobenius_order_hnf(sf, mo)
-    labels = {maximal: "O_max=A[pi]"} if frob == maximal else {maximal: "O_max", frob: "A[pi]"}
-    # one entry per accepted order, shared by the orders list, the
-    # identified rings and the survey rows
-    entries = {}
-    for rep in analysis.orders:
-        o = rep.order
-        entries[o] = {**_polys_json(a=o.a, b=o.b, c=o.c), "label": labels.get(o, "")}
-    orders = [
-        {
-            **entries[rep.order],
-            # the enumeration builds only triples that contain pi and are
-            # maximal above v; closure accepted them
-            "is_closed": True,
-            "contains_pi": True,
-            "v_maximal": True,
-            **_polys_json(conductor_norm=rep.conductor_norm, disc=rep.disc),
-        }
-        for rep in analysis.orders
-    ]
-    idents = []
-    for ident in identifications:
-        entry = {"module": ident["module"], "in_class": ident["in_class"]}
-        if ident["in_class"]:
-            entry["order"] = entries[ident["order"]]
-            entry["survey"] = [
-                {"order": entries[row.order], "generators": row.generator_verdicts}
-                for row in ident["survey"]
-            ]
-        idents.append(entry)
-    return {
-        "inputs": {
-            "p": W.field.p,
-            "e": W.field.degree,
-            "q": W.field.q,
-            **_polys_json(pv=W.pv),
-            "m": W.m,
-            "a1": W.a1.coeffs,
-            "a2": W.a2.coeffs,
-            "mu": W.mu,
-        },
-        "verdict": VERDICT_TEXT,
-        "local": {
-            "height": analysis.local.height,
-            "etale_degree": analysis.local.etale_degree,
-            "supersingular": analysis.local.supersingular,
-            "pv_divides_a2": analysis.local.pv_divides_a2,
-            "residue_pattern": analysis.local.residue_pattern,
-        },
-        "standard_form": {
-            "b1": sf.b1.coeffs,
-            "b2": sf.b2.coeffs,
-            **_polys_json(g=sf.g, c1=sf.c1, c2=sf.c2),
-        },
-        **_polys_json(
-            disc_m0=sf.disc_m0, delta=mo.delta, index=mo.index,
-            alpha2=mo.alpha2, beta2=mo.beta2,
-        ),
-        "candidate_count": analysis.candidate_count,
-        "orders": orders,
-        "identifications": idents,
-    }
-
-
-def _json_text(obj, indent: str = "") -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)`` for the types a report
-    holds, byte for byte: dicts with string keys, lists, tuples, strings,
-    ints, booleans and None.  Any other value, or a key that is not a
-    string, raises TypeError.  Before Python 3.13, ``indent`` turns off
-    json's C encoder; on 3.11 this one pass is about 1.7 times as fast as
-    the pure-Python one."""
-    kind = type(obj)
-    if kind is int:
-        return int.__repr__(obj)
-    if kind is str:
-        return encode_basestring_ascii(obj)
-    inner = indent + "  "
-    if kind is list or kind is tuple:
-        items = [int.__repr__(x) if type(x) is int else _json_text(x, inner) for x in obj]
-        brackets = "[]"
-    elif kind is dict:
-        items = [
-            encode_basestring_ascii(key) + ": " + _json_text(obj[key], inner)
-            for key in sorted(obj)
-        ]
-        brackets = "{}"
-    elif obj is None or kind is bool:
-        return "null" if obj is None else "true" if obj else "false"
-    else:
-        raise TypeError(f"a report holds no value of type {kind.__name__}")
+def _block(brackets: str, items: list, indent: str) -> str:
+    """A JSON array ("[]") or object ("{}") of written items or members, as
+    ``json.dumps(..., indent=2)`` lays it out at ``indent``."""
     if not items:
         return brackets
-    sep = ",\n" + inner
-    return f"{brackets[0]}\n{inner}{sep.join(items)}\n{indent}{brackets[1]}"
+    inner = indent + "  "
+    return f"{brackets[0]}\n{inner}" + (",\n" + inner).join(items) + f"\n{indent}{brackets[1]}"
 
 
-def _ident_line(entry: dict) -> str:
-    """The verdict of one report identification entry, as ``analyze`` prints
-    it after the module name."""
-    if not entry["in_class"]:
+def _array(x, indent: str) -> str:
+    """An int, or a tuple of ints or of int tuples, written at ``indent``:
+    a field element, the residue pattern, or coefficients over F_p or over
+    its extension F_q (elements as int tuples, ``gf``'s two-level towers)."""
+    if type(x) is int:
+        return str(x)
+    if not x:
+        return "[]"
+    inner = indent + "  "
+    if type(x[0]) is int:
+        items = map(str, x)
+    else:
+        deeper = inner + "  "
+        head, sep, tail = "[\n" + deeper, ",\n" + deeper, "\n" + inner + "]"
+        items = [head + sep.join(map(str, c)) + tail for c in x]
+    return f"[\n{inner}" + (",\n" + inner).join(items) + f"\n{indent}]"
+
+
+def _polys(indent: str, **polys: Poly) -> str:
+    """The members ``name`` (ascending coefficients) and ``name_str`` (text)
+    of each named polynomial, in an object whose members sit at ``indent``."""
+    return f",\n{indent}".join(
+        f'"{name}": {_array(f.coeffs, indent)},\n'
+        f'{indent}"{name}_str": {encode_basestring_ascii(f.to_str())}'
+        for name, f in polys.items()
+    )
+
+
+def build_report(analysis: ClassAnalysis, identifications) -> str:
+    """The JSON report in one pass over the records: byte for byte what
+    ``json.dumps(report, sort_keys=True, indent=2)`` writes for the report
+    object the README describes.  This is the one place its schema is
+    written; each object lists its members in sorted key order."""
+    W, local, sf, mo = analysis.weil, analysis.local, analysis.sf, analysis.mo
+    I1, I2, I3, I4, I5 = "  ", "    ", "      ", "        ", "          "
+    # each accepted order's entry is written once, at depth 0, and re-indented
+    # where it repeats: its row of the orders list, identified rings, survey rows
+    entries, orders = [], []
+    for rep, label in zip(analysis.orders, _labels(analysis)):
+        o, label = rep.order, encode_basestring_ascii(label)
+        abc = _polys(I1, a=o.a, b=o.b, c=o.c)
+        entries.append(f'{{\n  {abc},\n  "label": {label}\n}}')
+        # the enumeration builds only triples that contain pi and are
+        # maximal above v; closure accepted them
+        orders.append(_block("{}", [
+            abc.replace("\n", "\n" + I2),
+            _polys(I3, conductor_norm=rep.conductor_norm), '"contains_pi": true',
+            _polys(I3, disc=rep.disc), '"is_closed": true',
+            f'"label": {label}', '"v_maximal": true',
+        ], I2))
+    idents = []
+    for ident in identifications:
+        members = [
+            f'"in_class": {JSON_BOOL[ident.in_class]}',
+            f'"module": {encode_basestring_ascii(ident.module)}',
+        ]
+        if ident.in_class:
+            rows = [
+                _block("{}", [
+                    '"generators": ' + _block("[]", [JSON_BOOL[v] for v in verdicts], I5),
+                    '"order": ' + entry.replace("\n", "\n" + I5),
+                ], I4)
+                for (_, verdicts), entry in zip(ident.survey, entries)
+            ]
+            members.append('"order": ' + entries[ident.end_index].replace("\n", "\n" + I3))
+            members.append('"survey": ' + _block("[]", rows, I3))
+        idents.append(_block("{}", members, I2))
+    return _block("{}", [
+        _polys(I1, alpha2=mo.alpha2, beta2=mo.beta2),
+        f'"candidate_count": {analysis.candidate_count}',
+        _polys(I1, delta=mo.delta, disc_m0=sf.disc_m0),
+        '"identifications": ' + _block("[]", idents, I1),
+        _polys(I1, index=mo.index),
+        '"inputs": ' + _block("{}", [
+            f'"a1": {_array(W.a1.coeffs, I2)}', f'"a2": {_array(W.a2.coeffs, I2)}',
+            f'"e": {W.field.degree}', f'"m": {W.m}', f'"mu": {_array(W.mu, I2)}',
+            f'"p": {W.field.p}', _polys(I2, pv=W.pv), f'"q": {W.field.q}',
+        ], I1),
+        '"local": ' + _block("{}", [
+            f'"etale_degree": {local.etale_degree}', f'"height": {local.height}',
+            f'"pv_divides_a2": {JSON_BOOL[local.pv_divides_a2]}',
+            f'"residue_pattern": {_array(local.residue_pattern, I2)}',
+            f'"supersingular": {JSON_BOOL[local.supersingular]}',
+        ], I1),
+        '"orders": ' + _block("[]", orders, I1),
+        '"standard_form": ' + _block("{}", [
+            f'"b1": {_array(sf.b1.coeffs, I2)}', f'"b2": {_array(sf.b2.coeffs, I2)}',
+            _polys(I2, c1=sf.c1, c2=sf.c2, g=sf.g),
+        ], I1),
+        f'"verdict": {encode_basestring_ascii(VERDICT_TEXT)}',
+    ], "")
+
+
+def _ident_line(ident: Identification, labels: list) -> str:
+    """One module's verdict, as ``analyze`` prints it after the module name."""
+    if not ident.in_class:
         return "in class: no"
-    order = entry["order"]
-    brief = f"{order['label']}({order['a_str']},{order['b_str']},{order['c_str']})"
-    return f"in class: yes; End = {brief}"
+    a, b, c = (f.to_str() for f in ident.order)
+    return f"in class: yes; End = {labels[ident.end_index]}({a},{b},{c})"
 
 
-def render_text(report: dict, analysis: ClassAnalysis) -> str:
-    inp, loc, sf, W = report["inputs"], report["local"], report["standard_form"], analysis.weil
+def render_text(analysis: ClassAnalysis, identifications) -> str:
+    W, local, sf, mo = analysis.weil, analysis.local, analysis.sf, analysis.mo
+    labels = _labels(analysis)
+    pv = W.pv.to_str()
     pattern = " * ".join(
-        f"(deg {d})^{m}" if m > 1 else f"(deg {d})" for d, m in loc["residue_pattern"]
+        f"(deg {d})^{m}" if m > 1 else f"(deg {d})" for d, m in local.residue_pattern
     )
     lines = [
         "== isogeny class ==",
-        f"q = {inp['q']}, pv = {inp['pv_str']}, m = {inp['m']}",
+        f"q = {W.field.q}, pv = {pv}, m = {W.m}",
         f"M(x) = x^3 + ({W.a1.to_str()})*x^2 + ({W.a2.to_str()})*x + "
-        f"({elem_str(W.mu)})*({inp['pv_str']})^{inp['m']}",
-        f"verdict: {report['verdict']}",
-        f"height h = {loc['height']} (etale degree {loc['etale_degree']}), "
-        f"supersingular: {'yes' if loc['supersingular'] else 'no'}",
+        f"({elem_str(W.mu)})*({pv})^{W.m}",
+        f"verdict: {VERDICT_TEXT}",
+        f"height h = {local.height} (etale degree {local.etale_degree}), "
+        f"supersingular: {'yes' if local.supersingular else 'no'}",
         f"M mod pv factor degrees: {pattern}",
         "",
         "== maximal order ==",
-        f"standard form: c1 = {sf['c1_str']}, c2 = {sf['c2_str']}, g = {sf['g_str']}",
-        f"disc(M0) = {report['disc_m0_str']}",
-        f"Delta    = {report['delta_str']}",
-        f"index I  = {report['index_str']}",
-        f"alpha2 = {report['alpha2_str']}, beta2 = {report['beta2_str']}",
+        f"standard form: c1 = {sf.c1.to_str()}, c2 = {sf.c2.to_str()}, g = {sf.g.to_str()}",
+        f"disc(M0) = {sf.disc_m0.to_str()}",
+        f"Delta    = {mo.delta.to_str()}",
+        f"index I  = {mo.index.to_str()}",
+        f"alpha2 = {mo.alpha2.to_str()}, beta2 = {mo.beta2.to_str()}",
         "",
-        f"== endomorphism rings ({len(report['orders'])}) ==",
+        f"== endomorphism rings ({len(analysis.orders)}) ==",
     ]
-    for i, entry in enumerate(report["orders"], 1):
-        tag = f"  [{entry['label']}]" if entry["label"] else ""
+    for i, (rep, label) in enumerate(zip(analysis.orders, labels), 1):
+        a, b, c = (f.to_str() for f in rep.order)
+        tag = f"  [{label}]" if label else ""
         lines.append(
-            f"#{i} (a={entry['a_str']}, b={entry['b_str']}, c={entry['c_str']})"
-            f"{tag}  conductor norm = {entry['conductor_norm_str']}, "
-            f"disc = {entry['disc_str']}"
+            f"#{i} (a={a}, b={b}, c={c}){tag}  conductor norm = "
+            f"{rep.conductor_norm.to_str()}, disc = {rep.disc.to_str()}"
         )
-    if report["identifications"]:
+    if identifications:
         lines += ["", "== module identifications =="]
-        for ident in report["identifications"]:
-            lines.append(f"{ident['module']}: {_ident_line(ident)}")
+        lines += [f"{ident.module}: {_ident_line(ident, labels)}" for ident in identifications]
     return "\n".join(lines) + "\n"
 
 
@@ -454,13 +461,13 @@ def run(args) -> str:
     identifications = [
         identify_module(cfg.ring, name, phi_t, analysis) for name, phi_t in modules
     ]
-    report = build_report(analysis, identifications)
     if args.name is not None:
-        mismatch = " (rank mismatch)" if identifications[0].get("rank_mismatch") else ""
-        return _ident_line(report["identifications"][0]) + mismatch + "\n"
+        (ident,) = identifications
+        mismatch = " (rank mismatch)" if ident.rank_mismatch else ""
+        return _ident_line(ident, _labels(analysis)) + mismatch + "\n"
     if (args.format or cfg.output_format) == "json":
-        return _json_text(report) + "\n"
-    return render_text(report, analysis)
+        return build_report(analysis, identifications) + "\n"
+    return render_text(analysis, identifications)
 
 
 @functools.cache

@@ -137,12 +137,6 @@ def order_disc(order: OrderHNF, delta: Poly) -> Tuple[Poly, Poly]:
     return (conductor_norm * delta, conductor_norm)
 
 
-def frobenius_order_hnf(sf: StandardForm, mo: MaximalOrderData) -> OrderHNF:
-    """The HNF triple of A[pi]: (g^2*I, 0, g)."""
-    g = sf.g
-    return OrderHNF(a=g * g * mo.index, b=Poly.zero(g.field), c=g)
-
-
 class ClassAnalysis(NamedTuple):
     """Everything the pipeline derives from one isogeny-class descriptor."""
 

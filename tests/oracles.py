@@ -17,9 +17,10 @@ Euclid and square-and-multiply on Poly remainders and products, the Zech
 tables by an orbit walk under schoolbook products, values by Horner's rule
 through the field, irreducibility by a root scan and Frobenius fixed
 points, skew products are taken in full from
-the twist rule with Frobenius powers from ``L.pow``, and the endomorphism-ring
+the twist rule with Frobenius powers from ``L.pow``, the endomorphism-ring
 enumeration is cross-checked against a brute-force sweep over every HNF
-lattice between A[pi] and the maximal order.
+lattice between A[pi] and the maximal order, and the JSON report is a dict
+for ``json.dumps``, with A[pi] labelled by comparing triples with its HNF.
 """
 
 from __future__ import annotations
@@ -234,6 +235,12 @@ def residue_pattern_oracle(W: WeilCubic) -> tuple:
 
 
 # -- the two tests the enumeration satisfies by construction -------------------
+
+
+def frobenius_order_hnf(sf, mo) -> OrderHNF:
+    """The HNF triple of A[pi]: (g^2*I, 0, g)."""
+    g = sf.g
+    return OrderHNF(a=g * g * mo.index, b=Poly.zero(g.field), c=g)
 
 
 def contains_frobenius(order: OrderHNF, g: Poly) -> bool:
@@ -1042,3 +1049,83 @@ def random_instance_pool(count=25, seed=20240, max_index_degree=2):
     if len(pool) < count or index_degree_count(1) < 8 or index_degree_count(2) < 3:
         raise RuntimeError("instance pool generation fell short")
     return pool
+
+
+# -- reports ---------------------------------------------------------------------
+
+
+def _polys_json(**polys: Poly) -> dict:
+    """Each named polynomial as ``name``, its ascending coefficient tuple,
+    and ``name_str``, its text."""
+    out = {}
+    for name, f in polys.items():
+        out[name] = f.coeffs
+        out[f"{name}_str"] = f.to_str()
+    return out
+
+
+def report_oracle(analysis: ClassAnalysis, identifications) -> dict:
+    """The JSON report of ``analyze`` as a dict of its fields, for
+    ``json.dumps(..., sort_keys=True, indent=2)``: O_max and A[pi] are
+    labelled by comparing triples with A[pi]'s, and each order's entry is
+    looked up by its triple."""
+    W, sf, mo = analysis.weil, analysis.sf, analysis.mo
+    maximal = analysis.orders[0].order
+    frob = frobenius_order_hnf(sf, mo)
+    labels = {maximal: "O_max=A[pi]"} if frob == maximal else {maximal: "O_max", frob: "A[pi]"}
+    entries = {}
+    for rep in analysis.orders:
+        o = rep.order
+        entries[o] = {**_polys_json(a=o.a, b=o.b, c=o.c), "label": labels.get(o, "")}
+    orders = [
+        {
+            **entries[rep.order],
+            "is_closed": True,
+            "contains_pi": True,
+            "v_maximal": True,
+            **_polys_json(conductor_norm=rep.conductor_norm, disc=rep.disc),
+        }
+        for rep in analysis.orders
+    ]
+    idents = []
+    for ident in identifications:
+        entry = {"module": ident.module, "in_class": ident.in_class}
+        if ident.in_class:
+            entry["order"] = entries[ident.order]
+            entry["survey"] = [
+                {"order": entries[row.order], "generators": row.generator_verdicts}
+                for row in ident.survey
+            ]
+        idents.append(entry)
+    return {
+        "inputs": {
+            "p": W.field.p,
+            "e": W.field.degree,
+            "q": W.field.q,
+            **_polys_json(pv=W.pv),
+            "m": W.m,
+            "a1": W.a1.coeffs,
+            "a2": W.a2.coeffs,
+            "mu": W.mu,
+        },
+        "verdict": "necessary conditions passed",
+        "local": {
+            "height": analysis.local.height,
+            "etale_degree": analysis.local.etale_degree,
+            "supersingular": analysis.local.supersingular,
+            "pv_divides_a2": analysis.local.pv_divides_a2,
+            "residue_pattern": analysis.local.residue_pattern,
+        },
+        "standard_form": {
+            "b1": sf.b1.coeffs,
+            "b2": sf.b2.coeffs,
+            **_polys_json(g=sf.g, c1=sf.c1, c2=sf.c2),
+        },
+        **_polys_json(
+            disc_m0=sf.disc_m0, delta=mo.delta, index=mo.index,
+            alpha2=mo.alpha2, beta2=mo.beta2,
+        ),
+        "candidate_count": analysis.candidate_count,
+        "orders": orders,
+        "identifications": idents,
+    }

@@ -29,7 +29,6 @@ from drinfeld_orders import (
     closure_check,
     divisors,
     factor,
-    frobenius_order_hnf,
     identify_endo_ring,
     mult_table,
     squarefree_decompose,
@@ -41,6 +40,7 @@ from oracles import (
     closure_oracle,
     exact_sqrt,
     expand,
+    frobenius_order_hnf,
     int_poly,
     irreducible_oracle,
     paper_weil,

@@ -15,6 +15,7 @@ import drinfeld_orders.skew as skew
 from drinfeld_orders import (
     Poly,
     WeilCubic,
+    analyze_weil_class,
     make_extension_field,
     maximal_order_data,
     standard_form,
@@ -23,7 +24,7 @@ from drinfeld_orders.cli import main
 from drinfeld_orders.gf import ExtensionField, Packing, PrimeField
 from drinfeld_orders.skew import MembershipSurvey
 
-from oracles import descended_module, int_poly
+from oracles import descended_module, int_poly, report_oracle
 from test_skew import RABIN_REDUCIBLE
 
 REPO = Path(__file__).resolve().parent.parent
@@ -609,62 +610,109 @@ def _stdlib_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
-@pytest.mark.parametrize(
-    "config",
-    [*sorted(p.name for p in (REPO / "configs").glob("*.json")), "f49", "tower"],
-)
-def test_report_writer_matches_stdlib_encoder(tmp_path, monkeypatch, capsys, config):
-    # the in-process report of every shipped config and of the F_49 and
-    # tower classes: prime-field ints, element tuples nested two deep,
-    # booleans, survey rows
-    if config == "f49":
-        path = tmp_path / "f49.json"
-        path.write_text(json.dumps(F49_CLASS))
-    elif config == "tower":
-        path = tmp_path / "tower.json"
-        path.write_text(json.dumps(tower_config()))
-    else:
-        path = REPO / "configs" / config
-    reports = []
-    real = cli.build_report
-
-    def kept(*args):
-        reports.append(real(*args))
-        return reports[-1]
-
-    monkeypatch.setattr(cli, "build_report", kept)
-    assert main(["analyze", str(path), "--format", "json"]) == 0
-    (report,) = reports
-    assert cli._json_text(report) == _stdlib_json(report)
-    assert capsys.readouterr().out == _stdlib_json(report) + "\n"
-
-
 AWKWARD = ['"', "\\", "\n", "\x00", "φ", "\ud800", 'a "b" \\ c\n\x00φ\ud800', ""]
+
+
+def _analysis_and_identifications(cfg: dict, tmp_path):
+    """The records ``run`` writes a report from, in process."""
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(cfg))
+    loaded = cli.load_config(str(path))
+    analysis = analyze_weil_class(loaded.weil)
+    return analysis, [
+        cli.identify_module(loaded.ring, name, phi_t, analysis) for name, phi_t in loaded.modules
+    ]
+
+
+def _report_cases(case, tmp_path, instance_pool):
+    """(analysis, identifications) pairs of one writer case."""
+    if case == "pool":
+        # every pool class, with no module and with one in-class record
+        # whose survey lists every accepted order
+        cases = []
+        for analysis in instance_pool:
+            rows = [
+                MembershipSurvey(rep.order, (True, i % 2 == 0))
+                for i, rep in enumerate(analysis.orders)
+            ]
+            ident = cli.Identification("m", True, analysis.orders[-1].order, rows)
+            cases += [(analysis, []), (analysis, [ident])]
+        return cases
+    if case == "f49":
+        return [_analysis_and_identifications(F49_CLASS, tmp_path)]
+    if case == "tower":
+        # phi in the class, End = O_max off a two-order survey; perturbed out
+        return [_analysis_and_identifications(tower_config(), tmp_path)]
+    cfg = json.loads(GOLDEN.read_text())
+    if case == "rank-mismatch":
+        cfg["modules"].append({"name": "short", "phi_T": [0, 1, 1]})
+        return [_analysis_and_identifications(cfg, tmp_path)]
+    if case == "awkward-names":
+        # each AWKWARD string names a module of each verdict of example_f5
+        analysis, idents = _analysis_and_identifications(cfg, tmp_path)
+        renamed = [ident._replace(module=name) for name in AWKWARD for ident in idents]
+        return [(analysis, renamed)]
+    shipped = json.loads((REPO / "configs" / case).read_text())
+    return [_analysis_and_identifications(shipped, tmp_path)]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        *sorted(p.name for p in (REPO / "configs").glob("*.json")),
+        "f49", "tower", "rank-mismatch", "awkward-names", "pool",
+    ],
+)
+def test_report_writer_matches_stdlib_encoder(tmp_path, instance_pool, case):
+    # prime-field ints, element tuples two deep, booleans, survey rows of
+    # one and two orders, out-of-class and rank-mismatch records, and
+    # module names that json escapes
+    for analysis, idents in _report_cases(case, tmp_path, instance_pool):
+        assert cli.build_report(analysis, idents) == _stdlib_json(report_oracle(analysis, idents))
 
 
 @pytest.mark.parametrize(
     "value",
     [
-        {}, [], (), {"a": {}}, [[]], [()], ((),), {"a": [], "b": (), "c": {}},
-        [[[], {}], ({"x": ()},)],
-        [(1, 2), (3, (4, 5)), ((0, 1), (1, 0))],
-        [1, True, 0, False, None], (True,), {"t": True, "f": False, "n": None},
-        None, True, False, 0, -1, -(10**100), 10**100, [-7, 10**100],
+        # the array ids keep their numbers from an earlier, wider table
+        pytest.param([], id="value1"), pytest.param((), id="value2"),
+        True, False, 0, -1, -(10**100), 10**100,
+        pytest.param([-7, 10**100], id="value20"),
         *AWKWARD,
-        {key: key for key in AWKWARD},
-        [{"z": 1, "a": [2, "x"], "m": {"k": (None,)}}],
     ],
 )
 def test_report_writer_matches_stdlib_encoder_on_edge_values(value):
-    assert cli._json_text(value) == _stdlib_json(value)
+    # each value where the report writes it: a bool by JSON_BOOL, an int or
+    # an int array by _array (at the top and one level in), a string as a
+    # module name
+    if type(value) is bool:
+        assert cli.JSON_BOOL[value] == _stdlib_json(value)
+    elif type(value) is str:
+        analysis = analyze_weil_class(cli.load_config(str(GOLDEN)).weil)
+        idents = [cli.Identification(value, False)]
+        assert cli.build_report(analysis, idents) == _stdlib_json(report_oracle(analysis, idents))
+    else:
+        assert cli._array(value, "") == _stdlib_json(value)
+        assert cli._block("[]", [cli._array(value, "  ")], "") == _stdlib_json([value])
 
 
-@pytest.mark.parametrize(
-    "value", [1.5, [0.0], {1, 2}, b"x", {1: 2}, {(1,): 2}, {"a": [{2: 0}]}]
-)
-def test_report_writer_rejects_other_types(value):
-    with pytest.raises(TypeError):
-        cli._json_text(value)
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_report_path_is_one_call(monkeypatch, capsys, fmt):
+    # the benchmark's cli.report span wraps build_report and render_text:
+    # the whole report path of a command is one call of one of them
+    calls = {"build_report": 0, "render_text": 0}
+    for name in calls:
+        real = getattr(cli, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    assert main(["analyze", str(GOLDEN), "--format", fmt]) == 0
+    golden = REPO / "tests" / "golden" / f"example_f5.analyze.{fmt}.out"
+    assert capsys.readouterr().out == golden.read_text()
+    assert calls == {"build_report": int(fmt == "json"), "render_text": int(fmt == "text")}
 
 
 def test_module_named_phi_letter_escaped_like_stdlib(tmp_path):

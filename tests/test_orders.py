@@ -12,7 +12,6 @@ from drinfeld_orders import (
     analyze_weil_class,
     closure_check,
     enumerate_candidates,
-    frobenius_order_hnf,
     make_extension_field,
     maximal_order_data,
     mult_table,
@@ -32,6 +31,7 @@ from oracles import (
     contains_frobenius,
     element_in_lattice,
     frobenius_coords,
+    frobenius_order_hnf,
     int_poly,
     sandwich_endo_oracle,
     v_maximality,

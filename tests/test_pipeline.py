@@ -10,14 +10,13 @@ from drinfeld_orders import (
     SkewRing,
     WeilCubic,
     analyze_weil_class,
-    frobenius_order_hnf,
     identify_endo_ring,
     make_extension_field,
     verify_weil_action,
     survey_candidates,
 )
 
-from oracles import const_poly, int_poly, motive_class
+from oracles import const_poly, frobenius_order_hnf, int_poly, motive_class
 
 
 def test_supersingular_pure_cubic_end_to_end():
