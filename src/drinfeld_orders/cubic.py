@@ -43,7 +43,6 @@ conditions passed" rather than a full certification.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import NamedTuple, Tuple
 
 from .errors import (
@@ -66,7 +65,9 @@ from .gf import FiniteField, inverse_mod
 from .poly import Poly, poly_gcd, valuation
 
 
-class _WeilFields(NamedTuple):
+class WeilCubic(NamedTuple):
+    """Descriptor of the isogeny class: M(x) = x^3 + a1 x^2 + a2 x + mu*pv^m."""
+
     field: FiniteField
     a1: Poly
     a2: Poly
@@ -74,28 +75,9 @@ class _WeilFields(NamedTuple):
     pv: Poly
     m: int
 
-
-# a subclass: cached_property needs the instance dict a NamedTuple lacks
-class WeilCubic(_WeilFields):
-    """Descriptor of the isogeny class: M(x) = x^3 + a1 x^2 + a2 x + mu*pv^m."""
-
-    @cached_property
+    @property
     def a0(self) -> Poly:
         return (self.pv**self.m).scale(self.mu)
-
-    @cached_property
-    def depressed(self) -> Tuple[Poly, Poly, Poly]:
-        """(t, b1, b2) with t = a1/3 and M(x - t) = x^3 + b1 x + b2, that is
-        b1 = a2 - 3t^2 and b2 = 2t^3 - t a2 + a0; needs p != 3."""
-        t = self.a1.scale(self.field.inv(self.field.from_int(3)))
-        b1 = self.a2 - (t * t).scale_int(3)
-        b2 = (t**3).scale_int(2) - t * self.a2 + self.a0
-        return t, b1, b2
-
-    @cached_property
-    def disc(self) -> Poly:
-        """disc(M), that of the depressed cubic x^3 + b1 x + b2."""
-        return _depressed_disc(*self.depressed[1:])
 
     def coefficients(self) -> Tuple[Poly, Poly, Poly, Poly]:
         """Ascending coefficients of M(x)."""
@@ -117,6 +99,15 @@ class LocalData(NamedTuple):
     @property
     def pv_divides_a2(self) -> bool:
         return self.height >= 2
+
+
+def _depressed(W: WeilCubic) -> Tuple[Poly, Poly, Poly]:
+    """(t, b1, b2) with t = a1/3 and M(x - t) = x^3 + b1 x + b2, that is
+    b1 = a2 - 3t^2 and b2 = 2t^3 - t a2 + a0; needs p != 3."""
+    t = W.a1.scale(W.field.inv(W.field.from_int(3)))
+    b1 = W.a2 - (t * t).scale_int(3)
+    b2 = (t**3).scale_int(2) - t * W.a2 + W.a0
+    return t, b1, b2
 
 
 def _depressed_disc(e1: Poly, e2: Poly) -> Poly:
@@ -223,7 +214,7 @@ def _check_unique_local_zero(W: WeilCubic, h: int) -> None:
     pv = W.pv
     m = W.m
     if h == 2:
-        d = W.disc
+        d = _depressed_disc(*_depressed(W)[1:])
         v = valuation(d, pv)
         if v % 2:
             return
@@ -294,12 +285,12 @@ def standard_form(W: WeilCubic) -> StandardForm:
         raise Char3UnsupportedError("characteristic 3 is not supported")
     if F.p == 2:
         raise Char2UnsupportedError("characteristic 2 is not supported")
-    t, b1, b2 = W.depressed
+    t, b1, b2 = _depressed(W)
     if b2.is_zero:
         raise InternalInconsistencyError(
             "depressed cubic has zero constant term; M(x) is reducible"
         )
-    d = W.disc
+    d = _depressed_disc(b1, b2)
     if d.is_zero:
         raise InternalInconsistencyError("standard form is not separable")
     g = Poly.one(F)

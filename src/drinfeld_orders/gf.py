@@ -67,7 +67,7 @@ coefficient, up to the first root.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import repeat
 
 from .errors import DomainError
@@ -292,7 +292,8 @@ class Packing:
     """L = B[z]/(f) on packed ints, for f monic of degree n over a base
     B = F_p (e = 1) or F_p[y]/(g), g of degree e: F_p-coordinate j of
     coefficient i of an element is digit i(2e-1) + j of one int, w bits per
-    digit.
+    digit.  ``pack`` is ``_pack`` over these digits: the coordinates of
+    each coefficient, padded with e - 1 zero digits.
 
     Two packed elements multiply as polynomials in z and y (Kronecker
     substitution in two variables), and digit (i, j) of the product,
@@ -331,27 +332,17 @@ class Packing:
         if e == 1:
             shifts = range(0, w * n, w)
             basis = (1 << w * n) - 1
-
-            def pack(a):
-                x = 0
-                for d in reversed(a):
-                    x = x << w | d
-                return x
+            pack = partial(_pack, w=w)
 
             def digits(r):
                 return tuple([r >> s & digit for s in shifts])
         else:
             blocks = [range(w * span * i, w * (span * i + e), w) for i in range(n)]
             basis = sum(digit << s for block in blocks for s in block)
-            pad = w * (e - 1)
+            pad = (0,) * (e - 1)
 
             def pack(a):
-                x = 0
-                for c in reversed(a):
-                    x <<= pad
-                    for d in reversed(c):
-                        x = x << w | d
-                return x
+                return _pack([d for c in a for d in c + pad], w)
 
             def digits(r):
                 return tuple([tuple([r >> s & digit for s in b]) for b in blocks])

@@ -64,7 +64,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .cubic import MaximalOrderData, StandardForm, WeilCubic
 from .errors import DomainError, NoCandidateError
-from .gf import ExtensionField, Packing, inverse_mod, power_ladder
+from .gf import ExtensionField, Packing, inverse_mod, is_prime, power_ladder
 from .orders import OrderHNF
 from .poly import Poly, poly_gcd
 
@@ -112,7 +112,7 @@ class SkewRing:
             return False
         minus_z, prod = pk.pack(L.neg(z)), pk.pack(L.one)
         for r in range(2, n + 1):
-            if n % r == 0 and all(r % s for s in range(2, r)):
+            if n % r == 0 and is_prime(r):
                 prod = pk.reduce(prod * pk.reduce(orbit[n // r] + minus_z))
         B = self.base
         return poly_gcd(Poly(B, pk.unpack(prod)), Poly(B, L.modulus)).is_one

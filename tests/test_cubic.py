@@ -2,8 +2,6 @@ from __future__ import annotations
 
 import importlib
 import random
-import sys
-from functools import cached_property
 from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
@@ -993,54 +991,28 @@ def test_degree_three_index_one_crt_no_residue_field(monkeypatch):
     assert residue_fields == []
 
 
-def test_depressed_coefficients_derived_once_per_height_two_class(
-    f5, monkeypatch, instance_pool
-):
-    # for h = 2 the disc(M) square test at v and standard_form both read
-    # (t, b1, b2); they are derived once per class
-    derive = WeilCubic.__dict__["depressed"].func
-    calls = []
-
-    def counting(W):
-        calls.append(W)
-        return derive(W)
-
-    counted = cached_property(counting)
-    counted.__set_name__(WeilCubic, "depressed")
-    monkeypatch.setattr(WeilCubic, "depressed", counted)
-    # the class above with pv = T^2 + 2, and the pool's h = 2 classes,
-    # copied so that nothing is cached yet
+def test_height_two_classes_depress_to_their_standard_form(f5, instance_pool):
+    # for h = 2 the square test at v and standard_form both read the
+    # depressed form; the class above with pv = T^2 + 2 and the pool's h = 2
+    # classes run the whole analysis, and the stored t, b1, b2 satisfy
+    # M(x - t) = x^3 + b1 x + b2, expanded here term by term
     classes = [height_two_quadratic_pv(f5)]
-    classes += [a.weil._replace() for a in instance_pool if a.local.height == 2]
+    classes += [a.weil for a in instance_pool if a.local.height == 2]
+    assert len(classes) > 1
     for W in classes:
-        calls.clear()
-        assert analyze_weil_class(W).local.height == 2
-        assert calls == [W]
-
-
-def test_disc_computed_once_per_height_two_class(f5, monkeypatch, instance_pool):
-    # for h = 2 the square test at v and standard_form both read disc(M); it
-    # is computed once per class, by WeilCubic.disc, and the only other
-    # discriminant taken is that of the standard form
-    real = cubic_module._depressed_disc
-    callers = []
-
-    def counting(e1, e2):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return real(e1, e2)
-
-    monkeypatch.setattr(cubic_module, "_depressed_disc", counting)
-    classes = [height_two_quadratic_pv(f5)]
-    classes += [a.weil._replace() for a in instance_pool if a.local.height == 2]
-    for W in classes:
-        callers.clear()
-        assert analyze_weil_class(W).local.height == 2
-        assert callers.count("disc") == 1 and set(callers) <= {"disc", "disc_m0"}
+        analysis = analyze_weil_class(W)
+        assert analysis.local.height == 2
+        sf = analysis.sf
+        t, b1, b2 = sf.t, sf.b1, sf.b2
+        assert W.a1 == t.scale_int(3)
+        assert b1 == (t * t).scale_int(3) - (W.a1 * t).scale_int(2) + W.a2
+        assert b2 == W.a1 * t * t - t**3 - W.a2 * t + W.a0
+        assert (b1**3).scale_int(-4) + (b2 * b2).scale_int(-27) == sf.disc_m0 * sf.g**6
 
 
 def test_standard_form_takes_disc_m0_once(monkeypatch, instance_pool):
     # disc(M0) = disc(M) / g^6: for g = 1 standard_form takes no
-    # discriminant beyond WeilCubic.disc, otherwise one of (c1, c2), and
+    # discriminant beyond that of (b1, b2), otherwise one of (c1, c2), and
     # reading disc_m0 computes nothing; it is -4 c1^3 - 27 c2^2 exactly
     real = cubic_module._depressed_disc
     calls = []
@@ -1053,7 +1025,7 @@ def test_standard_form_takes_disc_m0_once(monkeypatch, instance_pool):
     contents = set()
     for analysis in instance_pool:
         calls.clear()
-        sf = standard_form(analysis.weil._replace())
+        sf = standard_form(analysis.weil)
         d0 = sf.disc_m0
         assert calls[1:] == ([] if sf.g.is_one else [(sf.c1, sf.c2)])
         assert d0 == (sf.c1**3).scale_int(-4) + (sf.c2 * sf.c2).scale_int(-27)

@@ -1,20 +1,22 @@
 """Every name a library module imports is used in that module, every
 private function, method or class it defines is named in it, every public
-one is named somewhere in the library, the tests or the benchmark, and
-every parameter of its functions and lambdas is named in their bodies.
+one is named in the library outside its own body, and every parameter of
+its functions and lambdas is named in their bodies.
 
-``__init__.py`` is exempt: its imports are the package's exports.  An
-import line carrying ``# noqa: F401`` is exempt too, for a binding kept on
-purpose.  A private definition is one whose name starts with ``_`` and is
-not a dunder; another module has no business calling it, so a private
-definition its own module never names is dead.  A public definition that
-no file of the repository names is dead too; the benchmark's tracer names
-the functions it wraps by dotted path strings, which count as names.
+``__init__.py`` is exempt: its imports are the package's exports, and they
+do not count as a use.  An import line carrying ``# noqa: F401`` is exempt
+too, for a binding kept on purpose.  A private definition is one whose name
+starts with ``_`` and is not a dunder; another module has no business
+calling it, so a private definition its own module never names is dead.  A
+public definition that only its own body, the tests or the exports name is
+dead too: code that only tests use lives in ``tests/``.  The one exemption
+is a function the benchmark's tracer wraps, named there by a dotted path.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -65,15 +67,15 @@ def unreferenced_private_defs(source: str) -> list:
     return [(line, name) for line, name in private if name not in named]
 
 
-def names_in(source: str) -> set:
-    """Every name the source mentions: variables, attributes and each
+def names_in(tree: ast.AST) -> Counter:
+    """How often the tree mentions each name: variables, attributes and each
     dotted part of an imported name."""
-    named = set()
-    for node in ast.walk(ast.parse(source)):
+    named = Counter()
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            named.add(node.id)
+            named[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            named.add(node.attr)
+            named[node.attr] += 1
         elif isinstance(node, ast.alias):
             named.update(node.name.split("."))
     return named
@@ -92,14 +94,20 @@ def traced_names(source: str) -> set:
     return named
 
 
-def unreferenced_public_defs(library: dict, named: set) -> list:
+def unreferenced_public_defs(library: dict, exempt: set) -> list:
     """(file, line, name) of each public def or class in the library's
-    {file: source} that is not in ``named``."""
+    {file: source} that no file of it names outside the definition's own
+    body, unless the name is in ``exempt``."""
+    trees = {path: ast.parse(source) for path, source in library.items()}
+    named = sum(map(names_in, trees.values()), Counter())
     return sorted(
         (path, node.lineno, node.name)
-        for path, source in library.items()
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, DEFS) and not node.name.startswith("_") and node.name not in named
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, DEFS)
+        and not node.name.startswith("_")
+        and node.name not in exempt
+        and named[node.name] == names_in(node)[node.name]
     )
 
 
@@ -153,12 +161,9 @@ def test_detects_an_unreferenced_private_def():
 
 
 def test_no_unreferenced_public_defs():
-    library = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
-    named = traced_names((REPO / "bench" / "tracer.py").read_text())
-    for top in ("src", "tests", "bench"):
-        for path in (REPO / top).rglob("*.py"):
-            named |= names_in(path.read_text())
-    assert unreferenced_public_defs(library, named) == []
+    library = {p.name: p.read_text() for p in MODULES}
+    exempt = traced_names((REPO / "bench" / "tracer.py").read_text())
+    assert unreferenced_public_defs(library, exempt) == []
 
 
 def test_detects_an_unreferenced_public_def():
@@ -166,15 +171,17 @@ def test_detects_an_unreferenced_public_def():
         "lib.py": (
             "def dead():\n    pass\n"
             "def called():\n    pass\n"
+            "def recursive(n):\n    return recursive(n - 1)\n"
             "class Field:\n    def div(self):\n        pass\n"
             "    def traced(self):\n        pass\n"
             "    def _private(self):\n        pass\n"
-        )
+        ),
+        "user.py": "from lib import called as c\nc()\n",
     }
-    user = "from lib import called as c, Field\nc()\n"
     tracer = 'SPANS = [("lib.traced", "lib", "Field.traced")]\nCOUNTED = []\n'
-    named = names_in(library["lib.py"]) | names_in(user) | traced_names(tracer)
-    assert unreferenced_public_defs(library, named) == [("lib.py", 1, "dead"), ("lib.py", 6, "div")]
+    assert unreferenced_public_defs(library, traced_names(tracer)) == [
+        ("lib.py", 1, "dead"), ("lib.py", 5, "recursive"), ("lib.py", 8, "div")
+    ]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

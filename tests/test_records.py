@@ -82,17 +82,3 @@ def test_every_field_of_every_record_refuses_assignment(f5):
         for name in record._fields:
             with pytest.raises(AttributeError):
                 setattr(record, name, getattr(record, name))
-
-
-def test_replaced_weil_cubic_recomputes_its_cache(f5):
-    W = paper_weil(f5)
-    depressed, disc = W.depressed, W.disc
-    copy = W._replace()
-    assert type(copy) is type(W) and copy == W and copy is not W
-    assert "depressed" not in vars(copy) and "disc" not in vars(copy)
-    assert copy.depressed == depressed and copy.depressed is not depressed
-    assert copy.disc == disc and copy.disc is not disc
-    # a field replaced is a new class: its depressed form is its own
-    shifted = W._replace(a1=W.a1 + Poly.one(f5))
-    assert shifted.depressed[0] != depressed[0]
-    assert W.depressed is depressed
