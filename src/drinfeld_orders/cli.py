@@ -51,12 +51,7 @@ from .errors import (
 )
 from .factor import make_extension_field
 from .gf import ExtensionField, FiniteField, PrimeField, elem_str
-from .orders import (
-    DEFAULT_CANDIDATE_BOUND,
-    ClassAnalysis,
-    OrderHNF,
-    analyze_weil_class,
-)
+from .orders import DEFAULT_CANDIDATE_BOUND, ClassAnalysis, analyze_weil_class
 from .poly import Poly
 from .skew import (
     DrinfeldModule,
@@ -255,18 +250,15 @@ def resolve_candidate_bound(cfg: ProblemConfig, flag: Optional[int]) -> int:
 
 
 class Identification(NamedTuple):
-    """One module's verdict; in the class, End(phi) and the survey it was read off."""
+    """One module's verdict; in the class, End(phi) as a position in the
+    class's accepted orders and the survey it was read off, both aligned
+    with ``ClassAnalysis.orders``."""
 
     module: str
     in_class: bool
-    order: Optional[OrderHNF] = None  # End(phi)
-    survey: Sequence = ()  # MembershipSurvey rows, one per accepted order, in order
+    end: Optional[int] = None  # End(phi) is analysis.orders[end]
+    survey: Sequence = ()  # a generator verdict pair per accepted order
     rank_mismatch: bool = False  # phi_T is not of tau-degree 3
-
-    @property
-    def end_index(self) -> int:
-        """The position of End(phi) among the accepted orders."""
-        return [row.order for row in self.survey].index(self.order)
 
 
 def identify_module(ring: SkewRing, name: str, phi_t, analysis: ClassAnalysis) -> Identification:
@@ -371,9 +363,9 @@ def build_report(analysis: ClassAnalysis, identifications) -> str:
                     '"generators": ' + _block("[]", [JSON_BOOL[v] for v in verdicts], I5),
                     '"order": ' + entry.replace("\n", "\n" + I5),
                 ], I4)
-                for (_, verdicts), entry in zip(ident.survey, entries)
+                for verdicts, entry in zip(ident.survey, entries)
             ]
-            members.append('"order": ' + entries[ident.end_index].replace("\n", "\n" + I3))
+            members.append('"order": ' + entries[ident.end].replace("\n", "\n" + I3))
             members.append('"survey": ' + _block("[]", rows, I3))
         idents.append(_block("{}", members, I2))
     return _block("{}", [
@@ -402,12 +394,12 @@ def build_report(analysis: ClassAnalysis, identifications) -> str:
     ], "")
 
 
-def _ident_line(ident: Identification, labels: list) -> str:
+def _ident_line(ident: Identification, analysis: ClassAnalysis, labels: list) -> str:
     """One module's verdict, as ``analyze`` prints it after the module name."""
     if not ident.in_class:
         return "in class: no"
-    a, b, c = (f.to_str() for f in ident.order)
-    return f"in class: yes; End = {labels[ident.end_index]}({a},{b},{c})"
+    a, b, c = (f.to_str() for f in analysis.orders[ident.end].order)
+    return f"in class: yes; End = {labels[ident.end]}({a},{b},{c})"
 
 
 def render_text(analysis: ClassAnalysis, identifications) -> str:
@@ -445,7 +437,9 @@ def render_text(analysis: ClassAnalysis, identifications) -> str:
         )
     if identifications:
         lines += ["", "== module identifications =="]
-        lines += [f"{ident.module}: {_ident_line(ident, labels)}" for ident in identifications]
+        lines += [
+            f"{ident.module}: {_ident_line(ident, analysis, labels)}" for ident in identifications
+        ]
     return "\n".join(lines) + "\n"
 
 
@@ -464,7 +458,7 @@ def run(args) -> str:
     if args.name is not None:
         (ident,) = identifications
         mismatch = " (rank mismatch)" if ident.rank_mismatch else ""
-        return _ident_line(ident, _labels(analysis)) + mismatch + "\n"
+        return _ident_line(ident, analysis, _labels(analysis)) + mismatch + "\n"
     if (args.format or cfg.output_format) == "json":
         return build_report(analysis, identifications) + "\n"
     return render_text(analysis, identifications)

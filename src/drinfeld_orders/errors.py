@@ -58,8 +58,7 @@ class NoSolutionError(InternalInconsistencyError):
 
 
 class NoCandidateError(InternalInconsistencyError):
-    """No enumerated order contains a module's endomorphisms (not even the
-    order generated by the Frobenius)."""
+    """No accepted order realises a module's endomorphisms."""
 
 
 class CandidateBoundExceededError(DrinfeldOrdersError):

@@ -48,8 +48,9 @@ whether L is a field (``SkewRing.is_field``, Rabin's criterion), so
 ``cli`` tests L on the one ring per config that its modules then use.
 
 ``survey_candidates`` is the one membership loop: it decides both
-generators of every accepted order, and ``identify_endo_ring`` reads
-End(phi) off its rows.  A generator over d = 1 lies in A[pi], which is
+generators of every accepted order and returns the verdict pairs in the
+order given, the accepted orders' canonical order (largest first), and
+``identify_endo_ring`` returns the position of End(phi) among them.  A generator over d = 1 lies in A[pi], which is
 inside End(phi), so only the others go through the right division.
 ``order_generator_kelems`` writes each generator over pi in one step, over
 the common denominator g^2*I of omega1 and omega2, and puts it in lowest
@@ -382,48 +383,38 @@ def order_generator_kelems(
     return gen1, gen2
 
 
-class MembershipSurvey(NamedTuple):
-    """Per-candidate generator verdicts for one module."""
-
-    order: OrderHNF
-    generator_verdicts: Tuple[bool, bool]
-
-    @property
-    def all_members(self) -> bool:
-        return all(self.generator_verdicts)
-
-
 def survey_candidates(
     D: DrinfeldModule,
     candidates: Sequence[OrderHNF],
     sf: StandardForm,
     mo: MaximalOrderData,
-) -> List[MembershipSurvey]:
-    """Both generator verdicts of every candidate, in the given order.  A
-    generator over d = 1 lies in A[pi], inside End(phi): it is a member
-    without a test."""
-    out = []
-    for order in candidates:
-        verdicts = tuple(
+) -> List[Tuple[bool, bool]]:
+    """The verdicts on both generators of every candidate, in the given
+    order.  A generator over d = 1 lies in A[pi], inside End(phi): it is a
+    member without a test."""
+    return [
+        tuple(
             gen.d.is_one or element_membership(D, gen) is not None
             for gen in order_generator_kelems(order, sf, mo)
         )
-        out.append(MembershipSurvey(order=order, generator_verdicts=verdicts))
-    return out
+        for order in candidates
+    ]
 
 
-def identify_endo_ring(survey: Sequence[MembershipSurvey]) -> OrderHNF:
-    """End(phi) read off a membership survey: the largest surveyed order
-    (smallest ``sort_key``) whose generators all act as endomorphisms.
+def identify_endo_ring(survey: Sequence[Tuple[bool, bool]]) -> int:
+    """The position of End(phi) in a survey of orders in canonical order
+    (largest first): the first row whose generators both act as
+    endomorphisms.
 
     Every all-member row is an order inside End(phi), End(phi) is itself a
     row, and a proper suborder has an index in O_max of larger degree
-    (deg a + deg c, the key's first entry), so the smallest key is End(phi).
+    (deg a + deg c, the first entry of ``OrderHNF.sort_key``), so End(phi)
+    comes before every other all-member row.
     """
-    members = [row.order for row in survey if row.all_members]
-    if not members:
-        raise NoCandidateError(
-            "no candidate order, not even A[pi], realises the module's "
-            "endomorphisms; inputs are inconsistent"
-        )
-    return min(members, key=lambda o: o.sort_key())
+    for i, verdicts in enumerate(survey):
+        if all(verdicts):
+            return i
+    raise NoCandidateError(
+        "no accepted order realises the module's endomorphisms; inputs are "
+        "inconsistent"
+    )

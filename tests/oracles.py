@@ -1091,10 +1091,10 @@ def report_oracle(analysis: ClassAnalysis, identifications) -> dict:
     for ident in identifications:
         entry = {"module": ident.module, "in_class": ident.in_class}
         if ident.in_class:
-            entry["order"] = entries[ident.order]
+            entry["order"] = entries[analysis.orders[ident.end].order]
             entry["survey"] = [
-                {"order": entries[row.order], "generators": row.generator_verdicts}
-                for row in ident.survey
+                {"order": entries[rep.order], "generators": verdicts}
+                for rep, verdicts in zip(analysis.orders, ident.survey)
             ]
         idents.append(entry)
     return {

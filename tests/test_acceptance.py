@@ -111,7 +111,7 @@ def test_criterion_4_identification_phi(module_phi, example_analysis):
     W, sf, mo = example_analysis.weil, example_analysis.sf, example_analysis.mo
     F = W.field
     candidates = [r.order for r in example_analysis.orders]
-    end = identify_endo_ring(survey_candidates(module_phi, candidates, sf, mo))
+    end = candidates[identify_endo_ring(survey_candidates(module_phi, candidates, sf, mo))]
     ok = end == OrderHNF(a=Poly.one(F), b=Poly.zero(F), c=Poly.one(F))
     _report("4 (End phi = O_max)", ok)
     assert ok
@@ -134,9 +134,9 @@ def test_criterion_4_identification_psi_as_printed(
     )
     assert verify_weil_action(module_psi_literal, W)
     candidates = [r.order for r in example_analysis.orders]
-    end = identify_endo_ring(
-        survey_candidates(module_psi_literal, candidates, sf, mo)
-    )
+    end = candidates[
+        identify_endo_ring(survey_candidates(module_psi_literal, candidates, sf, mo))
+    ]
     assert end == OrderHNF(a=Poly.x(F), b=Poly.zero(F), c=Poly.one(F))
 
 
@@ -146,9 +146,9 @@ def test_criterion_4_identification_corrected_witness(
     W, sf, mo = example_analysis.weil, example_analysis.sf, example_analysis.mo
     F = W.field
     candidates = [r.order for r in example_analysis.orders]
-    end = identify_endo_ring(
-        survey_candidates(module_psi_star, candidates, sf, mo)
-    )
+    end = candidates[
+        identify_endo_ring(survey_candidates(module_psi_star, candidates, sf, mo))
+    ]
     ok = verify_weil_action(module_psi_star, W) and end == OrderHNF(
         a=Poly.x(F), b=Poly.zero(F), c=Poly.one(F)
     )

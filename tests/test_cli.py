@@ -13,6 +13,7 @@ import drinfeld_orders.cli as cli
 import drinfeld_orders.errors as errors
 import drinfeld_orders.skew as skew
 from drinfeld_orders import (
+    OrderHNF,
     Poly,
     WeilCubic,
     analyze_weil_class,
@@ -22,7 +23,6 @@ from drinfeld_orders import (
 )
 from drinfeld_orders.cli import main
 from drinfeld_orders.gf import ExtensionField, Packing, PrimeField
-from drinfeld_orders.skew import MembershipSurvey
 
 from oracles import descended_module, int_poly, report_oracle
 from test_skew import RABIN_REDUCIBLE
@@ -423,11 +423,11 @@ def test_no_all_member_order_exits_4(monkeypatch, capsys):
     # A[pi] is always a row with both verdicts True, so the inconsistency
     # is reached only through a survey with no all-member row
     def no_members(D, candidates, sf, mo):
-        return [MembershipSurvey(order, (False, False)) for order in candidates]
+        return [(False, False) for order in candidates]
 
     monkeypatch.setattr(cli, "survey_candidates", no_members)
     assert main(["check-module", str(GOLDEN), "--name", "phi"]) == 4
-    assert "no candidate order" in capsys.readouterr().err
+    assert "no accepted order realises" in capsys.readouterr().err
 
 
 def test_exit_code_weil_validation(tmp_path):
@@ -631,11 +631,8 @@ def _report_cases(case, tmp_path, instance_pool):
         # whose survey lists every accepted order
         cases = []
         for analysis in instance_pool:
-            rows = [
-                MembershipSurvey(rep.order, (True, i % 2 == 0))
-                for i, rep in enumerate(analysis.orders)
-            ]
-            ident = cli.Identification("m", True, analysis.orders[-1].order, rows)
+            rows = [(True, i % 2 == 0) for i in range(len(analysis.orders))]
+            ident = cli.Identification("m", True, len(rows) - 1, rows)
             cases += [(analysis, []), (analysis, [ident])]
         return cases
     if case == "f49":
@@ -669,6 +666,24 @@ def test_report_writer_matches_stdlib_encoder(tmp_path, instance_pool, case):
     # module names that json escapes
     for analysis, idents in _report_cases(case, tmp_path, instance_pool):
         assert cli.build_report(analysis, idents) == _stdlib_json(report_oracle(analysis, idents))
+
+
+def test_accepted_orders_come_in_canonical_order(tmp_path, instance_pool):
+    # an identification holds End(phi) as the position of the first
+    # all-member survey row, which is End(phi) only because the accepted
+    # orders come largest first: O_max, then strictly increasing sort keys
+    cfgs = [json.loads(p.read_text()) for p in sorted((REPO / "configs").glob("*.json"))]
+    analyses = [
+        _analysis_and_identifications(cfg, tmp_path)[0]
+        for cfg in cfgs + [F49_CLASS, tower_config()]
+    ]
+    for analysis in analyses + list(instance_pool):
+        F = analysis.weil.field
+        orders = [rep.order for rep in analysis.orders]
+        assert orders[0] == OrderHNF(Poly.one(F), Poly.zero(F), Poly.one(F))
+        keys = [order.sort_key() for order in orders]
+        assert all(k < k_next for k, k_next in zip(keys, keys[1:]))
+    assert len(analyses) == len(cfgs) + 2
 
 
 @pytest.mark.parametrize(

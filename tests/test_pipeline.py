@@ -43,11 +43,13 @@ def test_supersingular_pure_cubic_end_to_end():
         ring, ring.poly([L.zero, L.zero, L.zero, L.from_int(4)])
     )
     assert verify_weil_action(module, W)
-    end = identify_endo_ring(
-        survey_candidates(
-            module, [r.order for r in analysis.orders], analysis.sf, analysis.mo
+    end = analysis.orders[
+        identify_endo_ring(
+            survey_candidates(
+                module, [r.order for r in analysis.orders], analysis.sf, analysis.mo
+            )
         )
-    )
+    ].order
     assert end == analysis.orders[0].order
 
 
@@ -73,11 +75,13 @@ def test_module_as_printed_in_its_own_class():
     module = DrinfeldModule(ring, ring.poly([L.zero, L.one, L.one, L.one]))
     assert verify_weil_action(module, W)
     assert motive_class(L, module.phi_t.coeffs) == W  # the motive agrees
-    end = identify_endo_ring(
-        survey_candidates(
-            module, [r.order for r in analysis.orders], analysis.sf, analysis.mo
+    end = analysis.orders[
+        identify_endo_ring(
+            survey_candidates(
+                module, [r.order for r in analysis.orders], analysis.sf, analysis.mo
+            )
         )
-    )
+    ].order
     assert end == OrderHNF(a=Poly.one(F), b=Poly.zero(F), c=Poly.one(F))
 
 
@@ -110,11 +114,13 @@ def test_supersingular_constant_standard_form_end_to_end():
     module = DrinfeldModule(ring, ring.poly([L.zero, L.zero, L.zero, lc]))
     assert verify_weil_action(module, W)
     # identification runs the g != 1 rewriting: omega2 = pi^2 / T^2
-    end = identify_endo_ring(
-        survey_candidates(
-            module, [r.order for r in analysis.orders], analysis.sf, analysis.mo
+    end = analysis.orders[
+        identify_endo_ring(
+            survey_candidates(
+                module, [r.order for r in analysis.orders], analysis.sf, analysis.mo
+            )
         )
-    )
+    ].order
     assert end == analysis.orders[0].order
 
 
@@ -143,11 +149,13 @@ def test_extension_base_field_end_to_end():
         ),
     )
     assert verify_weil_action(module, W)
-    end = identify_endo_ring(
-        survey_candidates(
-            module, [r.order for r in analysis.orders], analysis.sf, analysis.mo
+    end = analysis.orders[
+        identify_endo_ring(
+            survey_candidates(
+                module, [r.order for r in analysis.orders], analysis.sf, analysis.mo
+            )
         )
-    )
+    ].order
     assert end == analysis.orders[0].order
 
 

@@ -27,7 +27,7 @@ from drinfeld_orders import (
 from drinfeld_orders.gf import ExtensionField
 from drinfeld_orders.poly import polys_below_degree
 from drinfeld_orders.orders import OrderHNF
-from drinfeld_orders.skew import MembershipSurvey, SkewRing
+from drinfeld_orders.skew import SkewRing
 
 import drinfeld_orders.cli as cli
 import drinfeld_orders.gf as gf
@@ -320,23 +320,16 @@ def test_identify_single_candidate(module_phi, example_analysis):
     # with only the Frobenius order offered, any valid module maps to it
     sf, mo = example_analysis.sf, example_analysis.mo
     frob = example_analysis.orders[1].order
-    assert identify_endo_ring(survey_candidates(module_phi, [frob], sf, mo)) == frob
+    candidates = [frob]
+    assert candidates[identify_endo_ring(survey_candidates(module_phi, candidates, sf, mo))] == frob
 
 
-def test_identify_without_all_member_row_raises(example_analysis):
-    orders = [r.order for r in example_analysis.orders]
-    survey = [
-        MembershipSurvey(order=orders[0], generator_verdicts=(True, False)),
-        MembershipSurvey(order=orders[1], generator_verdicts=(False, True)),
-    ]
-    with pytest.raises(NoCandidateError):
-        identify_endo_ring(survey)
-    with pytest.raises(NoCandidateError):
+def test_identify_without_all_member_row_raises():
+    message = "no accepted order realises the module's endomorphisms"
+    with pytest.raises(NoCandidateError, match=message):
+        identify_endo_ring([(True, False), (False, True)])
+    with pytest.raises(NoCandidateError, match=message):
         identify_endo_ring([])
-    # the smallest sort key wins, whatever the row order
-    survey.append(MembershipSurvey(order=orders[1], generator_verdicts=(True, True)))
-    survey.append(MembershipSurvey(order=orders[0], generator_verdicts=(True, True)))
-    assert identify_endo_ring(survey) == orders[0]
 
 
 def test_membership_frobenius_always(module_phi, module_psi_star, f5):
@@ -354,12 +347,12 @@ def test_identify_worked_example(module_phi, module_psi_star, example_analysis):
     T = Poly.x(F)
     one, zero = Poly.one(F), Poly.zero(F)
     candidates = [r.order for r in example_analysis.orders]
-    assert identify_endo_ring(
-        survey_candidates(module_phi, candidates, sf, mo)
-    ) == OrderHNF(a=one, b=zero, c=one)
-    assert identify_endo_ring(
-        survey_candidates(module_psi_star, candidates, sf, mo)
-    ) == OrderHNF(a=T, b=zero, c=one)
+    assert candidates[
+        identify_endo_ring(survey_candidates(module_phi, candidates, sf, mo))
+    ] == OrderHNF(a=one, b=zero, c=one)
+    assert candidates[
+        identify_endo_ring(survey_candidates(module_psi_star, candidates, sf, mo))
+    ] == OrderHNF(a=T, b=zero, c=one)
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -369,12 +362,9 @@ def full_survey(D, candidates, sf, mo):
     """The survey with every generator decided by right division, those in
     A[pi] included."""
     return [
-        MembershipSurvey(
-            order,
-            tuple(
-                element_membership(D, gen) is not None
-                for gen in order_generator_kelems(order, sf, mo)
-            ),
+        tuple(
+            element_membership(D, gen) is not None
+            for gen in order_generator_kelems(order, sf, mo)
         )
         for order in candidates
     ]
@@ -429,9 +419,9 @@ def test_a_pi_shortcut_never_changes_a_verdict(monkeypatch, f125):
     for D, candidates, sf, mo in calls:
         rows = survey_candidates(D, candidates, sf, mo)
         assert rows == full_survey(D, candidates, sf, mo)
-        for row in rows:
-            gens = order_generator_kelems(row.order, sf, mo)
-            for gen, verdict in zip(gens, row.generator_verdicts):
+        for order, verdicts in zip(candidates, rows):
+            gens = order_generator_kelems(order, sf, mo)
+            for gen, verdict in zip(gens, verdicts):
                 kinds[gen.d.is_one, verdict] = kinds.get((gen.d.is_one, verdict), 0) + 1
     # generators in A[pi], and tested ones both ways
     assert (True, False) not in kinds
@@ -447,7 +437,7 @@ def test_membership_monotone_over_candidates(
         rows = survey_candidates(D, candidates, sf, mo)
         # candidates are sorted largest first; once a candidate fails, no
         # larger candidate may succeed (downward closure)
-        ok = [row.all_members for row in rows]
+        ok = [all(verdicts) for verdicts in rows]
         assert ok == sorted(ok)  # False values only before True values
 
 
