@@ -41,15 +41,7 @@ from .errors import (
     ReducibleError,
     WeilValidationError,
 )
-from .factor import (
-    Factorization,
-    SquarefreeDecomp,
-    divisors,
-    factor,
-    is_irreducible,
-    make_extension_field,
-    squarefree_decompose,
-)
+from .factor import divisors, is_irreducible, make_extension_field, squarefree_decompose
 from .gf import ExtensionField, FiniteField, PrimeField
 from .orders import (
     ClassAnalysis,

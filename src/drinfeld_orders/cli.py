@@ -102,10 +102,7 @@ def _is_int(obj) -> bool:
 
 def _positive_int(value, where: str) -> Optional[int]:
     """A candidate bound from one source: None when the source is unset,
-    else the value (a string is read as an integer) if it is positive."""
-    if isinstance(value, str):
-        with contextlib.suppress(ValueError):
-            value = int(value)
+    else the value if it is a positive integer."""
     _require(
         value is None or (_is_int(value) and value >= 1),
         f"{where} must be a positive integer",
@@ -174,6 +171,10 @@ def load_config(path: str) -> ProblemConfig:
             F = make_extension_field(base, _parse_poly(base, mod, "field.modulus"))
         except DomainError as exc:
             raise ConfigError(f"field.modulus: {exc}") from exc
+        # a top coefficient that is 0 mod p leaves a field of smaller degree
+        _require(
+            F.e == e, f"field.modulus: extension modulus has degree {F.e} mod {p}, not e = {e}"
+        )
 
     pv = _parse_poly(F, raw.get("pv"), "pv")
     m = raw.get("m")
@@ -240,10 +241,14 @@ def load_config(path: str) -> ProblemConfig:
 def resolve_candidate_bound(cfg: ProblemConfig, flag: Optional[int]) -> int:
     """The first bound set among the flag, the environment variable and the
     config's options (checked when loaded), each checked to be positive by
-    ``_positive_int``; else the default."""
+    ``_positive_int``; else the default.  Only the environment is text, so
+    only its value is read as an integer first."""
+    env = os.environ.get(ENV_CANDIDATE_BOUND)
+    with contextlib.suppress(TypeError, ValueError):
+        env = int(env)
     return (
         _positive_int(flag, "--candidate-bound")
-        or _positive_int(os.environ.get(ENV_CANDIDATE_BOUND), ENV_CANDIDATE_BOUND)
+        or _positive_int(env, ENV_CANDIDATE_BOUND)
         or cfg.candidate_bound
         or DEFAULT_CANDIDATE_BOUND
     )

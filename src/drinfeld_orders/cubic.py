@@ -297,7 +297,7 @@ def standard_form(W: WeilCubic) -> StandardForm:
     g_factors = []
     disc_m0_factors = []
     repeated = []
-    for part, v in squarefree_decompose(d).parts:
+    for part, v in squarefree_decompose(d):
         if v == 1:
             disc_m0_factors.append((part, 1))
         else:

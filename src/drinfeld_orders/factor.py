@@ -23,14 +23,15 @@ Rabin's criterion on the Frobenius that its skew ring builds anyway
 (``skew.SkewRing.is_field``).
 
 Both ladders run on ``Poly.pow_mod`` and ``poly_gcd``, one ``gf`` kernel
-call each.  Also here: divisors from a given factorisation.
+call each.  ``squarefree_decompose`` and ``factor`` return bare
+((P, k), ...) pairs with f = lc(f) * prod P^k, the shape of every factor
+list in the package, which ``divisors`` takes too.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import product
-from typing import NamedTuple
 
 from .errors import DomainError
 from .gf import ExtensionField, FiniteField
@@ -44,22 +45,6 @@ _SPLIT_SEED = 0x5EED
 # 29 against 54 and 70, F_251 38 and 55 against 52 and 75; over F_289 and
 # F_343 the two are level within the noise in both degrees.
 ROOT_SCAN_MAX = 256
-
-
-class SquarefreeDecomp(NamedTuple):
-    """f = unit * prod(part^mult); parts monic, square-free, pairwise coprime."""
-
-    field: FiniteField
-    unit: object
-    parts: tuple  # ((Poly, int), ...), multiplicities strictly increasing
-
-
-class Factorization(NamedTuple):
-    """f = unit * prod(factor^mult); factors monic irreducible, canonical order."""
-
-    field: FiniteField
-    unit: object
-    factors: tuple  # ((Poly, int), ...)
 
 
 def _pth_root(f: Poly) -> Poly:
@@ -107,21 +92,20 @@ def _split_x_power(f: Poly):
     return k, Poly(F, f.coeffs[k:])
 
 
-def squarefree_decompose(f: Poly) -> SquarefreeDecomp:
-    """The x^k dividing f is stripped first: x is prime and coprime to the
-    cofactor, so it joins the part of multiplicity k, and Yun's loop runs
-    on the cofactor alone rather than once per power of x."""
+def squarefree_decompose(f: Poly) -> tuple:
+    """The parts are monic, square-free and pairwise coprime, listed by
+    increasing multiplicity.  The x^k dividing f is stripped first: x is
+    prime and coprime to the cofactor, so it joins the part of multiplicity
+    k, and Yun's loop runs on the cofactor alone rather than once per power
+    of x."""
     if f.is_zero:
         raise DomainError("square-free decomposition of zero")
-    F = f.field
-    unit = f.lc
     k, rest = _split_x_power(f.monic())
     parts = _squarefree_monic(rest) if rest.degree > 0 else {}
     if k:
-        x = Poly.x(F)
+        x = Poly.x(f.field)
         parts[k] = parts[k] * x if k in parts else x
-    ordered = tuple((parts[m], m) for m in sorted(parts))
-    return SquarefreeDecomp(F, unit, ordered)
+    return tuple((parts[m], m) for m in sorted(parts))
 
 
 def _distinct_degree(f: Poly):
@@ -197,18 +181,17 @@ def squarefree_factors(f: Poly) -> list:
     return [prime for piece, d in pieces for prime in _equal_degree(piece, d, rng)]
 
 
-def factor(f: Poly) -> Factorization:
-    """Complete factorisation into monic irreducibles over the field."""
+def factor(f: Poly) -> tuple:
+    """Complete factorisation into monic irreducibles, in canonical order."""
     if f.is_zero:
         raise DomainError("factorisation of zero")
     # the parts are pairwise coprime, so each prime comes from one part
     found = [
         (prime, mult)
-        for part, mult in squarefree_decompose(f).parts
+        for part, mult in squarefree_decompose(f)
         for prime in squarefree_factors(part)
     ]
-    ordered = tuple(sorted(found, key=lambda t: t[0].sort_key()))
-    return Factorization(f.field, f.lc, ordered)
+    return tuple(sorted(found, key=lambda t: t[0].sort_key()))
 
 
 def is_irreducible(f: Poly) -> bool:

@@ -162,12 +162,6 @@ class SkewRing:
     def poly(self, coeffs: Sequence) -> "SkewPoly":
         return SkewPoly(self, coeffs)
 
-    def __eq__(self, other):
-        return isinstance(other, SkewRing) and other.L == self.L
-
-    def __hash__(self):
-        return hash(("SkewRing", self.L))
-
 
 class SkewPoly:
     __slots__ = ("ring", "coeffs")
@@ -187,9 +181,6 @@ class SkewPoly:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
 
     def __mul__(self, other: "SkewPoly") -> "SkewPoly":
         if not isinstance(other, SkewPoly):
@@ -238,16 +229,6 @@ class SkewPoly:
 
     def __repr__(self):
         return f"SkewPoly({self.coeffs})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SkewPoly)
-            and other.ring == self.ring
-            and other.coeffs == self.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.coeffs))
 
 
 class DrinfeldModule:

@@ -31,7 +31,6 @@ from drinfeld_orders import (
     CandidateBoundExceededError,
     ClassAnalysis,
     DomainError,
-    Factorization,
     OrderHNF,
     Poly,
     PrimeField,
@@ -39,11 +38,11 @@ from drinfeld_orders import (
     WeilValidationError,
     analyze_weil_class,
     divisors,
-    factor,
     make_extension_field,
     poly_gcd,
     squarefree_decompose,
 )
+from drinfeld_orders.factor import factor
 from drinfeld_orders.poly import polys_below_degree
 
 # instance generation may hit these; anything else (in particular
@@ -150,10 +149,10 @@ def integral_basis_oracle(sf, I: Poly):
 # -- factorisations, content, discriminant, square roots and residues --------
 
 
-def expand(fac) -> Poly:
-    """unit * prod(P^k) of a Factorization or a SquarefreeDecomp."""
-    pairs = fac.factors if isinstance(fac, Factorization) else fac.parts
-    out = const_poly(fac.field, fac.unit)
+def expand(f: Poly, pairs) -> Poly:
+    """lc(f) * prod(P^k) over the pairs ((P, k), ...) of a factorisation or
+    a square-free decomposition of f."""
+    out = const_poly(f.field, f.lc)
     for part, mult in pairs:
         out = out * part**mult
     return out
@@ -167,10 +166,10 @@ def content_oracle(b1: Poly, b2: Poly) -> Poly:
     g1 = Poly.zero(F)
     if not b1.is_zero:
         g1 = Poly.one(F)
-        for part, mult in squarefree_decompose(b1).parts:
+        for part, mult in squarefree_decompose(b1):
             g1 = g1 * part ** (mult // 2)
     g2 = Poly.one(F)
-    for part, mult in squarefree_decompose(b2).parts:
+    for part, mult in squarefree_decompose(b2):
         g2 = g2 * part ** (mult // 3)
     return poly_gcd(g1, g2)
 
@@ -186,7 +185,7 @@ def exact_sqrt(f: Poly):
     if f.degree % 2:
         return None
     root = Poly.one(F)
-    for part, mult in squarefree_decompose(f).parts:
+    for part, mult in squarefree_decompose(f):
         if mult % 2:
             return None
         root = root * part ** (mult // 2)
@@ -199,7 +198,7 @@ def field_discriminant_oracle(sf) -> Poly:
     and the parts of multiplicity 2 and 4."""
     d0 = sf.disc_m0
     F = d0.field
-    parts = {mult: part for part, mult in squarefree_decompose(d0).parts}
+    parts = {mult: part for part, mult in squarefree_decompose(d0)}
     odd_part = Poly.one(F)
     for mult, part in parts.items():
         if mult % 2:
@@ -218,8 +217,8 @@ def reduce_mod(c: Poly, R):
 def residue_factor(coeffs, p: Poly):
     """Factor a polynomial in x with F_q[T] coefficients modulo the prime p.
 
-    coeffs are ascending in x.  Returns (residue field, Factorization of the
-    reduced polynomial over it).
+    coeffs are ascending in x.  Returns (residue field, the factor pairs of
+    the reduced polynomial over it).
     """
     R = make_extension_field(coeffs[0].field, p)
     reduced = Poly(R, (reduce_mod(c, R) for c in coeffs))
@@ -231,7 +230,7 @@ def residue_factor(coeffs, p: Poly):
 def residue_pattern_oracle(W: WeilCubic) -> tuple:
     """Sorted (degree, multiplicity) shape of M mod pv by factorisation."""
     _, fac = residue_factor(list(W.coefficients()), W.pv)
-    return tuple(sorted((p.degree, mult) for p, mult in fac.factors))
+    return tuple(sorted((p.degree, mult) for p, mult in fac))
 
 
 # -- the two tests the enumeration satisfies by construction -------------------
@@ -280,8 +279,8 @@ def candidate_count_oracle(sf, mo) -> int:
     deg b < deg a and a | b*(g/c) number q^deg gcd(a, g/c) for each c | g
     and a | g^2*I."""
     F, g = sf.g.field, sf.g
-    cs = divisors(F, factor(g).factors)
-    as_ = divisors(F, factor(g * g * mo.index).factors)
+    cs = divisors(F, factor(g))
+    as_ = divisors(F, factor(g * g * mo.index))
     return sum(F.q ** poly_gcd(a, g.exact_div(c)).degree for c in cs for a in as_)
 
 
@@ -391,8 +390,8 @@ def sandwich_endo_oracle(analysis: ClassAnalysis):
     one = Poly.one(F)
     pi, pi2 = frobenius_coords(W, sf)
     accepted = []
-    for c in divisors(F, factor(g).factors):
-        for a in divisors(F, factor(g * g * mo.index).factors):
+    for c in divisors(F, factor(g)):
+        for a in divisors(F, factor(g * g * mo.index)):
             for b in polys_below_degree(F, a.degree):
                 order = OrderHNF(a=a, b=b, c=c)
                 if not element_in_lattice(order, pi, one, mo):
@@ -523,7 +522,8 @@ def frobenius(D):
 
 
 def commutes_with(u, v) -> bool:
-    return u * v == v * u
+    """Whether u*v = v*u, for skew polynomials of one ring."""
+    return (u * v).coeffs == (v * u).coeffs
 
 
 def skew_tau(ring):
@@ -927,7 +927,7 @@ def root_in_a_oracle(W: WeilCubic):
     M has no root in A."""
     F = W.field
     a0, a2, a1, _ = W.coefficients()
-    for d in divisors(F, factor(W.a0).factors):
+    for d in divisors(F, factor(W.a0)):
         for i in range(1, F.q):
             r = d.scale(F.element(i))
             if (((r + a1) * r + a2) * r + a0).is_zero:

@@ -181,6 +181,19 @@ def test_boolean_integers_rejected(tmp_path, capsys, path):
     assert f"'{'.'.join(path)}'" in capsys.readouterr().err
 
 
+def test_candidate_bound_given_as_a_json_string_rejected(tmp_path, capsys):
+    # only the environment variable is text; in a config "1" is not 1
+    cfg = json.loads(GOLDEN.read_text())
+    cfg["options"]["candidate_bound"] = "1"
+    bad = tmp_path / "text_bound.json"
+    bad.write_text(json.dumps(cfg))
+    assert main(["analyze", str(bad)]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "config: 'options.candidate_bound' must be a positive integer\n",
+    )
+
+
 # x^3 - T^3 over F_5 has the root T in A: analysing it exits 3
 ROOT_IN_A = {"a1": [], "a2": [], "mu": 4}
 
@@ -364,8 +377,11 @@ def test_invalid_l_exits_2_with_the_modulus_message(tmp_path, capsys, name, args
         ([2, 0, 2], "must be monic of degree >= 1"),
         ([1, 0, 0], "must be monic of degree >= 1"),  # the constant 1
         ([4, 0, 1], "is reducible"),  # y^2 - 1
+        # a top coefficient 0, or 0 mod p, leaves y + 2 and y + 1 of degree 1
+        ([2, 1, 0], "has degree 1 mod 5, not e = 2"),
+        ([1, 1, 5], "has degree 1 mod 5, not e = 2"),
     ],
-    ids=["non-monic", "constant", "reducible"],
+    ids=["non-monic", "constant", "reducible", "top-zero", "top-zero-mod-p"],
 )
 def test_invalid_field_modulus_exits_2_with_the_modulus_message(
     tmp_path, capsys, modulus, message

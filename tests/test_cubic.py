@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import importlib
 import random
 from itertools import product
 from pathlib import Path
@@ -21,7 +20,6 @@ from drinfeld_orders import (
     WeilValidationError,
     analyze_weil_class,
     divisors,
-    factor,
     height,
     integral_basis,
     is_irreducible,
@@ -32,6 +30,7 @@ from drinfeld_orders import (
     validate_weil_necessary,
 )
 import drinfeld_orders.cubic as cubic_module
+import drinfeld_orders.factor as factor_module
 from drinfeld_orders.cubic import (
     _check_at_infinity,
     _check_unique_local_zero,
@@ -39,7 +38,7 @@ from drinfeld_orders.cubic import (
     _residue_pattern,
 )
 from drinfeld_orders.cli import load_config
-from drinfeld_orders.factor import make_extension_field
+from drinfeld_orders.factor import factor, make_extension_field
 from drinfeld_orders.gf import ExtensionField
 from drinfeld_orders.poly import polys_below_degree, valuation
 
@@ -56,9 +55,6 @@ from oracles import (
     root_in_a_oracle,
     trace_form_discriminant,
 )
-
-# the module, not the function the package exports under its name
-factor_module = importlib.import_module("drinfeld_orders.factor")
 
 
 def test_validate_worked_example(example_weil):
@@ -376,14 +372,14 @@ def _residual_verdict(W, built):
     F, pv, k = W.field, W.pv, W.m // 3
     n = k * pv.degree
     r = Poly(F, (W.mu, W.a2.coeff(2 * n), W.a1.coeff(n), F.one))
-    at_infinity = factor(r).factors
+    at_infinity = factor(r)
     residual = [W.a0.exact_div(pv**W.m), W.a2.exact_div(pv ** (2 * k)), W.a1.exact_div(pv**k)]
     _, at_v = residue_factor(residual + [Poly.one(F)], pv)
     if len(at_infinity) > 1:
         want = "the residual polynomial at infinity splits"
     elif at_infinity[0][0].degree == 1:
         want = oracle_verdict(W)
-    elif len(at_v.factors) > 1:
+    elif len(at_v) > 1:
         want = "the supersingular residual polynomial splits"
     else:
         want = None
@@ -503,7 +499,7 @@ def test_standard_form_strips_content(f5):
     assert sf.c2 * s**3 == sf.b2
     # standardness: no prime divides c1 twice and c2 three times
     common = poly_gcd(sf.c1, sf.c2)
-    for prime in [p for p, _ in __import__("drinfeld_orders").factor(common).factors]:
+    for prime in [p for p, _ in factor(common)]:
         assert valuation(sf.c1, prime) < 2 or valuation(sf.c2, prime) < 3
 
 
@@ -517,14 +513,12 @@ def test_field_discriminant_worked_example(example_analysis):
 
 def test_field_discriminant_squarefree_disc(f5):
     # any instance whose disc(M0) is square-free has delta = disc(M0)
-    from drinfeld_orders import squarefree_decompose
-
     T = Poly.x(f5)
     # x^3 + x + T: disc(M0) = -4 - 27 T^2 = 3(T^2 + 2), square-free
     W = WeilCubic(field=f5, a1=Poly.zero(f5), a2=Poly.one(f5), mu=f5.element(1), pv=T, m=1)
     sf = standard_form(W)
     decomp = squarefree_decompose(sf.disc_m0)
-    assert all(m == 1 for _, m in decomp.parts)
+    assert all(m == 1 for _, m in decomp)
     delta = maximal_order_data(sf).delta
     assert delta == sf.disc_m0.monic()
 
@@ -534,9 +528,7 @@ def test_field_discriminant_valuation_two_case(instance_pool):
     hit = 0
     for analysis in instance_pool:
         sf, mo = analysis.sf, analysis.mo
-        from drinfeld_orders import factor
-
-        for prime, _ in factor(sf.disc_m0).factors:
+        for prime, _ in factor(sf.disc_m0):
             v1 = None if sf.c1.is_zero else valuation(sf.c1, prime)
             v2 = valuation(sf.c2, prime)
             if (v1 is None or v1 >= v2) and v2 >= 1:
@@ -565,7 +557,7 @@ def test_index_against_divisor_search(instance_pool):
         sf, mo = analysis.sf, analysis.mo
         target = sf.disc_m0.monic()
         hits = [
-            d for d in divisors(target.field, factor(target).factors)
+            d for d in divisors(target.field, factor(target))
             if d * d * mo.delta == target
         ]
         assert hits == [mo.index]
@@ -636,11 +628,11 @@ def test_integral_basis_lifting_path_matches_exhaustive(instance_pool):
         sf, I = analysis.sf, analysis.mo.index
         if I.degree < 1:
             continue
-        assert integral_basis(sf, I, factor(I).factors) == integral_basis_oracle(sf, I)
+        assert integral_basis(sf, I, factor(I)) == integral_basis_oracle(sf, I)
         checked += 1
-        if len(factor(I).factors) > 1:
+        if len(factor(I)) > 1:
             multi_prime += 1
-        if any(not sf.c1 % prime for prime, _ in factor(I).factors):
+        if any(not sf.c1 % prime for prime, _ in factor(I)):
             prime_divides_c1 += 1
     assert checked >= 5
     assert multi_prime >= 1
@@ -779,7 +771,7 @@ def test_delta_matches_squarefree_shape_and_trace_form(instance_pool):
 def test_index_factors_are_the_factorisation_of_i(instance_pool):
     for analysis in instance_pool:
         mo = analysis.mo
-        assert mo.index_factors == factor(mo.index).factors
+        assert mo.index_factors == factor(mo.index)
 
 
 @pytest.mark.parametrize("v", [1, 3])
@@ -803,7 +795,7 @@ def test_square_cube_content_in_standard_form_raises(f5, c1_exp):
     c2 = T**3
     disc_m0 = (c1**3).scale_int(-4) + (c2 * c2).scale_int(-27)
     sf = SimpleNamespace(
-        c1=c1, c2=c2, disc_m0=disc_m0, disc_m0_factors=factor(disc_m0).factors
+        c1=c1, c2=c2, disc_m0=disc_m0, disc_m0_factors=factor(disc_m0)
     )
     with pytest.raises(InternalInconsistencyError, match="square/cube content"):
         maximal_order_data(sf)
@@ -836,7 +828,7 @@ def test_content_and_disc_m0_primes_match_oracle(instance_pool):
     simple_prime_of_g = delta_square = no_repeated_part = 0
     for sf in sfs:
         assert sf.g == content_oracle(sf.b1, sf.b2)
-        assert sf.g_factors == factor(sf.g).factors
+        assert sf.g_factors == factor(sf.g)
         entries = [entry for entry, _ in sf.disc_m0_factors]
         d0 = Poly.one(sf.g.field)
         for entry, k in sf.disc_m0_factors:
@@ -848,10 +840,10 @@ def test_content_and_disc_m0_primes_match_oracle(instance_pool):
         split = [
             (prime, k * e)
             for entry, k in sf.disc_m0_factors
-            for prime, e in factor(entry).factors
+            for prime, e in factor(entry)
         ]
         assert sorted(split, key=lambda t: t[0].sort_key()) == list(
-            factor(sf.disc_m0).factors
+            factor(sf.disc_m0)
         )
         delta = maximal_order_data(sf).delta
         assert delta == field_discriminant_oracle(sf)
@@ -859,9 +851,9 @@ def test_content_and_disc_m0_primes_match_oracle(instance_pool):
             k == 1 and not poly_gcd(entry, sf.g).is_one
             for entry, k in sf.disc_m0_factors
         )
-        delta_square += any(m == 2 for _, m in squarefree_decompose(delta).parts)
+        delta_square += any(m == 2 for _, m in squarefree_decompose(delta))
         d = sf.g**6 * sf.disc_m0
-        no_repeated_part += all(m == 1 for _, m in squarefree_decompose(d).parts)
+        no_repeated_part += all(m == 1 for _, m in squarefree_decompose(d))
     assert simple_prime_of_g and delta_square and no_repeated_part
     T = Poly.x(PrimeField(5))
     assert sfs[-1].g == T**5 and sfs[-1].disc_m0_factors == ()
@@ -1036,8 +1028,6 @@ def test_standard_form_takes_disc_m0_once(monkeypatch, instance_pool):
 def test_pv_tested_for_irreducibility_once_per_class(f5, monkeypatch):
     # h = 2 and deg pv = 2
     W = height_two_quadratic_pv(f5)
-    # the package exports a function named factor, so import the module by path
-    factor_module = importlib.import_module("drinfeld_orders.factor")
     calls = []
     original = factor_module.is_irreducible
 
@@ -1077,7 +1067,7 @@ def test_box_f5_cube_against_independent_oracles():
         key = (a1.coeff(n // 3), a2.coeff(2 * n // 3), mu)
         if key not in distinct:
             r = Poly(F, (F.element(mu), key[1], key[0], F.one))
-            distinct[key] = len(factor(r).factors)
+            distinct[key] = len(factor(r))
         in_bounds = 3 * a1.degree <= n and 3 * a2.degree <= 2 * n
         try:
             validate_weil_necessary(W)

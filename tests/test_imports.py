@@ -11,16 +11,21 @@ calling it, so a private definition its own module never names is dead.  A
 public definition that only its own body, the tests or the exports name is
 dead too: code that only tests use lives in ``tests/``.  The one exemption
 is a function the benchmark's tracer wraps, named there by a dotted path.
+No name in ``__init__.py`` is the stem of a module of the package, so
+``import drinfeld_orders.<module> as m`` always gives the module.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import types
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import drinfeld_orders
 from drinfeld_orders.gf import ExtensionField, FiniteField, PrimeField
 
 REPO = Path(__file__).resolve().parent.parent
@@ -182,6 +187,22 @@ def test_detects_an_unreferenced_public_def():
     assert unreferenced_public_defs(library, traced_names(tracer)) == [
         ("lib.py", 1, "dead"), ("lib.py", 5, "recursive"), ("lib.py", 8, "div")
     ]
+
+
+def test_no_export_shadows_a_submodule():
+    # ``import drinfeld_orders.factor as m`` binds the package's attribute
+    # ``factor``, which an export of that name would replace
+    exports = names_in(ast.parse((PACKAGE / "__init__.py").read_text()))
+    assert set(exports) & {path.stem for path in MODULES} == set()
+
+
+def test_every_module_imports_as_itself():
+    import drinfeld_orders.factor as m
+
+    assert isinstance(m, types.ModuleType)
+    for path in MODULES:
+        module = importlib.import_module(f"drinfeld_orders.{path.stem}")
+        assert getattr(drinfeld_orders, path.stem) is module, path.stem
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

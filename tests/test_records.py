@@ -16,8 +16,6 @@ from drinfeld_orders import (
     OrderHNF,
     Poly,
     analyze_weil_class,
-    factor,
-    squarefree_decompose,
 )
 from drinfeld_orders.cli import Identification, load_config
 
@@ -53,7 +51,6 @@ def test_equal_order_triples_are_equal_and_hash_equal(f5):
 
 def all_records(f5):
     analysis = analyze_weil_class(paper_weil(f5))
-    f = int_poly(f5, [1, 0, 1]) * int_poly(f5, [1, 1]) ** 2
     one = Poly.one(f5)
     order = analysis.orders[0].order
     return [
@@ -62,8 +59,6 @@ def all_records(f5):
         analysis.local,
         analysis.sf,
         analysis.mo,
-        squarefree_decompose(f),
-        factor(f),
         order,
         analysis.orders[0],
         analysis,
@@ -74,7 +69,7 @@ def all_records(f5):
 
 def test_every_field_of_every_record_refuses_assignment(f5):
     records = all_records(f5)
-    assert len({type(r).__name__ for r in records}) == 12
+    assert len({type(r).__name__ for r in records}) == 10
     for record in records:
         assert repr(record).startswith(f"{type(record).__name__}({record._fields[0]}=")
         for name in record._fields:

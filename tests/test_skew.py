@@ -88,7 +88,7 @@ def test_mul_identity_and_degree(skew_ring):
     for _ in range(30):
         u = rand_skew(skew_ring, 4, rng)
         v = rand_skew(skew_ring, 3, rng)
-        assert u * one == u and one * u == u
+        assert (u * one).coeffs == u.coeffs and (one * u).coeffs == u.coeffs
         if u.is_zero or v.is_zero:
             assert (u * v).is_zero
         else:
@@ -101,8 +101,8 @@ def test_mul_associative_distributive(skew_ring):
         u = rand_skew(skew_ring, 3, rng)
         v = rand_skew(skew_ring, 3, rng)
         w = rand_skew(skew_ring, 3, rng)
-        assert (u * v) * w == u * (v * w)
-        assert u * skew_sum(v, w) == skew_sum(u * v, u * w)
+        assert ((u * v) * w).coeffs == (u * (v * w)).coeffs
+        assert (u * skew_sum(v, w)).coeffs == skew_sum(u * v, u * w).coeffs
 
 
 def test_noncommutativity_detected(skew_ring):
@@ -116,9 +116,9 @@ def test_noncommutativity_detected(skew_ring):
         left = skew_sum(tau, one) * skew_sum(tau, cpoly)
         right = skew_sum(tau, cpoly) * skew_sum(tau, one)
         if L.pow(c, skew_ring.q) == c:
-            assert left == right
+            assert left.coeffs == right.coeffs
         else:
-            assert left != right
+            assert left.coeffs != right.coeffs
 
 
 def test_right_divmod_roundtrip(skew_ring):
@@ -129,7 +129,7 @@ def test_right_divmod_roundtrip(skew_ring):
         if d.is_zero:
             continue
         q, r = n.right_divmod(d)
-        assert skew_sum(q * d, r) == n
+        assert skew_sum(q * d, r).coeffs == n.coeffs
         assert r.degree < d.degree
 
 
@@ -139,10 +139,10 @@ def test_right_divmod_trivial_cases(skew_ring):
     d = rand_skew(skew_ring, 2, rng)
     n = w * d
     q, r = n.right_divmod(d)
-    assert r.is_zero and q == w
+    assert r.is_zero and q.coeffs == w.coeffs
     short = rand_skew(skew_ring, 1, rng)
     q, r = short.right_divmod(d)
-    assert q.is_zero and r == short
+    assert q.is_zero and r.coeffs == short.coeffs
     with pytest.raises(DomainError):
         w.right_divmod(skew_ring.poly([]))
 
@@ -157,7 +157,7 @@ def test_right_divmod_uniqueness(skew_ring):
     r1 = rand_skew(skew_ring, 1, rng)
     n = skew_sum(q1 * d, r1)
     q2, r2 = n.right_divmod(d)
-    assert q2 == q1 and r2 == r1
+    assert q2.coeffs == q1.coeffs and r2.coeffs == r1.coeffs
 
 
 def test_skew_arithmetic_over_tower():
@@ -180,11 +180,11 @@ def test_skew_arithmetic_over_tower():
         u = rand_skew(ring, 3, rng)
         v = rand_skew(ring, 3, rng)
         t = rand_skew(ring, 2, rng)
-        assert (u * v) * t == u * (v * t)
+        assert ((u * v) * t).coeffs == (u * (v * t)).coeffs
         if t.is_zero:
             continue
         q, r = skew_sum(u * v, t).right_divmod(t)
-        assert skew_sum(q * t, r) == skew_sum(u * v, t)
+        assert skew_sum(q * t, r).coeffs == skew_sum(u * v, t).coeffs
         assert r.degree < t.degree
 
 
@@ -194,9 +194,10 @@ def test_phi_homomorphism(module_phi, f5):
     for _ in range(15):
         a = Poly(f5, [f5.element(rng.randrange(5)) for _ in range(3)])
         b = Poly(f5, [f5.element(rng.randrange(5)) for _ in range(3)])
-        assert module_phi.phi(a + b) == skew_sum(module_phi.phi(a), module_phi.phi(b))
-        assert module_phi.phi(a * b) == module_phi.phi(a) * module_phi.phi(b)
-    assert module_phi.phi(T * T) == module_phi.phi(T) * module_phi.phi(T)
+        sum_ab = skew_sum(module_phi.phi(a), module_phi.phi(b))
+        assert module_phi.phi(a + b).coeffs == sum_ab.coeffs
+        assert module_phi.phi(a * b).coeffs == (module_phi.phi(a) * module_phi.phi(b)).coeffs
+    assert module_phi.phi(T * T).coeffs == (module_phi.phi(T) * module_phi.phi(T)).coeffs
 
 
 def test_phi_scalars_and_degree_law(module_phi, f5):
@@ -217,7 +218,8 @@ def test_phi_shift_rule(module_phi, f5):
     # phi_{T+2} = phi_T + 2
     T = Poly.x(f5)
     two = const_poly(f5, f5.element(2))
-    assert module_phi.phi(T + two) == skew_sum(module_phi.phi(T), module_phi.phi(two))
+    want = skew_sum(module_phi.phi(T), module_phi.phi(two))
+    assert module_phi.phi(T + two).coeffs == want.coeffs
 
 
 def test_frobenius_is_central(module_phi, skew_ring):
@@ -226,8 +228,8 @@ def test_frobenius_is_central(module_phi, skew_ring):
     rng = random.Random(19)
     for _ in range(20):
         u = rand_skew(skew_ring, 4, rng)
-        assert pi * u == u * pi
-    assert pi * module_phi.phi_t == module_phi.phi_t * pi
+        assert commutes_with(pi, u)
+    assert commutes_with(pi, module_phi.phi_t)
 
 
 def test_weil_action_worked_example(module_phi, example_weil):
@@ -338,7 +340,7 @@ def test_membership_frobenius_always(module_phi, module_psi_star, f5):
     pi_elem = KElem.make(zero, one, zero, one)
     for D in (module_phi, module_psi_star):
         w = element_membership(D, pi_elem)
-        assert w == frobenius(D)
+        assert w.coeffs == frobenius(D).coeffs
 
 
 def test_identify_worked_example(module_phi, module_psi_star, example_analysis):
@@ -621,7 +623,7 @@ def test_kernel_right_divmod_round_trips(case, monkeypatch):
             assert back == n.coeffs
         w = polys[-1]
         q, r = ring.poly(skew_mul_oracle(L, w.coeffs, d.coeffs)).right_divmod(d)
-        assert q == w and r.is_zero
+        assert q.coeffs == w.coeffs and r.is_zero
 
 
 @pytest.mark.parametrize("case", KERNEL_CASES, ids=kernel_id)
@@ -683,7 +685,7 @@ def test_packed_skew_arithmetic_makes_no_field_product(monkeypatch):
     assert calls[0] == 0
     monkeypatch.undo()
     assert w.coeffs == skew_mul_oracle(L, u.coeffs, v.coeffs)
-    assert quo == u and rem.is_zero
+    assert quo.coeffs == u.coeffs and rem.is_zero
     assert phi_a.coeffs == phi_horner_oracle(D, a)
 
 
@@ -730,8 +732,8 @@ def test_packed_sums_stay_within_the_digit_bound(name, monkeypatch):
     assert max(seen) <= 2 * n * e * (p - 1) ** 2
     monkeypatch.undo()
     assert prod.coeffs == skew_mul_oracle(L, top.coeffs, top.coeffs)
-    assert quo == top and rem.is_zero
-    assert quo1 == ones and rem1.is_zero
+    assert quo.coeffs == top.coeffs and rem.is_zero
+    assert quo1.coeffs == ones.coeffs and rem1.is_zero
     assert phi_a.coeffs == phi_horner_oracle(D, a)
 
 
