@@ -27,16 +27,11 @@ from .cubic import (
     validate_weil_necessary,
 )
 from .errors import (
-    BadConstantTermError,
     CandidateBoundExceededError,
-    Char2UnsupportedError,
-    Char3UnsupportedError,
     ConfigError,
     DomainError,
     DrinfeldOrdersError,
     InternalInconsistencyError,
-    NoCandidateError,
-    NoSolutionError,
     NotWeilAtVError,
     ReducibleError,
     WeilValidationError,

@@ -257,10 +257,10 @@ def resolve_candidate_bound(cfg: ProblemConfig, flag: Optional[int]) -> int:
 class Identification(NamedTuple):
     """One module's verdict; in the class, End(phi) as a position in the
     class's accepted orders and the survey it was read off, both aligned
-    with ``ClassAnalysis.orders``."""
+    with ``ClassAnalysis.orders``.  The module is in the class exactly when
+    ``end`` is set."""
 
     module: str
-    in_class: bool
     end: Optional[int] = None  # End(phi) is analysis.orders[end]
     survey: Sequence = ()  # a generator verdict pair per accepted order
     rank_mismatch: bool = False  # phi_T is not of tau-degree 3
@@ -273,12 +273,12 @@ def identify_module(ring: SkewRing, name: str, phi_t, analysis: ClassAnalysis) -
     try:
         module = DrinfeldModule(ring, ring.poly(phi_t))
     except DomainError:  # phi_T is not of tau-degree 3
-        return Identification(name, False, rank_mismatch=True)
+        return Identification(name, rank_mismatch=True)
     if not verify_weil_action(module, analysis.weil):
-        return Identification(name, False)
+        return Identification(name)
     orders = [rep.order for rep in analysis.orders]
     survey = survey_candidates(module, orders, analysis.sf, analysis.mo)
-    return Identification(name, True, identify_endo_ring(survey), survey)
+    return Identification(name, identify_endo_ring(survey), survey)
 
 
 # -- reports -----------------------------------------------------------------
@@ -359,10 +359,10 @@ def build_report(analysis: ClassAnalysis, identifications) -> str:
     idents = []
     for ident in identifications:
         members = [
-            f'"in_class": {JSON_BOOL[ident.in_class]}',
+            f'"in_class": {JSON_BOOL[ident.end is not None]}',
             f'"module": {encode_basestring_ascii(ident.module)}',
         ]
-        if ident.in_class:
+        if ident.end is not None:
             rows = [
                 _block("{}", [
                     '"generators": ' + _block("[]", [JSON_BOOL[v] for v in verdicts], I5),
@@ -401,7 +401,7 @@ def build_report(analysis: ClassAnalysis, identifications) -> str:
 
 def _ident_line(ident: Identification, analysis: ClassAnalysis, labels: list) -> str:
     """One module's verdict, as ``analyze`` prints it after the module name."""
-    if not ident.in_class:
+    if ident.end is None:
         return "in class: no"
     a, b, c = (f.to_str() for f in analysis.orders[ident.end].order)
     return f"in class: yes; End = {labels[ident.end]}({a},{b},{c})"

@@ -46,12 +46,8 @@ from __future__ import annotations
 from typing import NamedTuple, Tuple
 
 from .errors import (
-    BadConstantTermError,
-    Char2UnsupportedError,
-    Char3UnsupportedError,
     DomainError,
     InternalInconsistencyError,
-    NoSolutionError,
     NotWeilAtVError,
     ReducibleError,
     WeilValidationError,
@@ -255,16 +251,14 @@ def validate_weil_necessary(W: WeilCubic) -> LocalData:
     """Check the necessary conditions for W to define an isogeny class, at
     infinity first, and return the local data at v."""
     F = W.field
-    if F.p == 3:
-        raise Char3UnsupportedError("characteristic 3 is not supported")
-    if F.p == 2:
-        raise Char2UnsupportedError("characteristic 2 is not supported")
+    if F.p in (2, 3):
+        raise WeilValidationError(f"characteristic {F.p} is not supported")
     if W.mu == F.zero:
-        raise BadConstantTermError("mu must be a nonzero field element")
+        raise WeilValidationError("mu must be a nonzero field element")
     if W.m < 1:
-        raise BadConstantTermError("m must be a positive integer")
+        raise WeilValidationError("m must be a positive integer")
     if not W.pv.is_monic or W.pv.degree < 1 or not is_irreducible(W.pv):
-        raise BadConstantTermError("pv must be monic irreducible of degree >= 1")
+        raise WeilValidationError("pv must be monic irreducible of degree >= 1")
     _check_at_infinity(W)
     h = height(W)
     _check_unique_local_zero(W, h)
@@ -281,10 +275,8 @@ def standard_form(W: WeilCubic) -> StandardForm:
     v - 6 v_P(g).  The part of multiplicity 1 divides disc(M0) once and
     is kept whole."""
     F = W.field
-    if F.p == 3:
-        raise Char3UnsupportedError("characteristic 3 is not supported")
-    if F.p == 2:
-        raise Char2UnsupportedError("characteristic 2 is not supported")
+    if F.p in (2, 3):
+        raise WeilValidationError(f"characteristic {F.p} is not supported")
     t, b1, b2 = _depressed(W)
     if b2.is_zero:
         raise InternalInconsistencyError(
@@ -354,7 +346,7 @@ def integral_basis(sf: StandardForm, I: Poly, index_factors) -> Tuple[Poly, Poly
         u = Poly(F, inverse_mod(F, (c1.scale_int(2) % I1).coeffs, I1.coeffs))
     beta2 = (c2 * u).scale_int(-3) % I
     if ((beta2 * beta2).scale_int(3) + c1) % I or (beta2**3 + c1 * beta2 + c2) % (I * I):
-        raise NoSolutionError(
+        raise InternalInconsistencyError(
             f"no integral-basis residue mod {I.to_str()}; the index is "
             "inconsistent with the standard form"
         )

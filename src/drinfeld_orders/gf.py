@@ -10,7 +10,7 @@ be used as dict keys without wrapping.
 
 Towers nest two levels deep: F_9 = F_3[y]/(y^2+1) has int coefficients, and
 the field L = F_q[z]/(f) of the modules, built over an extension F_q, has
-tuple coefficients; the base of an extension is F_p or an extension of F_p.
+tuple coefficients; an extension's base is F_p or of degree >= 2 over F_p.
 Field equality is structural, so the same tower built twice compares equal.
 
 Constructors here check only shape: primality, and a modulus monic of
@@ -516,8 +516,8 @@ class ExtensionField(FiniteField):
         e = len(modulus) - 1
         if e < 1 or modulus[-1] != base.one:
             raise DomainError("extension modulus must be monic of degree >= 1")
-        if isinstance(base, ExtensionField) and not isinstance(base.base, PrimeField):
-            raise DomainError("the base of an extension must be F_p or an extension of F_p")
+        if isinstance(base, ExtensionField) and (base.e < 2 or not isinstance(base.base, PrimeField)):
+            raise DomainError("an extension's base must be F_p or of degree >= 2 over F_p")
         self.base = base
         self.modulus = modulus
         self.e = e

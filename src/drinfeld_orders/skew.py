@@ -64,7 +64,7 @@ from operator import add, mul
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .cubic import MaximalOrderData, StandardForm, WeilCubic
-from .errors import DomainError, NoCandidateError
+from .errors import DomainError, InternalInconsistencyError
 from .gf import ExtensionField, Packing, inverse_mod, is_prime, power_ladder
 from .orders import OrderHNF
 from .poly import Poly, poly_gcd
@@ -395,7 +395,7 @@ def identify_endo_ring(survey: Sequence[Tuple[bool, bool]]) -> int:
     for i, verdicts in enumerate(survey):
         if all(verdicts):
             return i
-    raise NoCandidateError(
+    raise InternalInconsistencyError(
         "no accepted order realises the module's endomorphisms; inputs are "
         "inconsistent"
     )

@@ -1089,8 +1089,8 @@ def report_oracle(analysis: ClassAnalysis, identifications) -> dict:
     ]
     idents = []
     for ident in identifications:
-        entry = {"module": ident.module, "in_class": ident.in_class}
-        if ident.in_class:
+        entry = {"module": ident.module, "in_class": ident.end is not None}
+        if ident.end is not None:
             entry["order"] = entries[analysis.orders[ident.end].order]
             entry["survey"] = [
                 {"order": entries[rep.order], "generators": verdicts}

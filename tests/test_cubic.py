@@ -8,10 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from drinfeld_orders import (
-    BadConstantTermError,
-    Char3UnsupportedError,
     InternalInconsistencyError,
-    NoSolutionError,
     NotWeilAtVError,
     Poly,
     PrimeField,
@@ -257,21 +254,23 @@ def test_validate_rejects_char3():
     F3 = PrimeField(3)
     T = Poly.x(F3)
     W = WeilCubic(field=F3, a1=T, a2=T, mu=F3.element(1), pv=T, m=1)
-    with pytest.raises(Char3UnsupportedError):
+    with pytest.raises(WeilValidationError, match="^characteristic 3 is not supported$"):
         validate_weil_necessary(W)
 
 
 def test_validate_rejects_bad_constant_data(f5):
     T = Poly.x(f5)
-    with pytest.raises(BadConstantTermError):
+    with pytest.raises(WeilValidationError, match="^mu must be a nonzero field element$"):
         validate_weil_necessary(
             WeilCubic(field=f5, a1=T, a2=T, mu=f5.zero, pv=T, m=1)
         )
-    with pytest.raises(BadConstantTermError):
+    with pytest.raises(WeilValidationError, match="^m must be a positive integer$"):
         validate_weil_necessary(
             WeilCubic(field=f5, a1=T, a2=T, mu=f5.one, pv=T, m=0)
         )
-    with pytest.raises(BadConstantTermError):
+    with pytest.raises(
+        WeilValidationError, match="^pv must be monic irreducible of degree >= 1$"
+    ):
         validate_weil_necessary(
             WeilCubic(field=f5, a1=T, a2=T, mu=f5.one, pv=T * T, m=1)
         )
@@ -578,7 +577,10 @@ def test_integral_basis_trivial_when_index_one(f5):
     assert alpha2.is_zero and beta2.is_zero
     # T divides disc(M0) = -4T^3 - 27T^2 but not the index: no residue of
     # beta2 mod T meets both congruences
-    with pytest.raises(NoSolutionError):
+    message = (
+        "^no integral-basis residue mod T; the index is inconsistent with the standard form$"
+    )
+    with pytest.raises(InternalInconsistencyError, match=message):
         integral_basis(sf, T, ((T, 1),))
 
 

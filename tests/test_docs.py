@@ -1,7 +1,8 @@
 """The README stays in step with the code it documents: its config example
 is the shipped example config, its exit-code table lists every row of
-``cli.EXITS`` with that row's code and stderr prefix, and every dotted name
-in its library layout table exists in the package."""
+``cli.EXITS`` with that row's code and stderr prefix and names each class
+of ``drinfeld_orders.errors`` once and no other error, and every dotted
+name in its library layout table exists in the package."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from drinfeld_orders import errors
 from drinfeld_orders.cli import EXITS
 
 REPO = Path(__file__).resolve().parent.parent
@@ -36,6 +38,17 @@ def test_readme_exit_table_lists_each_exit(error, code, prefix):
         and cells[1].strip() == str(code)
         and cells[2].strip() == f"`{prefix}:`"
     ]
+
+
+def test_readme_exit_table_names_each_error_class_once():
+    # a class added to or removed from errors.py cannot go unnoticed here
+    table = README.split("| error | exit | stderr |", 1)[1].split("\n\n", 1)[0]
+    defined = [
+        name
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type) and obj.__module__ == errors.__name__
+    ]
+    assert defined and sorted(re.findall(r"`(\w+Error)`", table)) == sorted(defined)
 
 
 def _bound_here(node):

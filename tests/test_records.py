@@ -63,7 +63,7 @@ def all_records(f5):
         analysis.orders[0],
         analysis,
         KElem.make(one, one, one, one),
-        Identification("phi", True, 0, [(True, True)]),
+        Identification("phi", 0, [(True, True)]),
     ]
 
 

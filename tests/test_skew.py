@@ -8,10 +8,10 @@ import pytest
 from drinfeld_orders import (
     DomainError,
     DrinfeldModule,
+    InternalInconsistencyError,
     WeilValidationError,
     analyze_weil_class,
     KElem,
-    NoCandidateError,
     Poly,
     PrimeField,
     element_membership,
@@ -188,6 +188,23 @@ def test_skew_arithmetic_over_tower():
         assert r.degree < t.degree
 
 
+def test_l_over_a_degree_1_extension_or_a_third_level_is_refused():
+    # the elements of F_5[y]/(y + 2) are 1-tuples, while the packed
+    # arithmetic of L{tau} reads a base of degree 1 as F_5 with int
+    # elements; such a base, or a base that is itself over an extension,
+    # is refused when L is built, before a ring packs anything
+    F5 = PrimeField(5)
+    F25 = make_extension_field(F5, int_poly(F5, [2, 0, 1]))
+    w = F25.generator()
+    F625 = make_extension_field(F25, Poly(F25, (F25.neg(w), F25.zero, F25.one)))
+    for base in (make_extension_field(F5, int_poly(F5, [2, 1])), F625):
+        modulus = (base.embed(base.base.element(3)),) * 2 + (base.zero, base.one)
+        with pytest.raises(
+            DomainError, match="^an extension's base must be F_p or of degree >= 2 over F_p$"
+        ):
+            SkewRing(ExtensionField(base, modulus))
+
+
 def test_phi_homomorphism(module_phi, f5):
     rng = random.Random(13)
     T = Poly.x(f5)
@@ -327,10 +344,10 @@ def test_identify_single_candidate(module_phi, example_analysis):
 
 
 def test_identify_without_all_member_row_raises():
-    message = "no accepted order realises the module's endomorphisms"
-    with pytest.raises(NoCandidateError, match=message):
+    message = "^no accepted order realises the module's endomorphisms; inputs are inconsistent$"
+    with pytest.raises(InternalInconsistencyError, match=message):
         identify_endo_ring([(True, False), (False, True)])
-    with pytest.raises(NoCandidateError, match=message):
+    with pytest.raises(InternalInconsistencyError, match=message):
         identify_endo_ring([])
 
 
