@@ -2,25 +2,27 @@
 
 The isogeny class is described by a monic cubic M(x) = x^3 + a1*x^2 +
 a2*x + mu*pv^m over A = F_q[T] whose constant term is a unit times a
-power of the characteristic prime pv.  This module validates that data,
-computes the height h and residue splitting at v, produces the depressed
-standard form x^3 + c1*x + c2, and from it the maximal-order data.
+power of the characteristic prime pv.  This module validates that data
+with one routine per place, at infinity and at v (which gives the height h
+and the residue splitting), produces the depressed standard form
+x^3 + c1*x + c2, and from it the maximal-order data.
 
 The place infinity is checked first: every root of M has degree n/3, n =
 m deg pv, which bounds deg a1 and deg a2, and when 3 | n the residual
-cubic at infinity over F_q must not split.  The height, the Newton polygon
-at v and the residue splitting, read from M = x^h * R(x) mod pv, are then
-closed forms; only the quadratic R of height 1 needs a square test, by
-Euler's criterion mod pv in A itself.  Given the bounds, a supersingular
-shape with 3 | m is M(x) = pv^m r(x / pv^k) for the residual r at
-infinity, so no residue field is built.  The standard form factors only
-the repeated part of disc(M) = g^6 disc(M0), the only factorisations of
-the class, and reads off the primes of the content g and of the repeated
-part of disc(M0); a prime dividing disc(M) once divides Delta once and
-neither g nor I, so the part of multiplicity 1 is kept whole.
-For each prime P of disc(M0) the valuation criterion fixes v_P(Delta) in
-{0, 1, 2}, the index I has v_P(I) = (v_P(disc(M0)) - v_P(Delta)) / 2, and
-the integral-basis parameters (alpha2, beta2) with
+cubic at infinity over F_q must not split.  The routine at v branches once
+on h, read from M = x^h * R(x) mod pv: its checks and the residue
+splitting are closed forms but for one square test (of disc(M) for h = 2,
+of the quadratic R for h = 1), by Euler's criterion mod pv in A itself.
+Given the bounds, a supersingular shape with 3 | m is M(x) =
+pv^m r(x / pv^k) for the residual r at infinity, so no residue field is
+built.  The standard form factors only the repeated part of disc(M) =
+g^6 disc(M0), the only factorisations of the class, and reads off the
+primes of the content g and of the repeated part of disc(M0); a prime
+dividing disc(M) once divides Delta once and neither g nor I, so the part
+of multiplicity 1 is kept whole.  For each prime P of disc(M0) the
+valuation criterion fixes v_P(Delta) in {0, 1, 2}, the index I has
+v_P(I) = (v_P(disc(M0)) - v_P(Delta)) / 2, and the integral-basis
+parameters (alpha2, beta2) with
 
     omega2 = (alpha2 + beta2*pi~ + pi~^2) / I
 
@@ -187,64 +189,50 @@ def _is_square_mod(f: Poly, pv: Poly) -> bool:
     return f.is_zero or f.pow_mod((f.field.q**pv.degree - 1) // 2, pv).is_one
 
 
-def _check_unique_local_zero(W: WeilCubic, h: int) -> None:
-    """Reject shapes where more than one v-adic factor of M has constant
-    term divisible by pv.  Relies on the bounds at infinity, which
+def _local_at_v(W: WeilCubic) -> LocalData:
+    """The height h, the check that one v-adic factor of M carries the zero
+    of the Frobenius, and the sorted (degree, multiplicity) shape of M mod
+    pv over F_q[T]/(pv).  Relies on the bounds at infinity, which
     ``validate_weil_necessary``, the only caller, checks first.
 
-    For h = 1 the condition always holds: the single positive-valuation
-    root sits in its own factor and the remaining constant terms are
-    units.  For h = 2 the two positive-valuation roots must be conjugate,
-    which (characteristic not 2) holds iff disc(M) is a non-square in the
-    completion (disc(M) is that of the depressed cubic), decided exactly.
-    For h = 3 the Newton polygon must be a single segment from (0, m) to
-    (3, 0), i.e. pv^ceil(2m/3) | a2 and pv^ceil(m/3) | a1.  When 3 | m, say
-    m = 3k, the bounds at infinity leave a1 = s2 pv^k and a2 = s1 pv^2k with
-    s1, s2 in F_q, so M(x) = pv^m r(x / pv^k) for the residual r at
-    infinity, which does not split there.  Nor is r = (x + a)^3, for M would
-    be the cube of x + a pv^k, whose root the test at infinity rejects; so r
-    is irreducible over F_q, and it splits over F_q[T]/(pv) iff 3 | deg pv.
+    M = x^h * Q(x) mod pv with deg Q = 3 - h and Q(0) != 0, so x^h gives
+    (1, h).  For h = 1 the one positive-valuation root sits in its own
+    factor, so nothing is checked, and Q = x^2 + a1 x + a2 has a double
+    root, two roots or none by its discriminant.  For h = 2 the linear Q
+    adds (1, 1), and the two positive-valuation roots must be conjugate:
+    (characteristic not 2) disc(M), that of the depressed cubic, must be a
+    non-square in the completion.  For h = 3 the Newton polygon must be
+    the one segment from (0, m) to (3, 0), i.e. pv^ceil(2m/3) | a2 and
+    pv^ceil(m/3) | a1.  When 3 | m, say m = 3k, the bounds at infinity
+    leave a1 = s2 pv^k and a2 = s1 pv^2k with s1, s2 in F_q, so M(x) =
+    pv^m r(x / pv^k) for the residual r at infinity, which does not split
+    there.  Nor is r = (x + a)^3, for M would be the cube of x + a pv^k,
+    whose root the test at infinity rejects; so r is irreducible over F_q,
+    and it splits over F_q[T]/(pv) iff 3 | deg pv.
     """
+    h = height(W)
+    pv, m = W.pv, W.m
     if h == 1:
-        return
-    pv = W.pv
-    m = W.m
+        disc = (W.a1 * W.a1 - W.a2.scale_int(4)) % pv
+        if disc.is_zero:
+            return LocalData(1, ((1, 1), (1, 2)))
+        if _is_square_mod(disc, pv):
+            return LocalData(1, ((1, 1), (1, 1), (1, 1)))
+        return LocalData(1, ((1, 1), (2, 1)))
     if h == 2:
         d = _depressed_disc(*_depressed(W)[1:])
         v = valuation(d, pv)
-        if v % 2:
-            return
-        if _is_square_mod(d.exact_div(pv**v), pv):
+        if v % 2 == 0 and _is_square_mod(d.exact_div(pv**v), pv):
             raise NotWeilAtVError(
                 "the quadratic v-adic factor above the zero of the "
                 "Frobenius splits"
             )
-        return
-
-    # h == 3: supersingular shape, M must be irreducible over k_v
+        return LocalData(2, ((1, 1), (1, 2)))
     if W.a1 % pv ** -(-m // 3) or W.a2 % pv ** -(-2 * m // 3):
         raise NotWeilAtVError("v-adic zeros with distinct valuations")
     if m % 3 == 0 and pv.degree % 3 == 0:
         raise NotWeilAtVError("the supersingular residual polynomial splits")
-
-
-def _residue_pattern(W: WeilCubic, h: int) -> tuple:
-    """Sorted (degree, multiplicity) shape of M mod pv over F_q[T]/(pv).
-
-    M = x^h * Q(x) mod pv with deg Q = 3 - h and Q(0) != 0, so x^h gives
-    (1, h); for h = 2 the linear Q adds (1, 1), and for h = 1 the quadratic
-    Q = x^2 + a1 x + a2 splits by its discriminant: a double root, two
-    roots, or none."""
-    if h == 3:
-        return ((1, 3),)
-    if h == 2:
-        return ((1, 1), (1, 2))
-    disc = (W.a1 * W.a1 - W.a2.scale_int(4)) % W.pv
-    if disc.is_zero:
-        return ((1, 1), (1, 2))
-    if _is_square_mod(disc, W.pv):
-        return ((1, 1), (1, 1), (1, 1))
-    return ((1, 1), (2, 1))
+    return LocalData(3, ((1, 3),))
 
 
 def validate_weil_necessary(W: WeilCubic) -> LocalData:
@@ -260,9 +248,7 @@ def validate_weil_necessary(W: WeilCubic) -> LocalData:
     if not W.pv.is_monic or W.pv.degree < 1 or not is_irreducible(W.pv):
         raise WeilValidationError("pv must be monic irreducible of degree >= 1")
     _check_at_infinity(W)
-    h = height(W)
-    _check_unique_local_zero(W, h)
-    return LocalData(height=h, residue_pattern=_residue_pattern(W, h))
+    return _local_at_v(W)
 
 
 def standard_form(W: WeilCubic) -> StandardForm:

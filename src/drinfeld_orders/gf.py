@@ -146,14 +146,14 @@ def inverse_mod(B, a, f):
     Computer Algebra*, section 3.2), on B's polynomial kernels, keeping s
     with s*a = r mod f for each remainder r."""
     zero = B.zero
-    r0, r1 = list(f), _trim(a, zero)
+    r0, r1 = list(f), trim(a, zero)
     if not r1:
         raise ZeroDivisionError("inverse of zero")
     s0, s1 = [], [B.one]
     while len(r1) > 1:
         quo, rem = B.poly_divmod(r0, r1)
         qs = B.poly_mul(quo, s1)  # longer than s0: deg s grows each step
-        r0, r1 = r1, _trim(rem, zero)
+        r0, r1 = r1, trim(rem, zero)
         s0, s1 = s1, list(B.vec_sub(s0 + [zero] * (len(qs) - len(s0)), qs))
     if not r1:
         raise ZeroDivisionError(f"{a} is a zero divisor (reducible modulus)")
@@ -258,11 +258,11 @@ class FiniteField:
         Euclid on the remainders alone, with no quotient kept (von zur
         Gathen and Gerhard, *Modern Computer Algebra*, section 3.2)."""
         to, back, zero, mul, div = self._form
-        a, b = _trim(to(a), zero), _trim(to(b), zero)
+        a, b = trim(to(a), zero), trim(to(b), zero)
         if len(a) < len(b):
             a, b = b, a
         while b:
-            a, b = b, _trim(div(self, a, b)[: len(b) - 1], zero)
+            a, b = b, trim(div(self, a, b)[: len(b) - 1], zero)
         if not a:
             raise DomainError("gcd of two zero polynomials")
         lc = back(a[-1:])[0]
@@ -280,7 +280,7 @@ class FiniteField:
         return back(x)
 
 
-def _trim(c, zero):
+def trim(c, zero):
     """c without its trailing zeros."""
     k = len(c)
     while k and c[k - 1] == zero:

@@ -32,19 +32,15 @@ from operator import mul
 from typing import Iterable, Iterator
 
 from .errors import DomainError
-from .gf import FiniteField, elem_str, power_ladder
+from .gf import FiniteField, elem_str, power_ladder, trim
 
 
 class Poly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: FiniteField, coeffs: Iterable):
-        coeffs = list(coeffs)
-        zero = field.zero
-        while coeffs and coeffs[-1] == zero:
-            coeffs.pop()
         self.field = field
-        self.coeffs = tuple(coeffs)
+        self.coeffs = trim(tuple(coeffs), field.zero)
 
     @classmethod
     def _exact(cls, field: FiniteField, coeffs) -> "Poly":

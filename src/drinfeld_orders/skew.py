@@ -50,8 +50,9 @@ whether L is a field (``SkewRing.is_field``, Rabin's criterion), so
 ``survey_candidates`` is the one membership loop: it decides both
 generators of every accepted order and returns the verdict pairs in the
 order given, the accepted orders' canonical order (largest first), and
-``identify_endo_ring`` returns the position of End(phi) among them.  A generator over d = 1 lies in A[pi], which is
-inside End(phi), so only the others go through the right division.
+``identify_endo_ring`` returns the position of End(phi) among them.
+A generator over d = 1 lies in A[pi], which is inside End(phi), so only
+the others go through the right division.
 ``order_generator_kelems`` writes each generator over pi in one step, over
 the common denominator g^2*I of omega1 and omega2, and puts it in lowest
 terms once.
@@ -65,7 +66,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .cubic import MaximalOrderData, StandardForm, WeilCubic
 from .errors import DomainError, InternalInconsistencyError
-from .gf import ExtensionField, Packing, inverse_mod, is_prime, power_ladder
+from .gf import ExtensionField, Packing, inverse_mod, is_prime, power_ladder, trim
 from .orders import OrderHNF
 from .poly import Poly, poly_gcd
 
@@ -167,12 +168,8 @@ class SkewPoly:
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring: SkewRing, coeffs):
-        coeffs = list(coeffs)
-        zero = ring.L.zero
-        while coeffs and coeffs[-1] == zero:
-            coeffs.pop()
         self.ring = ring
-        self.coeffs = tuple(coeffs)
+        self.coeffs = trim(tuple(coeffs), ring.L.zero)
 
     @property
     def degree(self) -> int:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
@@ -28,12 +29,7 @@ from drinfeld_orders import (
 )
 import drinfeld_orders.cubic as cubic_module
 import drinfeld_orders.factor as factor_module
-from drinfeld_orders.cubic import (
-    _check_at_infinity,
-    _check_unique_local_zero,
-    _is_square_mod,
-    _residue_pattern,
-)
+from drinfeld_orders.cubic import _check_at_infinity, _is_square_mod, _local_at_v
 from drinfeld_orders.cli import load_config
 from drinfeld_orders.factor import factor, make_extension_field
 from drinfeld_orders.gf import ExtensionField
@@ -306,7 +302,7 @@ def test_height_characterisation(instance_pool):
 def test_newton_polygon_closed_form_matches_hull(f5):
     # h = 3 with pv = T: "distinct valuations" is raised exactly when the
     # lower hull of (0, m), (1, v(a2)), (2, v(a1)), (3, 0) has a break.
-    # _check_unique_local_zero relies on the degree bounds at infinity
+    # _local_at_v relies on the degree bounds at infinity
     # (deg a1 <= m/3, deg a2 <= 2m/3), so only the cubics inside them go to
     # it; validation rejects the others at infinity, before any check at v
     T = Poly.x(f5)
@@ -326,7 +322,7 @@ def test_newton_polygon_closed_form_matches_hull(f5):
                 points += [(1, v_a2)] if v_a2 is not None else []
                 points += [(2, v_a1)] if v_a1 is not None else []
                 try:
-                    _check_unique_local_zero(W, 3)
+                    _local_at_v(W)
                     raised = False
                 except NotWeilAtVError as exc:
                     raised = "distinct valuations" in str(exc)
@@ -924,13 +920,22 @@ RESIDUE_SHAPES = {
 @pytest.mark.parametrize("shape", sorted(RESIDUE_SHAPES))
 def test_residue_pattern_closed_form_on_planted_cubics(shape):
     # the closed form against factoring M mod pv, over F_5 and F_25 with
-    # deg pv = 1 and 2; the cubics need not define an isogeny class
+    # deg pv = 1 and 2; the cubics need not define an isogeny class, and
+    # the checks of height 2 and 3 reject some of them
     rng = random.Random(f"residue/{shape}")
+    returned = 0
     for F, pv in residue_shape_fields():
         for _ in range(4):
             W = planted_residue_cubic(F, pv, shape, rng)
-            got = _residue_pattern(W, height(W))
-            assert got == residue_pattern_oracle(W) == RESIDUE_SHAPES[shape]
+            assert residue_pattern_oracle(W) == RESIDUE_SHAPES[shape]
+            try:
+                got = _local_at_v(W).residue_pattern
+            except NotWeilAtVError:
+                assert shape in ("h2", "h3")
+                continue
+            assert got == RESIDUE_SHAPES[shape]
+            returned += 1
+    assert returned
 
 
 @pytest.mark.parametrize("q", [5, 7, 25])
@@ -1055,12 +1060,15 @@ def test_box_f5_cube_against_independent_oracles():
     # (x - uT)(x^2 + bx + u^2 T^2) of height 2) names the root the oracle
     # finds, and the rejections at infinity are exactly the cubics that
     # break the bounds or whose residual there has two or more distinct
-    # factors
+    # factors.  At v, 864 are rejected (688 of height 2 whose quadratic
+    # factor splits, 176 of height 3 whose zeros have distinct valuations),
+    # and each passing cubic's residue pattern is the factorisation's
     F = PrimeField(5)
     T = Poly.x(F)
     n = 3
     distinct = {}
-    accepted = reducible = 0
+    accepted = reducible = at_infinity = 0
+    at_v, local_shapes = Counter(), Counter()
     for a1c, a2c, mu in product(
         product(range(5), repeat=2), product(range(5), repeat=3), range(1, 5)
     ):
@@ -1072,15 +1080,32 @@ def test_box_f5_cube_against_independent_oracles():
             distinct[key] = len(factor(r))
         in_bounds = 3 * a1.degree <= n and 3 * a2.degree <= 2 * n
         try:
-            validate_weil_necessary(W)
+            local = validate_weil_necessary(W)
         except ReducibleError as exc:
             reducible += 1
             assert str(exc) == oracle_verdict(W)
+        except NotWeilAtVError as exc:
+            at_v[height(W), str(exc)] += 1
+            assert in_bounds and distinct[key] == 1, W
         except WeilValidationError as exc:
-            at_infinity = type(exc) is WeilValidationError
-            assert at_infinity == (not in_bounds or distinct[key] > 1), W
+            at_infinity += 1
+            assert type(exc) is WeilValidationError
+            assert not in_bounds or distinct[key] > 1, W
         else:
             accepted += 1
             assert in_bounds and distinct[key] == 1
             assert root_in_a_oracle(W) is None
-    assert accepted == 4616 and reducible == 20
+            assert local.residue_pattern == residue_pattern_oracle(W), W
+            local_shapes[local] += 1
+    assert accepted == 4616 and reducible == 20 and at_infinity == 7000
+    assert at_v == {
+        (2, "the quadratic v-adic factor above the zero of the Frobenius splits"): 688,
+        (3, "v-adic zeros with distinct valuations"): 176,
+    }
+    assert local_shapes == {
+        (1, ((1, 1), (2, 1))): 2200,
+        (1, ((1, 1), (1, 1), (1, 1))): 1320,
+        (1, ((1, 1), (1, 2))): 880,
+        (2, ((1, 1), (1, 2))): 176,
+        (3, ((1, 3),)): 40,
+    }

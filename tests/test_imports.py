@@ -1,16 +1,18 @@
-"""Every name a library module imports is used in that module, every
-private function, method or class it defines is named in it, every public
-one is named in the library outside its own body, and every parameter of
-its functions and lambdas is named in their bodies.
+"""Every name a library module imports is used in that module, and none is
+a private name of another module of the package; every private function,
+method or class it defines is named in it, every public one is named in
+the library outside its own body, and every parameter of its functions and
+lambdas is named in their bodies.
 
-``__init__.py`` is exempt: its imports are the package's exports, and they
-do not count as a use.  An import line carrying ``# noqa: F401`` is exempt
-too, for a binding kept on purpose.  A private definition is one whose name
-starts with ``_`` and is not a dunder; another module has no business
-calling it, so a private definition its own module never names is dead.  A
-public definition that only its own body, the tests or the exports name is
-dead too: code that only tests use lives in ``tests/``.  The one exemption
-is a function the benchmark's tracer wraps, named there by a dotted path.
+``__init__.py`` is exempt from all but the check of private imports: its
+imports are the package's exports, and they do not count as a use.  An
+import line carrying ``# noqa: F401`` is exempt too, for a binding kept on
+purpose.  A private definition is one whose name starts with ``_`` and is
+not a dunder; another module has no business importing or calling it, so
+a private definition its own module never names is dead.  A public
+definition that only its own body, the tests or the exports name is dead
+too: code that only tests use lives in ``tests/``.  The one exemption is a
+function the benchmark's tracer wraps, named there by a dotted path.
 No name in ``__init__.py`` is the stem of a module of the package, so
 ``import drinfeld_orders.<module> as m`` always gives the module.
 """
@@ -52,6 +54,23 @@ def unused_imports(source: str) -> list:
     return [(line, name) for line, name in imported if name not in used]
 
 
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_imports(source: str) -> list:
+    """(line, name) of each private name the module imports from another
+    module of the package, by a relative or a ``drinfeld_orders`` import."""
+    return [
+        (node.lineno, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "drinfeld_orders")
+        for alias in node.names
+        if is_private(alias.name)
+    ]
+
+
 def unreferenced_private_defs(source: str) -> list:
     """(line, name) of each private def or class the module never names,
     as a variable or as an attribute."""
@@ -59,9 +78,7 @@ def unreferenced_private_defs(source: str) -> list:
     private = [
         (node.lineno, node.name)
         for node in ast.walk(tree)
-        if isinstance(node, DEFS)
-        and node.name.startswith("_")
-        and not (node.name.startswith("__") and node.name.endswith("__"))
+        if isinstance(node, DEFS) and is_private(node.name)
     ]
     named = set()
     for node in ast.walk(tree):
@@ -147,6 +164,25 @@ def test_detects_an_unused_import():
     source = "from os import path, sep  # used below\nimport sys\nprint(sep)\n"
     assert unused_imports(source) == [(1, "path"), (2, "sys")]
     assert unused_imports("from os import path  # noqa: F401\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_imports(path):
+    assert private_imports(path.read_text()) == []
+
+
+def test_detects_a_private_import():
+    source = (
+        "from __future__ import annotations\n"
+        "from .gf import _pack, trim\n"
+        "from drinfeld_orders.cubic import _local_at_v as local\n"
+        "from . import _private_module\n"
+        "from os import _exit\n"
+        "from .poly import __all__\n"
+    )
+    assert private_imports(source) == [
+        (2, "_pack"), (3, "_local_at_v"), (4, "_private_module")
+    ]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
